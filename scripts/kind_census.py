@@ -7,7 +7,7 @@ Usage: python scripts/kind_census.py [max_degree]
 
 import sys
 
-from acmcurves import EnumerationConfig, enumerate_kinds, enumerate_pairs, stable_cap
+from acmcurves import EnumerationConfig, enumerate_kinds, stable_cap
 
 
 def main() -> int:
@@ -17,10 +17,12 @@ def main() -> int:
         cap = stable_cap(d)
         profile = []
         for c in range(2 * d, cap + 3):
-            profile.append(len(enumerate_kinds(EnumerationConfig(d, c))))
-        pairs = len(enumerate_pairs(EnumerationConfig(d, cap)))
-        kinds = len(enumerate_kinds(EnumerationConfig(d, cap)))
-        print(f"{d:>2} {cap:>4} {pairs:>7} {kinds:>6}  {profile}")
+            catalog = enumerate_kinds(EnumerationConfig(d, c))
+            profile.append(len(catalog))
+            if c == cap:
+                stable = catalog
+        pairs = sum(e.count for e in stable.entries)
+        print(f"{d:>2} {cap:>4} {pairs:>7} {len(stable):>6}  {profile}")
     return 0
 
 

@@ -7,16 +7,39 @@ changing once the bound reaches ``stable_cap(d)``: the last kind to
 appear is the all-BIG staircase of length d, whose smallest
 representative is ((0, d-1, 2(d-1), ...), (1, d, ...)) with
 b_t = (d-1)^2 + 1.
+
+Both public enumerations run on one depth-first walk, ``_walk``.  It
+extends the prefixes of a and b one index at a time, with a running
+trace, and carries a flat integer key for the leading block of the
+degree matrix, clamped as in the kind signature.  Extending from index
+i appends column i above the diagonal (b_i - a_j for j < i, which is
+positive, clamped at d for BIG) and then the diagonal gap g_i; each
+cell takes ``d.bit_length()`` bits.  The part below the diagonal needs
+no cells: b_j - a_i = g_i + g_j - (b_i - a_j), and g_i + g_j <= d, so
+delta(a_i, b_j) is 0 where b_i - a_j is BIG and follows from the key
+elsewhere.  Two leaves therefore share a key exactly when they are of
+the same kind (the leading cell, g_1 >= 1, fixes the length), and the
+key costs O(t) per node instead of O(t^2) per pair.
+
+``enumerate_kinds`` folds the leaves into one entry per key, so its
+memory grows with the number of kinds, not of pairs; it builds the
+validated ``WeakAdmissiblePair``, ``DegreeMatrix`` and
+``KindSignature`` only for the representative of each kind.
+``pairs.degree_matrix`` and ``pairs.pair_signature`` stay the slow
+reference path, and the tests check the catalog against them pair by
+pair over full ranges of degree and bound.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Iterator
 
 from .families import PairFamily
 from .pairs import (
     DegreeMatrix,
     KindSignature,
+    PairError,
     WeakAdmissiblePair,
     kind_signature,
     pair_signature,
@@ -42,44 +65,54 @@ class EnumerationConfig:
             raise ValueError("b_cap below the degree misses kinds with BIG entries")
 
 
-def _compositions(total: int, parts: int) -> list[tuple[int, ...]]:
-    """Ordered tuples of `parts` positive integers summing to `total`."""
-    if parts == 1:
-        return [(total,)]
-    out = []
-    for first in range(1, total - parts + 2):
-        for rest in _compositions(total - first, parts - 1):
-            out.append((first,) + rest)
-    return out
+def _walk(cfg: EnumerationConfig) -> Iterator[tuple[tuple[int, ...], tuple[int, ...], int]]:
+    """Yield (a, b, key) for every normalized pair with b_t <= b_cap.
+
+    Children are visited in increasing (gap, a_i) order, so among the
+    pairs of one kind (which share their gaps, the diagonal of the key)
+    the first one yielded is the least by ``sort_key``.  Each check the
+    reference path makes per pair is an O(1) test at the extension: a
+    and b nondecreasing and a_i < b_i on every new index, and a leaf is
+    exactly an extension whose gap brings the trace to the degree.
+    """
+    d, cap = cfg.degree, cfg.b_cap
+    w = d.bit_length()
+    stack = [((0,), (g,), g, g) for g in range(d - 1, 0, -1)]
+    while stack:
+        a, b, trace, key = stack.pop()
+        i = len(a)
+        rest = d - trace
+        a_last, b_last = a[-1], b[-1]
+        # the new column above the diagonal, packed and shifted into place,
+        # indexed by b_i - b_last; it is all BIG once b_i >= a_last + d
+        col = []
+        for bi in range(b_last, min(a_last + d, cap) + 1):
+            cells = 0
+            for aj in a:
+                cells = cells << w | (bi - aj if bi - aj < d else d)
+            col.append(cells << w)
+        col += col[-1:] * (cap - a_last - d)
+        head = key << w * (i + 1)
+        children = []
+        for g in range(1, rest + 1):
+            for ai in range(max(a_last, b_last - g), cap - g + 1):
+                bi = ai + g
+                if not (a_last <= ai < bi and b_last <= bi):
+                    raise PairError(f"walk left the normalized pairs at {a + (ai,)}, {b + (bi,)}")
+                child_key = head | col[bi - b_last] | g
+                if g == rest:
+                    yield a + (ai,), b + (bi,), child_key
+                else:
+                    children.append((a + (ai,), b + (bi,), trace + g, child_key))
+        stack.extend(reversed(children))
 
 
 def enumerate_pairs(cfg: EnumerationConfig) -> list[WeakAdmissiblePair]:
-    """All normalized pairs of the configured degree with b_t <= b_cap.
-
-    Generation picks the diagonal gaps (a composition of the degree),
-    then extends the a-sequence left to right; monotonicity of b prunes
-    early.  Output is sorted by (length, a, b).
-    """
-    cap = cfg.b_cap
-    found: list[WeakAdmissiblePair] = []
-    for t in range(2, cfg.degree + 1):
-        for gaps in _compositions(cfg.degree, t):
-            if gaps[0] > cap:
-                continue
-            stack = [(0,)]
-            while stack:
-                a = stack.pop()
-                i = len(a)
-                if i == t:
-                    b = tuple(a[j] + gaps[j] for j in range(t))
-                    found.append(WeakAdmissiblePair(a, b))
-                    continue
-                prev_b = a[i - 1] + gaps[i - 1]
-                lo = max(a[i - 1], prev_b - gaps[i])
-                hi = cap - gaps[i]
-                for ai in range(lo, hi + 1):
-                    stack.append(a + (ai,))
-    return sorted(found, key=lambda p: p.sort_key)
+    """All normalized pairs of the configured degree with b_t <= b_cap,
+    sorted by (length, a, b)."""
+    return sorted(
+        (WeakAdmissiblePair(a, b) for a, b, _ in _walk(cfg)), key=lambda p: p.sort_key
+    )
 
 
 @dataclass(frozen=True)
@@ -117,18 +150,26 @@ class KindCatalog:
 
 
 def enumerate_kinds(cfg: EnumerationConfig) -> KindCatalog:
-    """Group the enumerated pairs by kind signature.
+    """The kind catalog: one entry per kind, in one pass of the walk.
 
-    The representative of each kind is its lexicographically least
-    normalized pair, so output is stable across runs.
+    The leaves are folded into ``key -> [a, b, count]``, keeping the
+    first pair seen, which is the lexicographically least normalized
+    pair of its kind, so output is stable across runs.  Only those
+    representatives are built and validated, and their signatures come
+    from the reference ``pair_signature``.  Memory grows with the number
+    of kinds, not of pairs.
     """
-    groups: dict[KindSignature, list[WeakAdmissiblePair]] = {}
-    for p in enumerate_pairs(cfg):
-        groups.setdefault(pair_signature(p), []).append(p)
-    entries = [
-        KindEntry(sig, min(pairs, key=lambda p: p.sort_key), len(pairs))
-        for sig, pairs in groups.items()
-    ]
+    groups: dict[int, list] = {}
+    for a, b, key in _walk(cfg):
+        group = groups.get(key)
+        if group is None:
+            groups[key] = [a, b, 1]
+        else:
+            group[2] += 1
+    entries = []
+    for a, b, count in groups.values():
+        rep = WeakAdmissiblePair(a, b)
+        entries.append(KindEntry(pair_signature(rep), rep, count))
     entries.sort(key=lambda e: e.representative.sort_key)
     return KindCatalog(cfg.degree, cfg.b_cap, tuple(entries))
 

@@ -217,3 +217,12 @@ class TestAdditionalPaths:
     def test_enumerate_cap_below_degree(self, capsys):
         code, _, err = invoke(capsys, "pairs", "enumerate", "--degree", "4", "--cap", "3")
         assert code == 1 and "b_cap" in err
+
+    def test_enumerate_degree_8_refused_up_front(self, capsys, monkeypatch):
+        def never(cfg):
+            raise AssertionError("enumeration started")
+        monkeypatch.setattr("acmcurves.cli.enumerate_kinds", never)
+        code, out, err = invoke(capsys, "pairs", "enumerate", "--degree", "8")
+        assert code == 1 and out == ""
+        assert err.startswith("error: --degree 8 is out of reach: degree 7 alone takes")
+        assert err.count("\n") == 1 and "Traceback" not in err

@@ -14,7 +14,7 @@ from acmcurves import (
     stable_cap,
 )
 from acmcurves.catalog import kind_families
-from acmcurves.pairs import WeakAdmissiblePair
+from acmcurves.pairs import DegreeMatrix, WeakAdmissiblePair, degree_matrix
 
 
 def brute_force_pairs(degree: int, b_cap: int) -> set[WeakAdmissiblePair]:
@@ -28,6 +28,24 @@ def brute_force_pairs(degree: int, b_cap: int) -> set[WeakAdmissiblePair]:
                 if all(ai < bi for ai, bi in zip(a, b)) and sum(b) - sum(a) == degree:
                     found.add(make_pair(a, b))
     return found
+
+
+def reference_kinds(cfg: EnumerationConfig) -> dict:
+    """Signature -> (least pair, pair count), grouped by the reference
+    pair_signature one pair at a time."""
+    kinds = {}
+    for p in enumerate_pairs(cfg):
+        sig = pair_signature(p)
+        least, count = kinds.get(sig, (p, 0))
+        kinds[sig] = (min(least, p, key=lambda q: q.sort_key), count + 1)
+    return kinds
+
+
+# every bound from the degree to stable_cap + degree at degrees 2..5,
+# and the complete degree-6 catalog
+REFERENCE_CASES = [
+    (d, cap) for d in range(2, 6) for cap in range(d, stable_cap(d) + d + 1)
+] + [(6, 26)]
 
 
 class TestEnumeratePairs:
@@ -103,15 +121,50 @@ class TestKindCatalog:
         sigs = enumerate_kinds(EnumerationConfig(degree)).signatures()
         assert {s.anti_transpose() for s in sigs} == sigs
 
-    def test_representative_is_least_and_counts_add_up(self):
-        cfg = EnumerationConfig(4, 8)
-        kinds = enumerate_kinds(cfg)
-        pairs = enumerate_pairs(cfg)
-        assert sum(e.count for e in kinds.entries) == len(pairs)
+    @pytest.mark.parametrize("degree,cap", REFERENCE_CASES)
+    def test_representative_is_least_and_counts_add_up(self, degree, cap):
+        cfg = EnumerationConfig(degree, cap)
+        entries = enumerate_kinds(cfg).entries
+        got = {e.signature: (e.representative, e.count) for e in entries}
+        assert len(got) == len(entries)
+        assert got == reference_kinds(cfg)
+        keys = [e.representative.sort_key for e in entries]
+        assert keys == sorted(keys)
+
+    def test_every_representative_is_validated(self, monkeypatch):
+        validated = {WeakAdmissiblePair: set(), DegreeMatrix: set()}
+        for cls, seen in validated.items():
+            def post_init(obj, check=cls.__post_init__, seen=seen):
+                check(obj)
+                seen.add(obj)
+            monkeypatch.setattr(cls, "__post_init__", post_init)
+        kinds = enumerate_kinds(EnumerationConfig(4, 8))
+        # copies: the degree_matrix calls below validate matrices too
+        pairs, matrices = (set(seen) for seen in validated.values())
         for e in kinds.entries:
-            members = [p for p in pairs if pair_signature(p) == e.signature]
-            assert e.representative == min(members, key=lambda p: p.sort_key)
-            assert e.count == len(members)
+            assert e.representative in pairs
+            assert degree_matrix(e.representative) in matrices
+
+
+def merged_gaps(p: WeakAdmissiblePair) -> list[int]:
+    values = sorted(p.a + p.b)
+    return [y - x for x, y in zip(values, values[1:])]
+
+
+@pytest.mark.parametrize("degree", [2, 3, 4, 5])
+def test_gap_compression_keeps_every_kind(degree):
+    # any gap > d between the merged values of a and b can shrink to d
+    # without changing the kind, so pairs with all gaps <= d suffice
+    cfg = EnumerationConfig(degree)
+    kinds = reference_kinds(cfg)
+    for least, _ in kinds.values():
+        assert max(merged_gaps(least)) <= degree
+    compressed = {
+        pair_signature(p)
+        for p in enumerate_pairs(cfg)
+        if max(merged_gaps(p)) <= degree
+    }
+    assert compressed == set(kinds)
 
 
 class TestMatching:
