@@ -2,19 +2,27 @@
 
 Each of the five divisor families of determinantal quartics carries a
 rank-2 Picard lattice and one or two attached weak admissible pairs of
-degree 4.  Classifying the ACM classes combines four mechanisms:
+degree 4.  The solved classes of a twist table are the lattice classes
+with its degree and genus.  Every entry of a table is derived:
 
-* RIGID classes from the four numerical rigidity cases, minus explicit
-  per-divisor exclusion data (geometric facts this library does not
-  derive, kept as configuration so the arithmetic stays honest);
-* FAMILY_II classes, one per shift k >= 3 of an attached pair, whose
-  class is solved exactly from degree and self-intersection;
-* the shifts k = 0, 1, 2 of those families, which are either impossible
-  (nonpositive degree or negative genus), coincide with a rigid class,
-  or are RESIDUAL to a smaller curve in a complete intersection;
-* COMPLETE_INTERSECTION classes d*H.
+* RIGID: the classes of the four numerical rigidity cases minus the
+  divisor's exclusion data (geometric facts this library does not
+  derive, kept as data so the arithmetic stays honest), in sorted
+  order.  Each is resolved by the first pivot table whose solved
+  classes contain it, scanning the pairs in order and their distinct
+  syzygy twists ascending;
+* RESIDUAL: the shifts k = 0, 1, 2 of each attached pair.  A shift is
+  skipped when its table has no curve (nonpositive degree or negative
+  genus) or when its solved classes are all rigid.  Otherwise each
+  solved class D is residual to (k+1)H - D in the complete intersection
+  (4, k+1), and linkage must give back the table's invariants;
+* FAMILY_II: the solved classes of each shift k >= 3;
+* FAMILY_III: the solved classes of every pivot table whose solved
+  classes are not all rigid;
+* COMPLETE_INTERSECTION: the classes d*H.
 
-Every emitted entry carries a twist table and must pass the
+The descriptions of RIGID, RESIDUAL and FAMILY_III entries come from one
+prose map per divisor, and every emitted entry must pass the
 lattice/resolution cross-check.
 """
 
@@ -36,11 +44,13 @@ from .picard import (
 from .resolutions import (
     BettiTable,
     CurveInvariants,
+    InvalidTableError,
     ResolutionCase,
     ResolutionFamily,
     ci_table,
     degree_from_betti,
     genus_from_betti,
+    invariants_from_betti,
     is_f_minimal,
     pivot_for_value,
     surface_generator_table,
@@ -58,7 +68,7 @@ COMPLETE_INTERSECTION = "COMPLETE_INTERSECTION"
 
 
 class ClassificationError(RuntimeError):
-    """A computed entry contradicts the configured classification."""
+    """A derived entry fails a consistency check."""
 
 
 @dataclass(frozen=True)
@@ -99,198 +109,89 @@ class ClassificationEntry:
         return doc
 
 
-@dataclass(frozen=True)
-class _Rigid:
-    cls: DivisorClass
-    description: str
-    resolution: tuple[int, int]  # (pair index, pivot b-value)
-
-
-@dataclass(frozen=True)
-class _LowK:
-    pair: int
-    k: int
-    action: str  # "rigid" | "residual" | "skip"
-    classes: tuple[DivisorClass, ...] = ()
-    partner: CurveInvariants | None = None
-    ci: CiProfile | None = None
-    description: str = ""
-    reason: str = ""
-
-
-@dataclass(frozen=True)
-class _CaseIII:
-    pair: int
-    pivot_b: int
-    classes: tuple[DivisorClass, ...]
-    description: str
-
-
-@dataclass(frozen=True)
-class _DivisorConfig:
-    divisor: QuarticDivisor
-    rigid: tuple[_Rigid, ...]
-    low_k: tuple[_LowK, ...]
-    case_iii: tuple[_CaseIII, ...]
-
-
-def _cfg() -> dict[str, _DivisorConfig]:
-    c = DivisorClass
-    f1 = QuarticDivisor(
-        "F1", CurveInvariants(6, 3), quartic_lattice(6, 3),
-        (make_pair((1, 1, 1, 1), (2, 2, 2, 2)),), (),
-    )
-    f2 = QuarticDivisor(
-        "F2", CurveInvariants(3, 0), quartic_lattice(3, 0),
-        (make_pair((1, 1, 1), (2, 2, 3)), make_pair((1, 2, 2), (3, 3, 3))), (),
-    )
-    f3 = QuarticDivisor(
-        "F3", CurveInvariants(4, 1), quartic_lattice(4, 1),
-        (make_pair((1, 1), (3, 3)),), (),
-    )
-    f4 = QuarticDivisor(
-        "F4", CurveInvariants(1, 0), quartic_lattice(1, 0),
-        (make_pair((1, 1), (2, 4)), make_pair((1, 3), (4, 4))),
-        ((c(1, -1), "a degree-3 genus-0 class would be a twisted cubic, which a "
-                    "very general member of the line family does not carry"),),
-    )
-    f5 = QuarticDivisor(
-        "F5", CurveInvariants(2, 0), quartic_lattice(2, 0),
-        (make_pair((1, 2), (3, 4)),), (),
-    )
-    return {
-        "F1": _DivisorConfig(
-            f1,
-            rigid=(
-                _Rigid(c(0, 1), "a degree-6 genus-3 ACM curve, the generator class", (0, 2)),
-                _Rigid(c(3, -1), "a degree-6 genus-3 ACM curve, complementary to the generator", (0, 2)),
-            ),
-            low_k=(
-                _LowK(0, 0, "skip", reason="degree would be -2"),
-                _LowK(0, 1, "skip", reason="a union of four planes, not a curve"),
-                _LowK(0, 2, "rigid", classes=(c(0, 1), c(3, -1))),
-            ),
-            case_iii=(),
+_DIVISORS = {
+    div.label: div
+    for div in (
+        QuarticDivisor("F1", CurveInvariants(6, 3), quartic_lattice(6, 3),
+                       (make_pair((1, 1, 1, 1), (2, 2, 2, 2)),), ()),
+        QuarticDivisor("F2", CurveInvariants(3, 0), quartic_lattice(3, 0),
+                       (make_pair((1, 1, 1), (2, 2, 3)), make_pair((1, 2, 2), (3, 3, 3))), ()),
+        QuarticDivisor("F3", CurveInvariants(4, 1), quartic_lattice(4, 1),
+                       (make_pair((1, 1), (3, 3)),), ()),
+        QuarticDivisor(
+            "F4", CurveInvariants(1, 0), quartic_lattice(1, 0),
+            (make_pair((1, 1), (2, 4)), make_pair((1, 3), (4, 4))),
+            ((DivisorClass(1, -1),
+              "the degree-3 genus-1 class H - L is the plane cubic residual to the line in a "
+              "plane section; it moves with the planes through the line, so it is RESIDUAL"),),
         ),
-        "F2": _DivisorConfig(
-            f2,
-            rigid=(
-                _Rigid(c(0, 1), "a twisted cubic, the generator class", (0, 3)),
-                _Rigid(c(2, -1), "a degree-5 genus-2 curve, residual to the twisted "
-                                 "cubic in the intersection with a quadric", (1, 3)),
-            ),
-            low_k=(
-                _LowK(0, 0, "skip", reason="a union of three planes, not a curve"),
-                _LowK(0, 1, "rigid", classes=(c(0, 1),)),
-                _LowK(0, 2, "residual", classes=(c(1, 1),),
-                      partner=CurveInvariants(5, 2), ci=CiProfile(4, 3),
-                      description="residual to the degree-5 genus-2 curve in the "
-                                  "intersection with a cubic"),
-                _LowK(1, 0, "skip", reason="degree 1 with genus -1: no such curve"),
-                _LowK(1, 1, "rigid", classes=(c(2, -1),)),
-                _LowK(1, 2, "residual", classes=(c(3, -1),),
-                      partner=CurveInvariants(3, 0), ci=CiProfile(4, 3),
-                      description="residual to the twisted cubic in the "
-                                  "intersection with a cubic"),
-            ),
-            case_iii=(
-                _CaseIII(0, 2, (c(1, 1),),
-                         "quartic not among the minimal generators; same class as "
-                         "the degree-7 residual curve"),
-            ),
-        ),
-        "F3": _DivisorConfig(
-            f3,
-            rigid=(
-                _Rigid(c(0, 1), "an elliptic quartic (intersection of two quadrics), "
-                                "the generator class", (0, 3)),
-                _Rigid(c(2, -1), "an elliptic quartic, complementary to the generator", (0, 3)),
-            ),
-            low_k=(
-                _LowK(0, 0, "skip", reason="degree would be 0"),
-                _LowK(0, 1, "rigid", classes=(c(0, 1), c(2, -1))),
-                _LowK(0, 2, "residual", classes=(c(1, 1), c(3, -1)),
-                      partner=CurveInvariants(4, 1), ci=CiProfile(4, 3),
-                      description="residual to the elliptic quartic in the "
-                                  "intersection with a cubic"),
-            ),
-            case_iii=(),
-        ),
-        "F4": _DivisorConfig(
-            f4,
-            rigid=(
-                _Rigid(c(0, 1), "the line; the unique curve in its class", (0, 4)),
-            ),
-            low_k=(
-                _LowK(0, 0, "rigid", classes=(c(0, 1),)),
-                _LowK(0, 1, "residual", classes=(c(1, 1),),
-                      partner=CurveInvariants(3, 1), ci=CiProfile(4, 2),
-                      description="residual to a plane cubic in the intersection "
-                                  "with a quadric"),
-                _LowK(0, 2, "residual", classes=(c(2, 1),),
-                      partner=CurveInvariants(3, 1), ci=CiProfile(4, 3),
-                      description="residual to a plane cubic in the intersection "
-                                  "with a cubic"),
-                _LowK(1, 0, "residual", classes=(c(1, -1),),
-                      partner=CurveInvariants(1, 0), ci=CiProfile(4, 1),
-                      description="a plane cubic, residual to the line in a plane "
-                                  "section"),
-                _LowK(1, 1, "residual", classes=(c(2, -1),),
-                      partner=CurveInvariants(1, 0), ci=CiProfile(4, 2),
-                      description="residual to the line in the intersection with "
-                                  "a quadric"),
-                _LowK(1, 2, "residual", classes=(c(3, -1),),
-                      partner=CurveInvariants(1, 0), ci=CiProfile(4, 3),
-                      description="residual to the line in the intersection with "
-                                  "a cubic"),
-            ),
-            case_iii=(
-                _CaseIII(0, 2, (c(2, 1),),
-                         "quartic not among the minimal generators; same class as "
-                         "the degree-9 residual curve"),
-                _CaseIII(1, 4, (c(1, -1),),
-                         "quartic not among the minimal generators; the plane cubic"),
-            ),
-        ),
-        "F5": _DivisorConfig(
-            f5,
-            rigid=(
-                _Rigid(c(0, 1), "a conic, the generator class", (0, 4)),
-                _Rigid(c(1, -1), "a conic, complementary to the generator", (0, 4)),
-            ),
-            low_k=(
-                _LowK(0, 0, "rigid", classes=(c(0, 1), c(1, -1))),
-                _LowK(0, 1, "residual", classes=(c(1, 1), c(2, -1)),
-                      partner=CurveInvariants(2, 0), ci=CiProfile(4, 2),
-                      description="residual to the conic in the intersection with "
-                                  "a quadric"),
-                _LowK(0, 2, "residual", classes=(c(2, 1), c(3, -1)),
-                      partner=CurveInvariants(2, 0), ci=CiProfile(4, 3),
-                      description="residual to the conic in the intersection with "
-                                  "a cubic"),
-            ),
-            case_iii=(
-                _CaseIII(0, 3, (c(1, 1), c(2, -1)),
-                         "quartic not among the minimal generators; same classes "
-                         "as the degree-6 residual curve"),
-            ),
-        ),
-    }
+        QuarticDivisor("F5", CurveInvariants(2, 0), quartic_lattice(2, 0),
+                       (make_pair((1, 2), (3, 4)),), ()),
+    )
+}
 
+_c = DivisorClass
 
-_CONFIG = _cfg()
+# (provenance, class) -> description of each RIGID, RESIDUAL and FAMILY_III
+# entry, one map per divisor
+_PROSE: dict[str, dict[tuple[str, DivisorClass], str]] = {
+    "F1": {
+        (RIGID, _c(0, 1)): "a degree-6 genus-3 ACM curve, the generator class",
+        (RIGID, _c(3, -1)): "a degree-6 genus-3 ACM curve, complementary to the generator",
+    },
+    "F2": {
+        (RIGID, _c(0, 1)): "a twisted cubic, the generator class",
+        (RIGID, _c(2, -1)): "a degree-5 genus-2 curve, residual to the twisted cubic in the "
+                            "intersection with a quadric",
+        (RESIDUAL, _c(1, 1)): "residual to the degree-5 genus-2 curve in the intersection "
+                              "with a cubic",
+        (RESIDUAL, _c(3, -1)): "residual to the twisted cubic in the intersection with a cubic",
+        (FAMILY_III, _c(1, 1)): "quartic not among the minimal generators; same class as the "
+                                "degree-7 residual curve",
+    },
+    "F3": {
+        (RIGID, _c(0, 1)): "an elliptic quartic (intersection of two quadrics), the generator "
+                           "class",
+        (RIGID, _c(2, -1)): "an elliptic quartic, complementary to the generator",
+        (RESIDUAL, _c(1, 1)): "residual to the elliptic quartic in the intersection with a cubic",
+        (RESIDUAL, _c(3, -1)): "residual to the elliptic quartic in the intersection with a cubic",
+    },
+    "F4": {
+        (RIGID, _c(0, 1)): "the line; the unique curve in its class",
+        (RESIDUAL, _c(1, 1)): "residual to a plane cubic in the intersection with a quadric",
+        (RESIDUAL, _c(2, 1)): "residual to a plane cubic in the intersection with a cubic",
+        (RESIDUAL, _c(1, -1)): "a plane cubic, residual to the line in a plane section",
+        (RESIDUAL, _c(2, -1)): "residual to the line in the intersection with a quadric",
+        (RESIDUAL, _c(3, -1)): "residual to the line in the intersection with a cubic",
+        (FAMILY_III, _c(2, 1)): "quartic not among the minimal generators; same class as the "
+                                "degree-9 residual curve",
+        (FAMILY_III, _c(1, -1)): "quartic not among the minimal generators; the plane cubic",
+    },
+    "F5": {
+        (RIGID, _c(0, 1)): "a conic, the generator class",
+        (RIGID, _c(1, -1)): "a conic, complementary to the generator",
+        (RESIDUAL, _c(1, 1)): "residual to the conic in the intersection with a quadric",
+        (RESIDUAL, _c(2, -1)): "residual to the conic in the intersection with a quadric",
+        (RESIDUAL, _c(2, 1)): "residual to the conic in the intersection with a cubic",
+        (RESIDUAL, _c(3, -1)): "residual to the conic in the intersection with a cubic",
+        (FAMILY_III, _c(1, 1)): "quartic not among the minimal generators; same classes as "
+                                "the degree-6 residual curve",
+        (FAMILY_III, _c(2, -1)): "quartic not among the minimal generators; same classes as "
+                                 "the degree-6 residual curve",
+    },
+}
 
-DIVISOR_LABELS = tuple(sorted(_CONFIG))
+DIVISOR_LABELS = tuple(sorted(_DIVISORS))
 
 
 def known_divisors() -> list[QuarticDivisor]:
     """The five divisor families of determinantal quartics."""
-    return [_CONFIG[label].divisor for label in DIVISOR_LABELS]
+    return [_DIVISORS[label] for label in DIVISOR_LABELS]
 
 
 def divisor(label: str) -> QuarticDivisor:
     try:
-        return _CONFIG[label].divisor
+        return _DIVISORS[label]
     except KeyError:
         raise KeyError(f"unknown divisor {label!r}; expected one of {DIVISOR_LABELS}")
 
@@ -307,13 +208,6 @@ def cross_check(entry: ClassificationEntry, lattice: PicardLattice) -> bool:
 
 def _lattice_invariants(lattice: PicardLattice, cls: DivisorClass) -> CurveInvariants:
     return CurveInvariants(dot(lattice, cls, H), adjunction_genus(lattice, cls))
-
-
-def _raw_table_invariants(t: BettiTable) -> tuple[int, int]:
-    # unvalidated Betti sums, defined even for degenerate shifts
-    twice = sum(b * b for b in t.syz) - sum(a * a for a in t.gens)
-    six = sum(b ** 3 for b in t.syz) - sum(a ** 3 for a in t.gens)
-    return twice // 2, 1 + six // 6 - twice
 
 
 def _solved_classes(
@@ -335,121 +229,99 @@ def classify_quartic(div: QuarticDivisor, k_max: int = 6) -> list[Classification
     """All ACM classes on a very general member, up to shift k_max."""
     if k_max < 3:
         raise ValueError("k_max must be at least 3 to reach the stable family range")
-    cfg = _CONFIG[div.label]
     lattice = div.lattice
+    prose = _PROSE.get(div.label, {})
     entries: list[ClassificationEntry] = []
 
-    computed_rigid = rigid_classes(div)
-    configured_rigid = {r.cls for r in cfg.rigid}
-    if computed_rigid != configured_rigid:
-        raise ClassificationError(
-            f"{div.label}: rigid classes {sorted(computed_rigid)} do not match "
-            f"the configured set {sorted(configured_rigid)}"
+    def emit(cls, inv, provenance, table, family, minimal=True, description=None):
+        if description is None:
+            if (provenance, cls) not in prose:
+                raise ClassificationError(
+                    f"{div.label}: no description for the {provenance} class {cls}"
+                )
+            description = prose[(provenance, cls)]
+        entry = ClassificationEntry(
+            div.label, cls, inv, provenance, description, table, family, minimal
         )
-    for row in cfg.rigid:
-        pair_idx, pivot_b = row.resolution
-        pair = div.pairs[pair_idx]
-        pivot = pivot_for_value(pair, pivot_b)
-        table = pivot_syzygy_table(pair, pivot, SURFACE_DEGREE)
-        entries.append(
-            ClassificationEntry(
-                div.label, row.cls, _lattice_invariants(lattice, row.cls),
-                RIGID, row.description, table,
-                ResolutionFamily(pair, ResolutionCase.NONMINIMAL_F, SURFACE_DEGREE, pivot=pivot),
+        if not cross_check(entry, lattice):
+            raise ClassificationError(
+                f"cross-check failed for {entry.divisor} class {entry.cls} "
+                f"({entry.provenance}): table {entry.resolution.to_json()}"
             )
-        )
+        entries.append(entry)
 
-    for row in cfg.low_k:
-        pair = div.pairs[row.pair]
-        table = surface_generator_table(pair, row.k, SURFACE_DEGREE)
-        raw_d, raw_g = _raw_table_invariants(table)
-        if row.action == "skip":
-            if raw_d > 0 and raw_g >= 0:
-                raise ClassificationError(
-                    f"{div.label}: shift {row.k} marked impossible but yields "
-                    f"degree {raw_d}, genus {raw_g}"
-                )
-            continue
-        inv = CurveInvariants(raw_d, raw_g)
-        solved = _solved_classes(lattice, inv)
-        if solved != set(row.classes):
-            raise ClassificationError(
-                f"{div.label}: shift {row.k} classes {sorted(solved)} do not "
-                f"match configured {sorted(row.classes)}"
+    rigid = rigid_classes(div)
+    # (family, table, invariants, solved classes) of every pivot table:
+    # pairs in order, distinct syzygy twists ascending
+    pivots = []
+    for pair in div.pairs:
+        for b in sorted(set(pair.b)):
+            family = ResolutionFamily(
+                pair, ResolutionCase.NONMINIMAL_F, SURFACE_DEGREE, pivot=pivot_for_value(pair, b)
             )
-        if row.action == "rigid":
-            if not set(row.classes) <= configured_rigid:
-                raise ClassificationError(
-                    f"{div.label}: shift {row.k} routed to rigid classes "
-                    f"{sorted(row.classes)} not in the rigid set"
-                )
-            continue  # the rigid entries already cover these classes
-        residual = residual_invariants(row.partner, row.ci)
-        if residual != inv:
-            raise ClassificationError(
-                f"{div.label}: linkage gives {residual}, table gives {inv}"
-            )
-        for cls in row.classes:
-            entries.append(
-                ClassificationEntry(
-                    div.label, cls, inv, RESIDUAL, row.description, table,
-                    ResolutionFamily(pair, ResolutionCase.MINIMAL_F, SURFACE_DEGREE, shift=row.k),
-                    minimal=is_f_minimal(pair, row.k, SURFACE_DEGREE),
-                )
-            )
+            table = pivot_syzygy_table(pair, family.pivot, SURFACE_DEGREE)
+            inv = invariants_from_betti(table)
+            pivots.append((family, table, inv, _solved_classes(lattice, inv)))
+
+    for cls in sorted(rigid):
+        hit = next((p for p in pivots if cls in p[3]), None)
+        if hit is None:
+            raise ClassificationError(f"{div.label}: no pivot table resolves the rigid class {cls}")
+        family, table, _, _ = hit
+        emit(cls, _lattice_invariants(lattice, cls), RIGID, table, family)
+
+    for pair in div.pairs:
+        for k in range(3):
+            try:
+                table = surface_generator_table(pair, k, SURFACE_DEGREE)
+                inv = invariants_from_betti(table)
+            except InvalidTableError:
+                continue  # nonpositive degree: no curve at this shift
+            if inv.genus < 0:
+                continue
+            solved = _solved_classes(lattice, inv)
+            if solved <= rigid:
+                continue  # the rigid entries already cover these classes
+            ci = CiProfile(SURFACE_DEGREE, k + 1)
+            family = ResolutionFamily(pair, ResolutionCase.MINIMAL_F, SURFACE_DEGREE, shift=k)
+            for cls in sorted(solved):
+                partner = DivisorClass(k + 1 - cls.a, -cls.b)  # (k+1)H - D
+                linked = residual_invariants(_lattice_invariants(lattice, partner), ci)
+                if linked != inv:
+                    raise ClassificationError(
+                        f"{div.label}: linking {partner} in {ci.to_json()} gives "
+                        f"{linked}, the shift-{k} table gives {inv}"
+                    )
+                emit(cls, inv, RESIDUAL, table, family,
+                     minimal=is_f_minimal(pair, k, SURFACE_DEGREE))
 
     for pair in div.pairs:
         for k in range(3, k_max + 1):
             table = surface_generator_table(pair, k, SURFACE_DEGREE)
-            inv = CurveInvariants(degree_from_betti(table), genus_from_betti(table))
+            inv = invariants_from_betti(table)
             solved = _solved_classes(lattice, inv)
             if not solved:
                 raise ClassificationError(
                     f"{div.label}: no integer class of degree {inv.degree}, "
                     f"genus {inv.genus} at shift {k}"
                 )
+            family = ResolutionFamily(pair, ResolutionCase.MINIMAL_F, SURFACE_DEGREE, shift=k)
             for cls in sorted(solved):
-                entries.append(
-                    ClassificationEntry(
-                        div.label, cls, inv, FAMILY_II,
-                        f"resolution family with the quartic among the minimal "
-                        f"generators, shift k={k}",
-                        table,
-                        ResolutionFamily(pair, ResolutionCase.MINIMAL_F, SURFACE_DEGREE, shift=k),
-                    )
-                )
+                emit(cls, inv, FAMILY_II, table, family, description=(
+                    f"resolution family with the quartic among the minimal "
+                    f"generators, shift k={k}"
+                ))
 
-    for row in cfg.case_iii:
-        pair = div.pairs[row.pair]
-        pivot = pivot_for_value(pair, row.pivot_b)
-        table = pivot_syzygy_table(pair, pivot, SURFACE_DEGREE)
-        inv = CurveInvariants(degree_from_betti(table), genus_from_betti(table))
-        for cls in row.classes:
-            entries.append(
-                ClassificationEntry(
-                    div.label, cls, inv, FAMILY_III, row.description, table,
-                    ResolutionFamily(pair, ResolutionCase.NONMINIMAL_F, SURFACE_DEGREE, pivot=pivot),
-                )
-            )
+    for family, table, inv, solved in pivots:
+        if not solved <= rigid:
+            for cls in sorted(solved):
+                emit(cls, inv, FAMILY_III, table, family)
 
+    ci_family = ResolutionFamily(None, ResolutionCase.CI, SURFACE_DEGREE)
     for dd in range(2, k_max + 1):
         table = ci_table(SURFACE_DEGREE, dd)
-        inv = CurveInvariants(degree_from_betti(table), genus_from_betti(table))
-        entries.append(
-            ClassificationEntry(
-                div.label, DivisorClass(dd, 0), inv, COMPLETE_INTERSECTION,
-                f"complete intersection with a degree-{dd} surface",
-                table,
-                ResolutionFamily(None, ResolutionCase.CI, SURFACE_DEGREE),
-            )
-        )
-
-    for entry in entries:
-        if not cross_check(entry, lattice):
-            raise ClassificationError(
-                f"cross-check failed for {entry.divisor} class {entry.cls} "
-                f"({entry.provenance}): table {entry.resolution.to_json()}"
-            )
+        emit(DivisorClass(dd, 0), invariants_from_betti(table), COMPLETE_INTERSECTION,
+             table, ci_family, description=f"complete intersection with a degree-{dd} surface")
     return entries
 
 

@@ -7,7 +7,8 @@ with a prescribed self-intersection form a finite set which can be
 solved exactly: parametrize the line h2*a + hc*b = dh by the extended
 gcd, substitute into the quadratic form, and test the discriminant of
 the resulting one-variable quadratic for a perfect square.  Its leading
-coefficient is 4*det/gcd^2 < 0, so no search bound is ever needed.
+coefficient is h2*det/gcd^2, negative because h2 = H^2 (the surface
+degree) is positive, so no search bound is ever needed.
 """
 
 from __future__ import annotations
@@ -23,6 +24,8 @@ class PicardLattice:
     c2: int
 
     def __post_init__(self) -> None:
+        if self.h2 <= 0:
+            raise ValueError(f"h2 = H^2 is the surface degree and must be positive, got {self.h2}")
         if self.h2 % 2 or self.c2 % 2:
             raise ValueError("h2 and c2 must be even (even lattice)")
         if self.det >= 0:
@@ -86,7 +89,7 @@ def solve_classes(
     g, u, _v = _ext_gcd(l.h2, l.hc)
     # direction vector of the solution line of h2*a + hc*b = dh
     da, db = l.hc // g, -l.h2 // g
-    q2 = dot(l, DivisorClass(da, db), DivisorClass(da, db))  # = 4*det/g^2 < 0
+    q2 = dot(l, DivisorClass(da, db), DivisorClass(da, db))  # = h2*det/g^2 < 0
     solutions: set[DivisorClass] = set()
     for dh in range(dh_min, dh_max + 1):
         if dh % g:

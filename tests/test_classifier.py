@@ -14,12 +14,16 @@ from acmcurves import (
 )
 from acmcurves.classifier import (
     COMPLETE_INTERSECTION,
+    ClassificationError,
     FAMILY_II,
     FAMILY_III,
     RESIDUAL,
     RIGID,
     rigid_classes,
 )
+from acmcurves import catalog, classifier
+from acmcurves.families import eval_affine, parse_affine
+from acmcurves.picard import H, adjunction_genus, dot
 from acmcurves.resolutions import ResolutionCase, ResolutionFamily, surface_generator_table
 
 
@@ -255,3 +259,66 @@ def test_family_ii_branch_counts():
             if e.provenance == FAMILY_II:
                 per_pair_k.setdefault((e.family.pair, e.family.shift), set()).add(e.cls)
         assert {len(v) for v in per_pair_k.values()} == sizes
+
+
+LABELS = ["F1", "F2", "F3", "F4", "F5"]
+
+
+def catalog_class(exprs, k):
+    return cls(*(eval_affine(parse_affine(e), {"k": k}) for e in exprs))
+
+
+class TestAgainstCatalog:
+    """Exact agreement with data/catalog.json, which is read, never regenerated."""
+
+    @pytest.mark.parametrize("label", LABELS)
+    def test_residuals_exactly(self, label):
+        entries = classify_quartic(divisor(label), k_max=10)
+        have = {(e.cls, e.invariants.degree, e.invariants.genus)
+                for e in by_provenance(entries, RESIDUAL)}
+        want = {(cls(*r["class"]), r["degree"], r["genus"])
+                for r in catalog.quartic_proposition(label)["residuals"]}
+        assert have == want
+
+    @pytest.mark.parametrize("label", LABELS)
+    def test_family_classes_exactly(self, label):
+        entries = classify_quartic(divisor(label), k_max=10)
+        have = {}
+        for e in by_provenance(entries, FAMILY_II):
+            have.setdefault((e.family.pair, e.family.shift), set()).add(e.cls)
+        want = {}
+        for fam in catalog.quartic_proposition(label)["families"]:
+            pair = make_pair(*fam["pair"])
+            for k in range(3, 11):
+                want[(pair, k)] = {catalog_class(c, k) for c in fam["classes"]}
+        assert have == want
+
+
+class TestProse:
+    @pytest.mark.parametrize("label", LABELS)
+    def test_every_prose_key_is_emitted(self, label):
+        emitted = {
+            (e.provenance, e.cls)
+            for e in classify_quartic(divisor(label), k_max=3)
+            if e.provenance in (RIGID, RESIDUAL, FAMILY_III)
+        }
+        assert set(classifier._PROSE[label]) == emitted
+
+    def test_missing_prose_key_raises(self, monkeypatch):
+        prose = dict(classifier._PROSE["F4"])
+        del prose[(FAMILY_III, cls(1, -1))]
+        monkeypatch.setitem(classifier._PROSE, "F4", prose)
+        with pytest.raises(ClassificationError, match="no description"):
+            classify_quartic(divisor("F4"), k_max=3)
+
+
+def test_f4_exclusion_is_the_plane_cubic():
+    div = divisor("F4")
+    ((excluded, reason),) = div.exclusions
+    assert excluded == cls(1, -1) and "plane cubic" in reason
+    lattice = div.lattice
+    assert (dot(lattice, excluded, H), adjunction_genus(lattice, excluded)) == (3, 1)
+    entries = classify_quartic(div, k_max=3)
+    for tag in (RESIDUAL, FAMILY_III):
+        assert [(e.invariants.degree, e.invariants.genus)
+                for e in by_provenance(entries, tag) if e.cls == excluded] == [(3, 1)]

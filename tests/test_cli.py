@@ -226,3 +226,12 @@ class TestAdditionalPaths:
         assert code == 1 and out == ""
         assert err.startswith("error: --degree 8 is out of reach: degree 7 alone takes")
         assert err.count("\n") == 1 and "Traceback" not in err
+
+    def test_solve_rejects_zero_h2(self, capsys):
+        code, out, err = invoke(
+            capsys, "picard", "solve", "--gram", "0,1,0", "--self-int", "0",
+            "--dh", "1..3",
+        )
+        assert code == 1 and out == ""
+        assert "surface degree" in err
+        assert err.count("\n") == 1 and "Traceback" not in err

@@ -51,6 +51,12 @@ class TestLattices:
         with pytest.raises(ValueError, match="even"):
             PicardLattice(4, 1, -1)
 
+    @pytest.mark.parametrize("h2", [0, -2])
+    def test_rejects_nonpositive_h2(self, h2):
+        # (0, 1, 0) is even with determinant -1, but H^2 is the surface degree
+        with pytest.raises(ValueError, match="surface degree"):
+            PicardLattice(h2, 1, 0)
+
 
 class TestDot:
     def test_examples(self):
