@@ -13,10 +13,7 @@ def main() -> int:
         for row in run_target(target):
             total += 1
             failures += not row.ok
-            line = f"{row.status}  [{row.target}] {row.label}"
-            if row.detail:
-                line += f"  ({row.detail})"
-            print(line)
+            print(row.line)
     print(f"\n{total - failures}/{total} rows pass")
     return 1 if failures else 0
 

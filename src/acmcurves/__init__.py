@@ -28,7 +28,6 @@ from .enumeration import (
     KindCatalog,
     enumerate_kinds,
     enumerate_pairs,
-    match_catalog,
     match_families,
     stable_cap,
 )

@@ -3,8 +3,12 @@
 One executable, one subcommand per module: pairs / res / picard /
 liaison / classify, plus `reproduce` for the batch verification
 targets.  Exit codes: 0 success, 1 domain error (diagnostic on stderr),
-2 usage error.  Output is JSON by default; `--format table` renders the
-same fields as aligned text.
+2 usage error.  Output is JSON by default.  `pairs matrix`, `pairs
+signature`, `pairs enumerate`, `picard watanabe`, `classify quartic`,
+`classify low` and `reproduce` (by default) have a table view under
+`--format table`; the other commands print their JSON there too.
+`pairs enumerate` refuses degrees above 7 and a `--cap` above
+`stable_cap(degree) + degree`.
 """
 
 from __future__ import annotations
@@ -12,6 +16,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from contextlib import contextmanager
 
 from .classifier import (
     ClassificationError,
@@ -20,11 +25,9 @@ from .classifier import (
     classify_quartic,
     divisor,
 )
-from .enumeration import EnumerationConfig, enumerate_kinds
+from .enumeration import EnumerationConfig, enumerate_kinds, stable_cap
 from .liaison import CiProfile, residual_invariants
 from .pairs import (
-    PairError,
-    anti_transpose,
     degree_matrix,
     dual_pair,
     is_reducible_type,
@@ -54,13 +57,7 @@ from .resolutions import (
     validate,
 )
 
-DOMAIN_ERRORS = (
-    PairError,
-    InvalidTableError,
-    ClassificationError,
-    ValueError,
-    KeyError,
-)
+DOMAIN_ERRORS = (ClassificationError, ValueError, KeyError)
 
 # the largest degree `pairs enumerate` finishes in bounded time and memory
 MAX_ENUMERATE_DEGREE = 7
@@ -75,31 +72,182 @@ def _int_list(text: str) -> list[int]:
 
 def _int_range(text: str) -> tuple[int, int]:
     lo, sep, hi = text.partition("..")
-    if not sep:
-        lo = hi = text
     try:
-        return int(lo), int(hi)
+        return int(lo), int(hi if sep else lo)
     except ValueError:
         raise argparse.ArgumentTypeError(f"expected MIN..MAX, got {text!r}")
 
 
-def _emit(doc, fmt: str, table_renderer=None) -> None:
-    if fmt == "json" or table_renderer is None:
-        print(json.dumps(doc, indent=2, sort_keys=True))
+def _table(columns: tuple[str, ...], rows):
+    """A table renderer: `rows` (consumed when it is called) aligned under `columns`."""
+    def render() -> str:
+        cells = [list(columns)] + [[str(v) for v in row] for row in rows]
+        widths = [max(len(row[i]) for row in cells) for i in range(len(columns))]
+        return "\n".join("  ".join(v.ljust(w) for v, w in zip(row, widths)) for row in cells)
+    return render
+
+
+def _lattice(gram: list[int]) -> PicardLattice:
+    if len(gram) != 3:
+        raise ValueError("--gram expects three integers H2,HC,C2")
+    return PicardLattice(*gram)
+
+
+# -- handlers: args -> (JSON document, table renderer or None[, exit code])
+
+def _pairs_matrix(args):
+    m = degree_matrix(make_pair(args.a, args.b))
+    return m.to_json(), lambda: "\n".join(" ".join(map(str, r)) for r in m.entries)
+
+
+def _pairs_normalize(args):
+    return normalize(make_pair(args.a, args.b)).to_json(), None
+
+
+def _pairs_dual(args):
+    return dual_pair(make_pair(args.a, args.b)).to_json(), None
+
+
+def _pairs_signature(args):
+    sig = kind_signature(degree_matrix(make_pair(args.a, args.b)))
+    return sig.to_json(), sig.render
+
+
+def _pairs_reducible(args):
+    return {"reducible": is_reducible_type(degree_matrix(make_pair(args.a, args.b)))}, None
+
+
+def _pairs_enumerate(args):
+    if args.degree > MAX_ENUMERATE_DEGREE:
+        raise ValueError(
+            f"--degree {args.degree} is out of reach: degree 7 alone takes ~35 s and "
+            "~330 MiB for 10.5 M pairs, and the pair count grows ~38-fold per degree"
+        )
+    cfg = EnumerationConfig(args.degree, args.cap)
+    complete = stable_cap(cfg.degree)
+    if cfg.b_cap > complete + cfg.degree:
+        raise ValueError(
+            f"--cap {cfg.b_cap} is above {complete + cfg.degree} for degree {cfg.degree}: the "
+            f"kind catalog is complete at cap {complete}; a larger cap only grows the counts"
+        )
+    kinds = enumerate_kinds(cfg)
+    rows = _table(
+        ("signature", "representative", "count"),
+        ((e.signature.render(), repr(e.representative), e.count) for e in kinds.entries),
+    )
+    head = f"degree {kinds.degree}, b_cap {kinds.b_cap}: {len(kinds)} kinds\n"
+    return kinds.to_json(), lambda: head + rows()
+
+
+def _res_build(args):
+    if args.case == "ci":
+        if len(args.a) != 1 or len(args.b) != 1:
+            raise ValueError("--case ci expects single integers for --a and --b")
+        table = ci_table(args.a[0], args.b[0])
+    elif args.surface_degree is None:
+        raise ValueError("--surface-degree is required for cases ii and iii")
     else:
-        print(table_renderer(doc))
+        p = make_pair(args.a, args.b)
+        if args.case == "ii":
+            if args.k is None:
+                raise ValueError("--k is required for case ii")
+            table = surface_generator_table(p, args.k, args.surface_degree)
+        else:
+            if args.j0 is None:
+                raise ValueError("--j0 is required for case iii")
+            table = pivot_syzygy_table(p, args.j0, args.surface_degree)
+    return table.to_json() | invariants_from_betti(table).to_json(), None
 
 
-def _render_rows(rows: list[dict], columns: list[str]) -> str:
-    cells = [[str(r.get(c, "")) for c in columns] for r in rows]
-    widths = [
-        max(len(col), *(len(row[i]) for row in cells)) if cells else len(col)
-        for i, col in enumerate(columns)
+def _res_invariants(args):
+    table = BettiTable(tuple(args.gens), tuple(args.syz))
+    problems = validate(table)
+    if problems:
+        raise InvalidTableError("; ".join(problems))
+    return table.to_json() | invariants_from_betti(table).to_json(), None
+
+
+def _picard_solve(args):
+    classes = solve_classes(_lattice(args.gram), args.self_int, *args.dh)
+    return {"classes": [c.to_json() for c in sorted(classes)]}, None
+
+
+def _picard_watanabe(args):
+    lattice = divisor(args.divisor).lattice if args.divisor else _lattice(args.gram)
+    cases = [case.to_json() for case in watanabe_candidates(lattice)]
+    render = _table(
+        ("case", "classes", "side_condition"),
+        ((c["label"], " ".join(map(str, c["classes"])) or "(none)", c.get("side_condition", ""))
+         for c in cases),
+    )
+    return {"lattice": lattice.to_json(), "cases": cases}, render
+
+
+def _picard_plane(args):
+    classes = plane_curve_classes(_lattice(args.gram), args.dh_max)
+    return {"classes": [c.to_json() for c in sorted(classes)]}, None
+
+
+def _picard_invariants(args):
+    lattice = _lattice(args.gram)
+    if len(args.cls) != 2:
+        raise ValueError("--class expects two integers A,B")
+    x = DivisorClass(*args.cls)
+    return {
+        "degree": dot(lattice, x, H),
+        "self_intersection": dot(lattice, x, x),
+        "genus": adjunction_genus(lattice, x),
+    }, None
+
+
+def _liaison(args):
+    inv = CurveInvariants(args.degree, args.genus)
+    ci = CiProfile(args.s, args.t)
+    out = residual_invariants(inv, ci)
+    if args.twice:
+        out = residual_invariants(out, ci)
+    return out.to_json(), None
+
+
+def _classify_quartic(args):
+    entries = classify_quartic(divisor(args.divisor), k_max=args.kmax)
+    render = _table(
+        ("class", "degree", "genus", "provenance", "description"),
+        ((e.cls, e.invariants.degree, e.invariants.genus, e.provenance, e.description)
+         for e in entries),
+    )
+    return [e.to_json() for e in entries], render
+
+
+def _classify_low(args):
+    fams = classify_low_degree(args.degree, args.type_tag)
+    tables = [[(k, fam.table(k)) for k in range(fam.k_min, args.kmax + 1)] for fam in fams]
+    doc = [
+        fam.to_json() | {"tables": [t.to_json() | {"k": k} for k, t in shifts]}
+        for fam, shifts in zip(fams, tables)
     ]
-    lines = ["  ".join(col.ljust(w) for col, w in zip(columns, widths))]
-    for row in cells:
-        lines.append("  ".join(v.ljust(w) for v, w in zip(row, widths)))
-    return "\n".join(lines)
+    render = _table(
+        ("case", "k", "gens", "syz"),
+        ((fam.case_label, k, ",".join(map(str, t.gens)), ",".join(map(str, t.syz)))
+         for fam, shifts in zip(fams, tables) for k, t in shifts),
+    )
+    return doc, render
+
+
+def _reproduce(args):
+    rows = run_target(args.target)
+    n_ok = sum(r.ok for r in rows)
+    report = "\n".join([r.line for r in rows] + [f"{n_ok}/{len(rows)} rows pass"])
+    return [r.to_json() for r in rows], lambda: report, 0 if n_ok == len(rows) else 1
+
+
+@contextmanager
+def _command(sub, name: str, handler, fmt: str = "json", **kwargs):
+    """Leaf command `name`: the body adds its arguments, then `--format` and `handler`."""
+    p = sub.add_parser(name, **kwargs)
+    yield p
+    p.add_argument("--format", choices=("json", "table"), default=fmt)
+    p.set_defaults(handler=handler)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -111,286 +259,81 @@ def _build_parser() -> argparse.ArgumentParser:
 
     pairs = sub.add_parser("pairs", help="weak admissible pairs and kinds")
     psub = pairs.add_subparsers(dest="action", required=True)
-    for name in ("matrix", "normalize", "dual", "signature", "reducible"):
-        p = psub.add_parser(name)
-        p.add_argument("--a", type=_int_list, required=True)
-        p.add_argument("--b", type=_int_list, required=True)
-        p.add_argument("--format", choices=("json", "table"), default="json")
-    p = psub.add_parser("enumerate")
-    p.add_argument("--degree", type=int, required=True)
-    p.add_argument("--cap", type=int, default=None)
-    p.add_argument("--format", choices=("json", "table"), default="json")
+    for name, handler in (("matrix", _pairs_matrix), ("normalize", _pairs_normalize),
+                          ("dual", _pairs_dual), ("signature", _pairs_signature),
+                          ("reducible", _pairs_reducible)):
+        with _command(psub, name, handler) as p:
+            p.add_argument("--a", type=_int_list, required=True)
+            p.add_argument("--b", type=_int_list, required=True)
+    with _command(psub, "enumerate", _pairs_enumerate) as p:
+        p.add_argument("--degree", type=int, required=True)
+        p.add_argument("--cap", type=int, default=None)
 
     res = sub.add_parser("res", help="resolution twist tables")
     rsub = res.add_subparsers(dest="action", required=True)
-    p = rsub.add_parser("build")
-    p.add_argument("--case", choices=("ci", "ii", "iii"), required=True)
-    p.add_argument("--a", type=_int_list, required=True,
-                   help="pair a-sequence; for --case ci the first surface degree")
-    p.add_argument("--b", type=_int_list, required=True,
-                   help="pair b-sequence; for --case ci the second surface degree")
-    p.add_argument("--k", type=int, default=None, help="shift for case ii")
-    p.add_argument("--j0", type=int, default=None, help="1-based pivot for case iii")
-    p.add_argument("--surface-degree", type=int, default=None)
-    p.add_argument("--format", choices=("json", "table"), default="json")
-    p = rsub.add_parser("invariants")
-    p.add_argument("--gens", type=_int_list, required=True)
-    p.add_argument("--syz", type=_int_list, required=True)
-    p.add_argument("--format", choices=("json", "table"), default="json")
+    with _command(rsub, "build", _res_build) as p:
+        p.add_argument("--case", choices=("ci", "ii", "iii"), required=True)
+        p.add_argument("--a", type=_int_list, required=True,
+                       help="pair a-sequence; for --case ci the first surface degree")
+        p.add_argument("--b", type=_int_list, required=True,
+                       help="pair b-sequence; for --case ci the second surface degree")
+        p.add_argument("--k", type=int, default=None, help="shift for case ii")
+        p.add_argument("--j0", type=int, default=None, help="1-based pivot for case iii")
+        p.add_argument("--surface-degree", type=int, default=None)
+    with _command(rsub, "invariants", _res_invariants) as p:
+        p.add_argument("--gens", type=_int_list, required=True)
+        p.add_argument("--syz", type=_int_list, required=True)
 
     pic = sub.add_parser("picard", help="rank-2 lattice arithmetic")
     csub = pic.add_subparsers(dest="action", required=True)
-    p = csub.add_parser("solve")
-    p.add_argument("--gram", type=_int_list, required=True, metavar="H2,HC,C2")
-    p.add_argument("--self-int", type=int, required=True)
-    p.add_argument("--dh", type=_int_range, required=True, metavar="MIN..MAX")
-    p.add_argument("--format", choices=("json", "table"), default="json")
-    p = csub.add_parser("watanabe")
-    group = p.add_mutually_exclusive_group(required=True)
-    group.add_argument("--divisor", choices=DIVISOR_LABELS)
-    group.add_argument("--gram", type=_int_list, metavar="H2,HC,C2")
-    p.add_argument("--format", choices=("json", "table"), default="json")
-    p = csub.add_parser("plane")
-    p.add_argument("--gram", type=_int_list, required=True, metavar="H2,HC,C2")
-    p.add_argument("--dh-max", type=int, required=True)
-    p.add_argument("--format", choices=("json", "table"), default="json")
-    p = csub.add_parser("invariants")
-    p.add_argument("--gram", type=_int_list, required=True, metavar="H2,HC,C2")
-    p.add_argument("--class", dest="cls", type=_int_list, required=True, metavar="A,B")
-    p.add_argument("--format", choices=("json", "table"), default="json")
+    with _command(csub, "solve", _picard_solve) as p:
+        p.add_argument("--gram", type=_int_list, required=True, metavar="H2,HC,C2")
+        p.add_argument("--self-int", type=int, required=True)
+        p.add_argument("--dh", type=_int_range, required=True, metavar="MIN..MAX")
+    with _command(csub, "watanabe", _picard_watanabe) as p:
+        group = p.add_mutually_exclusive_group(required=True)
+        group.add_argument("--divisor", choices=DIVISOR_LABELS)
+        group.add_argument("--gram", type=_int_list, metavar="H2,HC,C2")
+    with _command(csub, "plane", _picard_plane) as p:
+        p.add_argument("--gram", type=_int_list, required=True, metavar="H2,HC,C2")
+        p.add_argument("--dh-max", type=int, required=True)
+    with _command(csub, "invariants", _picard_invariants) as p:
+        p.add_argument("--gram", type=_int_list, required=True, metavar="H2,HC,C2")
+        p.add_argument("--class", dest="cls", type=_int_list, required=True, metavar="A,B")
 
-    lia = sub.add_parser("liaison", help="degree/genus of linked curves")
-    lia.add_argument("--degree", type=int, required=True)
-    lia.add_argument("--genus", type=int, required=True)
-    lia.add_argument("--s", type=int, required=True)
-    lia.add_argument("--t", type=int, required=True, help="degree of the second surface")
-    lia.add_argument("--twice", action="store_true", help="link twice (identity check)")
-    lia.add_argument("--format", choices=("json", "table"), default="json")
+    with _command(sub, "liaison", _liaison, help="degree/genus of linked curves") as p:
+        p.add_argument("--degree", type=int, required=True)
+        p.add_argument("--genus", type=int, required=True)
+        p.add_argument("--s", type=int, required=True)
+        p.add_argument("--t", type=int, required=True, help="degree of the second surface")
+        p.add_argument("--twice", action="store_true", help="link twice (identity check)")
 
     cls = sub.add_parser("classify", help="classification tables")
     ksub = cls.add_subparsers(dest="action", required=True)
-    p = ksub.add_parser("quartic")
-    p.add_argument("--divisor", choices=DIVISOR_LABELS, required=True)
-    p.add_argument("--kmax", type=int, default=6)
-    p.add_argument("--format", choices=("json", "table"), default="json")
-    p = ksub.add_parser("low")
-    p.add_argument("--degree", type=int, choices=(2, 3), required=True)
-    p.add_argument("--type", dest="type_tag", required=True,
-                   help="smooth|reducible (degree 2), 2x2|3x3 (degree 3)")
-    p.add_argument("--kmax", type=int, default=6)
-    p.add_argument("--format", choices=("json", "table"), default="json")
+    with _command(ksub, "quartic", _classify_quartic) as p:
+        p.add_argument("--divisor", choices=DIVISOR_LABELS, required=True)
+        p.add_argument("--kmax", type=int, default=6)
+    with _command(ksub, "low", _classify_low) as p:
+        p.add_argument("--degree", type=int, choices=(2, 3), required=True)
+        p.add_argument("--type", dest="type_tag", required=True,
+                       help="smooth|reducible (degree 2), 2x2|3x3 (degree 3)")
+        p.add_argument("--kmax", type=int, default=6)
 
-    rep = sub.add_parser("reproduce", help="re-derive a cataloged table")
-    rep.add_argument("target", choices=TARGETS)
-    rep.add_argument("--format", choices=("json", "table"), default="table")
+    with _command(sub, "reproduce", _reproduce, "table", help="re-derive a cataloged table") as p:
+        p.add_argument("target", choices=TARGETS)
     return top
 
 
-def _pair_from_args(args):
-    return make_pair(args.a, args.b)
-
-
-def _lattice(gram: list[int]) -> PicardLattice:
-    if len(gram) != 3:
-        raise ValueError("--gram expects three integers H2,HC,C2")
-    return PicardLattice(*gram)
-
-
-def _classes_doc(classes) -> list[list[int]]:
-    return [c.to_json() for c in sorted(classes)]
-
-
-def _run_pairs(args) -> None:
-    if args.action == "enumerate":
-        if args.degree > MAX_ENUMERATE_DEGREE:
-            raise ValueError(
-                f"--degree {args.degree} is out of reach: degree 7 alone takes ~35 s and "
-                "~330 MiB for 10.5 M pairs, and the pair count grows ~38-fold per degree"
-            )
-        cfg = EnumerationConfig(args.degree, args.cap)
-        kinds = enumerate_kinds(cfg)
-        def render(doc):
-            rows = [
-                {
-                    "signature": e.signature.render(),
-                    "representative": repr(e.representative),
-                    "count": e.count,
-                }
-                for e in kinds.entries
-            ]
-            head = f"degree {kinds.degree}, b_cap {kinds.b_cap}: {len(kinds)} kinds"
-            return head + "\n" + _render_rows(rows, ["signature", "representative", "count"])
-        _emit(kinds.to_json(), args.format, render)
-        return
-    p = _pair_from_args(args)
-    if args.action == "matrix":
-        _emit(degree_matrix(p).to_json(), args.format,
-              lambda d: "\n".join(" ".join(map(str, r)) for r in d["entries"]))
-    elif args.action == "normalize":
-        _emit(normalize(p).to_json(), args.format)
-    elif args.action == "dual":
-        _emit(dual_pair(p).to_json(), args.format)
-    elif args.action == "signature":
-        _emit(kind_signature(degree_matrix(p)).to_json(), args.format,
-              lambda d: kind_signature(degree_matrix(p)).render())
-    elif args.action == "reducible":
-        _emit({"reducible": is_reducible_type(degree_matrix(p))}, args.format)
-
-
-def _run_res(args) -> None:
-    if args.action == "invariants":
-        table = BettiTable(tuple(args.gens), tuple(args.syz))
-        problems = validate(table)
-        if problems:
-            raise InvalidTableError("; ".join(problems))
-        inv = invariants_from_betti(table)
-        doc = table.to_json() | inv.to_json()
-        _emit(doc, args.format)
-        return
-    if args.case == "ci":
-        if len(args.a) != 1 or len(args.b) != 1:
-            raise ValueError("--case ci expects single integers for --a and --b")
-        table = ci_table(args.a[0], args.b[0])
-    else:
-        if args.surface_degree is None:
-            raise ValueError("--surface-degree is required for cases ii and iii")
-        p = _pair_from_args(args)
-        if args.case == "ii":
-            if args.k is None:
-                raise ValueError("--k is required for case ii")
-            table = surface_generator_table(p, args.k, args.surface_degree)
-        else:
-            if args.j0 is None:
-                raise ValueError("--j0 is required for case iii")
-            table = pivot_syzygy_table(p, args.j0, args.surface_degree)
-    inv = invariants_from_betti(table)
-    _emit(table.to_json() | inv.to_json(), args.format)
-
-
-def _run_picard(args) -> None:
-    if args.action == "watanabe":
-        lattice = divisor(args.divisor).lattice if args.divisor else _lattice(args.gram)
-        cases = [case.to_json() for case in watanabe_candidates(lattice)]
-        doc = {"lattice": lattice.to_json(), "cases": cases}
-        def render(_):
-            rows = [
-                {
-                    "case": c["label"],
-                    "classes": " ".join(map(str, c["classes"])) or "(none)",
-                    "side_condition": c.get("side_condition", ""),
-                }
-                for c in cases
-            ]
-            return _render_rows(rows, ["case", "classes", "side_condition"])
-        _emit(doc, args.format, render)
-        return
-    lattice = _lattice(args.gram)
-    if args.action == "solve":
-        lo, hi = args.dh
-        classes = solve_classes(lattice, args.self_int, lo, hi)
-        _emit({"classes": _classes_doc(classes)}, args.format)
-    elif args.action == "plane":
-        classes = plane_curve_classes(lattice, args.dh_max)
-        _emit({"classes": _classes_doc(classes)}, args.format)
-    elif args.action == "invariants":
-        if len(args.cls) != 2:
-            raise ValueError("--class expects two integers A,B")
-        x = DivisorClass(*args.cls)
-        doc = {
-            "degree": dot(lattice, x, H),
-            "self_intersection": dot(lattice, x, x),
-            "genus": adjunction_genus(lattice, x),
-        }
-        _emit(doc, args.format)
-
-
-def _run_liaison(args) -> None:
-    inv = CurveInvariants(args.degree, args.genus)
-    ci = CiProfile(args.s, args.t)
-    out = residual_invariants(inv, ci)
-    if args.twice:
-        out = residual_invariants(out, ci)
-    _emit(out.to_json(), args.format)
-
-
-def _run_classify(args) -> None:
-    if args.action == "quartic":
-        entries = classify_quartic(divisor(args.divisor), k_max=args.kmax)
-        doc = [e.to_json() for e in entries]
-        def render(_):
-            rows = [
-                {
-                    "class": str(e.cls),
-                    "degree": e.invariants.degree,
-                    "genus": e.invariants.genus,
-                    "provenance": e.provenance,
-                    "description": e.description,
-                }
-                for e in entries
-            ]
-            return _render_rows(rows, ["class", "degree", "genus", "provenance", "description"])
-        _emit(doc, args.format, render)
-        return
-    fams = classify_low_degree(args.degree, args.type_tag)
-    doc = []
-    for fam in fams:
-        tables = [
-            fam.table(k).to_json() | {"k": k}
-            for k in range(fam.k_min, args.kmax + 1)
-        ]
-        doc.append(fam.to_json() | {"tables": tables})
-    def render(_):
-        rows = []
-        for fam in fams:
-            for k in range(fam.k_min, args.kmax + 1):
-                t = fam.table(k)
-                rows.append(
-                    {
-                        "case": fam.case_label,
-                        "k": k,
-                        "gens": ",".join(map(str, t.gens)),
-                        "syz": ",".join(map(str, t.syz)),
-                    }
-                )
-        return _render_rows(rows, ["case", "k", "gens", "syz"])
-    _emit(doc, args.format, render)
-
-
-def _run_reproduce(args) -> int:
-    rows = run_target(args.target)
-    if args.format == "json":
-        print(json.dumps([r.to_json() for r in rows], indent=2, sort_keys=True))
-    else:
-        for r in rows:
-            line = f"{r.status}  [{r.target}] {r.label}"
-            if r.detail:
-                line += f"  ({r.detail})"
-            print(line)
-        n_ok = sum(r.ok for r in rows)
-        print(f"{n_ok}/{len(rows)} rows pass")
-    return 0 if all(r.ok for r in rows) else 1
-
-
 def run(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _build_parser().parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
     try:
-        if args.command == "pairs":
-            _run_pairs(args)
-        elif args.command == "res":
-            _run_res(args)
-        elif args.command == "picard":
-            _run_picard(args)
-        elif args.command == "liaison":
-            _run_liaison(args)
-        elif args.command == "classify":
-            _run_classify(args)
-        elif args.command == "reproduce":
-            return _run_reproduce(args)
-        return 0
+        doc, render, *code = args.handler(args)
+        table = args.format == "table" and render is not None
+        print(render() if table else json.dumps(doc, indent=2, sort_keys=True))
+        return code[0] if code else 0
     except DOMAIN_ERRORS as err:
         message = err.args[0] if err.args else str(err)
         print(f"error: {message}", file=sys.stderr)

@@ -36,14 +36,7 @@ from dataclasses import dataclass
 from typing import Iterator
 
 from .families import PairFamily
-from .pairs import (
-    DegreeMatrix,
-    KindSignature,
-    PairError,
-    WeakAdmissiblePair,
-    kind_signature,
-    pair_signature,
-)
+from .pairs import KindSignature, PairError, WeakAdmissiblePair, pair_signature
 
 
 def stable_cap(degree: int) -> int:
@@ -172,38 +165,6 @@ def enumerate_kinds(cfg: EnumerationConfig) -> KindCatalog:
         entries.append(KindEntry(pair_signature(rep), rep, count))
     entries.sort(key=lambda e: e.representative.sort_key)
     return KindCatalog(cfg.degree, cfg.b_cap, tuple(entries))
-
-
-@dataclass(frozen=True)
-class MatchReport:
-    """Outcome of checking expected degree matrices against a catalog."""
-
-    matched: tuple[tuple[int, bool], ...]  # (expected index, signature found?)
-    unmatched_signatures: tuple[KindSignature, ...]
-
-    @property
-    def all_matched(self) -> bool:
-        return all(ok for _, ok in self.matched)
-
-
-def match_catalog(catalog: KindCatalog, expected: list[DegreeMatrix]) -> MatchReport:
-    """Check which expected matrices occur in the catalog, by kind.
-
-    Also reports catalog signatures hit by no expected matrix.
-    """
-    for m in expected:
-        if m.degree != catalog.degree:
-            raise ValueError(
-                f"expected matrix of degree {m.degree} against a degree-{catalog.degree} catalog"
-            )
-    sigs = catalog.signatures()
-    expected_sigs = [kind_signature(m) for m in expected]
-    matched = tuple((i, s in sigs) for i, s in enumerate(expected_sigs))
-    hit = set(expected_sigs)
-    unmatched = tuple(
-        e.signature for e in catalog.entries if e.signature not in hit
-    )
-    return MatchReport(matched, unmatched)
 
 
 @dataclass(frozen=True)

@@ -12,15 +12,7 @@ import itertools
 import re
 from dataclasses import dataclass
 
-from .pairs import (
-    DegreeMatrix,
-    KindSignature,
-    WeakAdmissiblePair,
-    degree_matrix,
-    make_pair,
-    normalize,
-    pair_signature,
-)
+from .pairs import KindSignature, WeakAdmissiblePair, make_pair, normalize, pair_signature
 
 _TERM_RE = re.compile(r"\s*([+-]?)\s*(\d+|[A-Za-z_]\w*)")
 
@@ -137,14 +129,8 @@ class PairFamily:
         b = [eval_affine(dict(e), env) for e in self.b]
         return normalize(make_pair(a, b))
 
-    def min_env(self) -> dict[str, int]:
-        return dict(self.min_params)
-
     def min_instance(self) -> WeakAdmissiblePair:
-        return self.instantiate(self.min_env())
-
-    def min_matrix(self) -> DegreeMatrix:
-        return degree_matrix(self.min_instance())
+        return self.instantiate(dict(self.min_params))
 
     def map_params(self, env: dict[str, int]) -> dict[str, int]:
         """Parameter values of the dual family for this instance."""

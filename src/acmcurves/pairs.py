@@ -16,7 +16,7 @@ per degree, which is what makes the family catalogs finite.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence, Union
+from typing import Iterable, Union
 
 BIG = "BIG"
 
@@ -124,12 +124,6 @@ class DegreeMatrix:
     def to_json(self) -> dict:
         return {"degree": self.degree, "entries": [list(r) for r in self.entries]}
 
-    @classmethod
-    def from_rows(cls, rows: Sequence[Sequence[int]]) -> "DegreeMatrix":
-        entries = tuple(tuple(int(v) for v in row) for row in rows)
-        trace = sum(entries[i][i] for i in range(len(entries)))
-        return cls(trace, entries)
-
 
 def _anti_transpose(grid: tuple[tuple, ...]) -> tuple[tuple, ...]:
     # entry (i, j) -> (t+1-j, t+1-i): reflection across the antidiagonal
@@ -179,13 +173,6 @@ class KindSignature:
     @property
     def length(self) -> int:
         return len(self.cells)
-
-    @property
-    def sort_key(self) -> tuple:
-        key = tuple(
-            tuple((1, 0) if c == BIG else (0, c) for c in row) for row in self.cells
-        )
-        return (self.length, key)
 
     def anti_transpose(self) -> "KindSignature":
         return KindSignature(self.degree, _anti_transpose(self.cells))

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from functools import partial
 
 from . import catalog
 from .classifier import (
@@ -27,19 +28,6 @@ from .pairs import anti_transpose, degree_matrix, make_pair
 from .picard import DivisorClass
 from .resolutions import BettiTable, CurveInvariants
 
-TARGETS = (
-    "degree2-kinds",
-    "degree3-kinds",
-    "degree4-kinds",
-    "F1",
-    "F2",
-    "F3",
-    "F4",
-    "F5",
-    "low-degree-corollaries",
-    "liaison-table",
-)
-
 # the degree-4 catalog is checked at this bound; the family tables are
 # complete at every bound, so no kind goes unexplained even below stable_cap
 DEGREE4_CAP = 8
@@ -55,6 +43,12 @@ class Row:
     @property
     def status(self) -> str:
         return "PASS" if self.ok else "FAIL"
+
+    @property
+    def line(self) -> str:
+        """The row as one report line: status, target, label, detail."""
+        line = f"{self.status}  [{self.target}] {self.label}"
+        return f"{line}  ({self.detail})" if self.detail else line
 
     def to_json(self) -> dict:
         return {
@@ -282,17 +276,22 @@ def _liaison_rows(samples: int = 1000, seed: int = 20250809) -> list[Row]:
     return rows
 
 
+# target name -> the rows it checks, in report order
+TARGETS = {
+    "degree2-kinds": partial(_kinds_rows, 2, stable_cap(2)),
+    "degree3-kinds": partial(_kinds_rows, 3, stable_cap(3)),
+    "degree4-kinds": partial(_kinds_rows, 4, DEGREE4_CAP),
+    "F1": partial(_divisor_rows, "F1"),
+    "F2": partial(_divisor_rows, "F2"),
+    "F3": partial(_divisor_rows, "F3"),
+    "F4": partial(_divisor_rows, "F4"),
+    "F5": partial(_divisor_rows, "F5"),
+    "low-degree-corollaries": _low_degree_rows,
+    "liaison-table": _liaison_rows,
+}
+
+
 def run_target(target: str) -> list[Row]:
-    if target == "degree2-kinds":
-        return _kinds_rows(2, stable_cap(2))
-    if target == "degree3-kinds":
-        return _kinds_rows(3, stable_cap(3))
-    if target == "degree4-kinds":
-        return _kinds_rows(4, DEGREE4_CAP)
-    if target in ("F1", "F2", "F3", "F4", "F5"):
-        return _divisor_rows(target)
-    if target == "low-degree-corollaries":
-        return _low_degree_rows()
-    if target == "liaison-table":
-        return _liaison_rows()
-    raise KeyError(f"unknown target {target!r}; expected one of {TARGETS}")
+    if target not in TARGETS:
+        raise KeyError(f"unknown target {target!r}; expected one of {tuple(TARGETS)}")
+    return TARGETS[target]()

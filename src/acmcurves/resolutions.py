@@ -31,21 +31,15 @@ class InvalidTableError(ValueError):
 class BettiTable:
     gens: tuple[int, ...]
     syz: tuple[int, ...]
-    ambient_dim: int = 3
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "gens", tuple(sorted(self.gens)))
         object.__setattr__(self, "syz", tuple(sorted(self.syz)))
         if any(x <= 0 for x in self.gens + self.syz):
             raise InvalidTableError("nonpositive twist")
-        if self.ambient_dim < 3:
-            raise InvalidTableError("ambient dimension must be at least 3")
 
     def to_json(self) -> dict:
-        doc = {"gens": list(self.gens), "syz": list(self.syz)}
-        if self.ambient_dim != 3:
-            doc["ambient_dim"] = self.ambient_dim
-        return doc
+        return {"gens": list(self.gens), "syz": list(self.syz)}
 
 
 @dataclass(frozen=True)
@@ -93,16 +87,8 @@ def _cube_sum(xs: Iterable[int]) -> int:
     return sum(x * x * x for x in xs)
 
 
-def _require_p3(t: BettiTable) -> None:
-    if t.ambient_dim != 3:
-        raise InvalidTableError(
-            "degree/genus formulas apply to curves in P^3 only"
-        )
-
-
 def degree_from_betti(t: BettiTable) -> int:
     """(sum syz^2 - sum gens^2) / 2; must come out a positive integer."""
-    _require_p3(t)
     twice = _square_sum(t.syz) - _square_sum(t.gens)
     if twice % 2 != 0:
         raise InvalidTableError(f"degree is not an integer: {twice}/2")
@@ -113,7 +99,6 @@ def degree_from_betti(t: BettiTable) -> int:
 
 def genus_from_betti(t: BettiTable) -> int:
     """1 + (sum syz^3 - sum gens^3) / 6 - 2 * degree."""
-    _require_p3(t)
     d = degree_from_betti(t)
     six = _cube_sum(t.syz) - _cube_sum(t.gens)
     if six % 6 != 0:
@@ -132,7 +117,7 @@ def ci_table(f: int, g: int) -> BettiTable:
     return BettiTable(gens=(f, g), syz=(f + g,))
 
 
-def surface_generator_table(p: WeakAdmissiblePair, k: int, d: int, ambient_dim: int = 3) -> BettiTable:
+def surface_generator_table(p: WeakAdmissiblePair, k: int, d: int) -> BettiTable:
     """Resolution keeping the degree-d surface equation as a generator.
 
     gens = {a_i + k} + {d},  syz = {b_j + k}.  The twist-sum balance
@@ -144,10 +129,10 @@ def surface_generator_table(p: WeakAdmissiblePair, k: int, d: int, ambient_dim: 
         raise InvalidTableError(f"nonpositive twist: shift {k} is too negative")
     gens = tuple(a + k for a in p.a) + (d,)
     syz = tuple(b + k for b in p.b)
-    return BettiTable(gens, syz, ambient_dim)
+    return BettiTable(gens, syz)
 
 
-def pivot_syzygy_table(p: WeakAdmissiblePair, j0: int, d: int, ambient_dim: int = 3) -> BettiTable:
+def pivot_syzygy_table(p: WeakAdmissiblePair, j0: int, d: int) -> BettiTable:
     """Resolution when the surface equation is not a minimal generator.
 
     The pivot syzygy b_{j0} (1-based index into the sorted b-sequence)
@@ -163,7 +148,7 @@ def pivot_syzygy_table(p: WeakAdmissiblePair, j0: int, d: int, ambient_dim: int 
     if gens[0] <= 0:
         raise InvalidTableError(f"nonpositive twist: pivot {j0} shifts below 1")
     syz = tuple(shift + b for i, b in enumerate(p.b) if i != j0 - 1)
-    return BettiTable(gens, syz, ambient_dim)
+    return BettiTable(gens, syz)
 
 
 def pivot_for_value(p: WeakAdmissiblePair, b_value: int) -> int:
@@ -192,14 +177,13 @@ def validate(t: BettiTable) -> list[str]:
         problems.append(
             f"twist sums differ: gens {sum(t.gens)} vs syz {sum(t.syz)}"
         )
-    if t.ambient_dim == 3:
+    try:
+        degree_from_betti(t)
+    except InvalidTableError as err:
+        problems.append(str(err))
+    else:
         try:
-            degree_from_betti(t)
+            genus_from_betti(t)
         except InvalidTableError as err:
             problems.append(str(err))
-        else:
-            try:
-                genus_from_betti(t)
-            except InvalidTableError as err:
-                problems.append(str(err))
     return problems

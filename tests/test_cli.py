@@ -227,6 +227,19 @@ class TestAdditionalPaths:
         assert err.startswith("error: --degree 8 is out of reach: degree 7 alone takes")
         assert err.count("\n") == 1 and "Traceback" not in err
 
+    def test_enumerate_cap_above_bound_refused_up_front(self, capsys, monkeypatch):
+        def never(cfg):
+            raise AssertionError("enumeration started")
+        monkeypatch.setattr("acmcurves.cli.enumerate_kinds", never)
+        code, out, err = invoke(capsys, "pairs", "enumerate", "--degree", "2", "--cap", "1000000000")
+        assert code == 1 and out == ""
+        assert err.startswith("error: --cap 1000000000 is above 6 for degree 2")
+        assert err.count("\n") == 1 and "Traceback" not in err
+
+    def test_enumerate_cap_at_bound_succeeds(self, capsys):
+        doc = invoke_json(capsys, "pairs", "enumerate", "--degree", "2", "--cap", "6")
+        assert doc["b_cap"] == 6 and len(doc["kinds"]) == 2
+
     def test_solve_rejects_zero_h2(self, capsys):
         code, out, err = invoke(
             capsys, "picard", "solve", "--gram", "0,1,0", "--self-int", "0",
@@ -235,3 +248,49 @@ class TestAdditionalPaths:
         assert code == 1 and out == ""
         assert "surface degree" in err
         assert err.count("\n") == 1 and "Traceback" not in err
+
+
+# one argv per leaf command, and the commands that have a table view;
+# the others print their JSON under --format table
+LEAF_COMMANDS = {
+    "pairs matrix": ["pairs", "matrix", "--a", "1,1", "--b", "2,4"],
+    "pairs normalize": ["pairs", "normalize", "--a", "5,7", "--b", "6,9"],
+    "pairs dual": ["pairs", "dual", "--a", "0,3", "--b", "3,4"],
+    "pairs signature": ["pairs", "signature", "--a", "0,2", "--b", "2,4"],
+    "pairs reducible": ["pairs", "reducible", "--a", "0,2", "--b", "2,4"],
+    "pairs enumerate": ["pairs", "enumerate", "--degree", "3"],
+    "res build": ["res", "build", "--case", "ii", "--a", "1,1", "--b", "2,4",
+                  "--k", "3", "--surface-degree", "4"],
+    "res invariants": ["res", "invariants", "--gens", "3,3,3,3", "--syz", "4,4,4"],
+    "picard solve": ["picard", "solve", "--gram", "4,1,-2", "--self-int", "-2", "--dh", "1..3"],
+    "picard watanabe": ["picard", "watanabe", "--divisor", "F3"],
+    "picard plane": ["picard", "plane", "--gram", "4,1,-2", "--dh-max", "4"],
+    "picard invariants": ["picard", "invariants", "--gram", "4,6,4", "--class", "0,1"],
+    "liaison": ["liaison", "--degree", "1", "--genus", "0", "--s", "4", "--t", "2"],
+    "classify quartic": ["classify", "quartic", "--divisor", "F4", "--kmax", "3"],
+    "classify low": ["classify", "low", "--degree", "3", "--type", "3x3"],
+    "reproduce": ["reproduce", "liaison-table"],
+}
+TABLE_VIEWS = {
+    "pairs matrix", "pairs signature", "pairs enumerate", "picard watanabe",
+    "classify quartic", "classify low", "reproduce",
+}
+
+
+class TestOutputContract:
+    @pytest.mark.parametrize("name", sorted(LEAF_COMMANDS))
+    def test_formats(self, name, capsys):
+        argv = LEAF_COMMANDS[name]
+        code, as_json, _ = invoke(capsys, *argv, "--format", "json")
+        assert code == 0
+        assert json.dumps(json.loads(as_json), indent=2, sort_keys=True) + "\n" == as_json
+        code, as_table, _ = invoke(capsys, *argv, "--format", "table")
+        assert code == 0
+        if name in TABLE_VIEWS:
+            with pytest.raises(ValueError):
+                json.loads(as_table)
+        else:
+            assert as_table == as_json
+        code, default, _ = invoke(capsys, *argv)
+        assert code == 0
+        assert default == (as_table if name == "reproduce" else as_json)

@@ -7,7 +7,6 @@ from acmcurves import (
     enumerate_kinds,
     enumerate_pairs,
     make_pair,
-    match_catalog,
     match_families,
     normalize,
     pair_signature,
@@ -170,18 +169,17 @@ def test_gap_compression_keeps_every_kind(degree):
 class TestMatching:
     def test_degree_mismatch_rejected(self):
         kinds = enumerate_kinds(EnumerationConfig(3))
-        wrong = [kind_families(4)[0].min_matrix()]
         with pytest.raises(ValueError, match="degree"):
-            match_catalog(kinds, wrong)
+            match_families(kinds, kind_families(4)[:1])
 
     def test_empty_expected_reports_everything_unmatched(self):
         kinds = enumerate_kinds(EnumerationConfig(3))
-        report = match_catalog(kinds, [])
+        report = match_families(kinds, ())
         assert len(report.unmatched_signatures) == len(kinds)
 
     def test_min_matrices_all_occur(self):
         kinds = enumerate_kinds(EnumerationConfig(3))
-        report = match_catalog(kinds, [f.min_matrix() for f in kind_families(3)])
+        report = match_families(kinds, kind_families(3))
         assert report.all_matched
 
     @pytest.mark.parametrize(
@@ -203,11 +201,9 @@ class TestMatching:
 
 def test_op_level_match_of_the_degree4_minimum_matrices():
     kinds = enumerate_kinds(EnumerationConfig(4, 8))
-    expected = [
-        f.min_matrix() for f in kind_families(4) if f.name != "M29"
-    ]
+    expected = tuple(f for f in kind_families(4) if f.name != "M29")
     assert len(expected) == 28
-    assert match_catalog(kinds, expected).all_matched
+    assert match_families(kinds, expected).all_matched
 
 
 def test_enumeration_is_deterministic():

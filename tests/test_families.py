@@ -1,6 +1,6 @@
 import pytest
 
-from acmcurves import make_pair, normalize, pair_signature
+from acmcurves import degree_matrix, make_pair, normalize, pair_signature
 from acmcurves.catalog import family_by_name, kind_families
 from acmcurves.families import Constraint, PairFamily, eval_affine, parse_affine
 
@@ -47,7 +47,7 @@ class TestPairFamily:
     def test_min_instance_and_matrix(self):
         fam = family_by_name(4, "M5")
         assert fam.min_instance() == make_pair((0, 2), (2, 4))
-        assert fam.min_matrix().entries == ((2, 4), (0, 2))
+        assert degree_matrix(fam.min_instance()).entries == ((2, 4), (0, 2))
 
     def test_instances_respect_the_bound(self):
         fam = family_by_name(4, "M5")

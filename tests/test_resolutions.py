@@ -59,11 +59,6 @@ class TestInvariantFormulas:
         with pytest.raises(InvalidTableError, match="not an integer"):
             degree_from_betti(BettiTable((1, 2), (2, 2)))
 
-    def test_rejects_other_ambient_dimensions(self):
-        t = BettiTable((2, 2), (4,), ambient_dim=4)
-        with pytest.raises(InvalidTableError, match="P\\^3"):
-            degree_from_betti(t)
-
 
 class TestCiTable:
     def test_examples(self):
