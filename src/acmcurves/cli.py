@@ -8,7 +8,9 @@ signature`, `pairs enumerate`, `picard watanabe`, `classify quartic`,
 `classify low` and `reproduce` (by default) have a table view under
 `--format table`; the other commands print their JSON there too.
 `pairs enumerate` refuses degrees above 7 and a `--cap` above
-`stable_cap(degree) + degree`.
+`stable_cap(degree) + degree`; `picard solve` refuses a `--dh` range of
+more than 10^6 degrees, `picard plane` a `--dh-max` above 10^6, and
+`classify quartic|low` a `--kmax` above 10^4.
 """
 
 from __future__ import annotations
@@ -61,6 +63,10 @@ DOMAIN_ERRORS = (ClassificationError, ValueError, KeyError)
 
 # the largest degree `pairs enumerate` finishes in bounded time and memory
 MAX_ENUMERATE_DEGREE = 7
+# the most degrees `picard solve --dh` and `picard plane --dh-max` scan,
+# and the largest `classify quartic|low --kmax`: a few seconds each
+MAX_DEGREE_SPAN = 10**6
+MAX_KMAX = 10**4
 
 
 def _int_list(text: str) -> list[int]:
@@ -120,8 +126,8 @@ def _pairs_reducible(args):
 def _pairs_enumerate(args):
     if args.degree > MAX_ENUMERATE_DEGREE:
         raise ValueError(
-            f"--degree {args.degree} is out of reach: degree 7 alone takes ~35 s and "
-            "~330 MiB for 10.5 M pairs, and the pair count grows ~38-fold per degree"
+            f"--degree {args.degree} is out of reach: degree 7 alone takes ~9 s and "
+            "~330 MiB for its 222 605 kinds, and the kind count grows ~16-fold per degree"
         )
     cfg = EnumerationConfig(args.degree, args.cap)
     complete = stable_cap(cfg.degree)
@@ -168,7 +174,13 @@ def _res_invariants(args):
 
 
 def _picard_solve(args):
-    classes = solve_classes(_lattice(args.gram), args.self_int, *args.dh)
+    lo, hi = args.dh
+    if hi - lo + 1 > MAX_DEGREE_SPAN:
+        raise ValueError(
+            f"--dh {lo}..{hi} spans {hi - lo + 1} degrees, more than {MAX_DEGREE_SPAN}: "
+            "the solver takes ~0.3 s per 10^5 degrees"
+        )
+    classes = solve_classes(_lattice(args.gram), args.self_int, lo, hi)
     return {"classes": [c.to_json() for c in sorted(classes)]}, None
 
 
@@ -184,6 +196,11 @@ def _picard_watanabe(args):
 
 
 def _picard_plane(args):
+    if args.dh_max > MAX_DEGREE_SPAN:
+        raise ValueError(
+            f"--dh-max {args.dh_max} is above {MAX_DEGREE_SPAN}: each degree is one "
+            "solver slice, ~0.6 s per 10^5 degrees"
+        )
     classes = plane_curve_classes(_lattice(args.gram), args.dh_max)
     return {"classes": [c.to_json() for c in sorted(classes)]}, None
 
@@ -209,7 +226,16 @@ def _liaison(args):
     return out.to_json(), None
 
 
+def _check_kmax(args) -> None:
+    if args.kmax > MAX_KMAX:
+        raise ValueError(
+            f"--kmax {args.kmax} is above {MAX_KMAX}: the tables grow linearly with it, "
+            f"and F1..F5 take ~4 s at {MAX_KMAX}"
+        )
+
+
 def _classify_quartic(args):
+    _check_kmax(args)
     entries = classify_quartic(divisor(args.divisor), k_max=args.kmax)
     render = _table(
         ("class", "degree", "genus", "provenance", "description"),
@@ -220,6 +246,7 @@ def _classify_quartic(args):
 
 
 def _classify_low(args):
+    _check_kmax(args)
     fams = classify_low_degree(args.degree, args.type_tag)
     tables = [[(k, fam.table(k)) for k in range(fam.k_min, args.kmax + 1)] for fam in fams]
     doc = [

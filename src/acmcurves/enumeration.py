@@ -21,6 +21,26 @@ elsewhere.  Two leaves therefore share a key exactly when they are of
 the same kind (the leading cell, g_1 >= 1, fixes the length), and the
 key costs O(t) per node instead of O(t^2) per pair.
 
+The gap lemma prunes the walk for the catalog.  Where
+a_i - b_{i-1} >= d, every value of a and b up to index i - 1 lies at or
+below b_{i-1} and every later one at or above a_i, so that gap
+separates BIG cells (b_j - a_k for k < i <= j) from zero cells
+(b_k - a_j); stretching it, or shrinking it down to d, keeps the kind.
+No other gap between neighbouring values of a and b can reach d, as
+each lies inside a diagonal gap b_i - a_i <= d - 1.  ``_walk`` takes
+``max_gap`` and keeps a_i <= b_{i-1} + max_gap, counting in m the
+indices where a_i - b_{i-1} = max_gap.  With max_gap = d it yields only
+the gap-compressed pairs, and each stands for exactly
+comb(m + b_cap - b_t, m) pairs: stretch its m gaps of d by e_j >= 0
+with sum(e_j) <= b_cap - b_t.  Every pair shrinks to exactly one
+compressed pair, and the least pair of a kind is compressed, so the
+catalog keeps its representatives and its exact counts while the walk
+visits about one pair in three at degree 5 (3 981 of 12 895 at bound
+19).  A compressed pair has b_t <= d + (t - 1) d <= d^2, so past that
+bound the walk stops growing and only the counts do.
+``enumerate_pairs`` passes max_gap = b_cap, which prunes nothing (and m
+stays 0), so it remains the exhaustive reference.
+
 ``enumerate_kinds`` folds the leaves into one entry per key, so its
 memory grows with the number of kinds, not of pairs; it builds the
 validated ``WeakAdmissiblePair``, ``DegreeMatrix`` and
@@ -33,6 +53,7 @@ pair over full ranges of degree and bound.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import comb
 from typing import Iterator
 
 from .families import PairFamily
@@ -58,8 +79,12 @@ class EnumerationConfig:
             raise ValueError("b_cap below the degree misses kinds with BIG entries")
 
 
-def _walk(cfg: EnumerationConfig) -> Iterator[tuple[tuple[int, ...], tuple[int, ...], int]]:
-    """Yield (a, b, key) for every normalized pair with b_t <= b_cap.
+def _walk(
+    cfg: EnumerationConfig, max_gap: int
+) -> Iterator[tuple[tuple[int, ...], tuple[int, ...], int, int]]:
+    """Yield (a, b, key, m) for every normalized pair with b_t <= b_cap
+    and a_i - b_{i-1} <= max_gap at every i >= 2, where m counts the
+    indices with a_i - b_{i-1} = max_gap.
 
     Children are visited in increasing (gap, a_i) order, so among the
     pairs of one kind (which share their gaps, the diagonal of the key)
@@ -70,33 +95,36 @@ def _walk(cfg: EnumerationConfig) -> Iterator[tuple[tuple[int, ...], tuple[int, 
     """
     d, cap = cfg.degree, cfg.b_cap
     w = d.bit_length()
-    stack = [((0,), (g,), g, g) for g in range(d - 1, 0, -1)]
+    stack = [((0,), (g,), g, g, 0) for g in range(d - 1, 0, -1)]
     while stack:
-        a, b, trace, key = stack.pop()
+        a, b, trace, key, m = stack.pop()
         i = len(a)
         rest = d - trace
         a_last, b_last = a[-1], b[-1]
         # the new column above the diagonal, packed and shifted into place,
-        # indexed by b_i - b_last; it is all BIG once b_i >= a_last + d
+        # indexed by b_i - b_last; it is all BIG from b_i = a_last + d on,
+        # so larger indices are clamped to its last entry
         col = []
         for bi in range(b_last, min(a_last + d, cap) + 1):
             cells = 0
             for aj in a:
                 cells = cells << w | (bi - aj if bi - aj < d else d)
             col.append(cells << w)
-        col += col[-1:] * (cap - a_last - d)
+        big = len(col) - 1
         head = key << w * (i + 1)
+        a_max = b_last + max_gap
         children = []
         for g in range(1, rest + 1):
-            for ai in range(max(a_last, b_last - g), cap - g + 1):
+            for ai in range(max(a_last, b_last - g), min(a_max, cap - g) + 1):
                 bi = ai + g
                 if not (a_last <= ai < bi and b_last <= bi):
                     raise PairError(f"walk left the normalized pairs at {a + (ai,)}, {b + (bi,)}")
-                child_key = head | col[bi - b_last] | g
+                child_key = head | col[min(bi - b_last, big)] | g
+                child_m = m + (ai == a_max)
                 if g == rest:
-                    yield a + (ai,), b + (bi,), child_key
+                    yield a + (ai,), b + (bi,), child_key, child_m
                 else:
-                    children.append((a + (ai,), b + (bi,), trace + g, child_key))
+                    children.append((a + (ai,), b + (bi,), trace + g, child_key, child_m))
         stack.extend(reversed(children))
 
 
@@ -104,7 +132,8 @@ def enumerate_pairs(cfg: EnumerationConfig) -> list[WeakAdmissiblePair]:
     """All normalized pairs of the configured degree with b_t <= b_cap,
     sorted by (length, a, b)."""
     return sorted(
-        (WeakAdmissiblePair(a, b) for a, b, _ in _walk(cfg)), key=lambda p: p.sort_key
+        (WeakAdmissiblePair(a, b) for a, b, _, _ in _walk(cfg, cfg.b_cap)),
+        key=lambda p: p.sort_key,
     )
 
 
@@ -145,20 +174,23 @@ class KindCatalog:
 def enumerate_kinds(cfg: EnumerationConfig) -> KindCatalog:
     """The kind catalog: one entry per kind, in one pass of the walk.
 
-    The leaves are folded into ``key -> [a, b, count]``, keeping the
-    first pair seen, which is the lexicographically least normalized
-    pair of its kind, so output is stable across runs.  Only those
+    The gap-compressed leaves are folded into ``key -> [a, b, count]``,
+    each adding the number of pairs it stands for, and keeping the first
+    pair seen, which is the lexicographically least normalized pair of
+    its kind, so output is stable across runs.  Only those
     representatives are built and validated, and their signatures come
     from the reference ``pair_signature``.  Memory grows with the number
     of kinds, not of pairs.
     """
+    cap = cfg.b_cap
     groups: dict[int, list] = {}
-    for a, b, key in _walk(cfg):
+    for a, b, key, m in _walk(cfg, cfg.degree):
+        count = comb(m + cap - b[-1], m)
         group = groups.get(key)
         if group is None:
-            groups[key] = [a, b, 1]
+            groups[key] = [a, b, count]
         else:
-            group[2] += 1
+            group[2] += count
     entries = []
     for a, b, count in groups.values():
         rep = WeakAdmissiblePair(a, b)

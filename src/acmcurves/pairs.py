@@ -16,6 +16,8 @@ per degree, which is what makes the family catalogs finite.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
+from operator import getitem
 from typing import Iterable, Union
 
 BIG = "BIG"
@@ -59,7 +61,7 @@ class WeakAdmissiblePair:
 
     @property
     def degree(self) -> int:
-        return sum(bi - ai for ai, bi in zip(self.a, self.b))
+        return sum(self.b) - sum(self.a)
 
     @property
     def sort_key(self) -> tuple:
@@ -103,14 +105,16 @@ class DegreeMatrix:
     entries: tuple[tuple[int, ...], ...]
 
     def __post_init__(self) -> None:
-        t = len(self.entries)
-        if t < 2 or any(len(row) != t for row in self.entries):
+        rows = self.entries
+        t = len(rows)
+        if t < 2 or set(map(len, rows)) != {t}:
             raise ValueError("entries must form a square matrix of size >= 2")
-        if any(v < 0 for row in self.entries for v in row):
+        if min(chain.from_iterable(rows)) < 0:
             raise ValueError("entries must be nonnegative")
-        if self.trace != self.degree:
+        trace = self.trace
+        if trace != self.degree:
             raise ValueError(
-                f"trace {self.trace} does not equal the declared degree {self.degree}"
+                f"trace {trace} does not equal the declared degree {self.degree}"
             )
 
     @property
@@ -119,7 +123,7 @@ class DegreeMatrix:
 
     @property
     def trace(self) -> int:
-        return sum(self.entries[i][i] for i in range(len(self.entries)))
+        return sum(map(getitem, self.entries, range(len(self.entries))))
 
     def to_json(self) -> dict:
         return {"degree": self.degree, "entries": [list(r) for r in self.entries]}
@@ -143,7 +147,9 @@ def degree_matrix(p: WeakAdmissiblePair) -> DegreeMatrix:
     Shift-invariant, so equivalent pairs share one matrix; the diagonal
     entries are the positive gaps b_i - a_i, hence trace = degree.
     """
-    entries = tuple(tuple(delta(ai, bj) for bj in p.b) for ai in p.a)
+    b = p.b
+    # delta(ai, bj), written out: a call per cell costs more than the cell
+    entries = tuple([tuple([bj - ai if bj > ai else 0 for bj in b]) for ai in p.a])
     return DegreeMatrix(p.degree, entries)
 
 
@@ -196,9 +202,7 @@ class KindSignature:
 
 def kind_signature(m: DegreeMatrix) -> KindSignature:
     d = m.degree
-    cells = tuple(
-        tuple(v if v < d else BIG for v in row) for row in m.entries
-    )
+    cells = tuple([tuple([v if v < d else BIG for v in row]) for row in m.entries])
     return KindSignature(d, cells)
 
 

@@ -240,6 +240,43 @@ class TestAdditionalPaths:
         doc = invoke_json(capsys, "pairs", "enumerate", "--degree", "2", "--cap", "6")
         assert doc["b_cap"] == 6 and len(doc["kinds"]) == 2
 
+    def test_solve_dh_range_above_bound_refused_up_front(self, capsys, monkeypatch):
+        def never(*args):
+            raise AssertionError("solving started")
+        monkeypatch.setattr("acmcurves.cli.solve_classes", never)
+        code, out, err = invoke(
+            capsys, "picard", "solve", "--gram", "4,1,-2", "--self-int", "-2",
+            "--dh", "0..1000000",
+        )
+        assert code == 1 and out == ""
+        assert err.startswith("error: --dh 0..1000000 spans 1000001 degrees, more than 1000000")
+        assert err.count("\n") == 1 and "Traceback" not in err
+
+    def test_plane_dh_max_above_bound_refused_up_front(self, capsys, monkeypatch):
+        def never(*args):
+            raise AssertionError("solving started")
+        monkeypatch.setattr("acmcurves.cli.plane_curve_classes", never)
+        code, out, err = invoke(
+            capsys, "picard", "plane", "--gram", "4,1,-2", "--dh-max", "1000001"
+        )
+        assert code == 1 and out == ""
+        assert err.startswith("error: --dh-max 1000001 is above 1000000")
+        assert err.count("\n") == 1 and "Traceback" not in err
+
+    @pytest.mark.parametrize("argv", [
+        ("classify", "quartic", "--divisor", "F1"),
+        ("classify", "low", "--degree", "2", "--type", "smooth"),
+    ])
+    def test_kmax_above_bound_refused_up_front(self, capsys, monkeypatch, argv):
+        def never(*args, **kwargs):
+            raise AssertionError("classification started")
+        monkeypatch.setattr("acmcurves.cli.classify_quartic", never)
+        monkeypatch.setattr("acmcurves.cli.classify_low_degree", never)
+        code, out, err = invoke(capsys, *argv, "--kmax", "10001")
+        assert code == 1 and out == ""
+        assert err.startswith("error: --kmax 10001 is above 10000")
+        assert err.count("\n") == 1 and "Traceback" not in err
+
     def test_solve_rejects_zero_h2(self, capsys):
         code, out, err = invoke(
             capsys, "picard", "solve", "--gram", "0,1,0", "--self-int", "0",

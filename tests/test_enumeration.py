@@ -1,4 +1,5 @@
 import itertools
+import tracemalloc
 
 import pytest
 
@@ -12,6 +13,7 @@ from acmcurves import (
     pair_signature,
     stable_cap,
 )
+from acmcurves import enumeration
 from acmcurves.catalog import kind_families
 from acmcurves.pairs import DegreeMatrix, WeakAdmissiblePair, degree_matrix
 
@@ -46,6 +48,12 @@ REFERENCE_CASES = [
     (d, cap) for d in range(2, 6) for cap in range(d, stable_cap(d) + d + 1)
 ] + [(6, 26)]
 
+# every bound from the degree to stable_cap at degrees 2..4, and the
+# first bounds at degree 5, where the brute force stays under a second
+BRUTE_FORCE_CASES = [
+    (d, cap) for d in range(2, 5) for cap in range(d, stable_cap(d) + 1)
+] + [(5, cap) for cap in range(5, 10)]
+
 
 class TestEnumeratePairs:
     def test_degree2_cap2(self):
@@ -63,13 +71,19 @@ class TestEnumeratePairs:
         got = enumerate_pairs(EnumerationConfig(4, 4))
         assert make_pair((0, 0, 0, 0), (1, 1, 1, 1)) in got
 
-    def test_against_brute_force_degree3(self):
-        got = set(enumerate_pairs(EnumerationConfig(3, 6)))
-        assert got == brute_force_pairs(3, 6)
+    @pytest.mark.parametrize("degree,cap", BRUTE_FORCE_CASES)
+    def test_against_brute_force(self, degree, cap):
+        got = enumerate_pairs(EnumerationConfig(degree, cap))
+        assert len(got) == len(set(got))
+        assert set(got) == brute_force_pairs(degree, cap)
 
-    def test_against_brute_force_degree4(self):
-        got = set(enumerate_pairs(EnumerationConfig(4, 6)))
-        assert got == brute_force_pairs(4, 6)
+    @pytest.mark.parametrize("degree,cap,total", [(4, 10, 380), (5, 17, 8919), (6, 26, 274875)])
+    def test_pinned_pair_totals(self, degree, cap, total):
+        # measured with the exhaustive walk before the kind catalog was
+        # built from gap-compressed pairs; the catalog's counts must agree
+        cfg = EnumerationConfig(degree, cap)
+        assert len(enumerate_pairs(cfg)) == total
+        assert sum(e.count for e in enumerate_kinds(cfg).entries) == total
 
     def test_lengths_and_normal_form(self):
         for p in enumerate_pairs(EnumerationConfig(5)):
@@ -130,6 +144,28 @@ class TestKindCatalog:
         keys = [e.representative.sort_key for e in entries]
         assert keys == sorted(keys)
 
+    def test_cap_of_a_billion_keeps_the_kinds(self):
+        # degree 2 pairs are exactly (0, x), (1, x + 1) with x < cap, and
+        # x = 0 is a kind of its own; a cap this large must neither build
+        # a table of cap entries nor change the kinds
+        tracemalloc.start()
+        try:
+            two = enumerate_kinds(EnumerationConfig(2, 10**9)).entries
+            huge = {d: enumerate_kinds(EnumerationConfig(d, 10**9)).entries for d in (3, 4, 5)}
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2**20
+        assert [(e.representative, e.count) for e in two] == [
+            (make_pair((0, 0), (1, 1)), 1),
+            (make_pair((0, 1), (1, 2)), 10**9 - 1),
+        ]
+        for degree, entries in huge.items():
+            stable = enumerate_kinds(EnumerationConfig(degree)).entries
+            assert [(e.signature, e.representative) for e in entries] == [
+                (e.signature, e.representative) for e in stable
+            ]
+
     def test_every_representative_is_validated(self, monkeypatch):
         validated = {WeakAdmissiblePair: set(), DegreeMatrix: set()}
         for cls, seen in validated.items():
@@ -164,6 +200,27 @@ def test_gap_compression_keeps_every_kind(degree):
         if max(merged_gaps(p)) <= degree
     }
     assert compressed == set(kinds)
+
+
+@pytest.mark.parametrize("degree,cap", [(2, 6), (3, 9), (4, 14), (5, 17), (5, 25)])
+def test_catalog_visits_only_compressed_pairs(degree, cap, monkeypatch):
+    # enumerate_kinds walks each gap-compressed pair once, and the counts
+    # it derives from them add up to every pair under the bound
+    cfg = EnumerationConfig(degree, cap)
+    pairs = enumerate_pairs(cfg)
+    leaves = []
+
+    def recording_walk(cfg, max_gap, walk=enumeration._walk):
+        for leaf in walk(cfg, max_gap):
+            leaves.append(leaf)
+            yield leaf
+
+    monkeypatch.setattr(enumeration, "_walk", recording_walk)
+    kinds = enumerate_kinds(cfg)
+    visited = [make_pair(a, b) for a, b, _, _ in leaves]
+    assert len(visited) == len(set(visited))
+    assert set(visited) == {p for p in pairs if max(merged_gaps(p)) <= degree}
+    assert sum(e.count for e in kinds.entries) == len(pairs)
 
 
 class TestMatching:

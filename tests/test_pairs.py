@@ -94,6 +94,17 @@ class TestDegreeMatrix:
         with pytest.raises(ValueError, match="trace"):
             DegreeMatrix(5, ((1, 3), (1, 3)))
 
+    @pytest.mark.parametrize("entries,message", [
+        (((1,),), "square matrix of size >= 2"),
+        (((1, 3), (1,)), "square matrix of size >= 2"),
+        (((1, 3, 0), (1, 3, 0)), "square matrix of size >= 2"),
+        (((1, -3), (1, 3)), "nonnegative"),
+        (((1, 3), (-1, 3)), "nonnegative"),
+    ])
+    def test_rejects_malformed_entries(self, entries, message):
+        with pytest.raises(ValueError, match=message):
+            DegreeMatrix(4, entries)
+
 
 class TestDual:
     def test_matrix_examples(self):
