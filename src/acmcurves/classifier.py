@@ -1,9 +1,16 @@
-"""Classification of ACM curve classes on the five special quartics.
+"""Classification of ACM curves on the surfaces of degree 2, 3 and 4.
 
-Each of the five divisor families of determinantal quartics carries a
-rank-2 Picard lattice and one or two attached weak admissible pairs of
-degree 4.  The solved classes of a twist table are the lattice classes
-with its degree and genus.  Every entry of a table is derived:
+The surface types of degree d are derived from its kind catalog: the
+irreducible kinds, grouped into duality orbits under anti-transposition
+and shifted by +1; the one reducible kind of degree 2 seeds the
+reducible quadric's n-family.  Written out are only the labels, k_min,
+the prose and the exclusions: one irreducible quartic kind,
+((0,0,1),(1,2,2)), is not among the five quartic types the paper names.
+A quartic type's lattice is that of its generator curve, the least
+(degree, genus) among its pivot tables: (6,3), (3,0), (4,1), (1,0) and
+(2,0) for F1..F5.  The solved classes of a twist table are the lattice
+classes with its degree and genus.  Every entry of a quartic table is
+derived:
 
 * RIGID: the classes of the four numerical rigidity cases minus the
   divisor's exclusion data (geometric facts this library does not
@@ -29,34 +36,20 @@ lattice/resolution cross-check.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
+from .enumeration import EnumerationConfig, enumerate_kinds
 from .liaison import CiProfile, residual_invariants
+from .pairs import WeakAdmissiblePair, degree_matrix, is_reducible_type, make_pair
 from .picard import (
-    DivisorClass,
-    H,
-    PicardLattice,
-    adjunction_genus,
-    dot,
-    quartic_lattice,
-    solve_classes,
+    DivisorClass, H, PicardLattice, adjunction_genus, dot, quartic_lattice, solve_classes,
     watanabe_candidates,
 )
 from .resolutions import (
-    BettiTable,
-    CurveInvariants,
-    InvalidTableError,
-    ResolutionCase,
-    ResolutionFamily,
-    ci_table,
-    degree_from_betti,
-    genus_from_betti,
-    invariants_from_betti,
-    is_f_minimal,
-    pivot_for_value,
-    surface_generator_table,
-    pivot_syzygy_table,
+    BettiTable, CurveInvariants, InvalidTableError, ResolutionCase, ResolutionFamily, ci_table,
+    degree_from_betti, genus_from_betti, invariants_from_betti, is_f_minimal, pivot_for_value,
+    pivot_syzygy_table, surface_generator_table,
 )
-from .pairs import WeakAdmissiblePair, make_pair
 
 SURFACE_DEGREE = 4
 
@@ -74,7 +67,6 @@ class ClassificationError(RuntimeError):
 @dataclass(frozen=True)
 class QuarticDivisor:
     label: str
-    curve: CurveInvariants
     lattice: PicardLattice
     pairs: tuple[WeakAdmissiblePair, ...]
     exclusions: tuple[tuple[DivisorClass, str], ...]
@@ -109,25 +101,20 @@ class ClassificationEntry:
         return doc
 
 
-_DIVISORS = {
-    div.label: div
-    for div in (
-        QuarticDivisor("F1", CurveInvariants(6, 3), quartic_lattice(6, 3),
-                       (make_pair((1, 1, 1, 1), (2, 2, 2, 2)),), ()),
-        QuarticDivisor("F2", CurveInvariants(3, 0), quartic_lattice(3, 0),
-                       (make_pair((1, 1, 1), (2, 2, 3)), make_pair((1, 2, 2), (3, 3, 3))), ()),
-        QuarticDivisor("F3", CurveInvariants(4, 1), quartic_lattice(4, 1),
-                       (make_pair((1, 1), (3, 3)),), ()),
-        QuarticDivisor(
-            "F4", CurveInvariants(1, 0), quartic_lattice(1, 0),
-            (make_pair((1, 1), (2, 4)), make_pair((1, 3), (4, 4))),
-            ((DivisorClass(1, -1),
-              "the degree-3 genus-1 class H - L is the plane cubic residual to the line in a "
-              "plane section; it moves with the planes through the line, so it is RESIDUAL"),),
-        ),
-        QuarticDivisor("F5", CurveInvariants(2, 0), quartic_lattice(2, 0),
-                       (make_pair((1, 2), (3, 4)),), ()),
-    )
+# the label of each derived surface type, per degree in least-representative order
+_TYPE_LABELS = {2: ("smooth",), 3: ("2x2", "3x3"), 4: ("F4", "F3", "F5", "F2", "F1")}
+
+# irreducible kinds (normalized a, b) kept out of the surface types, with the reason
+_EXCLUDED_KINDS = {
+    ((0, 0, 1), (1, 2, 2)): "the paper's classification names five quartic types "
+                            "and this kind is not among them",
+}
+
+# classes each divisor's rigid search drops, with the reason
+_EXCLUSIONS = {
+    "F4": ((DivisorClass(1, -1),
+            "the degree-3 genus-1 class H - L is the plane cubic residual to the line in a "
+            "plane section; it moves with the planes through the line, so it is RESIDUAL"),),
 }
 
 _c = DivisorClass
@@ -181,19 +168,49 @@ _PROSE: dict[str, dict[tuple[str, DivisorClass], str]] = {
     },
 }
 
-DIVISOR_LABELS = tuple(sorted(_DIVISORS))
+DIVISOR_LABELS = tuple(sorted(_TYPE_LABELS[SURFACE_DEGREE]))
+
+
+@lru_cache(maxsize=None)
+def _surface_types(degree: int) -> dict[str, tuple[WeakAdmissiblePair, ...]]:
+    """The labelled orbits of irreducible kinds of a degree, and its
+    reducible kinds under "reducible"."""
+    orbits: dict[frozenset, list[WeakAdmissiblePair]] = {}
+    reducible = []
+    for e in enumerate_kinds(EnumerationConfig(degree)).entries:  # in sort_key order
+        rep = e.representative
+        if is_reducible_type(degree_matrix(rep)):
+            reducible.append(rep.shift(1))
+        elif (rep.a, rep.b) not in _EXCLUDED_KINDS:
+            orbit = frozenset((e.signature, e.signature.anti_transpose()))
+            orbits.setdefault(orbit, []).append(rep.shift(1))
+    labelled = zip(_TYPE_LABELS[degree], map(tuple, orbits.values()), strict=True)
+    return dict(labelled) | {"reducible": tuple(reducible)}
+
+
+def _pivot_tables(pairs: tuple[WeakAdmissiblePair, ...]):
+    """(family, table, invariants) of every pivot table: pairs in order,
+    distinct syzygy twists ascending."""
+    for pair in pairs:
+        for j0 in sorted({pivot_for_value(pair, b) for b in pair.b}):
+            family = ResolutionFamily(pair, ResolutionCase.NONMINIMAL_F, SURFACE_DEGREE, pivot=j0)
+            table = pivot_syzygy_table(pair, j0, SURFACE_DEGREE)
+            yield family, table, invariants_from_betti(table)
+
+
+@lru_cache(maxsize=None)
+def divisor(label: str) -> QuarticDivisor:
+    if label not in DIVISOR_LABELS:
+        raise KeyError(f"unknown divisor {label!r}; expected one of {DIVISOR_LABELS}")
+    pairs = _surface_types(SURFACE_DEGREE)[label]
+    # the generator curve: the least (degree, genus) among the pivot tables
+    d_i, g_i = min((inv.degree, inv.genus) for _, _, inv in _pivot_tables(pairs))
+    return QuarticDivisor(label, quartic_lattice(d_i, g_i), pairs, _EXCLUSIONS.get(label, ()))
 
 
 def known_divisors() -> list[QuarticDivisor]:
     """The five divisor families of determinantal quartics."""
-    return [_DIVISORS[label] for label in DIVISOR_LABELS]
-
-
-def divisor(label: str) -> QuarticDivisor:
-    try:
-        return _DIVISORS[label]
-    except KeyError:
-        raise KeyError(f"unknown divisor {label!r}; expected one of {DIVISOR_LABELS}")
+    return [divisor(label) for label in DIVISOR_LABELS]
 
 
 def cross_check(entry: ClassificationEntry, lattice: PicardLattice) -> bool:
@@ -218,11 +235,8 @@ def _solved_classes(
 
 def rigid_classes(div: QuarticDivisor) -> set[DivisorClass]:
     """Numerical rigid candidates minus the divisor's exclusion data."""
-    excluded = {cls for cls, _ in div.exclusions}
-    found: set[DivisorClass] = set()
-    for case in watanabe_candidates(div.lattice):
-        found |= case.classes
-    return found - excluded
+    found = set().union(*(case.classes for case in watanabe_candidates(div.lattice)))
+    return found - {cls for cls, _ in div.exclusions}
 
 
 def classify_quartic(div: QuarticDivisor, k_max: int = 6) -> list[ClassificationEntry]:
@@ -251,17 +265,9 @@ def classify_quartic(div: QuarticDivisor, k_max: int = 6) -> list[Classification
         entries.append(entry)
 
     rigid = rigid_classes(div)
-    # (family, table, invariants, solved classes) of every pivot table:
-    # pairs in order, distinct syzygy twists ascending
-    pivots = []
-    for pair in div.pairs:
-        for b in sorted(set(pair.b)):
-            family = ResolutionFamily(
-                pair, ResolutionCase.NONMINIMAL_F, SURFACE_DEGREE, pivot=pivot_for_value(pair, b)
-            )
-            table = pivot_syzygy_table(pair, family.pivot, SURFACE_DEGREE)
-            inv = invariants_from_betti(table)
-            pivots.append((family, table, inv, _solved_classes(lattice, inv)))
+    # (family, table, invariants, solved classes) of every pivot table
+    pivots = [(family, table, inv, _solved_classes(lattice, inv))
+              for family, table, inv in _pivot_tables(div.pairs)]
 
     for cls in sorted(rigid):
         hit = next((p for p in pivots if cls in p[3]), None)
@@ -306,11 +312,9 @@ def classify_quartic(div: QuarticDivisor, k_max: int = 6) -> list[Classification
                     f"genus {inv.genus} at shift {k}"
                 )
             family = ResolutionFamily(pair, ResolutionCase.MINIMAL_F, SURFACE_DEGREE, shift=k)
+            text = f"resolution family with the quartic among the minimal generators, shift k={k}"
             for cls in sorted(solved):
-                emit(cls, inv, FAMILY_II, table, family, description=(
-                    f"resolution family with the quartic among the minimal "
-                    f"generators, shift k={k}"
-                ))
+                emit(cls, inv, FAMILY_II, table, family, description=text)
 
     for family, table, inv, solved in pivots:
         if not solved <= rigid:
@@ -325,12 +329,10 @@ def classify_quartic(div: QuarticDivisor, k_max: int = 6) -> list[Classification
     return entries
 
 
-LOW_DEGREE_TAGS = {
-    (2, "smooth"),
-    (2, "reducible"),
-    (3, "2x2"),
-    (3, "3x3"),
-}
+# (degree, type) -> k_min and the case label of each pair of the derived type;
+# the reducible quadric has one case per splitting type n instead
+_LOW_DEGREE_CASES = {(2, "smooth"): (1, ("main",)), (2, "reducible"): (1, None),
+                     (3, "2x2"): (0, ("A", "B")), (3, "3x3"): (1, ("main",))}
 
 
 @dataclass(frozen=True)
@@ -368,26 +370,23 @@ def classify_low_degree(
 ) -> list[LowDegreeFamily]:
     """Resolution families (besides complete intersections) on a degree-2
     or degree-3 surface of the named type."""
-    key = (surface_degree, type_tag)
-    if key not in LOW_DEGREE_TAGS:
+    if (surface_degree, type_tag) not in _LOW_DEGREE_CASES:
         raise KeyError(
             f"unknown type {surface_degree}/{type_tag}; expected one of "
-            + ", ".join(f"{d}/{t}" for d, t in sorted(LOW_DEGREE_TAGS))
+            + ", ".join(f"{d}/{t}" for d, t in sorted(_LOW_DEGREE_CASES))
         )
-    if key == (2, "smooth"):
-        return [LowDegreeFamily(2, type_tag, "main", make_pair((1, 1), (2, 2)), 1)]
-    if key == (2, "reducible"):
-        # one family per splitting type n of the quadric
-        return [
-            LowDegreeFamily(
-                2, type_tag, f"n={n}", make_pair((1, 1 + n), (2, 2 + n)), 1, n=n,
-                note="tables generated by the surface-generator constructor",
-            )
-            for n in range(1, n_max + 1)
-        ]
-    if key == (3, "2x2"):
-        return [
-            LowDegreeFamily(3, type_tag, "A", make_pair((1, 1), (2, 3)), 0),
-            LowDegreeFamily(3, type_tag, "B", make_pair((1, 2), (3, 3)), 0),
-        ]
-    return [LowDegreeFamily(3, type_tag, "main", make_pair((1, 1, 1), (2, 2, 2)), 1)]
+    k_min, cases = _LOW_DEGREE_CASES[surface_degree, type_tag]
+    pairs = _surface_types(surface_degree)[type_tag]
+    if cases is not None:
+        return [LowDegreeFamily(surface_degree, type_tag, case, pair, k_min)
+                for case, pair in zip(cases, pairs, strict=True)]
+    # one family per splitting type n of the quadric: its one kind,
+    # ((1, 2), (2, 3)), with the second diagonal block raised by n - 1
+    [((a1, a2), (b1, b2))] = [(p.a, p.b) for p in pairs]
+    return [
+        LowDegreeFamily(
+            2, type_tag, f"n={n}", make_pair((a1, a2 + n - 1), (b1, b2 + n - 1)), k_min, n=n,
+            note="tables generated by the surface-generator constructor",
+        )
+        for n in range(1, n_max + 1)
+    ]

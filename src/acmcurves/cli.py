@@ -199,7 +199,7 @@ def _picard_plane(args):
     if args.dh_max > MAX_DEGREE_SPAN:
         raise ValueError(
             f"--dh-max {args.dh_max} is above {MAX_DEGREE_SPAN}: each degree is one "
-            "solver slice, ~0.6 s per 10^5 degrees"
+            "solver slice, ~0.3 s per 10^5 degrees"
         )
     classes = plane_curve_classes(_lattice(args.gram), args.dh_max)
     return {"classes": [c.to_json() for c in sorted(classes)]}, None

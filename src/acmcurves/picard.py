@@ -15,6 +15,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import repeat
+from typing import Iterable
 
 
 @dataclass(frozen=True)
@@ -80,18 +82,15 @@ def _ext_gcd(x: int, y: int) -> tuple[int, int, int]:
     return g, v, u - (x // y) * v
 
 
-def solve_classes(
-    l: PicardLattice, self_int: int, dh_min: int, dh_max: int
-) -> set[DivisorClass]:
-    """All integer classes x with x.x = self_int and dh_min <= x.H <= dh_max."""
-    if dh_min > dh_max:
-        raise ValueError("empty degree range")
+def _solve_slices(l: PicardLattice, slices: Iterable[tuple[int, int]]) -> set[DivisorClass]:
+    """All integer classes x with x.H = dh and x.x = self_int for some
+    (dh, self_int) in slices."""
     g, u, _v = _ext_gcd(l.h2, l.hc)
     # direction vector of the solution line of h2*a + hc*b = dh
     da, db = l.hc // g, -l.h2 // g
     q2 = dot(l, DivisorClass(da, db), DivisorClass(da, db))  # = h2*det/g^2 < 0
     solutions: set[DivisorClass] = set()
-    for dh in range(dh_min, dh_max + 1):
+    for dh, self_int in slices:
         if dh % g:
             continue
         a0 = u * (dh // g)
@@ -112,6 +111,15 @@ def solve_classes(
                 s = num // (2 * q2)
                 solutions.add(DivisorClass(a0 + s * da, b0 + s * db))
     return solutions
+
+
+def solve_classes(
+    l: PicardLattice, self_int: int, dh_min: int, dh_max: int
+) -> set[DivisorClass]:
+    """All integer classes x with x.x = self_int and dh_min <= x.H <= dh_max."""
+    if dh_min > dh_max:
+        raise ValueError("empty degree range")
+    return _solve_slices(l, zip(range(dh_min, dh_max + 1), repeat(self_int)))
 
 
 @dataclass(frozen=True)
@@ -165,11 +173,8 @@ def plane_curve_classes(l: PicardLattice, dh_max: int) -> set[DivisorClass]:
 
     A plane curve of degree e has genus (e-1)(e-2)/2; on the lattice the
     genus is D^2/2 + 1, so for each degree e up to dh_max this solves
-    D^2 = (e-1)(e-2) - 2 on the slice D.H = e.
+    D^2 = (e-1)(e-2) - 2 on the slice D.H = e, in one pass of the solver.
     """
     if dh_max < 1:
         raise ValueError("dh_max must be at least 1")
-    found: set[DivisorClass] = set()
-    for e in range(1, dh_max + 1):
-        found |= solve_classes(l, (e - 1) * (e - 2) - 2, e, e)
-    return found
+    return _solve_slices(l, ((e, (e - 1) * (e - 2) - 2) for e in range(1, dh_max + 1)))

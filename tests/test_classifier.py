@@ -22,6 +22,8 @@ from acmcurves.classifier import (
     rigid_classes,
 )
 from acmcurves import catalog, classifier
+from acmcurves.enumeration import EnumerationConfig, enumerate_kinds
+from acmcurves.pairs import degree_matrix, is_reducible_type
 from acmcurves.families import eval_affine, parse_affine
 from acmcurves.picard import H, adjunction_genus, dot
 from acmcurves.resolutions import ResolutionCase, ResolutionFamily, surface_generator_table
@@ -292,6 +294,66 @@ class TestAgainstCatalog:
             for k in range(3, 11):
                 want[(pair, k)] = {catalog_class(c, k) for c in fam["classes"]}
         assert have == want
+
+
+    @pytest.mark.parametrize("label", LABELS)
+    def test_derived_generator_curve_and_pairs(self, label):
+        prop, div = catalog.quartic_proposition(label), divisor(label)
+        lattice = div.lattice
+        assert tuple(prop["curve"]) == (lattice.hc, lattice.c2 // 2 + 1)
+        assert [make_pair(*fam["pair"]) for fam in prop["families"]] == list(div.pairs)
+
+    def test_derived_low_degree_pairs(self):
+        for doc in catalog.low_degree_corollaries():
+            fams = classify_low_degree(doc["surface_degree"], doc["type"])
+            (fam,) = [f for f in fams if f.case_label == doc["case"]]
+            assert (fam.pair, fam.k_min) == (make_pair(*doc["pair"]), doc["k_min"])
+
+
+def irreducible_orbits(degree):
+    """The irreducible kinds (normalized a, b) of a degree, read from its kind
+    catalog, grouped into duality orbits: orbits in least-representative
+    order, members in sort_key order."""
+    orbits = {}
+    for e in enumerate_kinds(EnumerationConfig(degree)).entries:
+        if not is_reducible_type(degree_matrix(e.representative)):
+            key = frozenset((e.signature, e.signature.anti_transpose()))
+            orbits.setdefault(key, []).append((e.representative.a, e.representative.b))
+    return list(orbits.values())
+
+
+class TestSurfaceTypeCensus:
+    """The surface types are derived from the kind catalogs: pin their census,
+    so a change to the enumeration or to is_reducible_type fails here first."""
+
+    IRREDUCIBLE = {2: 1, 3: 3, 4: 8}
+    ORBITS = {2: 1, 3: 2, 4: 5}  # after the exclusion
+    EXCLUDED = ((0, 0, 1), (1, 2, 2))
+
+    @pytest.mark.parametrize("degree", [2, 3, 4])
+    def test_census(self, degree):
+        orbits = irreducible_orbits(degree)
+        n_kinds = sum(map(len, orbits))
+        assert n_kinds == self.IRREDUCIBLE[degree], (
+            f"degree {degree}: {n_kinds} irreducible kinds, expected {self.IRREDUCIBLE[degree]}"
+        )
+        kept = [o for o in orbits if self.EXCLUDED not in o]
+        assert len(kept) == self.ORBITS[degree], (
+            f"degree {degree}: {len(kept)} orbits after the exclusion, "
+            f"expected {self.ORBITS[degree]}"
+        )
+        # each type holds its orbit, shifted by +1
+        derived = [list(pairs) for label, pairs in classifier._surface_types(degree).items()
+                   if label != "reducible"]
+        assert derived == [[make_pair(a, b).shift(1) for a, b in o] for o in kept]
+
+    def test_the_one_excluded_kind(self):
+        assert set(classifier._EXCLUDED_KINDS) == {self.EXCLUDED}
+        # an irreducible quartic kind that is its own dual
+        assert [self.EXCLUDED] in irreducible_orbits(4)
+
+    def test_one_reducible_quadric_kind(self):
+        assert classifier._surface_types(2)["reducible"] == (make_pair((1, 2), (2, 3)),)
 
 
 class TestProse:

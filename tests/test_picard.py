@@ -178,3 +178,22 @@ class TestPlaneCurves:
     def test_requires_positive_bound(self):
         with pytest.raises(ValueError):
             plane_curve_classes(F4_L, 0)
+
+
+# the Gram matrices of the tests above: the five quartic lattices, and every
+# lattice (4, hc, c2) the random-lattice oracle test draws from
+PLANE_GRAMS = sorted(
+    {(l.h2, l.hc, l.c2) for l in CATALOG}
+    | {(4, hc, c2) for hc in range(9) for c2 in range(-12, 5, 2) if 4 * c2 < hc * hc}
+)
+
+
+@pytest.mark.parametrize("gram", PLANE_GRAMS, ids=str)
+def test_plane_curves_equal_the_per_degree_union(gram):
+    l = PicardLattice(*gram)
+    # the reference: one solve_classes call per degree e, as plane curves of
+    # degree e have genus (e-1)(e-2)/2, i.e. D^2 = (e-1)(e-2) - 2
+    union = set()
+    for dh_max in range(1, 201):
+        union |= solve_classes(l, (dh_max - 1) * (dh_max - 2) - 2, dh_max, dh_max)
+        assert plane_curve_classes(l, dh_max) == union, f"dh_max {dh_max}"
