@@ -46,9 +46,9 @@ from .picard import (
     watanabe_candidates,
 )
 from .resolutions import (
-    BettiTable, CurveInvariants, InvalidTableError, ResolutionCase, ResolutionFamily, ci_table,
-    degree_from_betti, genus_from_betti, invariants_from_betti, is_f_minimal, pivot_for_value,
-    pivot_syzygy_table, surface_generator_table,
+    BettiTable, CurveInvariants, InvalidTableError, ResolutionCase, ResolutionFamily, _invariants,
+    ci_table, invariants_from_betti, is_f_minimal, pivot_for_value, pivot_syzygy_table,
+    surface_generator_table,
 )
 
 SURFACE_DEGREE = 4
@@ -216,8 +216,7 @@ def known_divisors() -> list[QuarticDivisor]:
 def cross_check(entry: ClassificationEntry, lattice: PicardLattice) -> bool:
     """Resolution invariants must equal the lattice invariants of the class."""
     try:
-        d = degree_from_betti(entry.resolution)
-        g = genus_from_betti(entry.resolution)
+        d, g = _invariants(entry.resolution)
     except ValueError:
         return False
     return d == dot(lattice, entry.cls, H) and g == adjunction_genus(lattice, entry.cls)

@@ -63,8 +63,10 @@ DOMAIN_ERRORS = (ClassificationError, ValueError, KeyError)
 
 # the largest degree `pairs enumerate` finishes in bounded time and memory
 MAX_ENUMERATE_DEGREE = 7
-# the most degrees `picard solve --dh` and `picard plane --dh-max` scan,
-# and the largest `classify quartic|low --kmax`: a few seconds each
+# the most degrees `picard solve --dh` and `picard plane --dh-max` scan, and
+# the largest `classify quartic|low --kmax`.  The scan takes ~0.5 s at the
+# bound; printing is slower: ~2 s at --kmax 10^4, and ~10 s for the 5*10^5
+# classes of D^2 = 0 on (4, 1, -2), whose -det = 9 is a square
 MAX_DEGREE_SPAN = 10**6
 MAX_KMAX = 10**4
 
@@ -178,7 +180,7 @@ def _picard_solve(args):
     if hi - lo + 1 > MAX_DEGREE_SPAN:
         raise ValueError(
             f"--dh {lo}..{hi} spans {hi - lo + 1} degrees, more than {MAX_DEGREE_SPAN}: "
-            "the solver takes ~0.3 s per 10^5 degrees"
+            "the solver takes ~0.05 s per 10^5 degrees"
         )
     classes = solve_classes(_lattice(args.gram), args.self_int, lo, hi)
     return {"classes": [c.to_json() for c in sorted(classes)]}, None
@@ -199,7 +201,7 @@ def _picard_plane(args):
     if args.dh_max > MAX_DEGREE_SPAN:
         raise ValueError(
             f"--dh-max {args.dh_max} is above {MAX_DEGREE_SPAN}: each degree is one "
-            "solver slice, ~0.3 s per 10^5 degrees"
+            "solver slice, ~0.05 s per 10^5 degrees"
         )
     classes = plane_curve_classes(_lattice(args.gram), args.dh_max)
     return {"classes": [c.to_json() for c in sorted(classes)]}, None

@@ -4,11 +4,15 @@ A lattice is the Gram matrix [[h2, hc], [hc, c2]] in the basis
 (hyperplane H, special curve C).  Both h2 and c2 are even and the
 determinant is negative, so for any fixed value of D.H the classes
 with a prescribed self-intersection form a finite set which can be
-solved exactly: parametrize the line h2*a + hc*b = dh by the extended
-gcd, substitute into the quadratic form, and test the discriminant of
-the resulting one-variable quadratic for a perfect square.  Its leading
-coefficient is h2*det/gcd^2, negative because h2 = H^2 (the surface
-degree) is positive, so no search bound is ever needed.
+solved exactly.  The extended gcd gives h2*u + hc*v = g, so P = (u, v)
+has P.H = g and the slice D.H = n*g is the line n*P + s*d, where
+d = (hc/g, -h2/g) spans the classes orthogonal to H.  On it D.D is a
+quadratic in s whose discriminant over 4 is n^2*k + q2*D.D, with the
+per-lattice constants q2 = d.d = h2*det/g^2 and k = (P.d)^2 - q2*P.P
+(= -det, as P and d span the lattice).  These are computed once per
+solve, so a slice costs a few integer operations and one isqrt, and
+only a solution builds a class.  The leading coefficient q2 is negative because h2 = H^2 (the
+surface degree) is positive, so no search bound is ever needed.
 """
 
 from __future__ import annotations
@@ -85,31 +89,29 @@ def _ext_gcd(x: int, y: int) -> tuple[int, int, int]:
 def _solve_slices(l: PicardLattice, slices: Iterable[tuple[int, int]]) -> set[DivisorClass]:
     """All integer classes x with x.H = dh and x.x = self_int for some
     (dh, self_int) in slices."""
-    g, u, _v = _ext_gcd(l.h2, l.hc)
-    # direction vector of the solution line of h2*a + hc*b = dh
-    da, db = l.hc // g, -l.h2 // g
-    q2 = dot(l, DivisorClass(da, db), DivisorClass(da, db))  # = h2*det/g^2 < 0
+    g, u, v = _ext_gcd(l.h2, l.hc)
+    # the slice x.H = n*g is the line x = n*p + s*d (module docstring), on
+    # which x.x - self_int = q2*s^2 + 2*n*bpd*s + n^2*p.p - self_int
+    p = DivisorClass(u, v)
+    d = DivisorClass(l.hc // g, -l.h2 // g)
+    q2 = dot(l, d, d)
+    bpd = dot(l, p, d)
+    k = bpd * bpd - q2 * dot(l, p, p)
     solutions: set[DivisorClass] = set()
     for dh, self_int in slices:
         if dh % g:
             continue
-        a0 = u * (dh // g)
-        b0 = (dh - l.h2 * a0) // l.hc if l.hc else 0
-        base = DivisorClass(a0, b0)
-        q1 = 2 * (
-            l.h2 * a0 * da + l.hc * (a0 * db + b0 * da) + l.c2 * b0 * db
-        )
-        q0 = dot(l, base, base) - self_int
-        disc = q1 * q1 - 4 * q2 * q0
+        n = dh // g
+        disc = n * n * k + q2 * self_int
         if disc < 0:
             continue
         root = math.isqrt(disc)
         if root * root != disc:
             continue
-        for num in (-q1 + root, -q1 - root):
-            if num % (2 * q2) == 0:
-                s = num // (2 * q2)
-                solutions.add(DivisorClass(a0 + s * da, b0 + s * db))
+        for num in (-n * bpd + root, -n * bpd - root):
+            s, rem = divmod(num, q2)
+            if not rem:
+                solutions.add(DivisorClass(n * u + s * d.a, n * v + s * d.b))
     return solutions
 
 

@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Iterable
 
 from .pairs import WeakAdmissiblePair
 
@@ -79,35 +78,48 @@ class ResolutionFamily:
                 raise ValueError("pivot index out of range")
 
 
-def _square_sum(xs: Iterable[int]) -> int:
-    return sum(x * x for x in xs)
+def _degree_and_cubes(t: BettiTable) -> tuple[int, int]:
+    """The degree and sum syz^3 - sum gens^3, in one pass over the twists.
 
-
-def _cube_sum(xs: Iterable[int]) -> int:
-    return sum(x * x * x for x in xs)
-
-
-def degree_from_betti(t: BettiTable) -> int:
-    """(sum syz^2 - sum gens^2) / 2; must come out a positive integer."""
-    twice = _square_sum(t.syz) - _square_sum(t.gens)
+    Raises InvalidTableError unless the degree is a positive integer.
+    """
+    twice = six = 0
+    for x in t.syz:
+        sq = x * x
+        twice += sq
+        six += sq * x
+    for x in t.gens:
+        sq = x * x
+        twice -= sq
+        six -= sq * x
     if twice % 2 != 0:
         raise InvalidTableError(f"degree is not an integer: {twice}/2")
     if twice <= 0:
         raise InvalidTableError(f"degree must be positive, got {twice // 2}")
-    return twice // 2
+    return twice // 2, six
+
+
+def _invariants(t: BettiTable) -> tuple[int, int]:
+    """(degree, genus) from one pass over the twists; a bad degree is
+    reported before a bad genus."""
+    degree, six = _degree_and_cubes(t)
+    if six % 6 != 0:
+        raise InvalidTableError(f"genus is not an integer: 1 + {six}/6 - {2 * degree}")
+    return degree, 1 + six // 6 - 2 * degree
+
+
+def degree_from_betti(t: BettiTable) -> int:
+    """(sum syz^2 - sum gens^2) / 2; must come out a positive integer."""
+    return _degree_and_cubes(t)[0]
 
 
 def genus_from_betti(t: BettiTable) -> int:
     """1 + (sum syz^3 - sum gens^3) / 6 - 2 * degree."""
-    d = degree_from_betti(t)
-    six = _cube_sum(t.syz) - _cube_sum(t.gens)
-    if six % 6 != 0:
-        raise InvalidTableError(f"genus is not an integer: 1 + {six}/6 - {2 * d}")
-    return 1 + six // 6 - 2 * d
+    return _invariants(t)[1]
 
 
 def invariants_from_betti(t: BettiTable) -> CurveInvariants:
-    return CurveInvariants(degree_from_betti(t), genus_from_betti(t))
+    return CurveInvariants(*_invariants(t))
 
 
 def ci_table(f: int, g: int) -> BettiTable:
@@ -178,12 +190,7 @@ def validate(t: BettiTable) -> list[str]:
             f"twist sums differ: gens {sum(t.gens)} vs syz {sum(t.syz)}"
         )
     try:
-        degree_from_betti(t)
+        _invariants(t)
     except InvalidTableError as err:
         problems.append(str(err))
-    else:
-        try:
-            genus_from_betti(t)
-        except InvalidTableError as err:
-            problems.append(str(err))
     return problems

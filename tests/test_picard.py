@@ -1,3 +1,5 @@
+import math
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -197,3 +199,44 @@ def test_plane_curves_equal_the_per_degree_union(gram):
     for dh_max in range(1, 201):
         union |= solve_classes(l, (dh_max - 1) * (dh_max - 2) - 2, dh_max, dh_max)
         assert plane_curve_classes(l, dh_max) == union, f"dh_max {dh_max}"
+
+
+def slice_oracle(h2, hc, c2, self_int, dh):
+    """Classes D = aH + bC with D.H = dh and D.D = self_int, read off
+    h2*D^2 = (D.H)^2 + det*b^2: b^2 = (dh^2 - h2*self_int) / -det must be
+    a square, and a = (dh - hc*b) / h2 an integer."""
+    det = h2 * c2 - hc * hc
+    b_squared, rem = divmod(dh * dh - h2 * self_int, -det)
+    if rem or b_squared < 0:
+        return set()
+    b = math.isqrt(b_squared)
+    if b * b != b_squared:
+        return set()
+    return {DivisorClass((dh - hc * y) // h2, y) for y in (b, -b) if (dh - hc * y) % h2 == 0}
+
+
+# every even h2 in 2..6 and hc in -7..7 (hc = 0 and gcd(h2, hc) > 1 included),
+# with every even c2 from -12 up to the last one of negative determinant
+FULL_RANGE_GRAMS = [
+    (h2, hc, c2)
+    for h2 in (2, 4, 6)
+    for hc in range(-7, 8)
+    for c2 in range(-12, (hc * hc - 1) // h2 + 1)
+    if c2 % 2 == 0
+]
+
+
+@pytest.mark.parametrize("h2", (2, 4, 6))
+def test_solver_equals_the_slice_oracle_over_full_ranges(h2):
+    grams = [g for g in FULL_RANGE_GRAMS if g[0] == h2]
+    assert {hc for _, hc, _ in grams} == set(range(-7, 8))
+    for gram in grams:
+        l = PicardLattice(*gram)
+        assert l.det < 0
+        for self_int in range(-12, 19):
+            want = set().union(*(slice_oracle(*gram, self_int, dh) for dh in range(-60, 201)))
+            assert solve_classes(l, self_int, -60, 200) == want, (gram, self_int)
+        plane = set().union(
+            *(slice_oracle(*gram, (e - 1) * (e - 2) - 2, e) for e in range(1, 201))
+        )
+        assert plane_curve_classes(l, 200) == plane, gram

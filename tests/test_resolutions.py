@@ -1,8 +1,11 @@
+from itertools import combinations_with_replacement
+
 import pytest
 from hypothesis import given, strategies as st
 
 from acmcurves import (
     BettiTable,
+    CurveInvariants,
     InvalidTableError,
     ci_table,
     degree_from_betti,
@@ -58,6 +61,78 @@ class TestInvariantFormulas:
     def test_rejects_half_integer_degree(self):
         with pytest.raises(InvalidTableError, match="not an integer"):
             degree_from_betti(BettiTable((1, 2), (2, 2)))
+
+    def test_rejects_fractional_genus_after_an_integer_degree(self):
+        t = BettiTable((1,), (3,))
+        assert degree_from_betti(t) == 4
+        message = "genus is not an integer: 1 + 26/6 - 8"
+        for formula in (genus_from_betti, invariants_from_betti):
+            with pytest.raises(InvalidTableError) as err:
+                formula(t)
+            assert str(err.value) == message
+        assert validate(t) == [
+            "shape: expected one more generator than syzygies, got 1 vs 1",
+            "twist sums differ: gens 1 vs syz 3",
+            message,
+        ]
+
+
+def transcribed_formulas(gens, syz):
+    """(degree or message, genus or message, validate list), transcribed
+    straight from the closed forms and the documented diagnostics."""
+    twice = sum(b ** 2 for b in syz) - sum(a ** 2 for a in gens)
+    six = sum(b ** 3 for b in syz) - sum(a ** 3 for a in gens)
+    if twice % 2:
+        degree = genus = f"degree is not an integer: {twice}/2"
+    elif twice <= 0:
+        degree = genus = f"degree must be positive, got {twice // 2}"
+    else:
+        degree = twice // 2
+        genus = (1 + six // 6 - 2 * degree if six % 6 == 0
+                 else f"genus is not an integer: 1 + {six}/6 - {2 * degree}")
+    problems = []
+    if len(gens) != len(syz) + 1:
+        problems.append(
+            f"shape: expected one more generator than syzygies, got {len(gens)} vs {len(syz)}"
+        )
+    if sum(gens) != sum(syz):
+        problems.append(f"twist sums differ: gens {sum(gens)} vs syz {sum(syz)}")
+    if isinstance(genus, str):
+        problems.append(genus)
+    return degree, genus, problems
+
+
+def _outcome(formula, t):
+    try:
+        return formula(t)
+    except InvalidTableError as err:
+        return str(err)
+
+
+# every table with 1-3 generator twists and 1-2 syzygy twists in 1..6
+SMALL_TABLES = [
+    (gens, syz)
+    for n_gens in (1, 2, 3)
+    for gens in combinations_with_replacement(range(1, 7), n_gens)
+    for n_syz in (1, 2)
+    for syz in combinations_with_replacement(range(1, 7), n_syz)
+]
+
+
+def test_formulas_equal_their_transcription_on_every_small_table():
+    branches = set()
+    for gens, syz in SMALL_TABLES:
+        t = BettiTable(gens, syz)
+        degree, genus, problems = transcribed_formulas(gens, syz)
+        assert _outcome(degree_from_betti, t) == degree, (gens, syz)
+        assert _outcome(genus_from_betti, t) == genus, (gens, syz)
+        inv = _outcome(invariants_from_betti, t)
+        assert inv == (genus if isinstance(genus, str) else CurveInvariants(degree, genus))
+        assert validate(t) == problems, (gens, syz)
+        branches.add("curve" if isinstance(genus, int) else genus.split(",")[0].split(":")[0])
+    assert branches == {
+        "curve", "degree is not an integer", "degree must be positive", "genus is not an integer",
+    }
 
 
 class TestCiTable:
