@@ -35,8 +35,6 @@ from .resolutions import (
     BettiTable,
     CurveInvariants,
     InvalidTableError,
-    ResolutionCase,
-    ResolutionFamily,
     ci_table,
     degree_from_betti,
     genus_from_betti,

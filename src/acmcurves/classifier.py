@@ -28,9 +28,11 @@ derived:
   classes are not all rigid;
 * COMPLETE_INTERSECTION: the classes d*H.
 
-The descriptions of RIGID, RESIDUAL and FAMILY_III entries come from one
-prose map per divisor, and every emitted entry must pass the
-lattice/resolution cross-check.
+Each entry records its attached pair (None for a complete
+intersection), plus its shift k (RESIDUAL, FAMILY_II) or its 1-based
+pivot (RIGID, FAMILY_III).  The descriptions of RIGID, RESIDUAL and
+FAMILY_III entries come from one prose map per divisor, and every
+emitted entry must pass the lattice/resolution cross-check.
 """
 
 from __future__ import annotations
@@ -46,9 +48,8 @@ from .picard import (
     watanabe_candidates,
 )
 from .resolutions import (
-    BettiTable, CurveInvariants, InvalidTableError, ResolutionCase, ResolutionFamily, _invariants,
-    ci_table, invariants_from_betti, is_f_minimal, pivot_for_value, pivot_syzygy_table,
-    surface_generator_table,
+    BettiTable, CurveInvariants, InvalidTableError, _invariants, ci_table, invariants_from_betti,
+    is_f_minimal, pivot_for_value, pivot_syzygy_table, surface_generator_table,
 )
 
 SURFACE_DEGREE = 4
@@ -80,7 +81,9 @@ class ClassificationEntry:
     provenance: str
     description: str
     resolution: BettiTable
-    family: ResolutionFamily | None = None
+    pair: WeakAdmissiblePair | None = None  # the attached pair; None for a complete intersection
+    shift: int | None = None  # k of a RESIDUAL or FAMILY_II table
+    pivot: int | None = None  # 1-based pivot of a RIGID or FAMILY_III table
     minimal: bool = True
 
     def to_json(self) -> dict:
@@ -94,10 +97,10 @@ class ClassificationEntry:
             "resolution": self.resolution.to_json(),
             "minimal": self.minimal,
         }
-        if self.family is not None and self.family.shift is not None:
-            doc["k"] = self.family.shift
-        if self.family is not None and self.family.pivot is not None:
-            doc["pivot"] = self.family.pivot
+        if self.shift is not None:
+            doc["k"] = self.shift
+        if self.pivot is not None:
+            doc["pivot"] = self.pivot
         return doc
 
 
@@ -189,13 +192,12 @@ def _surface_types(degree: int) -> dict[str, tuple[WeakAdmissiblePair, ...]]:
 
 
 def _pivot_tables(pairs: tuple[WeakAdmissiblePair, ...]):
-    """(family, table, invariants) of every pivot table: pairs in order,
-    distinct syzygy twists ascending."""
+    """(pair, pivot, table, invariants) of every pivot table: pairs in
+    order, distinct syzygy twists ascending."""
     for pair in pairs:
         for j0 in sorted({pivot_for_value(pair, b) for b in pair.b}):
-            family = ResolutionFamily(pair, ResolutionCase.NONMINIMAL_F, SURFACE_DEGREE, pivot=j0)
             table = pivot_syzygy_table(pair, j0, SURFACE_DEGREE)
-            yield family, table, invariants_from_betti(table)
+            yield pair, j0, table, invariants_from_betti(table)
 
 
 @lru_cache(maxsize=None)
@@ -204,7 +206,7 @@ def divisor(label: str) -> QuarticDivisor:
         raise KeyError(f"unknown divisor {label!r}; expected one of {DIVISOR_LABELS}")
     pairs = _surface_types(SURFACE_DEGREE)[label]
     # the generator curve: the least (degree, genus) among the pivot tables
-    d_i, g_i = min((inv.degree, inv.genus) for _, _, inv in _pivot_tables(pairs))
+    d_i, g_i = min((inv.degree, inv.genus) for *_, inv in _pivot_tables(pairs))
     return QuarticDivisor(label, quartic_lattice(d_i, g_i), pairs, _EXCLUSIONS.get(label, ()))
 
 
@@ -246,7 +248,7 @@ def classify_quartic(div: QuarticDivisor, k_max: int = 6) -> list[Classification
     prose = _PROSE.get(div.label, {})
     entries: list[ClassificationEntry] = []
 
-    def emit(cls, inv, provenance, table, family, minimal=True, description=None):
+    def emit(cls, inv, provenance, table, pair, shift, pivot, minimal=True, description=None):
         if description is None:
             if (provenance, cls) not in prose:
                 raise ClassificationError(
@@ -254,7 +256,7 @@ def classify_quartic(div: QuarticDivisor, k_max: int = 6) -> list[Classification
                 )
             description = prose[(provenance, cls)]
         entry = ClassificationEntry(
-            div.label, cls, inv, provenance, description, table, family, minimal
+            div.label, cls, inv, provenance, description, table, pair, shift, pivot, minimal
         )
         if not cross_check(entry, lattice):
             raise ClassificationError(
@@ -264,16 +266,16 @@ def classify_quartic(div: QuarticDivisor, k_max: int = 6) -> list[Classification
         entries.append(entry)
 
     rigid = rigid_classes(div)
-    # (family, table, invariants, solved classes) of every pivot table
-    pivots = [(family, table, inv, _solved_classes(lattice, inv))
-              for family, table, inv in _pivot_tables(div.pairs)]
+    # (pair, pivot, table, invariants, solved classes) of every pivot table
+    pivots = [(pair, j0, table, inv, _solved_classes(lattice, inv))
+              for pair, j0, table, inv in _pivot_tables(div.pairs)]
 
     for cls in sorted(rigid):
-        hit = next((p for p in pivots if cls in p[3]), None)
+        hit = next((p for p in pivots if cls in p[4]), None)
         if hit is None:
             raise ClassificationError(f"{div.label}: no pivot table resolves the rigid class {cls}")
-        family, table, _, _ = hit
-        emit(cls, _lattice_invariants(lattice, cls), RIGID, table, family)
+        pair, j0, table, _, _ = hit
+        emit(cls, _lattice_invariants(lattice, cls), RIGID, table, pair, None, j0)
 
     for pair in div.pairs:
         for k in range(3):
@@ -288,7 +290,6 @@ def classify_quartic(div: QuarticDivisor, k_max: int = 6) -> list[Classification
             if solved <= rigid:
                 continue  # the rigid entries already cover these classes
             ci = CiProfile(SURFACE_DEGREE, k + 1)
-            family = ResolutionFamily(pair, ResolutionCase.MINIMAL_F, SURFACE_DEGREE, shift=k)
             for cls in sorted(solved):
                 partner = DivisorClass(k + 1 - cls.a, -cls.b)  # (k+1)H - D
                 linked = residual_invariants(_lattice_invariants(lattice, partner), ci)
@@ -297,7 +298,7 @@ def classify_quartic(div: QuarticDivisor, k_max: int = 6) -> list[Classification
                         f"{div.label}: linking {partner} in {ci.to_json()} gives "
                         f"{linked}, the shift-{k} table gives {inv}"
                     )
-                emit(cls, inv, RESIDUAL, table, family,
+                emit(cls, inv, RESIDUAL, table, pair, k, None,
                      minimal=is_f_minimal(pair, k, SURFACE_DEGREE))
 
     for pair in div.pairs:
@@ -310,21 +311,20 @@ def classify_quartic(div: QuarticDivisor, k_max: int = 6) -> list[Classification
                     f"{div.label}: no integer class of degree {inv.degree}, "
                     f"genus {inv.genus} at shift {k}"
                 )
-            family = ResolutionFamily(pair, ResolutionCase.MINIMAL_F, SURFACE_DEGREE, shift=k)
             text = f"resolution family with the quartic among the minimal generators, shift k={k}"
             for cls in sorted(solved):
-                emit(cls, inv, FAMILY_II, table, family, description=text)
+                emit(cls, inv, FAMILY_II, table, pair, k, None, description=text)
 
-    for family, table, inv, solved in pivots:
+    for pair, j0, table, inv, solved in pivots:
         if not solved <= rigid:
             for cls in sorted(solved):
-                emit(cls, inv, FAMILY_III, table, family)
+                emit(cls, inv, FAMILY_III, table, pair, None, j0)
 
-    ci_family = ResolutionFamily(None, ResolutionCase.CI, SURFACE_DEGREE)
     for dd in range(2, k_max + 1):
         table = ci_table(SURFACE_DEGREE, dd)
-        emit(DivisorClass(dd, 0), invariants_from_betti(table), COMPLETE_INTERSECTION,
-             table, ci_family, description=f"complete intersection with a degree-{dd} surface")
+        text = f"complete intersection with a degree-{dd} surface"
+        emit(DivisorClass(dd, 0), invariants_from_betti(table), COMPLETE_INTERSECTION, table,
+             None, None, None, description=text)
     return entries
 
 
@@ -332,6 +332,7 @@ def classify_quartic(div: QuarticDivisor, k_max: int = 6) -> list[Classification
 # the reducible quadric has one case per splitting type n instead
 _LOW_DEGREE_CASES = {(2, "smooth"): (1, ("main",)), (2, "reducible"): (1, None),
                      (3, "2x2"): (0, ("A", "B")), (3, "3x3"): (1, ("main",))}
+_SPLIT_N_MAX = 3  # the reducible quadric is listed for splitting types n = 1..3
 
 
 @dataclass(frozen=True)
@@ -364,9 +365,7 @@ class LowDegreeFamily:
         return doc
 
 
-def classify_low_degree(
-    surface_degree: int, type_tag: str, n_max: int = 3
-) -> list[LowDegreeFamily]:
+def classify_low_degree(surface_degree: int, type_tag: str) -> list[LowDegreeFamily]:
     """Resolution families (besides complete intersections) on a degree-2
     or degree-3 surface of the named type."""
     if (surface_degree, type_tag) not in _LOW_DEGREE_CASES:
@@ -387,5 +386,5 @@ def classify_low_degree(
             2, type_tag, f"n={n}", make_pair((a1, a2 + n - 1), (b1, b2 + n - 1)), k_min, n=n,
             note="tables generated by the surface-generator constructor",
         )
-        for n in range(1, n_max + 1)
+        for n in range(1, _SPLIT_N_MAX + 1)
     ]

@@ -80,10 +80,14 @@ def adjunction_genus(l: PicardLattice, x: DivisorClass) -> int:
 
 
 def _ext_gcd(x: int, y: int) -> tuple[int, int, int]:
-    if y == 0:
-        return (x, 1, 0) if x >= 0 else (-x, -1, 0)
-    g, u, v = _ext_gcd(y, x % y)
-    return g, v, u - (x // y) * v
+    """(g, u, v) with x*u + y*v = g = gcd(x, y) >= 0, by a loop: the
+    Euclidean steps of large Gram entries can outrun the recursion limit."""
+    u0, v0, u1, v1 = 1, 0, 0, 1  # x = u0*X + v0*Y and y = u1*X + v1*Y throughout
+    while y:
+        q = x // y
+        x, y = y, x - q * y
+        u0, v0, u1, v1 = u1, v1, u0 - q * u1, v0 - q * v1
+    return (x, u0, v0) if x >= 0 else (-x, -u0, -v0)
 
 
 def _solve_slices(l: PicardLattice, slices: Iterable[tuple[int, int]]) -> set[DivisorClass]:

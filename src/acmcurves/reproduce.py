@@ -151,7 +151,7 @@ def _divisor_rows(label: str, k_max: int = 6) -> list[Row]:
     by_k: dict[int, dict[DivisorClass, CurveInvariants]] = {}
     for e in entries:
         if e.provenance == FAMILY_II:
-            by_k.setdefault(e.family.shift, {})[e.cls] = e.invariants
+            by_k.setdefault(e.shift, {})[e.cls] = e.invariants
     for fam in expected["families"]:
         ok = True
         detail = ""

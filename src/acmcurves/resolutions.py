@@ -16,7 +16,6 @@ one syzygy twist).
 
 from __future__ import annotations
 
-import enum
 from dataclasses import dataclass
 
 from .pairs import WeakAdmissiblePair
@@ -52,30 +51,6 @@ class CurveInvariants:
 
     def to_json(self) -> dict:
         return {"degree": self.degree, "genus": self.genus}
-
-
-class ResolutionCase(enum.Enum):
-    CI = "ci"
-    MINIMAL_F = "ii"
-    NONMINIMAL_F = "iii"
-
-
-@dataclass(frozen=True)
-class ResolutionFamily:
-    """A table together with how it was built."""
-
-    pair: WeakAdmissiblePair | None
-    case: ResolutionCase
-    surface_degree: int
-    shift: int | None = None  # case ii
-    pivot: int | None = None  # case iii, 1-based index into b
-
-    def __post_init__(self) -> None:
-        if self.case is ResolutionCase.NONMINIMAL_F:
-            if self.pair is None or self.pivot is None:
-                raise ValueError("case iii needs a pair and a pivot index")
-            if not 1 <= self.pivot <= self.pair.length:
-                raise ValueError("pivot index out of range")
 
 
 def _degree_and_cubes(t: BettiTable) -> tuple[int, int]:

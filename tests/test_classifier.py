@@ -26,7 +26,7 @@ from acmcurves.enumeration import EnumerationConfig, enumerate_kinds
 from acmcurves.pairs import degree_matrix, is_reducible_type
 from acmcurves.families import eval_affine, parse_affine
 from acmcurves.picard import H, adjunction_genus, dot
-from acmcurves.resolutions import ResolutionCase, ResolutionFamily, surface_generator_table
+from acmcurves.resolutions import surface_generator_table
 
 
 def cls(a, b):
@@ -128,7 +128,7 @@ class TestClassifyQuartic:
         entries = classify_quartic(div, k_max=8)
         emitted = {}
         for e in by_provenance(entries, FAMILY_II):
-            emitted.setdefault((e.family.pair, e.family.shift), set()).add(
+            emitted.setdefault((e.pair, e.shift), set()).add(
                 (e.invariants.degree, e.invariants.genus)
             )
         for pair, form in zip(div.pairs, self.FAMILY_FORMS[label]):
@@ -159,7 +159,7 @@ class TestClassifyQuartic:
     def test_low_shift_tables_marked_nonminimal(self):
         entries = classify_quartic(divisor("F4"), k_max=3)
         flags = {
-            (e.cls, e.family.shift): e.minimal
+            (e.cls, e.shift): e.minimal
             for e in by_provenance(entries, RESIDUAL)
         }
         # k = 2 = 4 - 2 degenerates on the pair ((1,1),(2,4)); k = 0 = 4 - 4
@@ -220,8 +220,8 @@ class TestLowDegree:
         assert (tb.gens, tb.syz) == ((1, 2, 3), (3, 3))
 
     def test_split_quadric_families(self):
-        fams = classify_low_degree(2, "reducible", n_max=2)
-        assert [f.n for f in fams] == [1, 2]
+        fams = classify_low_degree(2, "reducible")
+        assert [f.n for f in fams] == [1, 2, 3]
         t = fams[0].table(1)
         assert (t.gens, t.syz) == ((2, 2, 3), (3, 4))
         assert fams[0].note
@@ -234,12 +234,6 @@ class TestLowDegree:
         for fam in classify_low_degree(3, "2x2"):
             for k in range(fam.k_min, fam.k_min + 4):
                 assert fam.table(k) == surface_generator_table(fam.pair, k, 3)
-
-
-def test_resolution_family_validation():
-    pair = make_pair((1, 1), (2, 4))
-    with pytest.raises(ValueError, match="pivot"):
-        ResolutionFamily(pair, ResolutionCase.NONMINIMAL_F, 4, pivot=5)
 
 
 def test_classification_is_deterministic():
@@ -259,7 +253,7 @@ def test_family_ii_branch_counts():
         per_pair_k = {}
         for e in classify_quartic(div, k_max=6):
             if e.provenance == FAMILY_II:
-                per_pair_k.setdefault((e.family.pair, e.family.shift), set()).add(e.cls)
+                per_pair_k.setdefault((e.pair, e.shift), set()).add(e.cls)
         assert {len(v) for v in per_pair_k.values()} == sizes
 
 
@@ -268,6 +262,60 @@ LABELS = ["F1", "F2", "F3", "F4", "F5"]
 
 def catalog_class(exprs, k):
     return cls(*(eval_affine(parse_affine(e), {"k": k}) for e in exprs))
+
+
+class TestEntryJson:
+    """The per-entry JSON document: a shift k or a pivot, by provenance."""
+
+    KEYS = {RIGID: {"pivot"}, FAMILY_III: {"pivot"}, RESIDUAL: {"k"}, FAMILY_II: {"k"},
+            COMPLETE_INTERSECTION: set()}
+
+    @pytest.mark.parametrize("label", LABELS)
+    def test_shift_or_pivot_by_provenance(self, label):
+        entries = classify_quartic(divisor(label), k_max=6)
+        assert {e.provenance for e in entries} <= set(self.KEYS)
+        for e in entries:
+            doc = e.to_json()
+            assert set(doc) & {"k", "pivot"} == self.KEYS[e.provenance], doc
+
+    F4_FIRST = {
+        RIGID: {
+            "divisor": "F4", "class": [0, 1], "degree": 1, "genus": 0, "provenance": RIGID,
+            "description": "the line; the unique curve in its class",
+            "resolution": {"gens": [1, 1], "syz": [2]}, "minimal": True, "pivot": 2,
+        },
+        RESIDUAL: {
+            "divisor": "F4", "class": [1, 1], "degree": 5, "genus": 3, "provenance": RESIDUAL,
+            "description": "residual to a plane cubic in the intersection with a quadric",
+            "resolution": {"gens": [2, 2, 4], "syz": [3, 5]}, "minimal": True, "k": 1,
+        },
+        FAMILY_II: {
+            "divisor": "F4", "class": [3, 1], "degree": 13, "genus": 21,
+            "provenance": FAMILY_II,
+            "description": "resolution family with the quartic among the minimal generators, "
+                           "shift k=3",
+            "resolution": {"gens": [4, 4, 4], "syz": [5, 7]}, "minimal": True, "k": 3,
+        },
+        FAMILY_III: {
+            "divisor": "F4", "class": [2, 1], "degree": 9, "genus": 10,
+            "provenance": FAMILY_III,
+            "description": "quartic not among the minimal generators; same class as the "
+                           "degree-9 residual curve",
+            "resolution": {"gens": [3, 3], "syz": [6]}, "minimal": True, "pivot": 1,
+        },
+        COMPLETE_INTERSECTION: {
+            "divisor": "F4", "class": [2, 0], "degree": 8, "genus": 9,
+            "provenance": COMPLETE_INTERSECTION,
+            "description": "complete intersection with a degree-2 surface",
+            "resolution": {"gens": [2, 4], "syz": [6]}, "minimal": True,
+        },
+    }
+
+    def test_first_f4_document_of_each_provenance(self):
+        first = {}
+        for e in classify_quartic(divisor("F4"), k_max=6):
+            first.setdefault(e.provenance, e.to_json())
+        assert first == self.F4_FIRST
 
 
 class TestAgainstCatalog:
@@ -287,7 +335,7 @@ class TestAgainstCatalog:
         entries = classify_quartic(divisor(label), k_max=10)
         have = {}
         for e in by_provenance(entries, FAMILY_II):
-            have.setdefault((e.family.pair, e.family.shift), set()).add(e.cls)
+            have.setdefault((e.pair, e.shift), set()).add(e.cls)
         want = {}
         for fam in catalog.quartic_proposition(label)["families"]:
             pair = make_pair(*fam["pair"])

@@ -1,7 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import acmcurves
 from acmcurves.cli import run
 from acmcurves.reproduce import TARGETS, run_target
 
@@ -285,6 +290,32 @@ class TestAdditionalPaths:
         assert code == 1 and out == ""
         assert "surface degree" in err
         assert err.count("\n") == 1 and "Traceback" not in err
+
+    @pytest.mark.parametrize("command", [["solve", "--self-int=-2", "--dh", "1..3"], ["watanabe"]],
+                             ids=["solve", "watanabe"])
+    def test_consecutive_fibonacci_gram(self, capsys, command):
+        # 313-digit entries: the Euclidean algorithm takes ~1500 steps
+        fib = [0, 1]
+        while len(fib) <= 1500:
+            fib.append(fib[-1] + fib[-2])
+        gram = f"--gram={fib[1500]},{fib[1499]},0"
+        code, out, err = invoke(capsys, "picard", *command, gram)
+        assert code == 0, err
+        assert err == ""
+        json.loads(out)
+
+    def test_closed_stdout_pipe_exits_quietly(self):
+        src = str(Path(acmcurves.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=src)
+        argv = [sys.executable, "-m", "acmcurves.cli", "classify", "quartic", "--divisor", "F1",
+                "--kmax", "2000"]
+        with subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                              env=env) as proc:
+            assert proc.stdout.readline() == b"[\n"
+            proc.stdout.close()
+            err = proc.stderr.read()
+            assert proc.wait(timeout=60) == 1
+        assert err == b""
 
 
 # one argv per leaf command, and the commands that have a table view;

@@ -14,6 +14,7 @@ from acmcurves import (
     solve_classes,
     watanabe_candidates,
 )
+from acmcurves.picard import _ext_gcd
 
 F1_L = quartic_lattice(6, 3)
 F2_L = quartic_lattice(3, 0)
@@ -240,3 +241,27 @@ def test_solver_equals_the_slice_oracle_over_full_ranges(h2):
             *(slice_oracle(*gram, (e - 1) * (e - 2) - 2, e) for e in range(1, 201))
         )
         assert plane_curve_classes(l, 200) == plane, gram
+
+
+def recursive_ext_gcd(x, y):
+    """The recursive extended gcd the loop in picard replaced."""
+    if y == 0:
+        return (x, 1, 0) if x >= 0 else (-x, -1, 0)
+    g, u, v = recursive_ext_gcd(y, x % y)
+    return g, v, u - (x // y) * v
+
+
+def test_ext_gcd_equals_the_recursive_transcription():
+    for x in range(-80, 81):
+        for y in range(-80, 81):
+            assert _ext_gcd(x, y) == recursive_ext_gcd(x, y), (x, y)
+
+
+def test_ext_gcd_bezout_on_consecutive_fibonacci():
+    # ~1500 Euclidean steps, past the default recursion limit
+    fib = [0, 1]
+    while len(fib) <= 1500:
+        fib.append(fib[-1] + fib[-2])
+    x, y = fib[1500], fib[1499]
+    g, u, v = _ext_gcd(x, y)
+    assert g == 1 and x * u + y * v == 1
