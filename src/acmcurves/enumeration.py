@@ -54,9 +54,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import comb
-from typing import Iterator
+from typing import Iterable, Iterator
 
-from .families import PairFamily
 from .pairs import KindSignature, PairError, WeakAdmissiblePair, pair_signature
 
 
@@ -208,18 +207,11 @@ class FamilyMatchReport:
     matched: tuple[tuple[str, bool], ...]  # (family name, min instance found?)
     unmatched_signatures: tuple[KindSignature, ...]
 
-    @property
-    def all_matched(self) -> bool:
-        return all(ok for _, ok in self.matched)
 
-    @property
-    def complete(self) -> bool:
-        return self.all_matched and not self.unmatched_signatures
-
-
-def match_families(
-    catalog: KindCatalog, families: tuple[PairFamily, ...]
-) -> FamilyMatchReport:
+def match_families(catalog: KindCatalog, families: Iterable) -> FamilyMatchReport:
+    """Match a kind catalog against families that give ``name``, ``degree``,
+    ``min_instance()`` and ``signatures(b_cap)``, as ``catalog.PairFamily``
+    does; this module does not import the expected data."""
     sigs = catalog.signatures()
     matched = []
     generated: set[KindSignature] = set()

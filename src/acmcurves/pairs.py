@@ -76,10 +76,6 @@ class WeakAdmissiblePair:
     def to_json(self) -> dict:
         return {"a": list(self.a), "b": list(self.b)}
 
-    @classmethod
-    def from_json(cls, doc: dict) -> "WeakAdmissiblePair":
-        return make_pair(doc["a"], doc["b"])
-
     def __repr__(self) -> str:
         return f"({self.a}, {self.b})"
 

@@ -22,8 +22,8 @@ from .classifier import (
     divisor,
 )
 from .enumeration import EnumerationConfig, enumerate_kinds, match_families, stable_cap
-from .families import eval_affine, parse_affine
-from .liaison import CiProfile, residual_invariants
+from .catalog import eval_affine, parse_affine
+from .liaison import CiProfile, link_is_involution_check, residual_invariants
 from .pairs import anti_transpose, degree_matrix, make_pair
 from .picard import DivisorClass
 from .resolutions import BettiTable, CurveInvariants
@@ -31,6 +31,10 @@ from .resolutions import BettiTable, CurveInvariants
 # the degree-4 catalog is checked at this bound; the family tables are
 # complete at every bound, so no kind goes unexplained even below stable_cap
 DEGREE4_CAP = 8
+DIVISOR_K_MAX = 6
+LOW_DEGREE_K_SPAN = 6
+LINK_SAMPLES = 1000
+LINK_SEED = 20250809
 
 
 @dataclass(frozen=True)
@@ -128,10 +132,10 @@ def _poly(coeffs: list[int], k: int) -> int:
     return value
 
 
-def _divisor_rows(label: str, k_max: int = 6) -> list[Row]:
+def _divisor_rows(label: str) -> list[Row]:
     expected = catalog.quartic_proposition(label)
     div = divisor(label)
-    entries = classify_quartic(div, k_max=k_max)
+    entries = classify_quartic(div, k_max=DIVISOR_K_MAX)
     rows: list[Row] = []
 
     rigid = {e.cls: e.invariants for e in entries if e.provenance == RIGID}
@@ -155,7 +159,7 @@ def _divisor_rows(label: str, k_max: int = 6) -> list[Row]:
     for fam in expected["families"]:
         ok = True
         detail = ""
-        for k in range(fam["k_min"], k_max + 1):
+        for k in range(fam["k_min"], DIVISOR_K_MAX + 1):
             want = {
                 _expected_class(c, k): CurveInvariants(
                     _poly(fam["degree"], k), _poly(fam["genus"], k)
@@ -170,7 +174,7 @@ def _divisor_rows(label: str, k_max: int = 6) -> list[Row]:
         pair = make_pair(*fam["pair"])
         rows.append(
             Row(label, f"family {pair} classes and invariants for k in "
-                       f"[{fam['k_min']},{k_max}]", ok, detail)
+                       f"[{fam['k_min']},{DIVISOR_K_MAX}]", ok, detail)
         )
 
     residual = {
@@ -201,9 +205,9 @@ def _divisor_rows(label: str, k_max: int = 6) -> list[Row]:
     ci_ok = all(
         ci_have.get(DivisorClass(dd, 0))
         == CurveInvariants(_poly(ci_expected["degree"], dd), _poly(ci_expected["genus"], dd))
-        for dd in range(2, k_max + 1)
+        for dd in range(2, DIVISOR_K_MAX + 1)
     )
-    rows.append(Row(label, f"complete intersections dH for d in [2,{k_max}]", ci_ok))
+    rows.append(Row(label, f"complete intersections dH for d in [2,{DIVISOR_K_MAX}]", ci_ok))
 
     rows.append(
         Row(
@@ -215,14 +219,14 @@ def _divisor_rows(label: str, k_max: int = 6) -> list[Row]:
     return rows
 
 
-def _low_degree_rows(k_span: int = 6) -> list[Row]:
+def _low_degree_rows() -> list[Row]:
     target = "low-degree-corollaries"
     rows = []
     for doc in catalog.low_degree_corollaries():
         fams = classify_low_degree(doc["surface_degree"], doc["type"])
         fam = next(f for f in fams if f.case_label == doc["case"])
         ok = fam.pair == make_pair(*doc["pair"]) and fam.k_min == doc["k_min"]
-        for k in range(doc["k_min"], doc["k_min"] + k_span):
+        for k in range(doc["k_min"], doc["k_min"] + LOW_DEGREE_K_SPAN):
             want = BettiTable(
                 tuple(eval_affine(parse_affine(e), {"k": k}) for e in doc["gens"]),
                 tuple(eval_affine(parse_affine(e), {"k": k}) for e in doc["syz"]),
@@ -235,14 +239,14 @@ def _low_degree_rows(k_span: int = 6) -> list[Row]:
                 target,
                 f"degree-{doc['surface_degree']} type {doc['type']} case "
                 f"{doc['case']}: resolutions for k in "
-                f"[{doc['k_min']},{doc['k_min'] + k_span - 1}]",
+                f"[{doc['k_min']},{doc['k_min'] + LOW_DEGREE_K_SPAN - 1}]",
                 ok,
             )
         )
     return rows
 
 
-def _liaison_rows(samples: int = 1000, seed: int = 20250809) -> list[Row]:
+def _liaison_rows() -> list[Row]:
     target = "liaison-table"
     rows = []
     for doc in catalog.liaison_table():
@@ -259,20 +263,18 @@ def _liaison_rows(samples: int = 1000, seed: int = 20250809) -> list[Row]:
                 f"computed ({got.degree},{got.genus})" if got != want else "",
             )
         )
-    rng = random.Random(seed)
+    rng = random.Random(LINK_SEED)
     ok = True
-    for _ in range(samples):
+    for _ in range(LINK_SAMPLES):
         s, s_prime = rng.randint(1, 12), rng.randint(1, 12)
         while s * s_prime < 2:  # a (1,1) intersection links nothing
             s, s_prime = rng.randint(1, 12), rng.randint(1, 12)
         degree = rng.randint(1, s * s_prime - 1)
         c = CurveInvariants(degree, rng.randint(0, 60))
-        ci = CiProfile(s, s_prime)
-        first = residual_invariants(c, ci)
-        if residual_invariants(first, ci) != c:
+        if not link_is_involution_check(c, CiProfile(s, s_prime)):
             ok = False
             break
-    rows.append(Row(target, f"double linkage is the identity ({samples} random inputs)", ok))
+    rows.append(Row(target, f"double linkage is the identity ({LINK_SAMPLES} random inputs)", ok))
     return rows
 
 

@@ -24,7 +24,7 @@ from acmcurves.classifier import (
 from acmcurves import catalog, classifier
 from acmcurves.enumeration import EnumerationConfig, enumerate_kinds
 from acmcurves.pairs import degree_matrix, is_reducible_type
-from acmcurves.families import eval_affine, parse_affine
+from acmcurves.catalog import eval_affine, parse_affine
 from acmcurves.picard import H, adjunction_genus, dot
 from acmcurves.resolutions import surface_generator_table
 

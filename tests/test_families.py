@@ -1,8 +1,20 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
+import acmcurves
 from acmcurves import degree_matrix, make_pair, normalize, pair_signature
-from acmcurves.catalog import family_by_name, kind_families
-from acmcurves.families import Constraint, PairFamily, eval_affine, parse_affine
+from acmcurves.catalog import (
+    Constraint,
+    PairFamily,
+    eval_affine,
+    family_by_name,
+    kind_families,
+    parse_affine,
+)
 
 
 class TestAffineExpressions:
@@ -111,3 +123,17 @@ def test_parameters_always_raise_some_bounded_b_entry():
                     dict(expr).get(param) == 1 and dict(expr).get("", 0) >= 1
                     for expr in fam.b
                 ), (fam.name, param)
+
+
+def test_importing_the_library_leaves_the_expected_data_unread():
+    # the computing modules never import the catalog reader, so the
+    # expected values stay independent of the code under test
+    src = str(Path(acmcurves.__file__).resolve().parents[1])
+    code = (
+        "import sys, acmcurves; "
+        "print(sorted(m for m in sys.modules if m in "
+        "('acmcurves.catalog', 'acmcurves.families', 'acmcurves.reproduce')))"
+    )
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env=dict(os.environ, PYTHONPATH=src), timeout=60, check=True)
+    assert out.stdout == "[]\n"
