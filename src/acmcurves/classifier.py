@@ -84,7 +84,11 @@ class ClassificationEntry:
     pair: WeakAdmissiblePair | None = None  # the attached pair; None for a complete intersection
     shift: int | None = None  # k of a RESIDUAL or FAMILY_II table
     pivot: int | None = None  # 1-based pivot of a RIGID or FAMILY_III table
-    minimal: bool = True
+
+    @property
+    def minimal(self) -> bool:
+        """False for a shift table whose surface equation cancels against a syzygy twist."""
+        return self.shift is None or is_f_minimal(self.pair, self.shift)
 
     def to_json(self) -> dict:
         doc = {
@@ -196,7 +200,7 @@ def _pivot_tables(pairs: tuple[WeakAdmissiblePair, ...]):
     order, distinct syzygy twists ascending."""
     for pair in pairs:
         for j0 in sorted({pivot_for_value(pair, b) for b in pair.b}):
-            table = pivot_syzygy_table(pair, j0, SURFACE_DEGREE)
+            table = pivot_syzygy_table(pair, j0)
             yield pair, j0, table, invariants_from_betti(table)
 
 
@@ -248,7 +252,7 @@ def classify_quartic(div: QuarticDivisor, k_max: int = 6) -> list[Classification
     prose = _PROSE.get(div.label, {})
     entries: list[ClassificationEntry] = []
 
-    def emit(cls, inv, provenance, table, pair, shift, pivot, minimal=True, description=None):
+    def emit(cls, inv, provenance, table, pair, shift, pivot, description=None):
         if description is None:
             if (provenance, cls) not in prose:
                 raise ClassificationError(
@@ -256,7 +260,7 @@ def classify_quartic(div: QuarticDivisor, k_max: int = 6) -> list[Classification
                 )
             description = prose[(provenance, cls)]
         entry = ClassificationEntry(
-            div.label, cls, inv, provenance, description, table, pair, shift, pivot, minimal
+            div.label, cls, inv, provenance, description, table, pair, shift, pivot
         )
         if not cross_check(entry, lattice):
             raise ClassificationError(
@@ -280,7 +284,7 @@ def classify_quartic(div: QuarticDivisor, k_max: int = 6) -> list[Classification
     for pair in div.pairs:
         for k in range(3):
             try:
-                table = surface_generator_table(pair, k, SURFACE_DEGREE)
+                table = surface_generator_table(pair, k)
                 inv = invariants_from_betti(table)
             except InvalidTableError:
                 continue  # nonpositive degree: no curve at this shift
@@ -298,12 +302,11 @@ def classify_quartic(div: QuarticDivisor, k_max: int = 6) -> list[Classification
                         f"{div.label}: linking {partner} in {ci.to_json()} gives "
                         f"{linked}, the shift-{k} table gives {inv}"
                     )
-                emit(cls, inv, RESIDUAL, table, pair, k, None,
-                     minimal=is_f_minimal(pair, k, SURFACE_DEGREE))
+                emit(cls, inv, RESIDUAL, table, pair, k, None)
 
     for pair in div.pairs:
         for k in range(3, k_max + 1):
-            table = surface_generator_table(pair, k, SURFACE_DEGREE)
+            table = surface_generator_table(pair, k)
             inv = invariants_from_betti(table)
             solved = _solved_classes(lattice, inv)
             if not solved:
@@ -339,7 +342,6 @@ _SPLIT_N_MAX = 3  # the reducible quadric is listed for splitting types n = 1..3
 class LowDegreeFamily:
     """One resolution family of the degree-2/3 classifications."""
 
-    surface_degree: int
     type_tag: str
     case_label: str
     pair: WeakAdmissiblePair
@@ -347,8 +349,12 @@ class LowDegreeFamily:
     n: int | None = None
     note: str = ""
 
+    @property
+    def surface_degree(self) -> int:
+        return self.pair.degree
+
     def table(self, k: int) -> BettiTable:
-        return surface_generator_table(self.pair, k, self.surface_degree)
+        return surface_generator_table(self.pair, k)
 
     def to_json(self) -> dict:
         doc = {
@@ -376,14 +382,14 @@ def classify_low_degree(surface_degree: int, type_tag: str) -> list[LowDegreeFam
     k_min, cases = _LOW_DEGREE_CASES[surface_degree, type_tag]
     pairs = _surface_types(surface_degree)[type_tag]
     if cases is not None:
-        return [LowDegreeFamily(surface_degree, type_tag, case, pair, k_min)
+        return [LowDegreeFamily(type_tag, case, pair, k_min)
                 for case, pair in zip(cases, pairs, strict=True)]
     # one family per splitting type n of the quadric: its one kind,
     # ((1, 2), (2, 3)), with the second diagonal block raised by n - 1
     [((a1, a2), (b1, b2))] = [(p.a, p.b) for p in pairs]
     return [
         LowDegreeFamily(
-            2, type_tag, f"n={n}", make_pair((a1, a2 + n - 1), (b1, b2 + n - 1)), k_min, n=n,
+            type_tag, f"n={n}", make_pair((a1, a2 + n - 1), (b1, b2 + n - 1)), k_min, n=n,
             note="tables generated by the surface-generator constructor",
         )
         for n in range(1, _SPLIT_N_MAX + 1)

@@ -157,14 +157,14 @@ def _res_build(args):
         raise ValueError("--surface-degree is required for cases ii and iii")
     else:
         p = make_pair(args.a, args.b)
-        if args.case == "ii":
-            if args.k is None:
-                raise ValueError("--k is required for case ii")
-            table = surface_generator_table(p, args.k, args.surface_degree)
-        else:
-            if args.j0 is None:
-                raise ValueError("--j0 is required for case iii")
-            table = pivot_syzygy_table(p, args.j0, args.surface_degree)
+        flag = "k" if args.case == "ii" else "j0"
+        if getattr(args, flag) is None:
+            raise ValueError(f"--{flag} is required for case {args.case}")
+        # the constructors take the surface degree from the pair
+        if p.degree != args.surface_degree:
+            raise ValueError(f"pair has degree {p.degree}, surface degree {args.surface_degree}")
+        build = surface_generator_table if args.case == "ii" else pivot_syzygy_table
+        table = build(p, getattr(args, flag))
     return table.to_json() | invariants_from_betti(table).to_json(), None
 
 

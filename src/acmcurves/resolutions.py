@@ -11,7 +11,7 @@ convention everywhere.  For curves in P^3,
 The two constructors below realize the resolution shapes of the main
 classification: keeping the surface equation among the generators
 (case ii, with a free shift k) or dropping it (case iii, pivoting on
-one syzygy twist).
+one syzygy twist).  Both take the surface degree d from the pair.
 """
 
 from __future__ import annotations
@@ -104,33 +104,29 @@ def ci_table(f: int, g: int) -> BettiTable:
     return BettiTable(gens=(f, g), syz=(f + g,))
 
 
-def surface_generator_table(p: WeakAdmissiblePair, k: int, d: int) -> BettiTable:
+def surface_generator_table(p: WeakAdmissiblePair, k: int) -> BettiTable:
     """Resolution keeping the degree-d surface equation as a generator.
 
-    gens = {a_i + k} + {d},  syz = {b_j + k}.  The twist-sum balance
-    holds exactly because the pair has degree d.
+    d is the pair's degree: gens = {a_i + k} + {d},  syz = {b_j + k},
+    and the twist sums balance exactly because the pair has degree d.
     """
-    if p.degree != d:
-        raise ValueError(f"pair has degree {p.degree}, surface degree {d}")
     if p.a[0] + k <= 0:
         raise InvalidTableError(f"nonpositive twist: shift {k} is too negative")
-    gens = tuple(a + k for a in p.a) + (d,)
+    gens = tuple(a + k for a in p.a) + (p.degree,)
     syz = tuple(b + k for b in p.b)
     return BettiTable(gens, syz)
 
 
-def pivot_syzygy_table(p: WeakAdmissiblePair, j0: int, d: int) -> BettiTable:
+def pivot_syzygy_table(p: WeakAdmissiblePair, j0: int) -> BettiTable:
     """Resolution when the surface equation is not a minimal generator.
 
     The pivot syzygy b_{j0} (1-based index into the sorted b-sequence)
     is consumed: gens = {d - b_{j0} + a_i}, syz = {d - b_{j0} + b_i}
-    for i != j0, leaving one fewer syzygy than generators.
+    for i != j0 (d the pair's degree): one fewer syzygy than generators.
     """
-    if p.degree != d:
-        raise ValueError(f"pair has degree {p.degree}, surface degree {d}")
     if not 1 <= j0 <= p.length:
         raise ValueError(f"pivot index {j0} out of range 1..{p.length}")
-    shift = d - p.b[j0 - 1]
+    shift = p.degree - p.b[j0 - 1]
     gens = tuple(shift + a for a in p.a)
     if gens[0] <= 0:
         raise InvalidTableError(f"nonpositive twist: pivot {j0} shifts below 1")
@@ -143,14 +139,12 @@ def pivot_for_value(p: WeakAdmissiblePair, b_value: int) -> int:
     return p.b.index(b_value) + 1
 
 
-def is_f_minimal(p: WeakAdmissiblePair, k: int, d: int) -> bool:
+def is_f_minimal(p: WeakAdmissiblePair, k: int) -> bool:
     """Whether the surface equation stays a minimal generator at shift k.
 
-    It degenerates exactly when k = d - b_j for some syzygy twist b_j.
+    It degenerates exactly when d - k, d the pair's degree, is a syzygy twist.
     """
-    if p.degree != d:
-        raise ValueError(f"pair has degree {p.degree}, surface degree {d}")
-    return all(k != d - b for b in p.b)
+    return p.degree - k not in p.b
 
 
 def validate(t: BettiTable) -> list[str]:

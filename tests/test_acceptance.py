@@ -127,7 +127,7 @@ def test_criterion_4_betti_closed_forms():
     for (a, b), deg, gen in CLOSED_FORMS:
         pair = make_pair(a, b)
         for k in range(0, 11):
-            t = surface_generator_table(pair, k, 4)
+            t = surface_generator_table(pair, k)
             # raw sums straight from the table; exact integer comparison
             twice = sum(x * x for x in t.syz) - sum(x * x for x in t.gens)
             six = sum(x ** 3 for x in t.syz) - sum(x ** 3 for x in t.gens)
@@ -237,9 +237,9 @@ def test_criterion_9_property_suites():
     tables = [ci_table(f, g) for f in range(1, 7) for g in range(1, 7)]
     for (a, b), _, _ in CLOSED_FORMS:
         pair = make_pair(a, b)
-        tables += [surface_generator_table(pair, k, 4) for k in range(0, 7)]
+        tables += [surface_generator_table(pair, k) for k in range(0, 7)]
         tables += [
-            pivot_syzygy_table(pair, j0, 4) for j0 in range(1, pair.length + 1)
+            pivot_syzygy_table(pair, j0) for j0 in range(1, pair.length + 1)
         ]
     if not all(sum(t.gens) == sum(t.syz) for t in tables):
         ok = False

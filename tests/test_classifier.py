@@ -168,6 +168,19 @@ class TestClassifyQuartic:
         assert flags[(cls(1, -1), 0)] is False
         assert flags[(cls(1, 1), 1)] is True
 
+    def test_nonminimal_entries_exactly(self):
+        # set from the classifier that stored the flag per entry: of the
+        # 602 entries at k_max = 40 only these five RESIDUAL ones degenerate
+        entries = [e for div in known_divisors() for e in classify_quartic(div, k_max=40)]
+        assert len(entries) == 602
+        assert {(e.divisor, e.provenance, e.cls, e.shift) for e in entries if not e.minimal} == {
+            ("F2", RESIDUAL, cls(1, 1), 2),
+            ("F4", RESIDUAL, cls(2, 1), 2),
+            ("F4", RESIDUAL, cls(1, -1), 0),
+            ("F5", RESIDUAL, cls(1, 1), 1),
+            ("F5", RESIDUAL, cls(2, -1), 1),
+        }
+
     def test_k_max_floor(self):
         with pytest.raises(ValueError):
             classify_quartic(divisor("F4"), k_max=2)
@@ -233,7 +246,7 @@ class TestLowDegree:
     def test_tables_come_from_the_main_constructor(self):
         for fam in classify_low_degree(3, "2x2"):
             for k in range(fam.k_min, fam.k_min + 4):
-                assert fam.table(k) == surface_generator_table(fam.pair, k, 3)
+                assert fam.table(k) == surface_generator_table(fam.pair, k)
 
 
 def test_classification_is_deterministic():

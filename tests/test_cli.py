@@ -85,6 +85,24 @@ class TestResCommands:
         code, _, err = invoke(capsys, "res", "build", "--case", "ii", "--a", "1,1", "--b", "2,4")
         assert code == 1
 
+    @pytest.mark.parametrize("case, flag, good, bad, bad_error", [
+        ("ii", "--k", "3", "-5", "nonpositive twist: shift -5 is too negative"),
+        ("iii", "--j0", "2", "9", "pivot index 9 out of range 1..2"),
+    ])
+    def test_surface_degree_mismatch(self, capsys, case, flag, good, bad, bad_error):
+        # the one check that --surface-degree equals the pair's degree; a
+        # missing twist is reported before it, a bad twist after it
+        argv = ["res", "build", "--case", case, "--a", "1,1", "--b", "2,4"]
+        for extra, error in [
+            (["--surface-degree", "5", flag, good], "pair has degree 4, surface degree 5"),
+            (["--surface-degree", "5"], f"{flag} is required for case {case}"),
+            (["--surface-degree", "5", flag, bad], "pair has degree 4, surface degree 5"),
+            (["--surface-degree", "4", flag, bad], bad_error),
+        ]:
+            code, out, err = invoke(capsys, *argv, *extra)
+            assert code == 1 and out == ""
+            assert err == f"error: {error}\n" and "Traceback" not in err
+
 
 class TestPicardCommands:
     def test_solve(self, capsys):
@@ -184,6 +202,24 @@ class TestHarness:
     def test_run_target_unknown(self):
         with pytest.raises(KeyError):
             run_target("degree9-kinds")
+
+    def test_runtime_loads_only_the_standard_library(self):
+        # -S keeps the start-up hooks of site-packages (.pth files) out of
+        # sys.modules, so what is left is what the library and the CLI import
+        src = str(Path(acmcurves.__file__).resolve().parents[1])
+        code = (
+            "import contextlib, io, json, sys\n"
+            "from acmcurves.cli import run\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    codes = [run(['reproduce', 'F1']),\n"
+            "             run(['classify', 'quartic', '--divisor', 'F2', '--format', 'table'])]\n"
+            "allowed = set(sys.stdlib_module_names) | {'acmcurves', '__main__'}\n"
+            "extra = {name.partition('.')[0] for name in sys.modules} - allowed\n"
+            "print(json.dumps([codes, sorted(extra)]))\n"
+        )
+        out = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True,
+                             env=dict(os.environ, PYTHONPATH=src), timeout=60, check=True)
+        assert json.loads(out.stdout) == [[0, 0], []]
 
 
 class TestAdditionalPaths:

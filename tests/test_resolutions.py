@@ -151,34 +151,30 @@ class TestCiTable:
 
 class TestCaseII:
     def test_line_family_at_k3(self):
-        t = surface_generator_table(F4_A, 3, 4)
+        t = surface_generator_table(F4_A, 3)
         assert (t.gens, t.syz) == ((4, 4, 4), (5, 7))
 
     def test_conic_family_at_k0(self):
-        t = surface_generator_table(F5_PAIR, 0, 4)
+        t = surface_generator_table(F5_PAIR, 0)
         assert (t.gens, t.syz) == ((1, 2, 4), (3, 4))
 
     def test_all_ones_at_k2(self):
-        t = surface_generator_table(F1_PAIR, 2, 4)
+        t = surface_generator_table(F1_PAIR, 2)
         assert (t.gens, t.syz) == ((3, 3, 3, 3, 4), (4, 4, 4, 4))
         assert invariants_from_betti(t).to_json() == {"degree": 6, "genus": 3}
 
-    def test_degree_mismatch_rejected(self):
-        with pytest.raises(ValueError, match="surface degree"):
-            surface_generator_table(F4_A, 2, 5)
-
     def test_too_negative_shift_rejected(self):
         with pytest.raises(InvalidTableError, match="nonpositive twist"):
-            surface_generator_table(F4_A, -1, 4)
+            surface_generator_table(F4_A, -1)
 
     @given(weak_pairs(max_degree=7), st.integers(-3, 10))
     def test_balance_and_integrality(self, p, k):
         d = p.degree
         if p.a[0] + k <= 0:
             with pytest.raises(InvalidTableError):
-                surface_generator_table(p, k, d)
+                surface_generator_table(p, k)
             return
-        t = surface_generator_table(p, k, d)
+        t = surface_generator_table(p, k)
         assert len(t.gens) == len(t.syz) + 1
         assert sum(t.gens) == sum(t.syz)
         raw_d, raw_g = raw_invariants(t)  # both always integers
@@ -191,7 +187,7 @@ class TestCaseII:
     @given(weak_pairs(max_degree=6, max_shift=0))
     def test_degree_affine_genus_quadratic_in_shift(self, p):
         d = p.degree
-        vals = [raw_invariants(surface_generator_table(p, k, d)) for k in range(1, 6)]
+        vals = [raw_invariants(surface_generator_table(p, k)) for k in range(1, 6)]
         degree_steps = {vals[i + 1][0] - vals[i][0] for i in range(4)}
         assert degree_steps == {d}
         genus_second_diff = {
@@ -202,22 +198,22 @@ class TestCaseII:
 
 class TestCaseIII:
     def test_pivot_on_largest_gives_line(self):
-        t = pivot_syzygy_table(F4_A, pivot_for_value(F4_A, 4), 4)
+        t = pivot_syzygy_table(F4_A, pivot_for_value(F4_A, 4))
         assert (t.gens, t.syz) == ((1, 1), (2,))
 
     def test_pivot_on_smallest(self):
-        t = pivot_syzygy_table(F4_A, pivot_for_value(F4_A, 2), 4)
+        t = pivot_syzygy_table(F4_A, pivot_for_value(F4_A, 2))
         assert (t.gens, t.syz) == ((3, 3), (6,))
 
     def test_all_ones(self):
-        t = pivot_syzygy_table(F1_PAIR, 1, 4)
+        t = pivot_syzygy_table(F1_PAIR, 1)
         assert (t.gens, t.syz) == ((3, 3, 3, 3), (4, 4, 4))
 
     def test_pivot_bounds(self):
         with pytest.raises(ValueError, match="pivot"):
-            pivot_syzygy_table(F4_A, 0, 4)
+            pivot_syzygy_table(F4_A, 0)
         with pytest.raises(ValueError, match="pivot"):
-            pivot_syzygy_table(F4_A, 3, 4)
+            pivot_syzygy_table(F4_A, 3)
 
     @given(weak_pairs(max_degree=7, max_shift=0), st.data())
     def test_shape_consumes_the_pivot(self, p, data):
@@ -225,9 +221,9 @@ class TestCaseIII:
         j0 = data.draw(st.integers(1, p.length))
         if d - p.b[j0 - 1] + p.a[0] <= 0:
             with pytest.raises(InvalidTableError):
-                pivot_syzygy_table(p, j0, d)
+                pivot_syzygy_table(p, j0)
             return
-        t = pivot_syzygy_table(p, j0, d)
+        t = pivot_syzygy_table(p, j0)
         assert len(t.gens) == p.length
         assert len(t.syz) == p.length - 1
         assert sum(t.gens) == sum(t.syz)
@@ -235,9 +231,14 @@ class TestCaseIII:
 
 class TestFMinimality:
     def test_examples(self):
-        assert not is_f_minimal(F4_A, 2, 4)  # k = 4 - 2
-        assert is_f_minimal(F4_A, 3, 4)
-        assert not is_f_minimal(F5_PAIR, 0, 4)  # k = 4 - 4
+        assert not is_f_minimal(F4_A, 2)  # k = 4 - 2
+        assert is_f_minimal(F4_A, 3)
+        assert not is_f_minimal(F5_PAIR, 0)  # k = 4 - 4
+
+    @given(weak_pairs(), st.data())
+    def test_nonminimal_exactly_when_a_syzygy_twist_cancels_the_surface(self, p, data):
+        k = data.draw(st.integers(1 - p.a[0], 12))
+        assert is_f_minimal(p, k) == (p.degree not in surface_generator_table(p, k).syz)
 
     def test_degenerate_shift_cancels_against_case_iii(self):
         # at k = d - b_j the case-ii table carries a cancelling twist pair;
@@ -248,8 +249,8 @@ class TestFMinimality:
                 k = d - b_value
                 if pair.a[0] + k <= 0:
                     continue
-                full = surface_generator_table(pair, k, d)
-                reduced = pivot_syzygy_table(pair, pivot_for_value(pair, b_value), d)
+                full = surface_generator_table(pair, k)
+                reduced = pivot_syzygy_table(pair, pivot_for_value(pair, b_value))
                 gens = list(full.gens)
                 syz = list(full.syz)
                 gens.remove(d)
@@ -277,8 +278,8 @@ class TestValidate:
 def test_dual_families_give_complementary_branches():
     # the dual pair's shift family lands on the complementary degrees
     # (4k+1 vs 4k+3 on the line quartic), not on the same ones
-    a_degrees = {raw_invariants(surface_generator_table(F4_A, k, 4))[0] for k in range(0, 9)}
+    a_degrees = {raw_invariants(surface_generator_table(F4_A, k))[0] for k in range(0, 9)}
     b_pair = dual_pair(F4_A)
-    b_degrees = {raw_invariants(surface_generator_table(b_pair, k, 4))[0] for k in range(1, 10)}
+    b_degrees = {raw_invariants(surface_generator_table(b_pair, k))[0] for k in range(1, 10)}
     assert all(d % 4 == 1 for d in a_degrees)
     assert all(d % 4 == 3 for d in b_degrees)
