@@ -10,7 +10,8 @@ signature`, `pairs enumerate`, `picard watanabe`, `classify quartic`,
 `pairs enumerate` refuses degrees above 7 and a `--cap` above
 `stable_cap(degree) + degree`; `picard solve` refuses a `--dh` range of
 more than 10^6 degrees, `picard plane` a `--dh-max` above 10^6, and
-`classify quartic|low` a `--kmax` above 10^4.
+`classify quartic|low` a `--kmax` above 10^4.  Every integer argument
+is limited to 1000 digits (exit 2).
 """
 
 from __future__ import annotations
@@ -34,9 +35,9 @@ from .pairs import (
     degree_matrix,
     dual_pair,
     is_reducible_type,
-    kind_signature,
     make_pair,
     normalize,
+    pair_signature,
 )
 from .picard import (
     DivisorClass,
@@ -70,11 +71,28 @@ MAX_ENUMERATE_DEGREE = 7
 # classes of D^2 = 0 on (4, 1, -2), whose -det = 9 is a square
 MAX_DEGREE_SPAN = 10**6
 MAX_KMAX = 10**4
+# the most digits of one integer argument.  Every result is at most cubic
+# in the arguments (the genus formulas), so its digits stay below Python's
+# 4300-digit limit on printing an integer
+MAX_INT_DIGITS = 1000
+
+
+class _TooManyDigits(Exception):
+    """An integer argument longer than MAX_INT_DIGITS.  Not a ValueError,
+    so argparse lets it through instead of echoing the value."""
+
+
+def _int(text: str) -> int:
+    """The one parser of integer arguments: refuses more than
+    MAX_INT_DIGITS digits before converting."""
+    if len(text.strip().lstrip("+-")) > MAX_INT_DIGITS:
+        raise _TooManyDigits(f"integer arguments are limited to {MAX_INT_DIGITS} digits")
+    return int(text)
 
 
 def _int_list(text: str) -> list[int]:
     try:
-        return [int(x) for x in text.split(",") if x != ""]
+        return [_int(x) for x in text.split(",") if x != ""]
     except ValueError:
         raise argparse.ArgumentTypeError(f"expected comma-separated integers, got {text!r}")
 
@@ -82,7 +100,7 @@ def _int_list(text: str) -> list[int]:
 def _int_range(text: str) -> tuple[int, int]:
     lo, sep, hi = text.partition("..")
     try:
-        return int(lo), int(hi if sep else lo)
+        return _int(lo), _int(hi if sep else lo)
     except ValueError:
         raise argparse.ArgumentTypeError(f"expected MIN..MAX, got {text!r}")
 
@@ -118,7 +136,7 @@ def _pairs_dual(args):
 
 
 def _pairs_signature(args):
-    sig = kind_signature(degree_matrix(make_pair(args.a, args.b)))
+    sig = pair_signature(make_pair(args.a, args.b))
     return sig.to_json(), sig.render
 
 
@@ -129,7 +147,7 @@ def _pairs_reducible(args):
 def _pairs_enumerate(args):
     if args.degree > MAX_ENUMERATE_DEGREE:
         raise ValueError(
-            f"--degree {args.degree} is out of reach: degree 7 alone takes ~9 s and "
+            f"--degree {args.degree} is out of reach: degree 7 alone takes ~7 s and "
             "~330 MiB for its 222 605 kinds, and the kind count grows ~16-fold per degree"
         )
     cfg = EnumerationConfig(args.degree, args.cap)
@@ -296,8 +314,8 @@ def _build_parser() -> argparse.ArgumentParser:
             p.add_argument("--a", type=_int_list, required=True)
             p.add_argument("--b", type=_int_list, required=True)
     with _command(psub, "enumerate", _pairs_enumerate) as p:
-        p.add_argument("--degree", type=int, required=True)
-        p.add_argument("--cap", type=int, default=None)
+        p.add_argument("--degree", type=_int, required=True)
+        p.add_argument("--cap", type=_int, default=None)
 
     res = sub.add_parser("res", help="resolution twist tables")
     rsub = res.add_subparsers(dest="action", required=True)
@@ -307,9 +325,9 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="pair a-sequence; for --case ci the first surface degree")
         p.add_argument("--b", type=_int_list, required=True,
                        help="pair b-sequence; for --case ci the second surface degree")
-        p.add_argument("--k", type=int, default=None, help="shift for case ii")
-        p.add_argument("--j0", type=int, default=None, help="1-based pivot for case iii")
-        p.add_argument("--surface-degree", type=int, default=None)
+        p.add_argument("--k", type=_int, default=None, help="shift for case ii")
+        p.add_argument("--j0", type=_int, default=None, help="1-based pivot for case iii")
+        p.add_argument("--surface-degree", type=_int, default=None)
     with _command(rsub, "invariants", _res_invariants) as p:
         p.add_argument("--gens", type=_int_list, required=True)
         p.add_argument("--syz", type=_int_list, required=True)
@@ -318,7 +336,7 @@ def _build_parser() -> argparse.ArgumentParser:
     csub = pic.add_subparsers(dest="action", required=True)
     with _command(csub, "solve", _picard_solve) as p:
         p.add_argument("--gram", type=_int_list, required=True, metavar="H2,HC,C2")
-        p.add_argument("--self-int", type=int, required=True)
+        p.add_argument("--self-int", type=_int, required=True)
         p.add_argument("--dh", type=_int_range, required=True, metavar="MIN..MAX")
     with _command(csub, "watanabe", _picard_watanabe) as p:
         group = p.add_mutually_exclusive_group(required=True)
@@ -326,28 +344,28 @@ def _build_parser() -> argparse.ArgumentParser:
         group.add_argument("--gram", type=_int_list, metavar="H2,HC,C2")
     with _command(csub, "plane", _picard_plane) as p:
         p.add_argument("--gram", type=_int_list, required=True, metavar="H2,HC,C2")
-        p.add_argument("--dh-max", type=int, required=True)
+        p.add_argument("--dh-max", type=_int, required=True)
     with _command(csub, "invariants", _picard_invariants) as p:
         p.add_argument("--gram", type=_int_list, required=True, metavar="H2,HC,C2")
         p.add_argument("--class", dest="cls", type=_int_list, required=True, metavar="A,B")
 
     with _command(sub, "liaison", _liaison, help="degree/genus of linked curves") as p:
-        p.add_argument("--degree", type=int, required=True)
-        p.add_argument("--genus", type=int, required=True)
-        p.add_argument("--s", type=int, required=True)
-        p.add_argument("--t", type=int, required=True, help="degree of the second surface")
+        p.add_argument("--degree", type=_int, required=True)
+        p.add_argument("--genus", type=_int, required=True)
+        p.add_argument("--s", type=_int, required=True)
+        p.add_argument("--t", type=_int, required=True, help="degree of the second surface")
         p.add_argument("--twice", action="store_true", help="link twice (identity check)")
 
     cls = sub.add_parser("classify", help="classification tables")
     ksub = cls.add_subparsers(dest="action", required=True)
     with _command(ksub, "quartic", _classify_quartic) as p:
         p.add_argument("--divisor", choices=DIVISOR_LABELS, required=True)
-        p.add_argument("--kmax", type=int, default=6)
+        p.add_argument("--kmax", type=_int, default=6)
     with _command(ksub, "low", _classify_low) as p:
-        p.add_argument("--degree", type=int, choices=(2, 3), required=True)
+        p.add_argument("--degree", type=_int, choices=(2, 3), required=True)
         p.add_argument("--type", dest="type_tag", required=True,
                        help="smooth|reducible (degree 2), 2x2|3x3 (degree 3)")
-        p.add_argument("--kmax", type=int, default=6)
+        p.add_argument("--kmax", type=_int, default=6)
 
     with _command(sub, "reproduce", _reproduce, "table", help="re-derive a cataloged table") as p:
         p.add_argument("target", choices=TARGETS)
@@ -359,6 +377,9 @@ def run(argv: list[str] | None = None) -> int:
         args = _build_parser().parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
+    except _TooManyDigits as err:
+        print(f"error: {err}", file=sys.stderr)
+        return 2
     try:
         doc, render, *code = args.handler(args)
         table = args.format == "table" and render is not None

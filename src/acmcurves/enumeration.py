@@ -43,11 +43,12 @@ stays 0), so it remains the exhaustive reference.
 
 ``enumerate_kinds`` folds the leaves into one entry per key, so its
 memory grows with the number of kinds, not of pairs; it builds the
-validated ``WeakAdmissiblePair``, ``DegreeMatrix`` and
-``KindSignature`` only for the representative of each kind.
-``pairs.degree_matrix`` and ``pairs.pair_signature`` stay the slow
-reference path, and the tests check the catalog against them pair by
-pair over full ranges of degree and bound.
+validated ``WeakAdmissiblePair`` and, with the one-pass
+``pairs.pair_signature``, the ``KindSignature`` only for the
+representative of each kind.  ``kind_signature(degree_matrix(p))`` is
+the slow reference path, and the tests check the catalog and
+``pair_signature`` against it pair by pair over full ranges of degree
+and bound.
 """
 
 from __future__ import annotations
@@ -178,8 +179,10 @@ def enumerate_kinds(cfg: EnumerationConfig) -> KindCatalog:
     pair seen, which is the lexicographically least normalized pair of
     its kind, so output is stable across runs.  Only those
     representatives are built and validated, and their signatures come
-    from the reference ``pair_signature``.  Memory grows with the number
-    of kinds, not of pairs.
+    from the one-pass ``pair_signature``, which builds no
+    ``DegreeMatrix``; ``kind_signature(degree_matrix(p))`` is the
+    reference it is tested against.  Memory grows with the number of
+    kinds, not of pairs.
     """
     cap = cfg.b_cap
     groups: dict[int, list] = {}

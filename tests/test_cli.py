@@ -340,6 +340,29 @@ class TestAdditionalPaths:
         assert err == ""
         json.loads(out)
 
+    @pytest.mark.parametrize("argv", [
+        ("liaison", "--degree", "1", "--genus", "0", "--s", "1" + "0" * 2500, "--t", "1" + "0" * 2500),
+        ("picard", "invariants", "--gram", "4,6,4", "--class", ",".join(["1" + "0" * 2500] * 2)),
+        ("res", "build", "--case", "ci", "--a", "1" + "0" * 2500, "--b", "1" + "0" * 2500),
+        ("liaison", "--degree", "9" * 5000, "--genus", "0", "--s", "2", "--t", "2"),
+        ("picard", "solve", "--gram", "4,1,-2", "--self-int", "-2", "--dh", "1.." + "9" * 5000),
+        ("pairs", "signature", "--a", "0,0", "--b=-" + "9" * 1001 + ",1"),
+    ], ids=["liaison", "picard-invariants", "res-build-ci", "5000-digits", "range", "list"])
+    def test_huge_integer_refused_up_front(self, capsys, monkeypatch, argv):
+        def never(*args):
+            raise AssertionError("the command ran")
+        for name in ("residual_invariants", "dot", "ci_table", "solve_classes", "make_pair"):
+            monkeypatch.setattr(f"acmcurves.cli.{name}", never)
+        code, out, err = invoke(capsys, *argv)
+        assert code == 2 and out == ""
+        assert err == "error: integer arguments are limited to 1000 digits\n"
+
+    def test_thousand_digit_integers_pass(self, capsys):
+        n = int("9" * 1000)
+        doc = invoke_json(capsys, "liaison", "--degree", "1", "--genus", "0",
+                          "--s", str(n), "--t", f"+{n}")
+        assert doc["degree"] == n * n - 1
+
     def test_closed_stdout_pipe_exits_quietly(self):
         src = str(Path(acmcurves.__file__).resolve().parents[1])
         env = dict(os.environ, PYTHONPATH=src)

@@ -15,7 +15,7 @@ from acmcurves import (
 )
 from acmcurves import enumeration
 from acmcurves.catalog import kind_families
-from acmcurves.pairs import DegreeMatrix, WeakAdmissiblePair, degree_matrix
+from acmcurves.pairs import WeakAdmissiblePair, degree_matrix, kind_signature
 
 
 def brute_force_pairs(degree: int, b_cap: int) -> set[WeakAdmissiblePair]:
@@ -32,11 +32,14 @@ def brute_force_pairs(degree: int, b_cap: int) -> set[WeakAdmissiblePair]:
 
 
 def reference_kinds(cfg: EnumerationConfig) -> dict:
-    """Signature -> (least pair, pair count), grouped by the reference
-    pair_signature one pair at a time."""
+    """Signature -> (least pair, pair count), grouped one pair at a time
+    by the reference kind_signature(degree_matrix(p)), which shares no
+    code with the one-pass pair_signature; every pair also checks that
+    pair_signature agrees with it."""
     kinds = {}
     for p in enumerate_pairs(cfg):
-        sig = pair_signature(p)
+        sig = kind_signature(degree_matrix(p))
+        assert pair_signature(p) == sig, p
         least, count = kinds.get(sig, (p, 0))
         kinds[sig] = (min(least, p, key=lambda q: q.sort_key), count + 1)
     return kinds
@@ -167,18 +170,17 @@ class TestKindCatalog:
             ]
 
     def test_every_representative_is_validated(self, monkeypatch):
-        validated = {WeakAdmissiblePair: set(), DegreeMatrix: set()}
-        for cls, seen in validated.items():
-            def post_init(obj, check=cls.__post_init__, seen=seen):
-                check(obj)
-                seen.add(obj)
-            monkeypatch.setattr(cls, "__post_init__", post_init)
+        pairs = set()
+
+        def post_init(obj, check=WeakAdmissiblePair.__post_init__):
+            check(obj)
+            pairs.add(obj)
+        monkeypatch.setattr(WeakAdmissiblePair, "__post_init__", post_init)
         kinds = enumerate_kinds(EnumerationConfig(4, 8))
-        # copies: the degree_matrix calls below validate matrices too
-        pairs, matrices = (set(seen) for seen in validated.values())
         for e in kinds.entries:
             assert e.representative in pairs
-            assert degree_matrix(e.representative) in matrices
+            # the catalog builds no matrix: build and validate each one here
+            assert e.signature == kind_signature(degree_matrix(e.representative))
 
 
 def merged_gaps(p: WeakAdmissiblePair) -> list[int]:

@@ -7,6 +7,7 @@ from acmcurves import (
     BIG,
     DegreeMatrix,
     PairError,
+    WeakAdmissiblePair,
     anti_transpose,
     degree_matrix,
     delta,
@@ -137,6 +138,25 @@ class TestKindSignature:
         # ((0, 2+m, 2+n), (2, 3+m, 3+n)) at (m, n) = (0, 5)
         sig = pair_signature(make_pair((0, 2, 7), (2, 3, 8)))
         assert sig.cells == ((2, 3, BIG), (0, 1, BIG), (0, 0, 1))
+
+    @given(weak_pairs())
+    def test_one_pass_matches_matrix_reference(self, p):
+        # weak_pairs draws unnormalized, shifted pairs up to degree 8
+        assert pair_signature(p) == kind_signature(degree_matrix(p))
+
+    @pytest.mark.parametrize("a,b", [((0, 2), (1, 1)), ((0, 3), (2, 1)), ((1, 1, 5), (2, 4, 3))])
+    def test_wrong_trace_raises_alike(self, a, b):
+        # built without validation: some b_i <= a_i, so trace != degree
+        p = object.__new__(WeakAdmissiblePair)
+        object.__setattr__(p, "a", a)
+        object.__setattr__(p, "b", b)
+        with pytest.raises(ValueError) as slow:
+            kind_signature(degree_matrix(p))
+        with pytest.raises(ValueError) as fast:
+            pair_signature(p)
+        assert type(fast.value) is type(slow.value)
+        assert str(fast.value) == str(slow.value)
+        assert str(fast.value).startswith("trace ")
 
     @given(weak_pairs())
     def test_equal_signatures_share_zero_positions(self, p):
