@@ -4,67 +4,57 @@ Weak admissible pairs and their kind catalogs, Hilbert-Burch twist
 tables with degree/genus formulas, rank-2 Picard lattice class solving,
 liaison arithmetic, and the assembled classification tables for the
 five special quartic families.
+
+The public names load on first use (PEP 562): `import acmcurves` runs
+no submodule, and the first `acmcurves.X` imports the submodule that
+defines X and keeps X in the package namespace, so later lookups are
+plain attribute reads.
 """
 
-from .pairs import (
-    BIG,
-    DegreeMatrix,
-    KindSignature,
-    PairError,
-    WeakAdmissiblePair,
-    anti_transpose,
-    degree_matrix,
-    delta,
-    dual_pair,
-    equivalent,
-    is_reducible_type,
-    kind_signature,
-    make_pair,
-    normalize,
-    pair_signature,
-)
-from .enumeration import (
-    EnumerationConfig,
-    KindCatalog,
-    enumerate_kinds,
-    enumerate_pairs,
-    match_families,
-    stable_cap,
-)
-from .resolutions import (
-    BettiTable,
-    CurveInvariants,
-    InvalidTableError,
-    ci_table,
-    degree_from_betti,
-    genus_from_betti,
-    invariants_from_betti,
-    is_f_minimal,
-    surface_generator_table,
-    pivot_syzygy_table,
-    validate,
-)
-from .picard import (
-    DivisorClass,
-    H,
-    PicardLattice,
-    adjunction_genus,
-    dot,
-    plane_curve_classes,
-    quartic_lattice,
-    solve_classes,
-    watanabe_candidates,
-)
-from .liaison import CiProfile, LinkageError, link_is_involution_check, residual_invariants
-from .classifier import (
-    ClassificationEntry,
-    ClassificationError,
-    QuarticDivisor,
-    classify_low_degree,
-    classify_quartic,
-    cross_check,
-    divisor,
-    known_divisors,
-)
+# each public name -> the submodule that defines it
+_ORIGIN = {
+    name: module
+    for module, names in {
+        "pairs": (
+            "BIG", "DegreeMatrix", "KindSignature", "PairError", "WeakAdmissiblePair",
+            "anti_transpose", "degree_matrix", "delta", "dual_pair", "equivalent",
+            "is_reducible_type", "kind_signature", "make_pair", "normalize", "pair_signature",
+        ),
+        "enumeration": (
+            "EnumerationConfig", "KindCatalog", "enumerate_kinds", "enumerate_pairs",
+            "match_families", "stable_cap",
+        ),
+        "resolutions": (
+            "BettiTable", "CurveInvariants", "InvalidTableError", "ci_table", "degree_from_betti",
+            "genus_from_betti", "invariants_from_betti", "is_f_minimal",
+            "surface_generator_table", "pivot_syzygy_table", "validate",
+        ),
+        "picard": (
+            "DivisorClass", "H", "PicardLattice", "adjunction_genus", "dot",
+            "plane_curve_classes", "quartic_lattice", "solve_classes", "watanabe_candidates",
+        ),
+        "liaison": ("CiProfile", "LinkageError", "link_is_involution_check", "residual_invariants"),
+        "classifier": (
+            "ClassificationEntry", "ClassificationError", "QuarticDivisor", "classify_low_degree",
+            "classify_quartic", "cross_check", "divisor", "known_divisors",
+        ),
+    }.items()
+    for name in names
+}
 
+__all__ = list(_ORIGIN)
 __version__ = "0.1.0"
+
+
+def __getattr__(name: str):
+    if name not in _ORIGIN:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from importlib import import_module
+
+    value = getattr(import_module(f"{__name__}.{_ORIGIN[name]}"), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted(set(globals()) | set(__all__))

@@ -3,9 +3,10 @@
 The surface types of degree d are derived from its kind catalog: the
 irreducible kinds, grouped into duality orbits under anti-transposition
 and shifted by +1; the one reducible kind of degree 2 seeds the
-reducible quadric's n-family.  Written out are only the labels, k_min,
-the prose and the exclusions: one irreducible quartic kind,
-((0,0,1),(1,2,2)), is not among the five quartic types the paper names.
+reducible quadric's n-family.  Written out are only the labels (in
+`labels`), k_min, the prose and the exclusions: one irreducible quartic
+kind, ((0,0,1),(1,2,2)), is not among the five quartic types the paper
+names.
 A quartic type's lattice is that of its generator curve, the least
 (degree, genus) among its pivot tables: (6,3), (3,0), (4,1), (1,0) and
 (2,0) for F1..F5.  The solved classes of a twist table are the lattice
@@ -41,6 +42,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .enumeration import EnumerationConfig, enumerate_kinds
+from .labels import DIVISOR_LABELS, TYPE_LABELS
 from .liaison import CiProfile, residual_invariants
 from .pairs import WeakAdmissiblePair, degree_matrix, is_reducible_type, make_pair
 from .picard import (
@@ -108,9 +110,6 @@ class ClassificationEntry:
         return doc
 
 
-# the label of each derived surface type, per degree in least-representative order
-_TYPE_LABELS = {2: ("smooth",), 3: ("2x2", "3x3"), 4: ("F4", "F3", "F5", "F2", "F1")}
-
 # irreducible kinds (normalized a, b) kept out of the surface types, with the reason
 _EXCLUDED_KINDS = {
     ((0, 0, 1), (1, 2, 2)): "the paper's classification names five quartic types "
@@ -175,9 +174,6 @@ _PROSE: dict[str, dict[tuple[str, DivisorClass], str]] = {
     },
 }
 
-DIVISOR_LABELS = tuple(sorted(_TYPE_LABELS[SURFACE_DEGREE]))
-
-
 @lru_cache(maxsize=None)
 def _surface_types(degree: int) -> dict[str, tuple[WeakAdmissiblePair, ...]]:
     """The labelled orbits of irreducible kinds of a degree, and its
@@ -191,7 +187,7 @@ def _surface_types(degree: int) -> dict[str, tuple[WeakAdmissiblePair, ...]]:
         elif (rep.a, rep.b) not in _EXCLUDED_KINDS:
             orbit = frozenset((e.signature, e.signature.anti_transpose()))
             orbits.setdefault(orbit, []).append(rep.shift(1))
-    labelled = zip(_TYPE_LABELS[degree], map(tuple, orbits.values()), strict=True)
+    labelled = zip(TYPE_LABELS[degree], map(tuple, orbits.values()), strict=True)
     return dict(labelled) | {"reducible": tuple(reducible)}
 
 

@@ -12,6 +12,11 @@ signature`, `pairs enumerate`, `picard watanabe`, `classify quartic`,
 more than 10^6 degrees, `picard plane` a `--dh-max` above 10^6, and
 `classify quartic|low` a `--kmax` above 10^4.  Every integer argument
 is limited to 1000 digits (exit 2).
+
+Start-up: building the parser needs only `labels`, which imports
+nothing.  A computing module is imported inside the handler that uses
+it, so each command loads only the modules it runs: `pairs matrix`
+loads `pairs` alone, and only `reproduce` loads `catalog`.
 """
 
 from __future__ import annotations
@@ -22,46 +27,7 @@ import os
 import sys
 from contextlib import contextmanager
 
-from .classifier import (
-    ClassificationError,
-    DIVISOR_LABELS,
-    classify_low_degree,
-    classify_quartic,
-    divisor,
-)
-from .enumeration import EnumerationConfig, enumerate_kinds, stable_cap
-from .liaison import CiProfile, residual_invariants
-from .pairs import (
-    degree_matrix,
-    dual_pair,
-    is_reducible_type,
-    make_pair,
-    normalize,
-    pair_signature,
-)
-from .picard import (
-    DivisorClass,
-    H,
-    PicardLattice,
-    adjunction_genus,
-    dot,
-    plane_curve_classes,
-    solve_classes,
-    watanabe_candidates,
-)
-from .reproduce import TARGETS, run_target
-from .resolutions import (
-    BettiTable,
-    CurveInvariants,
-    InvalidTableError,
-    ci_table,
-    invariants_from_betti,
-    surface_generator_table,
-    pivot_syzygy_table,
-    validate,
-)
-
-DOMAIN_ERRORS = (ClassificationError, ValueError, KeyError)
+from .labels import DIVISOR_LABELS, TARGET_NAMES
 
 # the largest degree `pairs enumerate` finishes in bounded time and memory
 MAX_ENUMERATE_DEGREE = 7
@@ -80,6 +46,15 @@ MAX_INT_DIGITS = 1000
 class _TooManyDigits(Exception):
     """An integer argument longer than MAX_INT_DIGITS.  Not a ValueError,
     so argparse lets it through instead of echoing the value."""
+
+
+def _domain_errors() -> tuple[type[Exception], ...]:
+    """The errors `run` reports with exit 1: ClassificationError, ValueError
+    and KeyError.  Called in the `except` clause, so the classifier is
+    imported only once a handler has raised."""
+    from .classifier import ClassificationError
+
+    return (ClassificationError, ValueError, KeyError)
 
 
 def _int(text: str) -> int:
@@ -114,7 +89,9 @@ def _table(columns: tuple[str, ...], rows):
     return render
 
 
-def _lattice(gram: list[int]) -> PicardLattice:
+def _lattice(gram: list[int]):
+    from .picard import PicardLattice
+
     if len(gram) != 3:
         raise ValueError("--gram expects three integers H2,HC,C2")
     return PicardLattice(*gram)
@@ -123,28 +100,40 @@ def _lattice(gram: list[int]) -> PicardLattice:
 # -- handlers: args -> (JSON document, table renderer or None[, exit code])
 
 def _pairs_matrix(args):
+    from .pairs import degree_matrix, make_pair
+
     m = degree_matrix(make_pair(args.a, args.b))
     return m.to_json(), lambda: "\n".join(" ".join(map(str, r)) for r in m.entries)
 
 
 def _pairs_normalize(args):
+    from .pairs import make_pair, normalize
+
     return normalize(make_pair(args.a, args.b)).to_json(), None
 
 
 def _pairs_dual(args):
+    from .pairs import dual_pair, make_pair
+
     return dual_pair(make_pair(args.a, args.b)).to_json(), None
 
 
 def _pairs_signature(args):
+    from .pairs import make_pair, pair_signature
+
     sig = pair_signature(make_pair(args.a, args.b))
     return sig.to_json(), sig.render
 
 
 def _pairs_reducible(args):
+    from .pairs import degree_matrix, is_reducible_type, make_pair
+
     return {"reducible": is_reducible_type(degree_matrix(make_pair(args.a, args.b)))}, None
 
 
 def _pairs_enumerate(args):
+    from .enumeration import EnumerationConfig, enumerate_kinds, stable_cap
+
     if args.degree > MAX_ENUMERATE_DEGREE:
         raise ValueError(
             f"--degree {args.degree} is out of reach: degree 7 alone takes ~7 s and "
@@ -167,6 +156,11 @@ def _pairs_enumerate(args):
 
 
 def _res_build(args):
+    from .pairs import make_pair
+    from .resolutions import (
+        ci_table, invariants_from_betti, pivot_syzygy_table, surface_generator_table,
+    )
+
     if args.case == "ci":
         if len(args.a) != 1 or len(args.b) != 1:
             raise ValueError("--case ci expects single integers for --a and --b")
@@ -187,6 +181,8 @@ def _res_build(args):
 
 
 def _res_invariants(args):
+    from .resolutions import BettiTable, InvalidTableError, invariants_from_betti, validate
+
     table = BettiTable(tuple(args.gens), tuple(args.syz))
     problems = validate(table)
     if problems:
@@ -195,6 +191,8 @@ def _res_invariants(args):
 
 
 def _picard_solve(args):
+    from .picard import solve_classes
+
     lo, hi = args.dh
     if hi - lo + 1 > MAX_DEGREE_SPAN:
         raise ValueError(
@@ -206,7 +204,14 @@ def _picard_solve(args):
 
 
 def _picard_watanabe(args):
-    lattice = divisor(args.divisor).lattice if args.divisor else _lattice(args.gram)
+    from .picard import watanabe_candidates
+
+    if args.divisor:
+        from .classifier import divisor
+
+        lattice = divisor(args.divisor).lattice
+    else:
+        lattice = _lattice(args.gram)
     cases = [case.to_json() for case in watanabe_candidates(lattice)]
     render = _table(
         ("case", "classes", "side_condition"),
@@ -217,6 +222,8 @@ def _picard_watanabe(args):
 
 
 def _picard_plane(args):
+    from .picard import plane_curve_classes
+
     if args.dh_max > MAX_DEGREE_SPAN:
         raise ValueError(
             f"--dh-max {args.dh_max} is above {MAX_DEGREE_SPAN}: each degree is one "
@@ -227,6 +234,8 @@ def _picard_plane(args):
 
 
 def _picard_invariants(args):
+    from .picard import DivisorClass, H, adjunction_genus, dot
+
     lattice = _lattice(args.gram)
     if len(args.cls) != 2:
         raise ValueError("--class expects two integers A,B")
@@ -239,6 +248,9 @@ def _picard_invariants(args):
 
 
 def _liaison(args):
+    from .liaison import CiProfile, residual_invariants
+    from .resolutions import CurveInvariants
+
     inv = CurveInvariants(args.degree, args.genus)
     ci = CiProfile(args.s, args.t)
     out = residual_invariants(inv, ci)
@@ -256,6 +268,8 @@ def _check_kmax(args) -> None:
 
 
 def _classify_quartic(args):
+    from .classifier import classify_quartic, divisor
+
     _check_kmax(args)
     entries = classify_quartic(divisor(args.divisor), k_max=args.kmax)
     render = _table(
@@ -267,6 +281,8 @@ def _classify_quartic(args):
 
 
 def _classify_low(args):
+    from .classifier import classify_low_degree
+
     _check_kmax(args)
     fams = classify_low_degree(args.degree, args.type_tag)
     tables = [[(k, fam.table(k)) for k in range(fam.k_min, args.kmax + 1)] for fam in fams]
@@ -283,6 +299,8 @@ def _classify_low(args):
 
 
 def _reproduce(args):
+    from .reproduce import run_target
+
     rows = run_target(args.target)
     n_ok = sum(r.ok for r in rows)
     report = "\n".join([r.line for r in rows] + [f"{n_ok}/{len(rows)} rows pass"])
@@ -368,7 +386,7 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--kmax", type=_int, default=6)
 
     with _command(sub, "reproduce", _reproduce, "table", help="re-derive a cataloged table") as p:
-        p.add_argument("target", choices=TARGETS)
+        p.add_argument("target", choices=TARGET_NAMES)
     return top
 
 
@@ -385,7 +403,7 @@ def run(argv: list[str] | None = None) -> int:
         table = args.format == "table" and render is not None
         print(render() if table else json.dumps(doc, indent=2, sort_keys=True))
         return code[0] if code else 0
-    except DOMAIN_ERRORS as err:
+    except _domain_errors() as err:
         message = err.args[0] if err.args else str(err)
         print(f"error: {message}", file=sys.stderr)
         return 1

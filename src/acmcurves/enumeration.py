@@ -53,9 +53,9 @@ and bound.
 
 from __future__ import annotations
 
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 from math import comb
-from typing import Iterable, Iterator
 
 from .pairs import KindSignature, PairError, WeakAdmissiblePair, pair_signature
 

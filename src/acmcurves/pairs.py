@@ -15,14 +15,14 @@ per degree, which is what makes the family catalogs finite.
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from dataclasses import dataclass
 from itertools import chain
 from operator import getitem
-from typing import Iterable, Union
 
 BIG = "BIG"
 
-Cell = Union[int, str]  # 0, a value in (0, d), or BIG
+Cell = int | str  # 0, a value in (0, d), or BIG
 
 
 class PairError(ValueError):

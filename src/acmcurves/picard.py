@@ -18,9 +18,9 @@ surface degree) is positive, so no search bound is ever needed.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterable
 from dataclasses import dataclass
 from itertools import repeat
-from typing import Iterable
 
 
 @dataclass(frozen=True)

@@ -23,6 +23,7 @@ from .classifier import (
 )
 from .enumeration import EnumerationConfig, enumerate_kinds, match_families, stable_cap
 from .catalog import eval_affine, parse_affine
+from .labels import DIVISOR_LABELS, TARGET_NAMES
 from .liaison import CiProfile, link_is_involution_check, residual_invariants
 from .pairs import anti_transpose, degree_matrix, make_pair
 from .picard import DivisorClass
@@ -279,18 +280,14 @@ def _liaison_rows() -> list[Row]:
 
 
 # target name -> the rows it checks, in report order
-TARGETS = {
-    "degree2-kinds": partial(_kinds_rows, 2, stable_cap(2)),
-    "degree3-kinds": partial(_kinds_rows, 3, stable_cap(3)),
-    "degree4-kinds": partial(_kinds_rows, 4, DEGREE4_CAP),
-    "F1": partial(_divisor_rows, "F1"),
-    "F2": partial(_divisor_rows, "F2"),
-    "F3": partial(_divisor_rows, "F3"),
-    "F4": partial(_divisor_rows, "F4"),
-    "F5": partial(_divisor_rows, "F5"),
-    "low-degree-corollaries": _low_degree_rows,
-    "liaison-table": _liaison_rows,
-}
+TARGETS = dict(zip(TARGET_NAMES, (
+    partial(_kinds_rows, 2, stable_cap(2)),
+    partial(_kinds_rows, 3, stable_cap(3)),
+    partial(_kinds_rows, 4, DEGREE4_CAP),
+    *(partial(_divisor_rows, label) for label in DIVISOR_LABELS),
+    _low_degree_rows,
+    _liaison_rows,
+), strict=True))
 
 
 def run_target(target: str) -> list[Row]:

@@ -221,6 +221,44 @@ class TestHarness:
                              env=dict(os.environ, PYTHONPATH=src), timeout=60, check=True)
         assert json.loads(out.stdout) == [[0, 0], []]
 
+    @pytest.mark.parametrize("argv,loaded", [
+        (["pairs", "matrix", "--a", "1,1", "--b", "2,4"], ["pairs"]),
+        (["liaison", "--degree", "1", "--genus", "0", "--s", "4", "--t", "2"],
+         ["liaison", "pairs", "resolutions"]),
+        (["picard", "solve", "--gram", "4,1,-2", "--self-int", "-2", "--dh", "1..3"], ["picard"]),
+        (["classify", "quartic", "--divisor", "F4", "--kmax", "3"],
+         ["classifier", "enumeration", "liaison", "pairs", "picard", "resolutions"]),
+        (["reproduce", "F1"],
+         ["catalog", "classifier", "enumeration", "liaison", "pairs", "picard", "reproduce",
+          "resolutions"]),
+    ], ids=["pairs-matrix", "liaison", "picard-solve", "classify-quartic", "reproduce"])
+    def test_command_loads_only_the_modules_it_uses(self, argv, loaded):
+        # every module but the package, the CLI and its choice labels is loaded
+        # by the handler that runs
+        src = str(Path(acmcurves.__file__).resolve().parents[1])
+        code = (
+            "import contextlib, io, json, sys\n"
+            "from acmcurves.cli import run\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            f"    code = run({argv!r})\n"
+            "names = sorted(m.partition('.')[2] for m in sys.modules if m.startswith('acmcurves.'))\n"
+            "print(json.dumps([code, names]))\n"
+        )
+        out = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True,
+                             env=dict(os.environ, PYTHONPATH=src), timeout=60, check=True)
+        assert json.loads(out.stdout) == [0, sorted(loaded + ["cli", "labels"])]
+
+    def test_classification_error_exits_1_without_traceback(self, capsys, monkeypatch):
+        from acmcurves import classifier
+
+        prose = dict(classifier._PROSE["F4"])
+        del prose[(classifier.FAMILY_III, acmcurves.DivisorClass(1, -1))]
+        monkeypatch.setitem(classifier._PROSE, "F4", prose)
+        code, out, err = invoke(capsys, "classify", "quartic", "--divisor", "F4", "--kmax", "3")
+        assert code == 1 and out == ""
+        assert err.startswith("error: F4: no description for the FAMILY_III class")
+        assert err.count("\n") == 1 and "Traceback" not in err
+
 
 class TestAdditionalPaths:
     def test_watanabe_by_gram(self, capsys):
@@ -262,7 +300,7 @@ class TestAdditionalPaths:
     def test_enumerate_degree_8_refused_up_front(self, capsys, monkeypatch):
         def never(cfg):
             raise AssertionError("enumeration started")
-        monkeypatch.setattr("acmcurves.cli.enumerate_kinds", never)
+        monkeypatch.setattr("acmcurves.enumeration.enumerate_kinds", never)
         code, out, err = invoke(capsys, "pairs", "enumerate", "--degree", "8")
         assert code == 1 and out == ""
         assert err.startswith("error: --degree 8 is out of reach: degree 7 alone takes")
@@ -271,7 +309,7 @@ class TestAdditionalPaths:
     def test_enumerate_cap_above_bound_refused_up_front(self, capsys, monkeypatch):
         def never(cfg):
             raise AssertionError("enumeration started")
-        monkeypatch.setattr("acmcurves.cli.enumerate_kinds", never)
+        monkeypatch.setattr("acmcurves.enumeration.enumerate_kinds", never)
         code, out, err = invoke(capsys, "pairs", "enumerate", "--degree", "2", "--cap", "1000000000")
         assert code == 1 and out == ""
         assert err.startswith("error: --cap 1000000000 is above 6 for degree 2")
@@ -284,7 +322,7 @@ class TestAdditionalPaths:
     def test_solve_dh_range_above_bound_refused_up_front(self, capsys, monkeypatch):
         def never(*args):
             raise AssertionError("solving started")
-        monkeypatch.setattr("acmcurves.cli.solve_classes", never)
+        monkeypatch.setattr("acmcurves.picard.solve_classes", never)
         code, out, err = invoke(
             capsys, "picard", "solve", "--gram", "4,1,-2", "--self-int", "-2",
             "--dh", "0..1000000",
@@ -296,7 +334,7 @@ class TestAdditionalPaths:
     def test_plane_dh_max_above_bound_refused_up_front(self, capsys, monkeypatch):
         def never(*args):
             raise AssertionError("solving started")
-        monkeypatch.setattr("acmcurves.cli.plane_curve_classes", never)
+        monkeypatch.setattr("acmcurves.picard.plane_curve_classes", never)
         code, out, err = invoke(
             capsys, "picard", "plane", "--gram", "4,1,-2", "--dh-max", "1000001"
         )
@@ -311,8 +349,8 @@ class TestAdditionalPaths:
     def test_kmax_above_bound_refused_up_front(self, capsys, monkeypatch, argv):
         def never(*args, **kwargs):
             raise AssertionError("classification started")
-        monkeypatch.setattr("acmcurves.cli.classify_quartic", never)
-        monkeypatch.setattr("acmcurves.cli.classify_low_degree", never)
+        monkeypatch.setattr("acmcurves.classifier.classify_quartic", never)
+        monkeypatch.setattr("acmcurves.classifier.classify_low_degree", never)
         code, out, err = invoke(capsys, *argv, "--kmax", "10001")
         assert code == 1 and out == ""
         assert err.startswith("error: --kmax 10001 is above 10000")
@@ -351,8 +389,9 @@ class TestAdditionalPaths:
     def test_huge_integer_refused_up_front(self, capsys, monkeypatch, argv):
         def never(*args):
             raise AssertionError("the command ran")
-        for name in ("residual_invariants", "dot", "ci_table", "solve_classes", "make_pair"):
-            monkeypatch.setattr(f"acmcurves.cli.{name}", never)
+        for name in ("liaison.residual_invariants", "picard.dot", "resolutions.ci_table",
+                     "picard.solve_classes", "pairs.make_pair"):
+            monkeypatch.setattr(f"acmcurves.{name}", never)
         code, out, err = invoke(capsys, *argv)
         assert code == 2 and out == ""
         assert err == "error: integer arguments are limited to 1000 digits\n"

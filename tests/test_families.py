@@ -1,3 +1,4 @@
+import json
 import os
 import subprocess
 import sys
@@ -125,15 +126,77 @@ def test_parameters_always_raise_some_bounded_b_entry():
                 ), (fam.name, param)
 
 
-def test_importing_the_library_leaves_the_expected_data_unread():
-    # the computing modules never import the catalog reader, so the
-    # expected values stay independent of the code under test
+def _run_python(code: str) -> str:
     src = str(Path(acmcurves.__file__).resolve().parents[1])
-    code = (
-        "import sys, acmcurves; "
-        "print(sorted(m for m in sys.modules if m in "
-        "('acmcurves.catalog', 'acmcurves.families', 'acmcurves.reproduce')))"
+    return subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=src), timeout=60, check=True).stdout
+
+
+def test_importing_the_library_leaves_the_expected_data_unread():
+    # `import acmcurves` loads no submodule, and the computing modules
+    # behind its public names never import the catalog reader, so the
+    # expected values stay independent of the code under test
+    out = _run_python(
+        "import sys, acmcurves\n"
+        "bare = sorted(m for m in sys.modules if m.startswith('acmcurves.'))\n"
+        "from acmcurves import *\n"
+        "print(bare, sorted(m for m in sys.modules if m in "
+        "('acmcurves.catalog', 'acmcurves.families', 'acmcurves.reproduce')))\n"
     )
-    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                         env=dict(os.environ, PYTHONPATH=src), timeout=60, check=True)
-    assert out.stdout == "[]\n"
+    assert out == "[] []\n"
+
+
+# the public names of the package, by defining module
+PUBLIC_NAMES = {
+    "pairs": [
+        "BIG", "DegreeMatrix", "KindSignature", "PairError", "WeakAdmissiblePair",
+        "anti_transpose", "degree_matrix", "delta", "dual_pair", "equivalent",
+        "is_reducible_type", "kind_signature", "make_pair", "normalize", "pair_signature",
+    ],
+    "enumeration": [
+        "EnumerationConfig", "KindCatalog", "enumerate_kinds", "enumerate_pairs",
+        "match_families", "stable_cap",
+    ],
+    "resolutions": [
+        "BettiTable", "CurveInvariants", "InvalidTableError", "ci_table", "degree_from_betti",
+        "genus_from_betti", "invariants_from_betti", "is_f_minimal", "surface_generator_table",
+        "pivot_syzygy_table", "validate",
+    ],
+    "picard": [
+        "DivisorClass", "H", "PicardLattice", "adjunction_genus", "dot", "plane_curve_classes",
+        "quartic_lattice", "solve_classes", "watanabe_candidates",
+    ],
+    "liaison": ["CiProfile", "LinkageError", "link_is_involution_check", "residual_invariants"],
+    "classifier": [
+        "ClassificationEntry", "ClassificationError", "QuarticDivisor", "classify_low_degree",
+        "classify_quartic", "cross_check", "divisor", "known_divisors",
+    ],
+}
+
+
+def test_lazy_package_attributes_are_the_defining_modules_objects():
+    # a fresh process, so no other test has loaded a name first
+    out = _run_python(
+        "import importlib, json, acmcurves\n"
+        "listed = dir(acmcurves)\n"
+        f"public = {PUBLIC_NAMES!r}\n"
+        "same = [name for module, names in public.items() for name in names\n"
+        "        if getattr(acmcurves, name)\n"
+        "        is getattr(importlib.import_module('acmcurves.' + module), name)]\n"
+        "star = {}\n"
+        "exec('from acmcurves import *', star)\n"
+        "try:\n"
+        "    acmcurves.no_such_name\n"
+        "    missing = 'no error'\n"
+        "except AttributeError as err:\n"
+        "    missing = str(err)\n"
+        "print(json.dumps([same, sorted(acmcurves.__all__), listed, sorted(star), missing]))\n"
+    )
+    same, all_names, listed, star, missing = json.loads(out)
+    names = sorted(name for names in PUBLIC_NAMES.values() for name in names)
+    assert len(names) == 53
+    assert sorted(same) == names
+    assert all_names == names
+    assert set(names) <= set(listed)
+    assert sorted(set(star) - {"__builtins__"}) == names
+    assert missing == "module 'acmcurves' has no attribute 'no_such_name'"
