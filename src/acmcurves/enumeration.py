@@ -8,6 +8,21 @@ appear is the all-BIG staircase of length d, whose smallest
 representative is ((0, d-1, 2(d-1), ...), (1, d, ...)) with
 b_t = (d-1)^2 + 1.
 
+Each kind has a componentwise-least pair, so a kind first appears at
+the bound equal to the b_t of that pair.  Fix a kind and its diagonal
+gaps g_i = b_i - a_i.  A normalized pair is of that kind exactly when a
+solves a system of difference constraints: a_1 = 0; a_{i+1} - a_i >=
+max(0, g_i - g_{i+1}), which keeps a and b nondecreasing; and for each
+cell (i, j) off the diagonal, b_j - a_i = a_j + g_j - a_i gives
+a_j - a_i <= -g_j where the cell is 0, = v - g_j where it is v, and
+>= d - g_j where it is BIG.  Each of these is one or two bounds
+x_j - x_i <= c, so the solutions are closed under componentwise min x
+(if x_i comes from the solution y, then x_j <= y_j <= y_i + c =
+x_i + c), and they are bounded below by 0, so the kind has a
+componentwise-least pair.  It shares its length and gaps with every
+pair of the kind, so it is also the least by ``sort_key``, and its
+b_t = a_t + g_t is the least b_t of the kind.
+
 Both public enumerations run on one depth-first walk, ``_walk``.  It
 extends the prefixes of a and b one index at a time, with a running
 trace, and carries a flat integer key for the leading block of the
@@ -177,7 +192,12 @@ def enumerate_kinds(cfg: EnumerationConfig) -> KindCatalog:
     The gap-compressed leaves are folded into ``key -> [a, b, count]``,
     each adding the number of pairs it stands for, and keeping the first
     pair seen, which is the lexicographically least normalized pair of
-    its kind, so output is stable across runs.  Only those
+    its kind, so output is stable across runs.  By the difference
+    constraints in the module docstring that pair is componentwise
+    least too, so a kind is in the catalog at every bound from its
+    ``representative.b[-1]`` on and at none below: one catalog at
+    ``stable_cap`` gives the kind count at every bound, as
+    ``scripts/kind_census.py`` reads it.  Only those
     representatives are built and validated, and their signatures come
     from the one-pass ``pair_signature``, which builds no
     ``DegreeMatrix``; ``kind_signature(degree_matrix(p))`` is the

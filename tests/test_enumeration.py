@@ -35,13 +35,18 @@ def reference_kinds(cfg: EnumerationConfig) -> dict:
     """Signature -> (least pair, pair count), grouped one pair at a time
     by the reference kind_signature(degree_matrix(p)), which shares no
     code with the one-pass pair_signature; every pair also checks that
-    pair_signature agrees with it."""
+    pair_signature agrees with it.  The least pair of each kind is also
+    componentwise least in a, so its b_t is the least of the kind."""
     kinds = {}
+    lows = {}
     for p in enumerate_pairs(cfg):
         sig = kind_signature(degree_matrix(p))
         assert pair_signature(p) == sig, p
         least, count = kinds.get(sig, (p, 0))
         kinds[sig] = (min(least, p, key=lambda q: q.sort_key), count + 1)
+        lows[sig] = tuple(map(min, lows.get(sig, p.a), p.a))
+    for sig, (least, _) in kinds.items():
+        assert least.a == lows[sig], (least, lows[sig])
     return kinds
 
 
