@@ -2,8 +2,9 @@
 
 One executable, one subcommand per module: pairs / res / picard /
 liaison / classify, plus `reproduce` for the batch verification
-targets.  Exit codes: 0 success, 1 domain error (diagnostic on stderr),
-2 usage error.  Output is JSON by default.  `pairs matrix`, `pairs
+targets.  Exit codes: 0 success, 1 domain error or internal consistency
+failure (`ClassificationError`), with one diagnostic line on stderr, 2
+usage error.  Output is JSON by default.  `pairs matrix`, `pairs
 signature`, `pairs enumerate`, `picard watanabe`, `classify quartic`,
 `classify low` and `reproduce` (by default) have a table view under
 `--format table`; the other commands print their JSON there too.
@@ -14,9 +15,11 @@ more than 10^6 degrees, `picard plane` a `--dh-max` above 10^6, and
 is limited to 1000 digits (exit 2).
 
 Start-up: building the parser needs only `labels`, which imports
-nothing.  A computing module is imported inside the handler that uses
-it, so each command loads only the modules it runs: `pairs matrix`
-loads `pairs` alone, and only `reproduce` loads `catalog`.
+nothing.  The handlers read library names as `acm.X`, and the package
+imports the module that defines X on first use (PEP 562); the one
+handler import is `reproduce`.  So each command loads only the modules
+it runs: `pairs matrix` loads `pairs` alone, and only `reproduce` loads
+`catalog`.
 """
 
 from __future__ import annotations
@@ -26,6 +29,8 @@ import json
 import os
 import sys
 from contextlib import contextmanager
+
+import acmcurves as acm
 
 from .labels import DIVISOR_LABELS, TARGET_NAMES
 
@@ -46,15 +51,6 @@ MAX_INT_DIGITS = 1000
 class _TooManyDigits(Exception):
     """An integer argument longer than MAX_INT_DIGITS.  Not a ValueError,
     so argparse lets it through instead of echoing the value."""
-
-
-def _domain_errors() -> tuple[type[Exception], ...]:
-    """The errors `run` reports with exit 1: ClassificationError, ValueError
-    and KeyError.  Called in the `except` clause, so the classifier is
-    imported only once a handler has raised."""
-    from .classifier import ClassificationError
-
-    return (ClassificationError, ValueError, KeyError)
 
 
 def _int(text: str) -> int:
@@ -90,63 +86,50 @@ def _table(columns: tuple[str, ...], rows):
 
 
 def _lattice(gram: list[int]):
-    from .picard import PicardLattice
-
     if len(gram) != 3:
         raise ValueError("--gram expects three integers H2,HC,C2")
-    return PicardLattice(*gram)
+    return acm.PicardLattice(*gram)
 
 
 # -- handlers: args -> (JSON document, table renderer or None[, exit code])
 
 def _pairs_matrix(args):
-    from .pairs import degree_matrix, make_pair
-
-    m = degree_matrix(make_pair(args.a, args.b))
+    m = acm.degree_matrix(acm.make_pair(args.a, args.b))
     return m.to_json(), lambda: "\n".join(" ".join(map(str, r)) for r in m.entries)
 
 
 def _pairs_normalize(args):
-    from .pairs import make_pair, normalize
-
-    return normalize(make_pair(args.a, args.b)).to_json(), None
+    return acm.normalize(acm.make_pair(args.a, args.b)).to_json(), None
 
 
 def _pairs_dual(args):
-    from .pairs import dual_pair, make_pair
-
-    return dual_pair(make_pair(args.a, args.b)).to_json(), None
+    return acm.dual_pair(acm.make_pair(args.a, args.b)).to_json(), None
 
 
 def _pairs_signature(args):
-    from .pairs import make_pair, pair_signature
-
-    sig = pair_signature(make_pair(args.a, args.b))
+    sig = acm.pair_signature(acm.make_pair(args.a, args.b))
     return sig.to_json(), sig.render
 
 
 def _pairs_reducible(args):
-    from .pairs import degree_matrix, is_reducible_type, make_pair
-
-    return {"reducible": is_reducible_type(degree_matrix(make_pair(args.a, args.b)))}, None
+    m = acm.degree_matrix(acm.make_pair(args.a, args.b))
+    return {"reducible": acm.is_reducible_type(m)}, None
 
 
 def _pairs_enumerate(args):
-    from .enumeration import EnumerationConfig, enumerate_kinds, stable_cap
-
     if args.degree > MAX_ENUMERATE_DEGREE:
         raise ValueError(
             f"--degree {args.degree} is out of reach: degree 7 alone takes ~7 s and "
             "~330 MiB for its 222 605 kinds, and the kind count grows ~16-fold per degree"
         )
-    cfg = EnumerationConfig(args.degree, args.cap)
-    complete = stable_cap(cfg.degree)
+    cfg = acm.EnumerationConfig(args.degree, args.cap)
+    complete = acm.stable_cap(cfg.degree)
     if cfg.b_cap > complete + cfg.degree:
         raise ValueError(
             f"--cap {cfg.b_cap} is above {complete + cfg.degree} for degree {cfg.degree}: the "
             f"kind catalog is complete at cap {complete}; a larger cap only grows the counts"
         )
-    kinds = enumerate_kinds(cfg)
+    kinds = acm.enumerate_kinds(cfg)
     rows = _table(
         ("signature", "representative", "count"),
         ((e.signature.render(), repr(e.representative), e.count) for e in kinds.entries),
@@ -156,63 +139,50 @@ def _pairs_enumerate(args):
 
 
 def _res_build(args):
-    from .pairs import make_pair
-    from .resolutions import (
-        ci_table, invariants_from_betti, pivot_syzygy_table, surface_generator_table,
-    )
-
     if args.case == "ci":
         if len(args.a) != 1 or len(args.b) != 1:
             raise ValueError("--case ci expects single integers for --a and --b")
-        table = ci_table(args.a[0], args.b[0])
+        table = acm.ci_table(args.a[0], args.b[0])
     elif args.surface_degree is None:
         raise ValueError("--surface-degree is required for cases ii and iii")
     else:
-        p = make_pair(args.a, args.b)
+        p = acm.make_pair(args.a, args.b)
         flag = "k" if args.case == "ii" else "j0"
         if getattr(args, flag) is None:
             raise ValueError(f"--{flag} is required for case {args.case}")
         # the constructors take the surface degree from the pair
         if p.degree != args.surface_degree:
             raise ValueError(f"pair has degree {p.degree}, surface degree {args.surface_degree}")
-        build = surface_generator_table if args.case == "ii" else pivot_syzygy_table
+        build = acm.surface_generator_table if args.case == "ii" else acm.pivot_syzygy_table
         table = build(p, getattr(args, flag))
-    return table.to_json() | invariants_from_betti(table).to_json(), None
+    return table.to_json() | acm.invariants_from_betti(table).to_json(), None
 
 
 def _res_invariants(args):
-    from .resolutions import BettiTable, InvalidTableError, invariants_from_betti, validate
-
-    table = BettiTable(tuple(args.gens), tuple(args.syz))
-    problems = validate(table)
+    table = acm.BettiTable(tuple(args.gens), tuple(args.syz))
+    problems = acm.validate(table)
     if problems:
-        raise InvalidTableError("; ".join(problems))
-    return table.to_json() | invariants_from_betti(table).to_json(), None
+        raise acm.InvalidTableError("; ".join(problems))
+    return table.to_json() | acm.invariants_from_betti(table).to_json(), None
 
 
 def _picard_solve(args):
-    from .picard import solve_classes
-
     lo, hi = args.dh
     if hi - lo + 1 > MAX_DEGREE_SPAN:
         raise ValueError(
             f"--dh {lo}..{hi} spans {hi - lo + 1} degrees, more than {MAX_DEGREE_SPAN}: "
             "the solver takes ~0.05 s per 10^5 degrees"
         )
-    classes = solve_classes(_lattice(args.gram), args.self_int, lo, hi)
+    classes = acm.solve_classes(_lattice(args.gram), args.self_int, lo, hi)
     return {"classes": [c.to_json() for c in sorted(classes)]}, None
 
 
 def _picard_watanabe(args):
-    from .picard import watanabe_candidates
-
     if args.divisor:
-        from .classifier import divisor
-
-        lattice = divisor(args.divisor).lattice
+        lattice = acm.divisor(args.divisor).lattice
     else:
         lattice = _lattice(args.gram)
-    cases = [case.to_json() for case in watanabe_candidates(lattice)]
+    cases = [case.to_json() for case in acm.watanabe_candidates(lattice)]
     render = _table(
         ("case", "classes", "side_condition"),
         ((c["label"], " ".join(map(str, c["classes"])) or "(none)", c.get("side_condition", ""))
@@ -222,40 +192,33 @@ def _picard_watanabe(args):
 
 
 def _picard_plane(args):
-    from .picard import plane_curve_classes
-
     if args.dh_max > MAX_DEGREE_SPAN:
         raise ValueError(
             f"--dh-max {args.dh_max} is above {MAX_DEGREE_SPAN}: each degree is one "
             "solver slice, ~0.05 s per 10^5 degrees"
         )
-    classes = plane_curve_classes(_lattice(args.gram), args.dh_max)
+    classes = acm.plane_curve_classes(_lattice(args.gram), args.dh_max)
     return {"classes": [c.to_json() for c in sorted(classes)]}, None
 
 
 def _picard_invariants(args):
-    from .picard import DivisorClass, H, adjunction_genus, dot
-
     lattice = _lattice(args.gram)
     if len(args.cls) != 2:
         raise ValueError("--class expects two integers A,B")
-    x = DivisorClass(*args.cls)
+    x = acm.DivisorClass(*args.cls)
     return {
-        "degree": dot(lattice, x, H),
-        "self_intersection": dot(lattice, x, x),
-        "genus": adjunction_genus(lattice, x),
+        "degree": acm.dot(lattice, x, acm.H),
+        "self_intersection": acm.dot(lattice, x, x),
+        "genus": acm.adjunction_genus(lattice, x),
     }, None
 
 
 def _liaison(args):
-    from .liaison import CiProfile, residual_invariants
-    from .resolutions import CurveInvariants
-
-    inv = CurveInvariants(args.degree, args.genus)
-    ci = CiProfile(args.s, args.t)
-    out = residual_invariants(inv, ci)
+    inv = acm.CurveInvariants(args.degree, args.genus)
+    ci = acm.CiProfile(args.s, args.t)
+    out = acm.residual_invariants(inv, ci)
     if args.twice:
-        out = residual_invariants(out, ci)
+        out = acm.residual_invariants(out, ci)
     return out.to_json(), None
 
 
@@ -268,10 +231,8 @@ def _check_kmax(args) -> None:
 
 
 def _classify_quartic(args):
-    from .classifier import classify_quartic, divisor
-
     _check_kmax(args)
-    entries = classify_quartic(divisor(args.divisor), k_max=args.kmax)
+    entries = acm.classify_quartic(acm.divisor(args.divisor), k_max=args.kmax)
     render = _table(
         ("class", "degree", "genus", "provenance", "description"),
         ((e.cls, e.invariants.degree, e.invariants.genus, e.provenance, e.description)
@@ -281,10 +242,8 @@ def _classify_quartic(args):
 
 
 def _classify_low(args):
-    from .classifier import classify_low_degree
-
     _check_kmax(args)
-    fams = classify_low_degree(args.degree, args.type_tag)
+    fams = acm.classify_low_degree(args.degree, args.type_tag)
     tables = [[(k, fam.table(k)) for k in range(fam.k_min, args.kmax + 1)] for fam in fams]
     doc = [
         fam.to_json() | {"tables": [t.to_json() | {"k": k} for k, t in shifts]}
@@ -299,6 +258,9 @@ def _classify_low(args):
 
 
 def _reproduce(args):
+    # the one handler import: `reproduce` stays out of the package's lazy
+    # names, so that `from acmcurves import *` leaves `catalog` and
+    # `reproduce` unread
     from .reproduce import run_target
 
     rows = run_target(args.target)
@@ -403,7 +365,9 @@ def run(argv: list[str] | None = None) -> int:
         table = args.format == "table" and render is not None
         print(render() if table else json.dumps(doc, indent=2, sort_keys=True))
         return code[0] if code else 0
-    except _domain_errors() as err:
+    # the tuple is evaluated only once a handler has raised, so a command
+    # that succeeds does not load the classifier
+    except (acm.ClassificationError, ValueError, KeyError) as err:
         message = err.args[0] if err.args else str(err)
         print(f"error: {message}", file=sys.stderr)
         return 1

@@ -180,14 +180,6 @@ class KindSignature:
     def anti_transpose(self) -> "KindSignature":
         return KindSignature(self.degree, _anti_transpose(self.cells))
 
-    def zero_positions(self) -> frozenset[tuple[int, int]]:
-        return frozenset(
-            (i, j)
-            for i, row in enumerate(self.cells)
-            for j, c in enumerate(row)
-            if c == 0
-        )
-
     def to_json(self) -> dict:
         return {"degree": self.degree, "cells": [list(r) for r in self.cells]}
 

@@ -1,3 +1,4 @@
+import ast
 import json
 import os
 import subprocess
@@ -21,6 +22,11 @@ def invoke_json(capsys, *argv):
     code, out, err = invoke(capsys, *argv)
     assert code == 0, err
     return json.loads(out)
+
+
+def never(*args, **kwargs):
+    """Patched over a library name that a refusal must not reach."""
+    raise AssertionError("the library was called")
 
 
 class TestPairsCommands:
@@ -248,6 +254,18 @@ class TestHarness:
                              env=dict(os.environ, PYTHONPATH=src), timeout=60, check=True)
         assert json.loads(out.stdout) == [0, sorted(loaded + ["cli", "labels"])]
 
+    def test_every_library_name_the_cli_reads_is_public(self):
+        # the CLI reads the library only as `acm.X`; a name missing from the
+        # package's lazy table would otherwise fail on its one command alone
+        tree = ast.parse(Path(acmcurves.cli.__file__).read_text())
+        names = {
+            node.attr for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+            and node.value.id == "acm"
+        }
+        assert {"make_pair", "enumerate_kinds", "ClassificationError"} <= names
+        assert names - set(acmcurves.__all__) == set()
+
     def test_classification_error_exits_1_without_traceback(self, capsys, monkeypatch):
         from acmcurves import classifier
 
@@ -298,18 +316,14 @@ class TestAdditionalPaths:
         assert code == 1 and "b_cap" in err
 
     def test_enumerate_degree_8_refused_up_front(self, capsys, monkeypatch):
-        def never(cfg):
-            raise AssertionError("enumeration started")
-        monkeypatch.setattr("acmcurves.enumeration.enumerate_kinds", never)
+        monkeypatch.setattr("acmcurves.enumerate_kinds", never)
         code, out, err = invoke(capsys, "pairs", "enumerate", "--degree", "8")
         assert code == 1 and out == ""
         assert err.startswith("error: --degree 8 is out of reach: degree 7 alone takes")
         assert err.count("\n") == 1 and "Traceback" not in err
 
     def test_enumerate_cap_above_bound_refused_up_front(self, capsys, monkeypatch):
-        def never(cfg):
-            raise AssertionError("enumeration started")
-        monkeypatch.setattr("acmcurves.enumeration.enumerate_kinds", never)
+        monkeypatch.setattr("acmcurves.enumerate_kinds", never)
         code, out, err = invoke(capsys, "pairs", "enumerate", "--degree", "2", "--cap", "1000000000")
         assert code == 1 and out == ""
         assert err.startswith("error: --cap 1000000000 is above 6 for degree 2")
@@ -320,9 +334,7 @@ class TestAdditionalPaths:
         assert doc["b_cap"] == 6 and len(doc["kinds"]) == 2
 
     def test_solve_dh_range_above_bound_refused_up_front(self, capsys, monkeypatch):
-        def never(*args):
-            raise AssertionError("solving started")
-        monkeypatch.setattr("acmcurves.picard.solve_classes", never)
+        monkeypatch.setattr("acmcurves.solve_classes", never)
         code, out, err = invoke(
             capsys, "picard", "solve", "--gram", "4,1,-2", "--self-int", "-2",
             "--dh", "0..1000000",
@@ -332,9 +344,7 @@ class TestAdditionalPaths:
         assert err.count("\n") == 1 and "Traceback" not in err
 
     def test_plane_dh_max_above_bound_refused_up_front(self, capsys, monkeypatch):
-        def never(*args):
-            raise AssertionError("solving started")
-        monkeypatch.setattr("acmcurves.picard.plane_curve_classes", never)
+        monkeypatch.setattr("acmcurves.plane_curve_classes", never)
         code, out, err = invoke(
             capsys, "picard", "plane", "--gram", "4,1,-2", "--dh-max", "1000001"
         )
@@ -347,10 +357,8 @@ class TestAdditionalPaths:
         ("classify", "low", "--degree", "2", "--type", "smooth"),
     ])
     def test_kmax_above_bound_refused_up_front(self, capsys, monkeypatch, argv):
-        def never(*args, **kwargs):
-            raise AssertionError("classification started")
-        monkeypatch.setattr("acmcurves.classifier.classify_quartic", never)
-        monkeypatch.setattr("acmcurves.classifier.classify_low_degree", never)
+        monkeypatch.setattr("acmcurves.classify_quartic", never)
+        monkeypatch.setattr("acmcurves.classify_low_degree", never)
         code, out, err = invoke(capsys, *argv, "--kmax", "10001")
         assert code == 1 and out == ""
         assert err.startswith("error: --kmax 10001 is above 10000")
@@ -387,14 +395,29 @@ class TestAdditionalPaths:
         ("pairs", "signature", "--a", "0,0", "--b=-" + "9" * 1001 + ",1"),
     ], ids=["liaison", "picard-invariants", "res-build-ci", "5000-digits", "range", "list"])
     def test_huge_integer_refused_up_front(self, capsys, monkeypatch, argv):
-        def never(*args):
-            raise AssertionError("the command ran")
-        for name in ("liaison.residual_invariants", "picard.dot", "resolutions.ci_table",
-                     "picard.solve_classes", "pairs.make_pair"):
+        for name in ("residual_invariants", "dot", "ci_table", "solve_classes", "make_pair"):
             monkeypatch.setattr(f"acmcurves.{name}", never)
         code, out, err = invoke(capsys, *argv)
         assert code == 2 and out == ""
         assert err == "error: integer arguments are limited to 1000 digits\n"
+
+    @pytest.mark.parametrize("name,argv", [
+        ("enumerate_kinds", ["pairs", "enumerate", "--degree", "2"]),
+        ("solve_classes", ["picard", "solve", "--gram", "4,1,-2", "--self-int=-2", "--dh", "1..3"]),
+        ("plane_curve_classes", ["picard", "plane", "--gram", "4,1,-2", "--dh-max", "4"]),
+        ("classify_quartic", ["classify", "quartic", "--divisor", "F1", "--kmax", "3"]),
+        ("classify_low_degree", ["classify", "low", "--degree", "2", "--type", "smooth"]),
+        ("residual_invariants", ["liaison", "--degree", "1", "--genus", "0", "--s", "4", "--t", "2"]),
+        ("dot", ["picard", "invariants", "--gram", "4,6,4", "--class", "0,1"]),
+        ("ci_table", ["res", "build", "--case", "ci", "--a", "4", "--b", "3"]),
+        ("make_pair", ["pairs", "signature", "--a", "0,0", "--b", "1,1"]),
+    ])
+    def test_refusal_patches_reach_the_command(self, capsys, monkeypatch, name, argv):
+        # the positive control of the refusal tests: the same patch on a
+        # within-bound argv is called, so a refusal that passes was not vacuous
+        monkeypatch.setattr(f"acmcurves.{name}", never)
+        with pytest.raises(AssertionError, match="the library was called"):
+            run(argv)
 
     def test_thousand_digit_integers_pass(self, capsys):
         n = int("9" * 1000)
