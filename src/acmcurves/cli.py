@@ -12,7 +12,8 @@ signature`, `pairs enumerate`, `picard watanabe`, `classify quartic`,
 `stable_cap(degree) + degree`; `picard solve` refuses a `--dh` range of
 more than 10^6 degrees, `picard plane` a `--dh-max` above 10^6, and
 `classify quartic|low` a `--kmax` above 10^4.  Every integer argument
-is limited to 1000 digits (exit 2).
+is limited to 1000 digits (exit 2).  The JSON is written by `_json_text`,
+byte for byte `json.dumps(doc, indent=2, sort_keys=True)`, the reference.
 
 Start-up: building the parser needs only `labels`, which imports
 nothing.  The handlers read library names as `acm.X`, and the package
@@ -29,6 +30,7 @@ import json
 import os
 import sys
 from contextlib import contextmanager
+from json.encoder import encode_basestring_ascii as _quote
 
 import acmcurves as acm
 
@@ -38,7 +40,7 @@ from .labels import DIVISOR_LABELS, TARGET_NAMES
 MAX_ENUMERATE_DEGREE = 7
 # the most degrees `picard solve --dh` and `picard plane --dh-max` scan, and
 # the largest `classify quartic|low --kmax`.  The scan takes ~0.5 s at the
-# bound; printing is slower: ~2 s at --kmax 10^4, and ~10 s for the 5*10^5
+# bound; printing is slower: ~1.3 s at --kmax 10^4, and ~7 s for the 5*10^5
 # classes of D^2 = 0 on (4, 1, -2), whose -det = 9 is a square
 MAX_DEGREE_SPAN = 10**6
 MAX_KMAX = 10**4
@@ -83,6 +85,55 @@ def _table(columns: tuple[str, ...], rows):
         widths = [max(len(row[i]) for row in cells) for i in range(len(columns))]
         return "\n".join("  ".join(v.ljust(w) for v, w in zip(row, widths)) for row in cells)
     return render
+
+
+# exact type -> the JSON text of a scalar, as json.dumps writes it
+_SCALARS = {
+    str: _quote,
+    int: int.__repr__,
+    bool: {True: "true", False: "false"}.__getitem__,
+    type(None): lambda _: "null",
+}
+
+
+def _json_text(doc) -> str:
+    """`json.dumps(doc, indent=2, sort_keys=True)`, byte for byte, without
+    the pure-Python encoder that json falls back to when `indent` is set.
+
+    Containers are exact dicts, lists and tuples; a list of scalars is one
+    comprehension, and only lists that hold containers recurse.  Any other
+    value (a float, a subclass such as IntEnum or a NamedTuple, a non-str
+    key), or nesting deeper than the recursion limit allows, hands the whole
+    document to the reference `json.dumps`, which also raises its errors.
+    """
+    seps: list[tuple[str, str, str]] = []  # (open, item, close) of each depth
+
+    def emit(value, depth: int) -> str:
+        kind = type(value)
+        scalar = _SCALARS.get(kind)
+        if scalar:
+            return scalar(value)
+        if kind is not dict and kind is not list and kind is not tuple:
+            raise TypeError
+        if not value:
+            return "{}" if kind is dict else "[]"
+        while len(seps) <= depth:
+            pad = "\n" + "  " * len(seps)
+            seps.append((pad + "  ", "," + pad + "  ", pad))
+        first, item, last = seps[depth]
+        if kind is dict:
+            parts = [_quote(k) + ": " + emit(v, depth + 1) for k, v in sorted(value.items())]
+            return "{" + first + item.join(parts) + last + "}"
+        try:
+            parts = [_SCALARS[type(v)](v) for v in value]
+        except KeyError:
+            parts = [emit(v, depth + 1) for v in value]
+        return "[" + first + item.join(parts) + last + "]"
+
+    try:
+        return emit(doc, 0)
+    except (TypeError, RecursionError):
+        return json.dumps(doc, indent=2, sort_keys=True)
 
 
 def _lattice(gram: list[int]):
@@ -174,7 +225,7 @@ def _picard_solve(args):
             "the solver takes ~0.05 s per 10^5 degrees"
         )
     classes = acm.solve_classes(_lattice(args.gram), args.self_int, lo, hi)
-    return {"classes": [c.to_json() for c in sorted(classes)]}, None
+    return {"classes": sorted([c.to_json() for c in classes])}, None
 
 
 def _picard_watanabe(args):
@@ -198,7 +249,7 @@ def _picard_plane(args):
             "solver slice, ~0.05 s per 10^5 degrees"
         )
     classes = acm.plane_curve_classes(_lattice(args.gram), args.dh_max)
-    return {"classes": [c.to_json() for c in sorted(classes)]}, None
+    return {"classes": sorted([c.to_json() for c in classes])}, None
 
 
 def _picard_invariants(args):
@@ -363,7 +414,7 @@ def run(argv: list[str] | None = None) -> int:
     try:
         doc, render, *code = args.handler(args)
         table = args.format == "table" and render is not None
-        print(render() if table else json.dumps(doc, indent=2, sort_keys=True))
+        print(render() if table else _json_text(doc))
         return code[0] if code else 0
     # the tuple is evaluated only once a handler has raised, so a command
     # that succeeds does not load the classifier

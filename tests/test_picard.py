@@ -1,4 +1,5 @@
 import math
+from argparse import Namespace
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -14,6 +15,7 @@ from acmcurves import (
     solve_classes,
     watanabe_candidates,
 )
+from acmcurves.cli import _picard_plane, _picard_solve
 from acmcurves.picard import _ext_gcd
 
 F1_L = quartic_lattice(6, 3)
@@ -200,6 +202,19 @@ def test_plane_curves_equal_the_per_degree_union(gram):
     for dh_max in range(1, 201):
         union |= solve_classes(l, (dh_max - 1) * (dh_max - 2) - 2, dh_max, dh_max)
         assert plane_curve_classes(l, dh_max) == union, f"dh_max {dh_max}"
+
+
+@pytest.mark.parametrize("gram", PLANE_GRAMS, ids=str)
+def test_cli_lists_classes_in_the_dataclass_order(gram):
+    # the CLI sorts the [a, b] lists; the reference is DivisorClass's order
+    l = PicardLattice(*gram)
+    for self_int in range(-10, 11):
+        for lo, hi in ((0, 10), (-60, 200)):
+            doc, _ = _picard_solve(Namespace(gram=list(gram), self_int=self_int, dh=(lo, hi)))
+            want = [c.to_json() for c in sorted(solve_classes(l, self_int, lo, hi))]
+            assert doc == {"classes": want}, (self_int, lo, hi)
+    doc, _ = _picard_plane(Namespace(gram=list(gram), dh_max=200))
+    assert doc == {"classes": [c.to_json() for c in sorted(plane_curve_classes(l, 200))]}
 
 
 def slice_oracle(h2, hc, c2, self_int, dh):
