@@ -24,7 +24,8 @@ derived:
   genus) or when its solved classes are all rigid.  Otherwise each
   solved class D is residual to (k+1)H - D in the complete intersection
   (4, k+1), and linkage must give back the table's invariants;
-* FAMILY_II: the solved classes of each shift k >= 3;
+* FAMILY_II: the solved classes of each shift k >= 3, built by
+  translation by H from those of shift 3 (below);
 * FAMILY_III: the solved classes of every pivot table whose solved
   classes are not all rigid;
 * COMPLETE_INTERSECTION: the classes d*H.
@@ -33,7 +34,27 @@ Each entry records its attached pair (None for a complete
 intersection), plus its shift k (RESIDUAL, FAMILY_II) or its 1-based
 pivot (RIGID, FAMILY_III).  The descriptions of RIGID, RESIDUAL and
 FAMILY_III entries come from one prose map per divisor, and every
-emitted entry must pass the lattice/resolution cross-check.
+emitted entry must pass the cross-check: its stored (degree, genus)
+equals both its table's and its class's lattice invariants.
+
+Translation by H.  Each pair is solved once, at shift 3; shift k is
+shift 3 plus (k-3)H.  This is exact at every k, not only where sampled:
+
+* D -> D + H is a bijection of the lattice (its inverse is D -> D - H),
+  and with H^2 = 4 it sends (D.H, D^2) to (D.H + 4, D^2 + 2 D.H + 4).
+  So it maps the slice of degree e and genus g one to one onto the
+  slice of degree e + 4 and genus g + e + 2.
+* The shift-k table has gens {a_i + k} + {4} and syz {b_j + k}, with
+  sum b - sum a = 4.  By the Betti formulas its degree is
+  (sum b^2 - sum a^2 - 16)/2 + 4k, linear in k with slope 4, and its
+  genus rises from k to k + 1 by (sum b^2 - sum a^2)/2 + 4k - 6, which
+  is the shift-k degree plus 2.
+
+So the table's (degree, genus) steps exactly as the lattice slice
+does, and by induction from k = 3 the solved classes of shift k are
+those of shift 3 plus (k-3)H.  Adding to `a` keeps the sorted order.
+The tables themselves still come from `surface_generator_table`, so
+every twist is still validated, and every entry is cross-checked.
 """
 
 from __future__ import annotations
@@ -216,12 +237,14 @@ def known_divisors() -> list[QuarticDivisor]:
 
 
 def cross_check(entry: ClassificationEntry, lattice: PicardLattice) -> bool:
-    """Resolution invariants must equal the lattice invariants of the class."""
+    """The stored invariants, the resolution's and the lattice invariants
+    of the class must all be equal."""
     try:
-        d, g = _invariants(entry.resolution)
+        table = _invariants(entry.resolution)
     except ValueError:
         return False
-    return d == dot(lattice, entry.cls, H) and g == adjunction_genus(lattice, entry.cls)
+    stored = (entry.invariants.degree, entry.invariants.genus)
+    return stored == table == (dot(lattice, entry.cls, H), adjunction_genus(lattice, entry.cls))
 
 
 def _lattice_invariants(lattice: PicardLattice, cls: DivisorClass) -> CurveInvariants:
@@ -301,18 +324,21 @@ def classify_quartic(div: QuarticDivisor, k_max: int = 6) -> list[Classification
                 emit(cls, inv, RESIDUAL, table, pair, k, None)
 
     for pair in div.pairs:
+        # solved once, at shift 3; shift k is translation by (k-3)H (module docstring)
+        inv = invariants_from_betti(surface_generator_table(pair, 3))
+        base = sorted(_solved_classes(lattice, inv))
+        if not base:
+            raise ClassificationError(
+                f"{div.label}: no integer class of degree {inv.degree}, "
+                f"genus {inv.genus} at shift 3"
+            )
         for k in range(3, k_max + 1):
             table = surface_generator_table(pair, k)
-            inv = invariants_from_betti(table)
-            solved = _solved_classes(lattice, inv)
-            if not solved:
-                raise ClassificationError(
-                    f"{div.label}: no integer class of degree {inv.degree}, "
-                    f"genus {inv.genus} at shift {k}"
-                )
             text = f"resolution family with the quartic among the minimal generators, shift k={k}"
-            for cls in sorted(solved):
-                emit(cls, inv, FAMILY_II, table, pair, k, None, description=text)
+            for cls in base:
+                emit(DivisorClass(cls.a + k - 3, cls.b), inv, FAMILY_II, table, pair, k, None,
+                     description=text)
+            inv = CurveInvariants(inv.degree + 4, inv.genus + inv.degree + 2)
 
     for pair, j0, table, inv, solved in pivots:
         if not solved <= rigid:

@@ -40,8 +40,9 @@ from .labels import DIVISOR_LABELS, TARGET_NAMES
 MAX_ENUMERATE_DEGREE = 7
 # the most degrees `picard solve --dh` and `picard plane --dh-max` scan, and
 # the largest `classify quartic|low --kmax`.  The scan takes ~0.5 s at the
-# bound; printing is slower: ~1.3 s at --kmax 10^4, and ~7 s for the 5*10^5
-# classes of D^2 = 0 on (4, 1, -2), whose -det = 9 is a square
+# bound when it finds few classes; `classify quartic --kmax 10^4` takes ~1 s.
+# The output size stays unbounded: D^2 = 0 on (4, 1, -2), whose -det = 9 is
+# a square, has 499 999 classes, ~2.2-3 s to solve and ~5-6 s to print
 MAX_DEGREE_SPAN = 10**6
 MAX_KMAX = 10**4
 # the most digits of one integer argument.  Every result is at most cubic

@@ -19,6 +19,7 @@ from acmcurves.classifier import (
     FAMILY_III,
     RESIDUAL,
     RIGID,
+    _solved_classes,
     rigid_classes,
 )
 from acmcurves import catalog, classifier
@@ -26,7 +27,7 @@ from acmcurves.enumeration import EnumerationConfig, enumerate_kinds
 from acmcurves.pairs import degree_matrix, is_reducible_type
 from acmcurves.catalog import eval_affine, parse_affine
 from acmcurves.picard import H, adjunction_genus, dot
-from acmcurves.resolutions import surface_generator_table
+from acmcurves.resolutions import invariants_from_betti, surface_generator_table
 
 
 def cls(a, b):
@@ -211,6 +212,14 @@ class TestCrossCheck:
         )
         assert not cross_check(entry, lattice)
 
+    def test_false_on_wrong_stored_invariants(self):
+        # table and class agree, (13, 21); the stored degree and genus do not
+        lattice = divisor("F4").lattice
+        table = BettiTable((4, 4, 4), (5, 7))
+        for stored in (CurveInvariants(13, 22), CurveInvariants(17, 21), CurveInvariants(17, 35)):
+            entry = ClassificationEntry("F4", cls(3, 1), stored, FAMILY_II, "", table)
+            assert not cross_check(entry, lattice), stored
+
 
 class TestLowDegree:
     def test_smooth_quadric(self):
@@ -271,6 +280,23 @@ def test_family_ii_branch_counts():
 
 
 LABELS = ["F1", "F2", "F3", "F4", "F5"]
+
+
+@pytest.mark.parametrize("label", LABELS)
+def test_family_ii_rows_equal_the_per_shift_solve(label):
+    # the reference: one solver call per pair and shift, in emission order
+    # (pairs in order, shifts ascending, classes sorted)
+    div = divisor(label)
+    rows = [(e.pair, e.shift, e.cls, e.invariants, e.resolution)
+            for e in by_provenance(classify_quartic(div, k_max=2000), FAMILY_II)]
+    want = []
+    for pair in div.pairs:
+        for k in range(3, 2001):
+            table = surface_generator_table(pair, k)
+            inv = invariants_from_betti(table)
+            want += [(pair, k, c, inv, table) for c in sorted(_solved_classes(div.lattice, inv))]
+    assert len(want) >= 1998 * len(div.pairs)
+    assert rows == want
 
 
 def catalog_class(exprs, k):

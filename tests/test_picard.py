@@ -217,6 +217,21 @@ def test_cli_lists_classes_in_the_dataclass_order(gram):
     assert doc == {"classes": [c.to_json() for c in sorted(plane_curve_classes(l, 200))]}
 
 
+@pytest.mark.parametrize("gram", PLANE_GRAMS, ids=str)
+def test_translation_by_h_maps_slice_onto_slice(gram):
+    # D -> D + H sends the slice (D.H, D^2) = (e, s) one to one onto
+    # (e + h2, s + 2e + h2)
+    l = PicardLattice(*gram)
+    hit = 0
+    for e in range(-12, 41):
+        for s in range(-12, 19, 2):
+            base = solve_classes(l, s, e, e)
+            moved = solve_classes(l, s + 2 * e + l.h2, e + l.h2, e + l.h2)
+            assert moved == {DivisorClass(c.a + 1, c.b) for c in base}, (e, s)
+            hit += bool(base)
+    assert hit
+
+
 def slice_oracle(h2, hc, c2, self_int, dh):
     """Classes D = aH + bC with D.H = dh and D.D = self_int, read off
     h2*D^2 = (D.H)^2 + det*b^2: b^2 = (dh^2 - h2*self_int) / -det must be
