@@ -16,7 +16,7 @@ import sys
 from bisect import bisect_right
 
 from acmcurves import EnumerationConfig, enumerate_kinds, stable_cap
-from acmcurves.cli import MAX_ENUMERATE_DEGREE
+from acmcurves.cli import MAX_ENUMERATE_DEGREE, exit_with
 
 
 def main() -> int:
@@ -41,4 +41,4 @@ def main() -> int:
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    exit_with(main)

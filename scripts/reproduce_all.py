@@ -1,8 +1,7 @@
 #!/usr/bin/env python3
 """Run every reproduction target and print the combined PASS/FAIL report."""
 
-import sys
-
+from acmcurves.cli import exit_with
 from acmcurves.reproduce import TARGETS, run_target
 
 
@@ -19,4 +18,4 @@ def main() -> int:
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    exit_with(main)

@@ -16,29 +16,31 @@ derived:
 * RIGID: the classes of the four numerical rigidity cases minus the
   divisor's exclusion data (geometric facts this library does not
   derive, kept as data so the arithmetic stays honest), in sorted
-  order.  Each is resolved by the first pivot table whose solved
-  classes contain it, scanning the pairs in order and their distinct
-  syzygy twists ascending;
+  order.  Each is resolved by the first pivot table that solves to it
+  (pairs in order, distinct syzygy twists ascending);
 * RESIDUAL: the shifts k = 0, 1, 2 of each attached pair.  A shift is
   skipped when its table has no curve (nonpositive degree or negative
   genus) or when its solved classes are all rigid.  Otherwise each
   solved class D is residual to (k+1)H - D in the complete intersection
   (4, k+1), and linkage must give back the table's invariants;
-* FAMILY_II: the solved classes of each shift k >= 3, built by
-  translation by H from those of shift 3 (below);
+* FAMILY_II: the solved classes of each shift k >= 3;
 * FAMILY_III: the solved classes of every pivot table whose solved
   classes are not all rigid;
 * COMPLETE_INTERSECTION: the classes d*H.
 
-Each entry records its attached pair (None for a complete
-intersection), plus its shift k (RESIDUAL, FAMILY_II) or its 1-based
-pivot (RIGID, FAMILY_III).  The descriptions of RIGID, RESIDUAL and
-FAMILY_III entries come from one prose map per divisor, and every
-emitted entry must pass the cross-check: its stored (degree, genus)
-equals both its table's and its class's lattice invariants.
+The table lists them in that order (`PROVENANCE_ORDER`), each by
+attached pair, then shift or pivot, then class; RIGID goes by class
+and COMPLETE_INTERSECTION by d.  Each entry records its attached pair
+(None for a complete intersection), plus its shift k (RESIDUAL,
+FAMILY_II) or its 1-based pivot (RIGID, FAMILY_III).  The descriptions
+of RIGID, RESIDUAL and FAMILY_III entries come from one prose map per
+divisor, and every emitted entry must pass the cross-check: its stored
+(degree, genus) equals both its table's and its class's lattice
+invariants.
 
-Translation by H.  Each pair is solved once, at shift 3; shift k is
-shift 3 plus (k-3)H.  This is exact at every k, not only where sampled:
+Each pivot table is solved once.  So is each attached pair, at shift
+3: shift k, RESIDUAL included, is shift 3 plus (k-3)H.  This
+translation by H is exact at every k, not only where sampled:
 
 * D -> D + H is a bijection of the lattice (its inverse is D -> D - H),
   and with H^2 = 4 it sends (D.H, D^2) to (D.H + 4, D^2 + 2 D.H + 4).
@@ -52,9 +54,10 @@ shift 3 plus (k-3)H.  This is exact at every k, not only where sampled:
 
 So the table's (degree, genus) steps exactly as the lattice slice
 does, and by induction from k = 3 the solved classes of shift k are
-those of shift 3 plus (k-3)H.  Adding to `a` keeps the sorted order.
-The tables themselves still come from `surface_generator_table`, so
-every twist is still validated, and every entry is cross-checked.
+those of shift 3 plus (k-3)H: upwards by D -> D + H, and down to
+k = 0, 1, 2 by its inverse D -> D - H.  Adding to `a` keeps the sorted
+order.  The tables themselves still come from `surface_generator_table`,
+so every twist is still validated, and every entry is cross-checked.
 """
 
 from __future__ import annotations
@@ -72,7 +75,7 @@ from .picard import (
 )
 from .resolutions import (
     BettiTable, CurveInvariants, InvalidTableError, _invariants, ci_table, invariants_from_betti,
-    is_f_minimal, pivot_for_value, pivot_syzygy_table, surface_generator_table,
+    is_f_minimal, pivot_syzygy_table, surface_generator_table,
 )
 
 SURFACE_DEGREE = 4
@@ -82,6 +85,8 @@ FAMILY_II = "FAMILY_II"
 FAMILY_III = "FAMILY_III"
 RESIDUAL = "RESIDUAL"
 COMPLETE_INTERSECTION = "COMPLETE_INTERSECTION"
+# the order of a quartic table's entries
+PROVENANCE_ORDER = (RIGID, RESIDUAL, FAMILY_II, FAMILY_III, COMPLETE_INTERSECTION)
 
 
 class ClassificationError(RuntimeError):
@@ -216,7 +221,7 @@ def _pivot_tables(pairs: tuple[WeakAdmissiblePair, ...]):
     """(pair, pivot, table, invariants) of every pivot table: pairs in
     order, distinct syzygy twists ascending."""
     for pair in pairs:
-        for j0 in sorted({pivot_for_value(pair, b) for b in pair.b}):
+        for j0 in sorted({pair.b.index(b) + 1 for b in pair.b}):
             table = pivot_syzygy_table(pair, j0)
             yield pair, j0, table, invariants_from_betti(table)
 
@@ -289,42 +294,8 @@ def classify_quartic(div: QuarticDivisor, k_max: int = 6) -> list[Classification
         entries.append(entry)
 
     rigid = rigid_classes(div)
-    # (pair, pivot, table, invariants, solved classes) of every pivot table
-    pivots = [(pair, j0, table, inv, _solved_classes(lattice, inv))
-              for pair, j0, table, inv in _pivot_tables(div.pairs)]
-
-    for cls in sorted(rigid):
-        hit = next((p for p in pivots if cls in p[4]), None)
-        if hit is None:
-            raise ClassificationError(f"{div.label}: no pivot table resolves the rigid class {cls}")
-        pair, j0, table, _, _ = hit
-        emit(cls, _lattice_invariants(lattice, cls), RIGID, table, pair, None, j0)
-
     for pair in div.pairs:
-        for k in range(3):
-            try:
-                table = surface_generator_table(pair, k)
-                inv = invariants_from_betti(table)
-            except InvalidTableError:
-                continue  # nonpositive degree: no curve at this shift
-            if inv.genus < 0:
-                continue
-            solved = _solved_classes(lattice, inv)
-            if solved <= rigid:
-                continue  # the rigid entries already cover these classes
-            ci = CiProfile(SURFACE_DEGREE, k + 1)
-            for cls in sorted(solved):
-                partner = DivisorClass(k + 1 - cls.a, -cls.b)  # (k+1)H - D
-                linked = residual_invariants(_lattice_invariants(lattice, partner), ci)
-                if linked != inv:
-                    raise ClassificationError(
-                        f"{div.label}: linking {partner} in {ci.to_json()} gives "
-                        f"{linked}, the shift-{k} table gives {inv}"
-                    )
-                emit(cls, inv, RESIDUAL, table, pair, k, None)
-
-    for pair in div.pairs:
-        # solved once, at shift 3; shift k is translation by (k-3)H (module docstring)
+        # solved once, at shift 3; shift k adds (k-3)H (module docstring)
         inv = invariants_from_betti(surface_generator_table(pair, 3))
         base = sorted(_solved_classes(lattice, inv))
         if not base:
@@ -332,6 +303,25 @@ def classify_quartic(div: QuarticDivisor, k_max: int = 6) -> list[Classification
                 f"{div.label}: no integer class of degree {inv.degree}, "
                 f"genus {inv.genus} at shift 3"
             )
+        for k in range(3):
+            try:
+                table = surface_generator_table(pair, k)
+                low = invariants_from_betti(table)
+            except InvalidTableError:
+                continue  # nonpositive degree: no curve at this shift
+            solved = [DivisorClass(cls.a + k - 3, cls.b) for cls in base]
+            if low.genus < 0 or rigid.issuperset(solved):
+                continue  # no curve, or the rigid entries already cover these classes
+            ci = CiProfile(SURFACE_DEGREE, k + 1)
+            for cls in solved:
+                partner = DivisorClass(k + 1 - cls.a, -cls.b)  # (k+1)H - D
+                linked = residual_invariants(_lattice_invariants(lattice, partner), ci)
+                if linked != low:
+                    raise ClassificationError(
+                        f"{div.label}: linking {partner} in {ci.to_json()} gives "
+                        f"{linked}, the shift-{k} table gives {low}"
+                    )
+                emit(cls, low, RESIDUAL, table, pair, k, None)
         for k in range(3, k_max + 1):
             table = surface_generator_table(pair, k)
             text = f"resolution family with the quartic among the minimal generators, shift k={k}"
@@ -340,16 +330,26 @@ def classify_quartic(div: QuarticDivisor, k_max: int = 6) -> list[Classification
                      description=text)
             inv = CurveInvariants(inv.degree + 4, inv.genus + inv.degree + 2)
 
-    for pair, j0, table, inv, solved in pivots:
+    first_pivot = {}  # rigid class -> (pair, pivot, table) of the first pivot table solving to it
+    for pair, j0, table, inv in _pivot_tables(div.pairs):
+        solved = _solved_classes(lattice, inv)
+        for cls in solved & rigid:
+            first_pivot.setdefault(cls, (pair, j0, table))
         if not solved <= rigid:
             for cls in sorted(solved):
                 emit(cls, inv, FAMILY_III, table, pair, None, j0)
+    for cls in sorted(rigid):
+        if cls not in first_pivot:
+            raise ClassificationError(f"{div.label}: no pivot table resolves the rigid class {cls}")
+        pair, j0, table = first_pivot[cls]
+        emit(cls, _lattice_invariants(lattice, cls), RIGID, table, pair, None, j0)
 
     for dd in range(2, k_max + 1):
         table = ci_table(SURFACE_DEGREE, dd)
         text = f"complete intersection with a degree-{dd} surface"
         emit(DivisorClass(dd, 0), invariants_from_betti(table), COMPLETE_INTERSECTION, table,
              None, None, None, description=text)
+    entries.sort(key=lambda e: PROVENANCE_ORDER.index(e.provenance))  # stable
     return entries
 
 

@@ -40,7 +40,7 @@ from .labels import DIVISOR_LABELS, TARGET_NAMES
 MAX_ENUMERATE_DEGREE = 7
 # the most degrees `picard solve --dh` and `picard plane --dh-max` scan, and
 # the largest `classify quartic|low --kmax`.  The scan takes ~0.5 s at the
-# bound when it finds few classes; `classify quartic --kmax 10^4` takes ~1 s.
+# bound when it finds few classes; `classify quartic --kmax 10^4` takes ~1.3 s.
 # The output size stays unbounded: D^2 = 0 on (4, 1, -2), whose -det = 9 is
 # a square, has 499 999 classes, ~2.2-3 s to solve and ~5-6 s to print
 MAX_DEGREE_SPAN = 10**6
@@ -171,8 +171,8 @@ def _pairs_reducible(args):
 def _pairs_enumerate(args):
     if args.degree > MAX_ENUMERATE_DEGREE:
         raise ValueError(
-            f"--degree {args.degree} is out of reach: degree 7 alone takes ~7 s and "
-            "~330 MiB for its 222 605 kinds, and the kind count grows ~16-fold per degree"
+            f"--degree {args.degree} is out of reach: degree 7 alone takes ~20 s and "
+            "~1.5 GiB to print its 222 605 kinds, and the kind count grows ~16-fold per degree"
         )
     cfg = acm.EnumerationConfig(args.degree, args.cap)
     complete = acm.stable_cap(cfg.degree)
@@ -278,7 +278,7 @@ def _check_kmax(args) -> None:
     if args.kmax > MAX_KMAX:
         raise ValueError(
             f"--kmax {args.kmax} is above {MAX_KMAX}: the tables grow linearly with it, "
-            f"and F1..F5 take ~4 s at {MAX_KMAX}"
+            f"and a quartic table takes ~1.3 s and ~12 MiB of JSON at {MAX_KMAX}"
         )
 
 
@@ -425,16 +425,20 @@ def run(argv: list[str] | None = None) -> int:
         return 1
 
 
-def main() -> None:
+def exit_with(program) -> None:
+    """Exit with `program()`'s code, or with 1 and no traceback when the reader closes stdout."""
     try:
-        code = run()
+        code = program()
         sys.stdout.flush()
     except BrokenPipeError:
-        # the reader closed stdout: point it at devnull so the flush at exit
-        # stays quiet, and fail without a traceback
+        # point stdout at devnull so the flush at exit stays quiet
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         sys.exit(1)
     sys.exit(code)
+
+
+def main() -> None:
+    exit_with(run)
 
 
 if __name__ == "__main__":

@@ -134,11 +134,6 @@ def pivot_syzygy_table(p: WeakAdmissiblePair, j0: int) -> BettiTable:
     return BettiTable(gens, syz)
 
 
-def pivot_for_value(p: WeakAdmissiblePair, b_value: int) -> int:
-    """1-based index of the first syzygy twist equal to b_value."""
-    return p.b.index(b_value) + 1
-
-
 def is_f_minimal(p: WeakAdmissiblePair, k: int) -> bool:
     """Whether the surface equation stays a minimal generator at shift k.
 

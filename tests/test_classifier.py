@@ -27,7 +27,9 @@ from acmcurves.enumeration import EnumerationConfig, enumerate_kinds
 from acmcurves.pairs import degree_matrix, is_reducible_type
 from acmcurves.catalog import eval_affine, parse_affine
 from acmcurves.picard import H, adjunction_genus, dot
-from acmcurves.resolutions import invariants_from_betti, surface_generator_table
+from acmcurves.resolutions import (
+    InvalidTableError, invariants_from_betti, surface_generator_table,
+)
 
 
 def cls(a, b):
@@ -282,21 +284,63 @@ def test_family_ii_branch_counts():
 LABELS = ["F1", "F2", "F3", "F4", "F5"]
 
 
+# RESIDUAL rows per divisor at any k_max: 13 in all
+RESIDUAL_COUNTS = {"F1": 0, "F2": 2, "F3": 2, "F4": 5, "F5": 4}
+
+
 @pytest.mark.parametrize("label", LABELS)
-def test_family_ii_rows_equal_the_per_shift_solve(label):
+def test_case_ii_rows_equal_the_per_shift_solve(label):
     # the reference: one solver call per pair and shift, in emission order
-    # (pairs in order, shifts ascending, classes sorted)
+    # (pairs in order, shifts ascending, classes sorted).  A shift k < 3 is
+    # RESIDUAL unless its table has no curve or solves only to rigid classes
     div = divisor(label)
-    rows = [(e.pair, e.shift, e.cls, e.invariants, e.resolution)
-            for e in by_provenance(classify_quartic(div, k_max=2000), FAMILY_II)]
-    want = []
+    rigid = rigid_classes(div)
+    entries = classify_quartic(div, k_max=2000)
+    want = {RESIDUAL: [], FAMILY_II: []}
     for pair in div.pairs:
-        for k in range(3, 2001):
+        for k in range(2001):
             table = surface_generator_table(pair, k)
-            inv = invariants_from_betti(table)
-            want += [(pair, k, c, inv, table) for c in sorted(_solved_classes(div.lattice, inv))]
-    assert len(want) >= 1998 * len(div.pairs)
-    assert rows == want
+            try:
+                inv = invariants_from_betti(table)
+            except InvalidTableError:
+                assert k < 3
+                continue
+            solved = sorted(_solved_classes(div.lattice, inv))
+            if k < 3 and (inv.genus < 0 or set(solved) <= rigid):
+                continue
+            want[RESIDUAL if k < 3 else FAMILY_II] += [(pair, k, c, inv, table) for c in solved]
+    assert len(want[RESIDUAL]) == RESIDUAL_COUNTS[label]
+    assert len(want[FAMILY_II]) >= 1998 * len(div.pairs)
+    for tag, rows in want.items():
+        got = [(e.pair, e.shift, e.cls, e.invariants, e.resolution)
+               for e in by_provenance(entries, tag)]
+        assert got == rows
+
+
+# the table's order of provenances, as the classifier documents it
+ORDER = (RIGID, RESIDUAL, FAMILY_II, FAMILY_III, COMPLETE_INTERSECTION)
+
+
+@pytest.mark.parametrize("k_max", [6, 40])
+@pytest.mark.parametrize("label", LABELS)
+def test_table_order(label, k_max):
+    assert classifier.PROVENANCE_ORDER == ORDER
+    div = divisor(label)
+    entries = classify_quartic(div, k_max=k_max)
+    assert {RIGID, FAMILY_II, COMPLETE_INTERSECTION} <= {e.provenance for e in entries}
+    ranks = [ORDER.index(e.provenance) for e in entries]
+    assert ranks == sorted(ranks)
+    index = {pair: i for i, pair in enumerate(div.pairs)}
+    keys = {
+        RIGID: lambda e: e.cls,
+        RESIDUAL: lambda e: (index[e.pair], e.shift, e.cls),
+        FAMILY_II: lambda e: (index[e.pair], e.shift, e.cls),
+        FAMILY_III: lambda e: (index[e.pair], e.pivot, e.cls),
+        COMPLETE_INTERSECTION: lambda e: e.cls.a,  # d, of the class dH
+    }
+    for tag, key in keys.items():
+        got = [key(e) for e in by_provenance(entries, tag)]
+        assert got == sorted(set(got)), tag
 
 
 def catalog_class(exprs, k):

@@ -449,6 +449,22 @@ class TestAdditionalPaths:
             assert proc.wait(timeout=60) == 1
         assert err == b""
 
+    # the first line of each comes well before the last: the degree-6
+    # catalog, and every reproduce target after the first
+    @pytest.mark.parametrize("script", [["kind_census.py", "6"], ["reproduce_all.py"]],
+                             ids=["kind_census", "reproduce_all"])
+    def test_scripts_exit_quietly_into_a_closed_pipe(self, script):
+        root = Path(acmcurves.__file__).resolve().parents[2]
+        env = dict(os.environ, PYTHONPATH=str(root / "src"), PYTHONUNBUFFERED="1")
+        argv = [sys.executable, str(root / "scripts" / script[0]), *script[1:]]
+        with subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                              env=env) as proc:
+            assert proc.stdout.readline() != b""
+            proc.stdout.close()
+            err = proc.stderr.read()
+            assert proc.wait(timeout=60) == 1
+        assert err == b""
+
 
 # one argv per leaf command, and the commands that have a table view;
 # the others print their JSON under --format table
