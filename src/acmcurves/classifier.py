@@ -36,7 +36,9 @@ FAMILY_II) or its 1-based pivot (RIGID, FAMILY_III).  The descriptions
 of RIGID, RESIDUAL and FAMILY_III entries come from one prose map per
 divisor, and every emitted entry must pass the cross-check: its stored
 (degree, genus) equals both its table's and its class's lattice
-invariants.
+invariants.  A table's (degree, genus) is computed once per table, by
+one pass over its twists, and every entry on it is compared with that
+pass; a complete intersection stores the invariants of that same pass.
 
 Each pivot table is solved once.  So is each attached pair, at shift
 3: shift k, RESIDUAL included, is shift 3 plus (k-3)H.  This
@@ -241,15 +243,28 @@ def known_divisors() -> list[QuarticDivisor]:
     return [divisor(label) for label in DIVISOR_LABELS]
 
 
+def _table_invariants(table: BettiTable) -> tuple[int, int] | None:
+    """The table's (degree, genus), or None when it has no curve."""
+    try:
+        return _invariants(table)
+    except ValueError:
+        return None
+
+
+def _agrees(
+    inv: CurveInvariants, table: tuple[int, int] | None, lattice: PicardLattice,
+    cls: DivisorClass,
+) -> bool:
+    """The stored invariants, the table's and the lattice invariants of the
+    class are all equal."""
+    stored = (inv.degree, inv.genus)
+    return stored == table == (dot(lattice, cls, H), adjunction_genus(lattice, cls))
+
+
 def cross_check(entry: ClassificationEntry, lattice: PicardLattice) -> bool:
     """The stored invariants, the resolution's and the lattice invariants
     of the class must all be equal."""
-    try:
-        table = _invariants(entry.resolution)
-    except ValueError:
-        return False
-    stored = (entry.invariants.degree, entry.invariants.genus)
-    return stored == table == (dot(lattice, entry.cls, H), adjunction_genus(lattice, entry.cls))
+    return _agrees(entry.invariants, _table_invariants(entry.resolution), lattice, entry.cls)
 
 
 def _lattice_invariants(lattice: PicardLattice, cls: DivisorClass) -> CurveInvariants:
@@ -276,22 +291,22 @@ def classify_quartic(div: QuarticDivisor, k_max: int = 6) -> list[Classification
     prose = _PROSE.get(div.label, {})
     entries: list[ClassificationEntry] = []
 
-    def emit(cls, inv, provenance, table, pair, shift, pivot, description=None):
+    def emit(cls, inv, provenance, table, checked, pair, shift, pivot, description=None):
+        # checked: the table's (degree, genus) from its one _invariants pass
         if description is None:
             if (provenance, cls) not in prose:
                 raise ClassificationError(
                     f"{div.label}: no description for the {provenance} class {cls}"
                 )
             description = prose[(provenance, cls)]
-        entry = ClassificationEntry(
-            div.label, cls, inv, provenance, description, table, pair, shift, pivot
-        )
-        if not cross_check(entry, lattice):
+        if inv is None or not _agrees(inv, checked, lattice, cls):
             raise ClassificationError(
-                f"cross-check failed for {entry.divisor} class {entry.cls} "
-                f"({entry.provenance}): table {entry.resolution.to_json()}"
+                f"cross-check failed for {div.label} class {cls} "
+                f"({provenance}): table {table.to_json()}"
             )
-        entries.append(entry)
+        entries.append(ClassificationEntry(
+            div.label, cls, inv, provenance, description, table, pair, shift, pivot
+        ))
 
     rigid = rigid_classes(div)
     for pair in div.pairs:
@@ -306,9 +321,10 @@ def classify_quartic(div: QuarticDivisor, k_max: int = 6) -> list[Classification
         for k in range(3):
             try:
                 table = surface_generator_table(pair, k)
-                low = invariants_from_betti(table)
+                checked = _invariants(table)
             except InvalidTableError:
                 continue  # nonpositive degree: no curve at this shift
+            low = CurveInvariants(*checked)
             solved = [DivisorClass(cls.a + k - 3, cls.b) for cls in base]
             if low.genus < 0 or rigid.issuperset(solved):
                 continue  # no curve, or the rigid entries already cover these classes
@@ -321,34 +337,39 @@ def classify_quartic(div: QuarticDivisor, k_max: int = 6) -> list[Classification
                         f"{div.label}: linking {partner} in {ci.to_json()} gives "
                         f"{linked}, the shift-{k} table gives {low}"
                     )
-                emit(cls, low, RESIDUAL, table, pair, k, None)
+                emit(cls, low, RESIDUAL, table, checked, pair, k, None)
         for k in range(3, k_max + 1):
             table = surface_generator_table(pair, k)
+            checked = _table_invariants(table)
             text = f"resolution family with the quartic among the minimal generators, shift k={k}"
             for cls in base:
-                emit(DivisorClass(cls.a + k - 3, cls.b), inv, FAMILY_II, table, pair, k, None,
-                     description=text)
+                emit(DivisorClass(cls.a + k - 3, cls.b), inv, FAMILY_II, table, checked, pair, k,
+                     None, description=text)
             inv = CurveInvariants(inv.degree + 4, inv.genus + inv.degree + 2)
 
-    first_pivot = {}  # rigid class -> (pair, pivot, table) of the first pivot table solving to it
+    # rigid class -> (pair, pivot, table, its invariants) of the first pivot table solving to it
+    first_pivot = {}
     for pair, j0, table, inv in _pivot_tables(div.pairs):
+        checked = (inv.degree, inv.genus)
         solved = _solved_classes(lattice, inv)
         for cls in solved & rigid:
-            first_pivot.setdefault(cls, (pair, j0, table))
+            first_pivot.setdefault(cls, (pair, j0, table, checked))
         if not solved <= rigid:
             for cls in sorted(solved):
-                emit(cls, inv, FAMILY_III, table, pair, None, j0)
+                emit(cls, inv, FAMILY_III, table, checked, pair, None, j0)
     for cls in sorted(rigid):
         if cls not in first_pivot:
             raise ClassificationError(f"{div.label}: no pivot table resolves the rigid class {cls}")
-        pair, j0, table = first_pivot[cls]
-        emit(cls, _lattice_invariants(lattice, cls), RIGID, table, pair, None, j0)
+        pair, j0, table, checked = first_pivot[cls]
+        emit(cls, _lattice_invariants(lattice, cls), RIGID, table, checked, pair, None, j0)
 
     for dd in range(2, k_max + 1):
         table = ci_table(SURFACE_DEGREE, dd)
+        checked = _table_invariants(table)
+        inv = CurveInvariants(*checked) if checked else None  # None: no curve, emit refuses it
         text = f"complete intersection with a degree-{dd} surface"
-        emit(DivisorClass(dd, 0), invariants_from_betti(table), COMPLETE_INTERSECTION, table,
-             None, None, None, description=text)
+        emit(DivisorClass(dd, 0), inv, COMPLETE_INTERSECTION, table, checked, None, None, None,
+             description=text)
     entries.sort(key=lambda e: PROVENANCE_ORDER.index(e.provenance))  # stable
     return entries
 

@@ -40,7 +40,7 @@ from .labels import DIVISOR_LABELS, TARGET_NAMES
 MAX_ENUMERATE_DEGREE = 7
 # the most degrees `picard solve --dh` and `picard plane --dh-max` scan, and
 # the largest `classify quartic|low --kmax`.  The scan takes ~0.5 s at the
-# bound when it finds few classes; `classify quartic --kmax 10^4` takes ~1.3 s.
+# bound when it finds few classes; `classify quartic --kmax 10^4` takes ~1.1 s.
 # The output size stays unbounded: D^2 = 0 on (4, 1, -2), whose -det = 9 is
 # a square, has 499 999 classes, ~2.2-3 s to solve and ~5-6 s to print
 MAX_DEGREE_SPAN = 10**6
@@ -278,7 +278,7 @@ def _check_kmax(args) -> None:
     if args.kmax > MAX_KMAX:
         raise ValueError(
             f"--kmax {args.kmax} is above {MAX_KMAX}: the tables grow linearly with it, "
-            f"and a quartic table takes ~1.3 s and ~12 MiB of JSON at {MAX_KMAX}"
+            f"and a quartic table takes ~1.1 s and ~12 MiB of JSON at {MAX_KMAX}"
         )
 
 

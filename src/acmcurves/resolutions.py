@@ -12,10 +12,19 @@ The two constructors below realize the resolution shapes of the main
 classification: keeping the surface equation among the generators
 (case ii, with a free shift k) or dropping it (case iii, pivoting on
 one syzygy twist).  Both take the surface degree d from the pair.
+
+`BettiTable(gens, syz)` normalizes outside input (the CLI's, a test's):
+it sorts both twist tuples and rejects any nonpositive twist.  The
+constructors `ci_table`, `surface_generator_table` and
+`pivot_syzygy_table` build their twists in ascending order instead, so
+their tables skip the re-sort and check only the least twist of each
+side: `a + k` with d inserted in order, `shift + a`, `b + k` or
+`shift + b` without the pivot, and `(min(f, g), max(f, g))`.
 """
 
 from __future__ import annotations
 
+from bisect import insort
 from dataclasses import dataclass
 
 from .pairs import WeakAdmissiblePair
@@ -38,6 +47,18 @@ class BettiTable:
 
     def to_json(self) -> dict:
         return {"gens": list(self.gens), "syz": list(self.syz)}
+
+
+def _sorted_table(gens: tuple[int, ...], syz: tuple[int, ...]) -> BettiTable:
+    """The table of twists already in ascending order, without the re-sort
+    of `BettiTable(gens, syz)`: a positive least twist on each side makes
+    every twist positive."""
+    if gens and gens[0] <= 0 or syz and syz[0] <= 0:
+        raise InvalidTableError("nonpositive twist")
+    table = object.__new__(BettiTable)
+    object.__setattr__(table, "gens", gens)
+    object.__setattr__(table, "syz", syz)
+    return table
 
 
 @dataclass(frozen=True)
@@ -101,7 +122,7 @@ def ci_table(f: int, g: int) -> BettiTable:
     """The complete intersection of surfaces of degrees f and g."""
     if f < 1 or g < 1:
         raise ValueError("complete intersection degrees must be positive")
-    return BettiTable(gens=(f, g), syz=(f + g,))
+    return _sorted_table((f, g) if f <= g else (g, f), (f + g,))
 
 
 def surface_generator_table(p: WeakAdmissiblePair, k: int) -> BettiTable:
@@ -110,11 +131,12 @@ def surface_generator_table(p: WeakAdmissiblePair, k: int) -> BettiTable:
     d is the pair's degree: gens = {a_i + k} + {d},  syz = {b_j + k},
     and the twist sums balance exactly because the pair has degree d.
     """
-    if p.a[0] + k <= 0:
-        raise InvalidTableError(f"nonpositive twist: shift {k} is too negative")
-    gens = tuple(a + k for a in p.a) + (p.degree,)
-    syz = tuple(b + k for b in p.b)
-    return BettiTable(gens, syz)
+    gens = [a + k for a in p.a]
+    insort(gens, p.degree)
+    try:
+        return _sorted_table(tuple(gens), tuple([b + k for b in p.b]))
+    except InvalidTableError as err:
+        raise InvalidTableError(f"{err}: shift {k} is too negative") from None
 
 
 def pivot_syzygy_table(p: WeakAdmissiblePair, j0: int) -> BettiTable:
@@ -126,12 +148,15 @@ def pivot_syzygy_table(p: WeakAdmissiblePair, j0: int) -> BettiTable:
     """
     if not 1 <= j0 <= p.length:
         raise ValueError(f"pivot index {j0} out of range 1..{p.length}")
-    shift = p.degree - p.b[j0 - 1]
-    gens = tuple(shift + a for a in p.a)
-    if gens[0] <= 0:
-        raise InvalidTableError(f"nonpositive twist: pivot {j0} shifts below 1")
-    syz = tuple(shift + b for i, b in enumerate(p.b) if i != j0 - 1)
-    return BettiTable(gens, syz)
+    b = p.b
+    shift = p.degree - b[j0 - 1]
+    try:
+        return _sorted_table(
+            tuple([shift + a for a in p.a]),
+            tuple([shift + x for x in b[:j0 - 1] + b[j0:]]),
+        )
+    except InvalidTableError as err:
+        raise InvalidTableError(f"{err}: pivot {j0} shifts below 1") from None
 
 
 def is_f_minimal(p: WeakAdmissiblePair, k: int) -> bool:

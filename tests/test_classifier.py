@@ -1,3 +1,5 @@
+import re
+
 import pytest
 
 from acmcurves import (
@@ -213,6 +215,14 @@ class TestCrossCheck:
             BettiTable((4, 4, 4), (5, 8)),
         )
         assert not cross_check(entry, lattice)
+
+    def test_false_on_a_class_off_its_table(self):
+        # stored and table agree, (13, 21); the class's lattice invariants do not
+        lattice = divisor("F4").lattice
+        table = BettiTable((4, 4, 4), (5, 7))
+        for wrong in (cls(2, 1), cls(3, 0), cls(4, 1)):
+            entry = ClassificationEntry("F4", wrong, CurveInvariants(13, 21), FAMILY_II, "", table)
+            assert not cross_check(entry, lattice), wrong
 
     def test_false_on_wrong_stored_invariants(self):
         # table and class agree, (13, 21); the stored degree and genus do not
@@ -503,6 +513,40 @@ class TestProse:
         monkeypatch.setitem(classifier._PROSE, "F4", prose)
         with pytest.raises(ClassificationError, match="no description"):
             classify_quartic(divisor("F4"), k_max=3)
+
+
+def one_twist_off(real, at, offset):
+    """`real` with its last syzygy twist raised by `offset` when its last
+    argument is `at`."""
+    def constructor(*args):
+        t = real(*args)
+        if args[-1] != at:
+            return t
+        return BettiTable(t.gens, t.syz[:-1] + (t.syz[-1] + offset,))
+    return constructor
+
+
+# a table's invariants are computed once per table, and each entry on it is
+# still compared with them: a wrong table at one shift or one d is refused.
+# Offset 1 makes the degree a half-integer, offset 2 a wrong integer
+@pytest.mark.parametrize("offset", [1, 2])
+def test_a_wrong_shift_table_is_refused(monkeypatch, offset):
+    wrong = one_twist_off(classifier.surface_generator_table, 1000, offset)
+    monkeypatch.setattr(classifier, "surface_generator_table", wrong)
+    with pytest.raises(ClassificationError,
+                       match=r"^cross-check failed for F2 class .* \(FAMILY_II\): table "):
+        classify_quartic(divisor("F2"), k_max=2000)
+
+
+@pytest.mark.parametrize("offset", [1, 2])
+def test_a_wrong_complete_intersection_table_is_refused(monkeypatch, offset):
+    wrong = one_twist_off(classifier.ci_table, 1500, offset)
+    monkeypatch.setattr(classifier, "ci_table", wrong)
+    table = wrong(4, 1500)
+    message = (f"cross-check failed for F2 class {cls(1500, 0)} (COMPLETE_INTERSECTION): "
+               f"table {table.to_json()}")
+    with pytest.raises(ClassificationError, match=f"^{re.escape(message)}$"):
+        classify_quartic(divisor("F2"), k_max=2000)
 
 
 def test_f4_exclusion_is_the_plane_cubic():

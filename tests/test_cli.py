@@ -95,6 +95,17 @@ class TestResCommands:
         code, _, err = invoke(capsys, "res", "build", "--case", "ii", "--a", "1,1", "--b", "2,4")
         assert code == 1
 
+    @pytest.mark.parametrize("gens, syz, error", [
+        ("", "", "shape: expected one more generator than syzygies, got 0 vs 0; "
+                 "degree must be positive, got 0"),
+        ("0,3", "3", "nonpositive twist"),
+    ], ids=["empty", "zero-twist"])
+    def test_invariants_refusals_exactly(self, capsys, gens, syz, error):
+        # BettiTable checks every twist of outside input; an empty table
+        # reaches the shape and degree checks, never an IndexError
+        code, out, err = invoke(capsys, "res", "invariants", "--gens", gens, "--syz", syz)
+        assert (code, out, err) == (1, "", f"error: {error}\n")
+
     @pytest.mark.parametrize("case, flag, good, bad, bad_error", [
         ("ii", "--k", "3", "-5", "nonpositive twist: shift -5 is too negative"),
         ("iii", "--j0", "2", "9", "pivot index 9 out of range 1..2"),

@@ -1,4 +1,4 @@
-from itertools import combinations_with_replacement
+from itertools import combinations_with_replacement, product
 
 import pytest
 from hypothesis import given, strategies as st
@@ -6,10 +6,12 @@ from hypothesis import given, strategies as st
 from acmcurves import (
     BettiTable,
     CurveInvariants,
+    EnumerationConfig,
     InvalidTableError,
     ci_table,
     degree_from_betti,
     dual_pair,
+    enumerate_pairs,
     genus_from_betti,
     invariants_from_betti,
     is_f_minimal,
@@ -18,6 +20,7 @@ from acmcurves import (
     pivot_syzygy_table,
     validate,
 )
+from acmcurves.resolutions import _sorted_table
 from conftest import weak_pairs
 
 F4_A = make_pair((1, 1), (2, 4))
@@ -282,3 +285,75 @@ def test_dual_families_give_complementary_branches():
     b_degrees = {raw_invariants(surface_generator_table(b_pair, k))[0] for k in range(1, 10)}
     assert all(d % 4 == 1 for d in a_degrees)
     assert all(d % 4 == 3 for d in b_degrees)
+
+
+# The constructors build their twists in ascending order and skip the
+# re-sort; the reference is BettiTable, which sorts and checks every twist,
+# fed the twists of the module docstring's formulas.
+
+def reference(gens, syz):
+    try:
+        return BettiTable(gens, syz)
+    except InvalidTableError:
+        return InvalidTableError
+
+
+def built(constructor, *args):
+    try:
+        return constructor(*args)
+    except InvalidTableError:
+        return InvalidTableError
+
+
+def case_ii_twists(p, k):
+    # gens = {a_i + k} + {d},  syz = {b_j + k}
+    return [a + k for a in p.a] + [p.degree], [b + k for b in p.b]
+
+
+def case_iii_twists(p, j0):
+    # gens = {d - b_j0 + a_i},  syz = {d - b_j0 + b_i} for i != j0
+    shift = p.degree - p.b[j0 - 1]
+    return [shift + a for a in p.a], [shift + b for i, b in enumerate(p.b, 1) if i != j0]
+
+
+# every normalized pair of degrees 2-5 with b_t <= 12: 3604 pairs
+ENUMERATED = [p for d in range(2, 6) for p in enumerate_pairs(EnumerationConfig(d, 12))]
+
+
+class TestConstructorsEqualTheReference:
+    def test_case_ii_at_every_shift(self):
+        for p in ENUMERATED:
+            least = 1 - p.a[0]  # the least shift with every twist positive
+            assert built(surface_generator_table, p, least - 1) is InvalidTableError, p
+            assert reference(*case_ii_twists(p, least - 1)) is InvalidTableError, p
+            for k in range(least, 31):
+                t = surface_generator_table(p, k)
+                assert t == reference(*case_ii_twists(p, k)), (p, k)
+
+    def test_case_iii_at_every_pivot(self):
+        refused = 0
+        for p in ENUMERATED:
+            for j0 in range(1, p.length + 1):
+                want = reference(*case_iii_twists(p, j0))
+                assert built(pivot_syzygy_table, p, j0) == want, (p, j0)
+                refused += want is InvalidTableError
+            for j0 in (0, p.length + 1):
+                with pytest.raises(ValueError, match=f"pivot index {j0} out of range"):
+                    pivot_syzygy_table(p, j0)
+        assert refused > 0  # some pivots shift a twist below 1
+
+    def test_ci_in_both_orders(self):
+        for f, g in product(range(1, 61), repeat=2):
+            assert ci_table(f, g) == BettiTable((f, g), (f + g,)), (f, g)
+
+    @given(weak_pairs(max_degree=8, max_shift=20), st.integers(-30, 30), st.data())
+    def test_shifted_pairs_and_negative_shifts(self, p, k, data):
+        assert built(surface_generator_table, p, k) == reference(*case_ii_twists(p, k))
+        j0 = data.draw(st.integers(1, p.length))
+        assert built(pivot_syzygy_table, p, j0) == reference(*case_iii_twists(p, j0))
+
+    @given(st.lists(st.integers(-3, 9), max_size=4), st.lists(st.integers(-3, 9), max_size=4))
+    def test_sorted_table_checks_the_least_twist_of_each_side(self, gens, syz):
+        # empty sides included: the helper must not index an empty tuple
+        gens, syz = tuple(sorted(gens)), tuple(sorted(syz))
+        assert built(_sorted_table, gens, syz) == reference(gens, syz)
