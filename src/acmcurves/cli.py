@@ -38,11 +38,13 @@ from .labels import DIVISOR_LABELS, TARGET_NAMES
 
 # the largest degree `pairs enumerate` finishes in bounded time and memory
 MAX_ENUMERATE_DEGREE = 7
-# the most degrees `picard solve --dh` and `picard plane --dh-max` scan, and
-# the largest `classify quartic|low --kmax`.  The scan takes ~0.5 s at the
-# bound when it finds few classes; `classify quartic --kmax 10^4` takes ~1.1 s.
-# The output size stays unbounded: D^2 = 0 on (4, 1, -2), whose -det = 9 is
-# a square, has 499 999 classes, ~2.2-3 s to solve and ~5-6 s to print
+# the most degrees `picard solve --dh` and `picard plane --dh-max` cover, and
+# the largest `classify quartic|low --kmax`.  At the bound `picard plane`
+# solves one slice per degree in ~0.4-0.5 s; `picard solve` tests only the
+# degrees its congruence mod -det allows, in at most ~0.15 s when it finds
+# few classes.  `classify quartic --kmax 10^4` takes ~1.1 s.  The output
+# size stays unbounded: D^2 = 0 on (4, 1, -2), whose -det = 9 is a square,
+# has 499 999 classes, ~0.9 s to solve and ~4 s to print
 MAX_DEGREE_SPAN = 10**6
 MAX_KMAX = 10**4
 # the most digits of one integer argument.  Every result is at most cubic
@@ -223,7 +225,7 @@ def _picard_solve(args):
     if hi - lo + 1 > MAX_DEGREE_SPAN:
         raise ValueError(
             f"--dh {lo}..{hi} spans {hi - lo + 1} degrees, more than {MAX_DEGREE_SPAN}: "
-            "the solver takes ~0.05 s per 10^5 degrees"
+            "the solver takes up to ~0.015 s per 10^5 degrees"
         )
     classes = acm.solve_classes(_lattice(args.gram), args.self_int, lo, hi)
     return {"classes": sorted([c.to_json() for c in classes])}, None

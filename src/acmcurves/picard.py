@@ -4,15 +4,26 @@ A lattice is the Gram matrix [[h2, hc], [hc, c2]] in the basis
 (hyperplane H, special curve C).  Both h2 and c2 are even and the
 determinant is negative, so for any fixed value of D.H the classes
 with a prescribed self-intersection form a finite set which can be
-solved exactly.  The extended gcd gives h2*u + hc*v = g, so P = (u, v)
-has P.H = g and the slice D.H = n*g is the line n*P + s*d, where
-d = (hc/g, -h2/g) spans the classes orthogonal to H.  On it D.D is a
-quadratic in s whose discriminant over 4 is n^2*k + q2*D.D, with the
-per-lattice constants q2 = d.d = h2*det/g^2 and k = (P.d)^2 - q2*P.P
-(= -det, as P and d span the lattice).  These are computed once per
-solve, so a slice costs a few integer operations and one isqrt, and
-only a solution builds a class.  The leading coefficient q2 is negative because h2 = H^2 (the
-surface degree) is positive, so no search bound is ever needed.
+solved exactly.  Write x = aH + bC, e = x.H = h2*a + hc*b and
+delta = -det > 0.  Then h2*x.x = e^2 - delta*b^2, so the slice
+(x.H, x.x) = (e, s) holds a class exactly when (e^2 - h2*s)/delta is an
+integer square b^2 and a = (e - hc*b)/h2 is an integer, for b or -b.
+A slice costs a few integer operations and at most one isqrt, and only
+a solution builds a class; no search bound is ever needed.
+
+Over a range of degrees at one s, with N = h2*s, two facts cut the
+degrees that need a slice:
+
+- Congruence.  A class on the slice e gives e^2 = N + delta*b^2, so
+  e^2 = N (mod delta): only the residues r of e mod delta with
+  r^2 = N (mod delta) can carry a class.
+- Isotropic bound.  If delta = m^2 and N != 0, the class gives
+  (e - m*b)(e + m*b) = N with both factors f, g nonzero integers, so
+  2|e| <= |f| + |g| <= |fg| + 1 = |N| + 1, as (|f| - 1)(|g| - 1) >= 0.
+
+`solve_classes` clips its range by the bound and, when delta is at most
+the span, visits only the degrees e = base + r with base a multiple of
+delta; a longer delta would make the residue list cost more than the scan.
 """
 
 from __future__ import annotations
@@ -79,43 +90,22 @@ def adjunction_genus(l: PicardLattice, x: DivisorClass) -> int:
     return dot(l, x, x) // 2 + 1
 
 
-def _ext_gcd(x: int, y: int) -> tuple[int, int, int]:
-    """(g, u, v) with x*u + y*v = g = gcd(x, y) >= 0, by a loop: the
-    Euclidean steps of large Gram entries can outrun the recursion limit."""
-    u0, v0, u1, v1 = 1, 0, 0, 1  # x = u0*X + v0*Y and y = u1*X + v1*Y throughout
-    while y:
-        q = x // y
-        x, y = y, x - q * y
-        u0, v0, u1, v1 = u1, v1, u0 - q * u1, v0 - q * v1
-    return (x, u0, v0) if x >= 0 else (-x, -u0, -v0)
-
-
 def _solve_slices(l: PicardLattice, slices: Iterable[tuple[int, int]]) -> set[DivisorClass]:
     """All integer classes x with x.H = dh and x.x = self_int for some
     (dh, self_int) in slices."""
-    g, u, v = _ext_gcd(l.h2, l.hc)
-    # the slice x.H = n*g is the line x = n*p + s*d (module docstring), on
-    # which x.x - self_int = q2*s^2 + 2*n*bpd*s + n^2*p.p - self_int
-    p = DivisorClass(u, v)
-    d = DivisorClass(l.hc // g, -l.h2 // g)
-    q2 = dot(l, d, d)
-    bpd = dot(l, p, d)
-    k = bpd * bpd - q2 * dot(l, p, p)
+    h2, hc, delta = l.h2, l.hc, -l.det
     solutions: set[DivisorClass] = set()
-    for dh, self_int in slices:
-        if dh % g:
+    for e, self_int in slices:
+        b_squared, rem = divmod(e * e - h2 * self_int, delta)
+        if rem or b_squared < 0:
             continue
-        n = dh // g
-        disc = n * n * k + q2 * self_int
-        if disc < 0:
+        b = math.isqrt(b_squared)
+        if b * b != b_squared:
             continue
-        root = math.isqrt(disc)
-        if root * root != disc:
-            continue
-        for num in (-n * bpd + root, -n * bpd - root):
-            s, rem = divmod(num, q2)
+        for y in (b, -b):
+            a, rem = divmod(e - hc * y, h2)
             if not rem:
-                solutions.add(DivisorClass(n * u + s * d.a, n * v + s * d.b))
+                solutions.add(DivisorClass(a, y))
     return solutions
 
 
@@ -125,7 +115,22 @@ def solve_classes(
     """All integer classes x with x.x = self_int and dh_min <= x.H <= dh_max."""
     if dh_min > dh_max:
         raise ValueError("empty degree range")
-    return _solve_slices(l, zip(range(dh_min, dh_max + 1), repeat(self_int)))
+    delta, n = -l.det, l.h2 * self_int
+    m = math.isqrt(delta)
+    if m * m == delta and n:
+        bound = (abs(n) + 1) // 2
+        dh_min, dh_max = max(dh_min, -bound), min(dh_max, bound)
+    if delta > dh_max - dh_min + 1:
+        degrees: Iterable[int] = range(dh_min, dh_max + 1)
+    else:
+        roots = [r for r in range(delta) if (r * r - n) % delta == 0]
+        degrees = (
+            e
+            for base in range(dh_min - dh_min % delta, dh_max + 1, delta)
+            for r in roots
+            if dh_min <= (e := base + r) <= dh_max
+        )
+    return _solve_slices(l, zip(degrees, repeat(self_int)))
 
 
 @dataclass(frozen=True)

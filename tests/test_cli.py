@@ -133,6 +133,28 @@ class TestPicardCommands:
         )
         assert doc == {"classes": [[0, 1]]}
 
+    # worked by hand from h2*D^2 = (D.H)^2 + det*b^2: on 2,1,0, -det = 1 and
+    # h2*D^2 = 8, so (D.H - b)(D.H + b) = 8 gives D.H = +-3 only; on 4,1,-2
+    # at D^2 = 0, -det = 9 and D.H = +-3b
+    @pytest.mark.parametrize("gram,self_int,dh,expected", [
+        ("2,1,0", "4", "-1000..1000", [[-2, 1], [-1, -1], [1, 1], [2, -1]]),
+        ("4,1,-2", "0", "-7..7", [[-2, 2], [-1, -2], [-1, 1], [0, 0], [1, -1], [1, 2], [2, -2]]),
+    ], ids=["square-det", "isotropic"])
+    def test_solve_worked_by_hand(self, capsys, gram, self_int, dh, expected):
+        doc = invoke_json(
+            capsys, "picard", "solve", "--gram", gram,
+            f"--self-int={self_int}", f"--dh={dh}",
+        )
+        assert doc == {"classes": expected}
+
+    def test_solve_det_longer_than_span(self, capsys):
+        # -det has 600 digits: the solver scans the 1000 degrees one by one
+        doc = invoke_json(
+            capsys, "picard", "solve", "--gram", f"4,{10**299 + 7},-2",
+            "--self-int=0", "--dh", "1..1000",
+        )
+        assert doc == {"classes": []}
+
     def test_watanabe_by_divisor(self, capsys):
         doc = invoke_json(capsys, "picard", "watanabe", "--divisor", "F3")
         by_label = {c["label"]: c for c in doc["cases"]}
@@ -398,7 +420,7 @@ class TestAdditionalPaths:
     @pytest.mark.parametrize("command", [["solve", "--self-int=-2", "--dh", "1..3"], ["watanabe"]],
                              ids=["solve", "watanabe"])
     def test_consecutive_fibonacci_gram(self, capsys, command):
-        # 313-digit entries: the Euclidean algorithm takes ~1500 steps
+        # 313-digit entries: -det = fib(1499)^2 is a square far longer than the span
         fib = [0, 1]
         while len(fib) <= 1500:
             fib.append(fib[-1] + fib[-2])

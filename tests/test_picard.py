@@ -2,7 +2,7 @@ import math
 from argparse import Namespace
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from acmcurves import (
     DivisorClass,
@@ -16,7 +16,6 @@ from acmcurves import (
     watanabe_candidates,
 )
 from acmcurves.cli import _picard_plane, _picard_solve
-from acmcurves.picard import _ext_gcd
 
 F1_L = quartic_lattice(6, 3)
 F2_L = quartic_lattice(3, 0)
@@ -131,20 +130,31 @@ class TestSolveClasses:
         with pytest.raises(ValueError, match="empty"):
             solve_classes(F4_L, 0, 3, 2)
 
-    @settings(max_examples=60)
+    @settings(max_examples=200)
     @given(
-        st.integers(0, 8),
+        st.sampled_from((2, 4, 6, 8)),
+        st.integers(-20, 20),
         st.integers(-6, 2),
-        st.integers(-10, 10),
-        st.integers(0, 8),
+        st.integers(-20, 20),
+        st.integers(-150, 150),
+        st.integers(1, 300),
     )
-    def test_matches_oracle_on_random_lattices(self, hc, half_c2, self_int, dh):
+    # hc = 4*10^499 + 1 gives a 1000-digit -det, far longer than the span:
+    # the plain scan, with no class at D^2 = 0 and only H at D^2 = 4
+    @example(h2=4, hc=4 * 10**499 + 1, half_c2=-1, self_int=0, dh=1, span=300)
+    @example(h2=4, hc=4 * 10**499 + 1, half_c2=-1, self_int=4, dh=1, span=300)
+    def test_matches_oracle_on_random_lattices(self, h2, hc, half_c2, self_int, dh, span):
         c2 = 2 * half_c2
-        if 4 * c2 - hc * hc >= 0:
+        if h2 * c2 - hc * hc >= 0:
             return
-        l = PicardLattice(4, hc, c2)
-        got = solve_classes(l, self_int, dh, dh + 2)
-        assert got == brute_force_classes(l, self_int, dh, dh + 2)
+        l = PicardLattice(h2, hc, c2)
+        got = solve_classes(l, self_int, dh, dh + span - 1)
+        want = set().union(
+            *(slice_oracle(h2, hc, c2, self_int, e) for e in range(dh, dh + span))
+        )
+        assert got == want
+        if hc > 10**499:
+            assert len(str(-l.det)) == 1000 and got == ({H} if self_int == 4 else set())
 
 
 class TestWatanabe:
@@ -263,35 +273,44 @@ def test_solver_equals_the_slice_oracle_over_full_ranges(h2):
     assert {hc for _, hc, _ in grams} == set(range(-7, 8))
     for gram in grams:
         l = PicardLattice(*gram)
-        assert l.det < 0
+        delta = -l.det
+        assert 0 < delta < 261
+        # -60..200 is longer than every -det here, so the solver visits only
+        # the residues of its congruence; a window shorter than -det takes
+        # the plain scan, and a window past the isotropic bound (|N| + 1)/2
+        # checks the clip when -det is a square
         for self_int in range(-12, 19):
-            want = set().union(*(slice_oracle(*gram, self_int, dh) for dh in range(-60, 201)))
-            assert solve_classes(l, self_int, -60, 200) == want, (gram, self_int)
+            windows = [(-60, 200)]
+            if delta > 1:
+                windows.append((-(delta // 2), delta - 2 - delta // 2))
+            if math.isqrt(delta) ** 2 == delta:
+                bound = (abs(h2 * self_int) + 1) // 2
+                windows.append((-bound - 3, bound + 3))
+            for lo, hi in windows:
+                want = set().union(*(slice_oracle(*gram, self_int, dh) for dh in range(lo, hi + 1)))
+                assert solve_classes(l, self_int, lo, hi) == want, (gram, self_int, lo, hi)
         plane = set().union(
             *(slice_oracle(*gram, (e - 1) * (e - 2) - 2, e) for e in range(1, 201))
         )
         assert plane_curve_classes(l, 200) == plane, gram
 
 
-def recursive_ext_gcd(x, y):
-    """The recursive extended gcd the loop in picard replaced."""
-    if y == 0:
-        return (x, 1, 0) if x >= 0 else (-x, -1, 0)
-    g, u, v = recursive_ext_gcd(y, x % y)
-    return g, v, u - (x // y) * v
+@settings(max_examples=40)
+@given(st.sampled_from((2, 4, 6, 8)), st.integers(-20, 20), st.integers(-6, 2))
+def test_every_class_meets_the_congruence_and_the_isotropic_bound(h2, hc, half_c2):
+    """The two facts of the picard docstring, on every class of a box,
+    computed from the Gram matrix and not from the solver's identity."""
+    c2 = 2 * half_c2
+    if h2 * c2 - hc * hc >= 0:
+        return
+    l = PicardLattice(h2, hc, c2)
+    delta = -l.det
+    m = math.isqrt(delta)
+    for a in range(-30, 31):
+        for b in range(-30, 31):
+            x = DivisorClass(a, b)
+            e, n = dot(l, x, H), h2 * dot(l, x, x)
+            assert (e * e - n) % delta == 0, (x, l)
+            if m * m == delta and n != 0:
+                assert 2 * abs(e) <= abs(n) + 1, (x, l)
 
-
-def test_ext_gcd_equals_the_recursive_transcription():
-    for x in range(-80, 81):
-        for y in range(-80, 81):
-            assert _ext_gcd(x, y) == recursive_ext_gcd(x, y), (x, y)
-
-
-def test_ext_gcd_bezout_on_consecutive_fibonacci():
-    # ~1500 Euclidean steps, past the default recursion limit
-    fib = [0, 1]
-    while len(fib) <= 1500:
-        fib.append(fib[-1] + fib[-2])
-    x, y = fib[1500], fib[1499]
-    g, u, v = _ext_gcd(x, y)
-    assert g == 1 and x * u + y * v == 1
