@@ -19,8 +19,10 @@ derived:
   order.  Each is resolved by the first pivot table that solves to it
   (pairs in order, distinct syzygy twists ascending);
 * RESIDUAL: the shifts k = 0, 1, 2 of each attached pair.  A shift is
-  skipped when its table has no curve (nonpositive degree or negative
-  genus) or when its solved classes are all rigid.  Otherwise each
+  skipped when its table has no curve (a twist below 1, a nonpositive
+  degree or a negative genus) or when its solved classes are all rigid.
+  Equal twist sums make the degree and genus integers (x^2 = x mod 2,
+  x^3 = x mod 6), so a table whose sums differ is refused instead.  Each
   solved class D is residual to (k+1)H - D in the complete intersection
   (4, k+1), and linkage must give back the table's invariants;
 * FAMILY_II: the solved classes of each shift k >= 3;
@@ -34,11 +36,11 @@ and COMPLETE_INTERSECTION by d.  Each entry records its attached pair
 (None for a complete intersection), plus its shift k (RESIDUAL,
 FAMILY_II) or its 1-based pivot (RIGID, FAMILY_III).  The descriptions
 of RIGID, RESIDUAL and FAMILY_III entries come from one prose map per
-divisor, and every emitted entry must pass the cross-check: its stored
-(degree, genus) equals both its table's and its class's lattice
-invariants.  A table's (degree, genus) is computed once per table, by
-one pass over its twists, and every entry on it is compared with that
-pass; a complete intersection stores the invariants of that same pass.
+divisor.  One rule makes every entry: an entry is a class on a table,
+it stores that table's (degree, genus), computed once per table by one
+pass over its twists, and that pass must equal the class's lattice
+invariants (D.H, D^2/2 + 1).  So every emitted entry passes the
+cross-check.
 
 Each pivot table is solved once.  So is each attached pair, at shift
 3: shift k, RESIDUAL included, is shift 3 plus (k-3)H.  This
@@ -66,6 +68,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import groupby
 
 from .enumeration import EnumerationConfig, enumerate_kinds
 from .labels import DIVISOR_LABELS, TYPE_LABELS
@@ -76,8 +79,8 @@ from .picard import (
     watanabe_candidates,
 )
 from .resolutions import (
-    BettiTable, CurveInvariants, InvalidTableError, _invariants, ci_table, invariants_from_betti,
-    is_f_minimal, pivot_syzygy_table, surface_generator_table,
+    BettiTable, CurveInvariants, InvalidTableError, _invariants, ci_table, is_f_minimal,
+    pivot_syzygy_table, surface_generator_table,
 )
 
 SURFACE_DEGREE = 4
@@ -220,12 +223,12 @@ def _surface_types(degree: int) -> dict[str, tuple[WeakAdmissiblePair, ...]]:
 
 
 def _pivot_tables(pairs: tuple[WeakAdmissiblePair, ...]):
-    """(pair, pivot, table, invariants) of every pivot table: pairs in
+    """(pair, pivot, table, (degree, genus)) of every pivot table: pairs in
     order, distinct syzygy twists ascending."""
     for pair in pairs:
         for j0 in sorted({pair.b.index(b) + 1 for b in pair.b}):
             table = pivot_syzygy_table(pair, j0)
-            yield pair, j0, table, invariants_from_betti(table)
+            yield pair, j0, table, _invariants(table)
 
 
 @lru_cache(maxsize=None)
@@ -234,7 +237,7 @@ def divisor(label: str) -> QuarticDivisor:
         raise KeyError(f"unknown divisor {label!r}; expected one of {DIVISOR_LABELS}")
     pairs = _surface_types(SURFACE_DEGREE)[label]
     # the generator curve: the least (degree, genus) among the pivot tables
-    d_i, g_i = min((inv.degree, inv.genus) for *_, inv in _pivot_tables(pairs))
+    d_i, g_i = min(checked for *_, checked in _pivot_tables(pairs))
     return QuarticDivisor(label, quartic_lattice(d_i, g_i), pairs, _EXCLUSIONS.get(label, ()))
 
 
@@ -244,37 +247,26 @@ def known_divisors() -> list[QuarticDivisor]:
 
 
 def _table_invariants(table: BettiTable) -> tuple[int, int] | None:
-    """The table's (degree, genus), or None when it has no curve."""
+    """The table's (degree, genus), or None when `_invariants` refuses it."""
     try:
         return _invariants(table)
     except ValueError:
         return None
 
 
-def _agrees(
-    inv: CurveInvariants, table: tuple[int, int] | None, lattice: PicardLattice,
-    cls: DivisorClass,
-) -> bool:
-    """The stored invariants, the table's and the lattice invariants of the
-    class are all equal."""
-    stored = (inv.degree, inv.genus)
-    return stored == table == (dot(lattice, cls, H), adjunction_genus(lattice, cls))
+def _lattice_invariants(lattice: PicardLattice, cls: DivisorClass) -> tuple[int, int]:
+    return dot(lattice, cls, H), adjunction_genus(lattice, cls)
 
 
 def cross_check(entry: ClassificationEntry, lattice: PicardLattice) -> bool:
     """The stored invariants, the resolution's and the lattice invariants
     of the class must all be equal."""
-    return _agrees(entry.invariants, _table_invariants(entry.resolution), lattice, entry.cls)
+    stored = (entry.invariants.degree, entry.invariants.genus)
+    return stored == _table_invariants(entry.resolution) == _lattice_invariants(lattice, entry.cls)
 
 
-def _lattice_invariants(lattice: PicardLattice, cls: DivisorClass) -> CurveInvariants:
-    return CurveInvariants(dot(lattice, cls, H), adjunction_genus(lattice, cls))
-
-
-def _solved_classes(
-    lattice: PicardLattice, inv: CurveInvariants
-) -> set[DivisorClass]:
-    return solve_classes(lattice, 2 * inv.genus - 2, inv.degree, inv.degree)
+def _solved_classes(lattice: PicardLattice, degree: int, genus: int) -> set[DivisorClass]:
+    return solve_classes(lattice, 2 * genus - 2, degree, degree)
 
 
 def rigid_classes(div: QuarticDivisor) -> set[DivisorClass]:
@@ -291,85 +283,89 @@ def classify_quartic(div: QuarticDivisor, k_max: int = 6) -> list[Classification
     prose = _PROSE.get(div.label, {})
     entries: list[ClassificationEntry] = []
 
-    def emit(cls, inv, provenance, table, checked, pair, shift, pivot, description=None):
-        # checked: the table's (degree, genus) from its one _invariants pass
-        if description is None:
-            if (provenance, cls) not in prose:
+    def emit(provenance, table, checked, classes, pair=None, shift=None, pivot=None,
+             description=None):
+        # checked: the table's (degree, genus) from its one _invariants pass, or
+        # None; every class stores it and must have it as its lattice invariants
+        inv = CurveInvariants(*checked) if checked else None
+        for cls in classes:
+            text = description or prose.get((provenance, cls))
+            if text is None:
                 raise ClassificationError(
                     f"{div.label}: no description for the {provenance} class {cls}"
                 )
-            description = prose[(provenance, cls)]
-        if inv is None or not _agrees(inv, checked, lattice, cls):
-            raise ClassificationError(
-                f"cross-check failed for {div.label} class {cls} "
-                f"({provenance}): table {table.to_json()}"
-            )
-        entries.append(ClassificationEntry(
-            div.label, cls, inv, provenance, description, table, pair, shift, pivot
-        ))
+            if _lattice_invariants(lattice, cls) != checked:
+                raise ClassificationError(
+                    f"cross-check failed for {div.label} class {cls} "
+                    f"({provenance}): table {table.to_json()}"
+                )
+            entries.append(ClassificationEntry(
+                div.label, cls, inv, provenance, text, table, pair, shift, pivot
+            ))
 
     rigid = rigid_classes(div)
     for pair in div.pairs:
         # solved once, at shift 3; shift k adds (k-3)H (module docstring)
-        inv = invariants_from_betti(surface_generator_table(pair, 3))
-        base = sorted(_solved_classes(lattice, inv))
+        table = surface_generator_table(pair, 3)
+        checked = _invariants(table)
+        base = sorted(_solved_classes(lattice, *checked))
         if not base:
             raise ClassificationError(
-                f"{div.label}: no integer class of degree {inv.degree}, "
-                f"genus {inv.genus} at shift 3"
+                f"{div.label}: no integer class of degree {checked[0]}, "
+                f"genus {checked[1]} at shift 3"
             )
+        for k in range(3, k_max + 1):
+            if k > 3:  # shift 3 is the table just solved
+                table = surface_generator_table(pair, k)
+                checked = _table_invariants(table)
+            text = f"resolution family with the quartic among the minimal generators, shift k={k}"
+            emit(FAMILY_II, table, checked, [DivisorClass(c.a + k - 3, c.b) for c in base], pair,
+                 shift=k, description=text)
         for k in range(3):
             try:
                 table = surface_generator_table(pair, k)
-                checked = _invariants(table)
             except InvalidTableError:
-                continue  # nonpositive degree: no curve at this shift
-            low = CurveInvariants(*checked)
-            solved = [DivisorClass(cls.a + k - 3, cls.b) for cls in base]
-            if low.genus < 0 or rigid.issuperset(solved):
+                continue  # a twist below 1: no curve at this shift
+            checked = _table_invariants(table)
+            solved = [DivisorClass(c.a + k - 3, c.b) for c in base]
+            # with equal twist sums, None is a degree <= 0 (module docstring)
+            no_curve = checked is None or checked[1] < 0
+            if no_curve and sum(table.gens) == sum(table.syz) or rigid.issuperset(solved):
                 continue  # no curve, or the rigid entries already cover these classes
+            emit(RESIDUAL, table, checked, solved, pair, shift=k)
+            stored = entries[-1].invariants
             ci = CiProfile(SURFACE_DEGREE, k + 1)
             for cls in solved:
                 partner = DivisorClass(k + 1 - cls.a, -cls.b)  # (k+1)H - D
-                linked = residual_invariants(_lattice_invariants(lattice, partner), ci)
-                if linked != low:
+                linked = residual_invariants(
+                    CurveInvariants(*_lattice_invariants(lattice, partner)), ci
+                )
+                if linked != stored:
                     raise ClassificationError(
                         f"{div.label}: linking {partner} in {ci.to_json()} gives "
-                        f"{linked}, the shift-{k} table gives {low}"
+                        f"{linked}, the shift-{k} table gives {stored}"
                     )
-                emit(cls, low, RESIDUAL, table, checked, pair, k, None)
-        for k in range(3, k_max + 1):
-            table = surface_generator_table(pair, k)
-            checked = _table_invariants(table)
-            text = f"resolution family with the quartic among the minimal generators, shift k={k}"
-            for cls in base:
-                emit(DivisorClass(cls.a + k - 3, cls.b), inv, FAMILY_II, table, checked, pair, k,
-                     None, description=text)
-            inv = CurveInvariants(inv.degree + 4, inv.genus + inv.degree + 2)
 
-    # rigid class -> (pair, pivot, table, its invariants) of the first pivot table solving to it
+    # rigid class -> (pair, pivot, table, (degree, genus)) of the first pivot table solving to it
     first_pivot = {}
-    for pair, j0, table, inv in _pivot_tables(div.pairs):
-        checked = (inv.degree, inv.genus)
-        solved = _solved_classes(lattice, inv)
+    for pair, j0, table, checked in _pivot_tables(div.pairs):
+        solved = _solved_classes(lattice, *checked)
         for cls in solved & rigid:
             first_pivot.setdefault(cls, (pair, j0, table, checked))
         if not solved <= rigid:
-            for cls in sorted(solved):
-                emit(cls, inv, FAMILY_III, table, checked, pair, None, j0)
-    for cls in sorted(rigid):
-        if cls not in first_pivot:
-            raise ClassificationError(f"{div.label}: no pivot table resolves the rigid class {cls}")
-        pair, j0, table, checked = first_pivot[cls]
-        emit(cls, _lattice_invariants(lattice, cls), RIGID, table, checked, pair, None, j0)
+            emit(FAMILY_III, table, checked, sorted(solved), pair, pivot=j0)
+    for resolved_by, classes in groupby(sorted(rigid), key=first_pivot.get):
+        if resolved_by is None:
+            raise ClassificationError(
+                f"{div.label}: no pivot table resolves the rigid class {next(classes)}"
+            )
+        pair, j0, table, checked = resolved_by
+        emit(RIGID, table, checked, classes, pair, pivot=j0)
 
     for dd in range(2, k_max + 1):
         table = ci_table(SURFACE_DEGREE, dd)
-        checked = _table_invariants(table)
-        inv = CurveInvariants(*checked) if checked else None  # None: no curve, emit refuses it
-        text = f"complete intersection with a degree-{dd} surface"
-        emit(DivisorClass(dd, 0), inv, COMPLETE_INTERSECTION, table, checked, None, None, None,
-             description=text)
+        emit(COMPLETE_INTERSECTION, table, _table_invariants(table), [DivisorClass(dd, 0)],
+             description=f"complete intersection with a degree-{dd} surface")
     entries.sort(key=lambda e: PROVENANCE_ORDER.index(e.provenance))  # stable
     return entries
 

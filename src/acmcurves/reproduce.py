@@ -13,6 +13,7 @@ from functools import partial
 
 from . import catalog
 from .classifier import (
+    COMPLETE_INTERSECTION,
     FAMILY_II,
     RESIDUAL,
     RIGID,
@@ -201,7 +202,7 @@ def _divisor_rows(label: str) -> list[Row]:
     ci_have = {
         e.cls: e.invariants
         for e in entries
-        if e.provenance == "COMPLETE_INTERSECTION"
+        if e.provenance == COMPLETE_INTERSECTION
     }
     ci_ok = all(
         ci_have.get(DivisorClass(dd, 0))

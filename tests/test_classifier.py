@@ -315,7 +315,7 @@ def test_case_ii_rows_equal_the_per_shift_solve(label):
             except InvalidTableError:
                 assert k < 3
                 continue
-            solved = sorted(_solved_classes(div.lattice, inv))
+            solved = sorted(_solved_classes(div.lattice, inv.degree, inv.genus))
             if k < 3 and (inv.genus < 0 or set(solved) <= rigid):
                 continue
             want[RESIDUAL if k < 3 else FAMILY_II] += [(pair, k, c, inv, table) for c in solved]
@@ -528,17 +528,21 @@ def one_twist_off(real, at, offset):
 
 # a table's invariants are computed once per table, and each entry on it is
 # still compared with them: a wrong table at one shift or one d is refused.
-# Offset 1 makes the degree a half-integer, offset 2 a wrong integer
-@pytest.mark.parametrize("offset", [1, 2])
-def test_a_wrong_shift_table_is_refused(monkeypatch, offset):
-    wrong = one_twist_off(classifier.surface_generator_table, 1000, offset)
+# Offset 1 makes the degree a half-integer, offset 2 the genus, and offset 6
+# leaves both wrong integers.  Shift 2 is RESIDUAL: a table without
+# invariants is skipped only when its twist sums are equal, so a wrong one
+# is refused, not dropped
+@pytest.mark.parametrize("offset", [1, 2, 6])
+@pytest.mark.parametrize("shift, provenance", [(1000, FAMILY_II), (2, RESIDUAL)])
+def test_a_wrong_shift_table_is_refused(monkeypatch, shift, provenance, offset):
+    wrong = one_twist_off(classifier.surface_generator_table, shift, offset)
     monkeypatch.setattr(classifier, "surface_generator_table", wrong)
     with pytest.raises(ClassificationError,
-                       match=r"^cross-check failed for F2 class .* \(FAMILY_II\): table "):
+                       match=rf"^cross-check failed for F2 class .* \({provenance}\): table "):
         classify_quartic(divisor("F2"), k_max=2000)
 
 
-@pytest.mark.parametrize("offset", [1, 2])
+@pytest.mark.parametrize("offset", [1, 2, 6])
 def test_a_wrong_complete_intersection_table_is_refused(monkeypatch, offset):
     wrong = one_twist_off(classifier.ci_table, 1500, offset)
     monkeypatch.setattr(classifier, "ci_table", wrong)
@@ -547,6 +551,36 @@ def test_a_wrong_complete_intersection_table_is_refused(monkeypatch, offset):
                f"table {table.to_json()}")
     with pytest.raises(ClassificationError, match=f"^{re.escape(message)}$"):
         classify_quartic(divisor("F2"), k_max=2000)
+
+
+def _no_classes(monkeypatch):
+    monkeypatch.setattr(classifier, "solve_classes", lambda *args: set())
+
+
+def _an_extra_rigid_class(monkeypatch):
+    real = classifier.rigid_classes
+    monkeypatch.setattr(classifier, "rigid_classes", lambda div: real(div) | {cls(5, 0)})
+
+
+def _linkage_one_genus_off(monkeypatch):
+    real = classifier.residual_invariants
+
+    def off(c, ci):
+        linked = real(c, ci)
+        return CurveInvariants(linked.degree, linked.genus + 1)
+    monkeypatch.setattr(classifier, "residual_invariants", off)
+
+
+@pytest.mark.parametrize("patch, message", [
+    (_no_classes, re.escape("F2: no integer class of degree 11, genus 14 at shift 3") + "$"),
+    (_an_extra_rigid_class, re.escape(f"F2: no pivot table resolves the rigid class {cls(5, 0)}")
+     + "$"),
+    (_linkage_one_genus_off, "F2: linking "),
+])
+def test_each_refusal_names_its_check(monkeypatch, patch, message):
+    patch(monkeypatch)
+    with pytest.raises(ClassificationError, match=f"^{message}"):
+        classify_quartic(divisor("F2"), k_max=6)
 
 
 def test_f4_exclusion_is_the_plane_cubic():
