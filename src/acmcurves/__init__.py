@@ -26,14 +26,14 @@ _ORIGIN = {
         ),
         "resolutions": (
             "BettiTable", "CurveInvariants", "InvalidTableError", "ci_table", "degree_from_betti",
-            "genus_from_betti", "invariants_from_betti", "is_f_minimal",
-            "surface_generator_table", "pivot_syzygy_table", "validate",
+            "genus_from_betti", "invariants_from_betti", "surface_generator_table",
+            "pivot_syzygy_table", "validate",
         ),
         "picard": (
             "DivisorClass", "H", "PicardLattice", "adjunction_genus", "dot",
             "plane_curve_classes", "quartic_lattice", "solve_classes", "watanabe_candidates",
         ),
-        "liaison": ("CiProfile", "LinkageError", "link_is_involution_check", "residual_invariants"),
+        "liaison": ("CiProfile", "LinkageError", "residual_invariants"),
         "classifier": (
             "ClassificationEntry", "ClassificationError", "QuarticDivisor", "classify_low_degree",
             "classify_quartic", "cross_check", "divisor", "known_divisors",

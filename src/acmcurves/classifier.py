@@ -1,12 +1,12 @@
 """Classification of ACM curves on the surfaces of degree 2, 3 and 4.
 
 The surface types of degree d are derived from its kind catalog: the
-irreducible kinds, grouped into duality orbits under anti-transposition
+irreducible kinds whose representative has no twist on both sides (in
+both a and b; such a kind's tables are a shorter pair's, see
+`_shares_a_twist`), grouped into duality orbits under anti-transposition
 and shifted by +1; the one reducible kind of degree 2 seeds the
 reducible quadric's n-family.  Written out are only the labels (in
-`labels`), k_min, the prose and the exclusions: one irreducible quartic
-kind, ((0,0,1),(1,2,2)), is not among the five quartic types the paper
-names.
+`labels`), k_min, the prose and the exclusions.
 A quartic type's lattice is that of its generator curve, the least
 (degree, genus) among its pivot tables: (6,3), (3,0), (4,1), (1,0) and
 (2,0) for F1..F5.  The solved classes of a twist table are the lattice
@@ -79,8 +79,8 @@ from .picard import (
     watanabe_candidates,
 )
 from .resolutions import (
-    BettiTable, CurveInvariants, InvalidTableError, _invariants, ci_table, is_f_minimal,
-    pivot_syzygy_table, surface_generator_table,
+    BettiTable, CurveInvariants, InvalidTableError, _invariants, ci_table, pivot_syzygy_table,
+    surface_generator_table,
 )
 
 SURFACE_DEGREE = 4
@@ -120,8 +120,17 @@ class ClassificationEntry:
 
     @property
     def minimal(self) -> bool:
-        """False for a shift table whose surface equation cancels against a syzygy twist."""
-        return self.shift is None or is_f_minimal(self.pair, self.shift)
+        """Whether the resolution is minimal: no twist on both sides
+        (`_shares_a_twist`).
+
+        An attached pair shares no twist, so this is "d - k not in b" for
+        a shift table and True for every other table: a shift table's gens
+        {a_i + k} + {d} and syz {b_j + k} share a twist exactly when
+        d = b_j + k; a pivot table's twists are those of a and of b moved
+        by one common shift, so it shares none; and a complete
+        intersection (f, g; f + g) has f, g >= 1.
+        """
+        return not _shares_a_twist(self.resolution.gens, self.resolution.syz)
 
     def to_json(self) -> dict:
         doc = {
@@ -140,12 +149,6 @@ class ClassificationEntry:
             doc["pivot"] = self.pivot
         return doc
 
-
-# irreducible kinds (normalized a, b) kept out of the surface types, with the reason
-_EXCLUDED_KINDS = {
-    ((0, 0, 1), (1, 2, 2)): "the paper's classification names five quartic types "
-                            "and this kind is not among them",
-}
 
 # classes each divisor's rigid search drops, with the reason
 _EXCLUSIONS = {
@@ -205,17 +208,49 @@ _PROSE: dict[str, dict[tuple[str, DivisorClass], str]] = {
     },
 }
 
+
+def _shares_a_twist(gens: tuple[int, ...], syz: tuple[int, ...]) -> bool:
+    """Whether some twist is on both sides: among the generators and the
+    syzygies of a table, or in both a and b of a pair.
+
+    A twist x on both sides puts a degree-0 entry into the Hilbert-Burch
+    matrix.  In a general matrix that entry is a nonzero constant, so the
+    twist cancels: the resolution is not minimal (`ClassificationEntry.
+    minimal`), and a pair (a, b) with x = a_i = b_j resolves nothing that
+    the shorter pair (a', b'), with one x taken from each side, does not,
+    so its kind is no surface type.  (a', b') has the same degree d, and
+    it is again weak admissible: a_j < b_j = a_i puts j before i, so each
+    a_m keeps a b above it.  If (a, b) is irreducible (b_(m-1) > a_m for
+    every m), then j <= i - 2 and (a', b') has length at least 2.  The
+    tables of (a, b) are those of (a', b'):
+
+    * a case-ii table of (a, b) at k carries x + k on both sides;
+      cancelling it leaves the shorter pair's case-ii table at k;
+    * a pivot table on some b_j0 != x carries d - b_j0 + x on both sides;
+      cancelling it leaves the shorter pair's pivot table on b_j0;
+    * the pivot table on b_j = x has gens {d - x + a_i}, which hold
+      d - x + x = d, and syz {d - x + b} without that x: it is the shorter
+      pair's case-ii table at k = d - x.
+
+    At degree 4 this picks one irreducible kind, ((0,0,1),(1,2,2)), which
+    cancels to F3's ((0,0),(2,2)); at degrees 2 and 3 it picks none.
+    """
+    return not set(gens).isdisjoint(syz)
+
+
 @lru_cache(maxsize=None)
 def _surface_types(degree: int) -> dict[str, tuple[WeakAdmissiblePair, ...]]:
     """The labelled orbits of irreducible kinds of a degree, and its
-    reducible kinds under "reducible"."""
+    reducible kinds under "reducible".  A kind whose representative has a
+    twist in both a and b is left out: its tables are those of a shorter
+    pair (`_shares_a_twist`)."""
     orbits: dict[frozenset, list[WeakAdmissiblePair]] = {}
     reducible = []
     for e in enumerate_kinds(EnumerationConfig(degree)).entries:  # in sort_key order
         rep = e.representative
         if is_reducible_type(degree_matrix(rep)):
             reducible.append(rep.shift(1))
-        elif (rep.a, rep.b) not in _EXCLUDED_KINDS:
+        elif not _shares_a_twist(rep.a, rep.b):
             orbit = frozenset((e.signature, e.signature.anti_transpose()))
             orbits.setdefault(orbit, []).append(rep.shift(1))
     labelled = zip(TYPE_LABELS[degree], map(tuple, orbits.values()), strict=True)

@@ -48,8 +48,3 @@ def residual_invariants(c: CurveInvariants, ci: CiProfile) -> CurveInvariants:
     if product % 2:
         raise LinkageError("genus transfer is not an integer")
     return CurveInvariants(degree, c.genus + product // 2)
-
-
-def link_is_involution_check(c: CurveInvariants, ci: CiProfile) -> bool:
-    """Linking twice through the same complete intersection returns c."""
-    return residual_invariants(residual_invariants(c, ci), ci) == c

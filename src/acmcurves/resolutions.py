@@ -159,14 +159,6 @@ def pivot_syzygy_table(p: WeakAdmissiblePair, j0: int) -> BettiTable:
         raise InvalidTableError(f"{err}: pivot {j0} shifts below 1") from None
 
 
-def is_f_minimal(p: WeakAdmissiblePair, k: int) -> bool:
-    """Whether the surface equation stays a minimal generator at shift k.
-
-    It degenerates exactly when d - k, d the pair's degree, is a syzygy twist.
-    """
-    return p.degree - k not in p.b
-
-
 def validate(t: BettiTable) -> list[str]:
     """Diagnostics for a twist table; empty means valid."""
     problems = []

@@ -26,7 +26,6 @@ from acmcurves import (
     enumerate_kinds,
     enumerate_pairs,
     genus_from_betti,
-    link_is_involution_check,
     make_pair,
     match_families,
     normalize,
@@ -194,8 +193,8 @@ def test_criterion_6_liaison_table():
     rng = random.Random(1729)
     for _ in range(1000):
         s, t = rng.randint(1, 12), rng.randint(2, 12)
-        c = CurveInvariants(rng.randint(1, s * t - 1), rng.randint(0, 99))
-        if not link_is_involution_check(c, CiProfile(s, t)):
+        c, ci = CurveInvariants(rng.randint(1, s * t - 1), rng.randint(0, 99)), CiProfile(s, t)
+        if residual_invariants(residual_invariants(c, ci), ci) != c:
             ok = False
     report(6, "eight tabulated residuals exact; double linkage identity on 1000 inputs", ok)
 

@@ -1,6 +1,9 @@
 import re
+from collections import Counter
+from functools import lru_cache
 
 import pytest
+from hypothesis import given, strategies as st
 
 from acmcurves import (
     BettiTable,
@@ -30,8 +33,9 @@ from acmcurves.pairs import degree_matrix, is_reducible_type
 from acmcurves.catalog import eval_affine, parse_affine
 from acmcurves.picard import H, adjunction_genus, dot
 from acmcurves.resolutions import (
-    InvalidTableError, invariants_from_betti, surface_generator_table,
+    InvalidTableError, invariants_from_betti, pivot_syzygy_table, surface_generator_table,
 )
+from conftest import weak_pairs
 
 
 def cls(a, b):
@@ -189,6 +193,43 @@ class TestClassifyQuartic:
     def test_k_max_floor(self):
         with pytest.raises(ValueError):
             classify_quartic(divisor("F4"), k_max=2)
+
+
+def on(table):
+    """An entry whose resolution is `table`; `minimal` reads nothing else."""
+    return ClassificationEntry("F4", cls(0, 0), CurveInvariants(1, 0), RESIDUAL, "", table)
+
+
+class TestMinimality:
+    """`ClassificationEntry.minimal` is "no twist on both sides"; the
+    reference is the formula of a shift table, d - k not in b."""
+
+    F4_A = make_pair((1, 1), (2, 4))
+    F5_PAIR = make_pair((1, 2), (3, 4))
+
+    def test_examples(self):
+        assert not on(surface_generator_table(self.F4_A, 2)).minimal  # k = 4 - 2
+        assert on(surface_generator_table(self.F4_A, 3)).minimal
+        assert not on(surface_generator_table(self.F5_PAIR, 0)).minimal  # k = 4 - 4
+
+    @given(weak_pairs(), st.data())
+    def test_a_pair_without_a_shared_twist_degenerates_only_at_d_minus_k_in_b(self, p, data):
+        if not set(p.a).isdisjoint(p.b):
+            return
+        k = data.draw(st.integers(1 - p.a[0], 12))
+        assert on(surface_generator_table(p, k)).minimal == (p.degree - k not in p.b)
+        for j0 in range(1, p.length + 1):
+            try:
+                assert on(pivot_syzygy_table(p, j0)).minimal
+            except InvalidTableError:
+                pass  # a twist below 1
+
+    def test_every_entry_at_k_max_2000_matches_the_shift_formula(self):
+        entries = [e for div in known_divisors() for e in classify_quartic(div, k_max=2000)]
+        assert len(entries) == 30002
+        for e in entries:
+            assert e.minimal == (e.shift is None or e.pair.degree - e.shift not in e.pair.b), e
+        assert sum(not e.minimal for e in entries) == 5
 
 
 class TestCrossCheck:
@@ -451,6 +492,7 @@ class TestAgainstCatalog:
             assert (fam.pair, fam.k_min) == (make_pair(*doc["pair"]), doc["k_min"])
 
 
+@lru_cache(maxsize=None)
 def irreducible_orbits(degree):
     """The irreducible kinds (normalized a, b) of a degree, read from its kind
     catalog, grouped into duality orbits: orbits in least-representative
@@ -461,6 +503,13 @@ def irreducible_orbits(degree):
             key = frozenset((e.signature, e.signature.anti_transpose()))
             orbits.setdefault(key, []).append((e.representative.a, e.representative.b))
     return list(orbits.values())
+
+
+def cancelled(a, b):
+    """(a, b) without the twists on both sides, one copy from each side per
+    shared copy."""
+    common = Counter(a) & Counter(b)
+    return sorted((Counter(a) - common).elements()), sorted((Counter(b) - common).elements())
 
 
 class TestSurfaceTypeCensus:
@@ -488,10 +537,33 @@ class TestSurfaceTypeCensus:
                    if label != "reducible"]
         assert derived == [[make_pair(a, b).shift(1) for a, b in o] for o in kept]
 
-    def test_the_one_excluded_kind(self):
-        assert set(classifier._EXCLUDED_KINDS) == {self.EXCLUDED}
-        # an irreducible quartic kind that is its own dual
+    # the irreducible kinds with a twist on both sides, by degree (at degree
+    # 6 there are 14)
+    SHARED = {2: set(), 3: set(), 4: {EXCLUDED}, 5: {
+        ((0, 0, 1), (1, 2, 3)), ((0, 1, 2), (2, 3, 3)),
+        ((0, 0, 0, 1), (1, 1, 2, 2)), ((0, 0, 1, 1), (1, 2, 2, 2)),
+    }}
+
+    @pytest.mark.parametrize("degree", sorted(SHARED))
+    def test_the_rule_selects_the_kinds_with_a_shared_twist(self, degree):
+        picked = {kind for orbit in irreducible_orbits(degree) for kind in orbit
+                  if classifier._shares_a_twist(*kind)}
+        assert picked == self.SHARED[degree]
+
+    def test_the_left_out_quartic_kind_is_its_own_dual(self):
         assert [self.EXCLUDED] in irreducible_orbits(4)
+
+    @pytest.mark.parametrize("degree", [4, 5])
+    def test_each_left_out_kind_cancels_to_a_kept_representative(self, degree):
+        irreducible = {kind for orbit in irreducible_orbits(degree) for kind in orbit}
+        for a, b in self.SHARED[degree]:
+            q = make_pair(*cancelled(a, b))  # weak admissible
+            assert (q.a, q.b) in irreducible  # so of the same degree
+            assert set(q.a).isdisjoint(q.b)
+
+    def test_the_left_out_quartic_kind_cancels_to_f3(self):
+        a, b = cancelled(*self.EXCLUDED)
+        assert divisor("F3").pairs == (make_pair(a, b).shift(1),)
 
     def test_one_reducible_quadric_kind(self):
         assert classifier._surface_types(2)["reducible"] == (make_pair((1, 2), (2, 3)),)

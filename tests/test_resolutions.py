@@ -1,7 +1,7 @@
 from itertools import combinations_with_replacement, product
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from acmcurves import (
     BettiTable,
@@ -14,7 +14,6 @@ from acmcurves import (
     enumerate_pairs,
     genus_from_betti,
     invariants_from_betti,
-    is_f_minimal,
     make_pair,
     surface_generator_table,
     pivot_syzygy_table,
@@ -231,17 +230,22 @@ class TestCaseIII:
         assert sum(t.gens) == sum(t.syz)
 
 
-class TestFMinimality:
-    def test_examples(self):
-        assert not is_f_minimal(F4_A, 2)  # k = 4 - 2
-        assert is_f_minimal(F4_A, 3)
-        assert not is_f_minimal(F5_PAIR, 0)  # k = 4 - 4
+def without(table, twist):
+    """`table` with one `twist` cancelled from each side."""
+    gens, syz = list(table.gens), list(table.syz)
+    gens.remove(twist)
+    syz.remove(twist)
+    return BettiTable(gens, syz)
 
-    @given(weak_pairs(), st.data())
-    def test_nonminimal_exactly_when_a_syzygy_twist_cancels_the_surface(self, p, data):
-        k = data.draw(st.integers(1 - p.a[0], 12))
-        assert is_f_minimal(p, k) == (p.degree not in surface_generator_table(p, k).syz)
 
+def built(constructor, *args):
+    try:
+        return constructor(*args)
+    except InvalidTableError:
+        return InvalidTableError
+
+
+class TestCancellation:
     def test_degenerate_shift_cancels_against_case_iii(self):
         # at k = d - b_j the case-ii table carries a cancelling twist pair;
         # removing it yields exactly the case-iii table for that pivot
@@ -253,11 +257,34 @@ class TestFMinimality:
                     continue
                 full = surface_generator_table(pair, k)
                 reduced = pivot_syzygy_table(pair, pair.b.index(b_value) + 1)
-                gens = list(full.gens)
-                syz = list(full.syz)
-                gens.remove(d)
-                syz.remove(d)
-                assert tuple(gens) == reduced.gens and tuple(syz) == reduced.syz
+                assert without(full, d) == reduced
+
+    @settings(max_examples=300)
+    @given(weak_pairs())
+    def test_a_shared_twist_cancels_to_the_shorter_pairs_tables(self, p):
+        # the proof in classifier._shares_a_twist: a pair with x in both a
+        # and b has the tables of the shorter pair that lacks one x on each
+        # side, after cancelling a twist on both sides of each table
+        d = p.degree
+        for x in sorted(set(p.a) & set(p.b)):
+            a, b = list(p.a), list(p.b)
+            a.remove(x)
+            b.remove(x)
+            if len(a) < 2:
+                continue  # a length-2 pair sharing a twist has no shorter pair
+            q = make_pair(a, b)
+            assert q.degree == d
+            for k in range(1 - p.a[0], 9 - p.a[0]):
+                assert without(surface_generator_table(p, k), x + k) == \
+                    surface_generator_table(q, k)
+            for j0, y in enumerate(p.b, 1):
+                table = built(pivot_syzygy_table, p, j0)
+                if y == x:  # the pivot on x is the shorter pair's case ii at k = d - x
+                    assert table == built(surface_generator_table, q, d - x)
+                elif table is InvalidTableError:
+                    assert built(pivot_syzygy_table, q, q.b.index(y) + 1) is InvalidTableError
+                else:
+                    assert without(table, d - y + x) == pivot_syzygy_table(q, q.b.index(y) + 1)
 
 
 class TestValidate:
