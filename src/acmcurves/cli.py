@@ -10,10 +10,12 @@ signature`, `pairs enumerate`, `picard watanabe`, `classify quartic`,
 `--format table`; the other commands print their JSON there too.
 `pairs enumerate` refuses degrees above 7 and a `--cap` above
 `stable_cap(degree) + degree`; `picard solve` refuses a `--dh` range of
-more than 10^6 degrees, `picard plane` a `--dh-max` above 10^6, and
-`classify quartic|low` a `--kmax` above 10^4.  Every integer argument
-is limited to 1000 digits (exit 2).  The JSON is written by `_json_text`,
-byte for byte `json.dumps(doc, indent=2, sort_keys=True)`, the reference.
+more than 10^6 degrees, and `classify quartic|low` a `--kmax` above
+10^4.  `picard plane` needs no bound on `--dh-max`: it solves at most six
+slices, as no plane-curve class has a degree above 6.  Every integer
+argument is limited to 1000 digits (exit 2).  The JSON is written by
+`_json_text`, byte for byte `json.dumps(doc, indent=2, sort_keys=True)`,
+the reference.
 
 Start-up: building the parser needs only `labels`, which imports
 nothing.  The handlers read library names as `acm.X`, and the package
@@ -38,13 +40,14 @@ from .labels import DIVISOR_LABELS, TARGET_NAMES
 
 # the largest degree `pairs enumerate` finishes in bounded time and memory
 MAX_ENUMERATE_DEGREE = 7
-# the most degrees `picard solve --dh` and `picard plane --dh-max` cover, and
-# the largest `classify quartic|low --kmax`.  At the bound `picard plane`
-# solves one slice per degree in ~0.4-0.5 s; `picard solve` tests only the
-# degrees its congruence mod -det allows, in at most ~0.15 s when it finds
-# few classes.  `classify quartic --kmax 10^4` takes ~1.1 s.  The output
-# size stays unbounded: D^2 = 0 on (4, 1, -2), whose -det = 9 is a square,
-# has 499 999 classes, ~0.9 s to solve and ~4 s to print
+# the most degrees `picard solve --dh` covers, and the largest
+# `classify quartic|low --kmax`.  `picard solve` tests only the degrees its
+# congruence mod -det and its squares sieve allow; with few classes 10^6
+# degrees take ~0.03 s when -det is small and at most ~0.15 s, when -det
+# is near the span or above it.  `classify quartic --kmax 10^4` takes
+# ~1.2 s.  The output size stays unbounded: D^2 = 0 on (4, 1, -2), whose
+# -det = 9 is a square, has 499 999 classes, ~1.5 s to solve and ~5 s to
+# print
 MAX_DEGREE_SPAN = 10**6
 MAX_KMAX = 10**4
 # the most digits of one integer argument.  Every result is at most cubic
@@ -246,11 +249,6 @@ def _picard_watanabe(args):
 
 
 def _picard_plane(args):
-    if args.dh_max > MAX_DEGREE_SPAN:
-        raise ValueError(
-            f"--dh-max {args.dh_max} is above {MAX_DEGREE_SPAN}: each degree is one "
-            "solver slice, ~0.05 s per 10^5 degrees"
-        )
     classes = acm.plane_curve_classes(_lattice(args.gram), args.dh_max)
     return {"classes": sorted([c.to_json() for c in classes])}, None
 

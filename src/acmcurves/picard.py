@@ -11,27 +11,45 @@ integer square b^2 and a = (e - hc*b)/h2 is an integer, for b or -b.
 A slice costs a few integer operations and at most one isqrt, and only
 a solution builds a class; no search bound is ever needed.
 
-Over a range of degrees at one s, with N = h2*s, two facts cut the
+Over a range of degrees at one s, with N = h2*s, three facts cut the
 degrees that need a slice:
 
 - Congruence.  A class on the slice e gives e^2 = N + delta*b^2, so
   e^2 = N (mod delta): only the residues r of e mod delta with
   r^2 = N (mod delta) can carry a class.
+- Squares mod M.  If delta | r^2 - N and e = r + k*delta*M, then
+  (e^2 - N)/delta = (r^2 - N)/delta + 2*r*k*M + k^2*delta*M^2, so
+  b^2 = (e^2 - N)/delta = (r^2 - N)/delta (mod M).  A square is a square
+  residue mod M, so only the residues r mod delta*M whose
+  (r^2 - N)/delta is a square mod M can carry a class.
 - Isotropic bound.  If delta = m^2 and N != 0, the class gives
   (e - m*b)(e + m*b) = N with both factors f, g nonzero integers, so
   2|e| <= |f| + |g| <= |fg| + 1 = |N| + 1, as (|f| - 1)(|g| - 1) >= 0.
 
-`solve_classes` clips its range by the bound and, when delta is at most
-the span, visits only the degrees e = base + r with base a multiple of
-delta; a longer delta would make the residue list cost more than the scan.
+`solve_classes` clips its range by the bound, and tests only the
+degrees of a residue list.  Each residue is kept as its least degree in
+the range, and the solver steps it by the list's modulus up to the end
+of the range.  The list starts as the degrees e among the first
+min(delta, span) of the range with e^2 = N (mod delta).  That costs at
+most one test per degree of the range, and when delta exceeds the span
+the list is the range's own congruent degrees.  Then the list is lifted
+from mod delta to mod delta*M, keeping the degrees whose
+(e^2 - N)/delta is a square mod M, with M the largest step of
+_SIEVE_MODULI such that delta*M*(roots + 1) <= span for roots degrees in
+the list.  So the lift costs no more than the scan it replaces.  There
+is no lift when no step fits, when the list is empty, or when delta is
+a square: with N != 0 the range is already clipped, and with N = 0 the
+list holds only multiples e of m, where (e^2 - N)/delta = (e/m)^2.
 """
 
 from __future__ import annotations
 
 import math
-from collections.abc import Iterable
 from dataclasses import dataclass
-from itertools import repeat
+
+# the moduli M of the squares sieve, largest first: 1/15, 1/9 and 1/4 of
+# the residues mod M are squares
+_SIEVE_MODULI = (720, 144, 16)
 
 
 @dataclass(frozen=True)
@@ -90,47 +108,45 @@ def adjunction_genus(l: PicardLattice, x: DivisorClass) -> int:
     return dot(l, x, x) // 2 + 1
 
 
-def _solve_slices(l: PicardLattice, slices: Iterable[tuple[int, int]]) -> set[DivisorClass]:
-    """All integer classes x with x.H = dh and x.x = self_int for some
-    (dh, self_int) in slices."""
-    h2, hc, delta = l.h2, l.hc, -l.det
-    solutions: set[DivisorClass] = set()
-    for e, self_int in slices:
-        b_squared, rem = divmod(e * e - h2 * self_int, delta)
-        if rem or b_squared < 0:
-            continue
-        b = math.isqrt(b_squared)
-        if b * b != b_squared:
-            continue
-        for y in (b, -b):
-            a, rem = divmod(e - hc * y, h2)
-            if not rem:
-                solutions.add(DivisorClass(a, y))
-    return solutions
-
-
 def solve_classes(
     l: PicardLattice, self_int: int, dh_min: int, dh_max: int
 ) -> set[DivisorClass]:
     """All integer classes x with x.x = self_int and dh_min <= x.H <= dh_max."""
     if dh_min > dh_max:
         raise ValueError("empty degree range")
-    delta, n = -l.det, l.h2 * self_int
+    h2, hc, delta, n = l.h2, l.hc, -l.det, l.h2 * self_int
     m = math.isqrt(delta)
     if m * m == delta and n:
         bound = (abs(n) + 1) // 2
         dh_min, dh_max = max(dh_min, -bound), min(dh_max, bound)
-    if delta > dh_max - dh_min + 1:
-        degrees: Iterable[int] = range(dh_min, dh_max + 1)
-    else:
-        roots = [r for r in range(delta) if (r * r - n) % delta == 0]
-        degrees = (
-            e
-            for base in range(dh_min - dh_min % delta, dh_max + 1, delta)
-            for r in roots
-            if dh_min <= (e := base + r) <= dh_max
-        )
-    return _solve_slices(l, zip(degrees, repeat(self_int)))
+    span = dh_max - dh_min + 1
+    roots = [e for e in range(dh_min, dh_min + min(delta, span)) if (e * e - n) % delta == 0]
+    step = delta
+    for k in _SIEVE_MODULI if roots and m * m != delta else ():
+        if delta * k * (len(roots) + 1) <= span:
+            squares = {x * x % k for x in range(k // 2 + 1)}
+            roots = [
+                e
+                for base in range(0, delta * k, delta)
+                for r in roots
+                if ((e := base + r) * e - n) // delta % k in squares
+            ]
+            step = delta * k
+            break
+    solutions: set[DivisorClass] = set()
+    for r in roots:
+        for e in range(r, dh_max + 1, step):
+            b_squared = (e * e - n) // delta
+            if b_squared < 0:
+                continue
+            b = math.isqrt(b_squared)
+            if b * b != b_squared:
+                continue
+            for y in (b, -b):
+                a, rem = divmod(e - hc * y, h2)
+                if not rem:
+                    solutions.add(DivisorClass(a, y))
+    return solutions
 
 
 @dataclass(frozen=True)
@@ -184,8 +200,13 @@ def plane_curve_classes(l: PicardLattice, dh_max: int) -> set[DivisorClass]:
 
     A plane curve of degree e has genus (e-1)(e-2)/2; on the lattice the
     genus is D^2/2 + 1, so for each degree e up to dh_max this solves
-    D^2 = (e-1)(e-2) - 2 on the slice D.H = e, in one pass of the solver.
+    D^2 = (e-1)(e-2) - 2 = e^2 - 3e on the slice D.H = e.  No degree past
+    3*h2/(h2 - 1) carries a class: with s = e^2 - 3e,
+    delta*b^2 = e^2 - h2*s = e*(3*h2 - (h2 - 1)*e), which is negative for
+    e > 3*h2/(h2 - 1).  As h2 >= 2 that bound is at most 6, so the
+    slices stop at min(dh_max, 3*h2 // (h2 - 1)).
     """
     if dh_max < 1:
         raise ValueError("dh_max must be at least 1")
-    return _solve_slices(l, ((e, (e - 1) * (e - 2) - 2) for e in range(1, dh_max + 1)))
+    top = min(dh_max, 3 * l.h2 // (l.h2 - 1))
+    return set().union(*(solve_classes(l, e * e - 3 * e, e, e) for e in range(1, top + 1)))

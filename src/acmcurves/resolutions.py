@@ -26,8 +26,10 @@ from __future__ import annotations
 
 from bisect import insort
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
-from .pairs import WeakAdmissiblePair
+if TYPE_CHECKING:
+    from .pairs import WeakAdmissiblePair
 
 
 class InvalidTableError(ValueError):

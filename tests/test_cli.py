@@ -274,14 +274,17 @@ class TestHarness:
     @pytest.mark.parametrize("argv,loaded", [
         (["pairs", "matrix", "--a", "1,1", "--b", "2,4"], ["pairs"]),
         (["liaison", "--degree", "1", "--genus", "0", "--s", "4", "--t", "2"],
-         ["liaison", "pairs", "resolutions"]),
+         ["liaison", "resolutions"]),
+        (["res", "invariants", "--gens", "2,2", "--syz", "4"], ["resolutions"]),
+        (["res", "build", "--case", "ci", "--a", "4", "--b", "3"], ["resolutions"]),
         (["picard", "solve", "--gram", "4,1,-2", "--self-int", "-2", "--dh", "1..3"], ["picard"]),
         (["classify", "quartic", "--divisor", "F4", "--kmax", "3"],
          ["classifier", "enumeration", "liaison", "pairs", "picard", "resolutions"]),
         (["reproduce", "F1"],
          ["catalog", "classifier", "enumeration", "liaison", "pairs", "picard", "reproduce",
           "resolutions"]),
-    ], ids=["pairs-matrix", "liaison", "picard-solve", "classify-quartic", "reproduce"])
+    ], ids=["pairs-matrix", "liaison", "res-invariants", "res-build-ci", "picard-solve",
+            "classify-quartic", "reproduce"])
     def test_command_loads_only_the_modules_it_uses(self, argv, loaded):
         # every module but the package, the CLI and its choice labels is loaded
         # by the handler that runs
@@ -387,14 +390,14 @@ class TestAdditionalPaths:
         assert err.startswith("error: --dh 0..1000000 spans 1000001 degrees, more than 1000000")
         assert err.count("\n") == 1 and "Traceback" not in err
 
-    def test_plane_dh_max_above_bound_refused_up_front(self, capsys, monkeypatch):
-        monkeypatch.setattr("acmcurves.plane_curve_classes", never)
-        code, out, err = invoke(
-            capsys, "picard", "plane", "--gram", "4,1,-2", "--dh-max", "1000001"
-        )
-        assert code == 1 and out == ""
-        assert err.startswith("error: --dh-max 1000001 is above 1000000")
-        assert err.count("\n") == 1 and "Traceback" not in err
+    def test_plane_dh_max_is_bounded_by_degree_6_only(self, capsys):
+        # no plane-curve class has a degree above 6, so a 1000-digit
+        # --dh-max prints what --dh-max 6 prints
+        args = ("picard", "plane", "--gram", "4,1,-2", "--dh-max")
+        code, out, err = invoke(capsys, *args, "1" + "0" * 999)
+        assert code == 0 and err == ""
+        assert out == invoke(capsys, *args, "6")[1]
+        assert json.loads(out) == {"classes": [[0, 1], [1, -1], [1, 0]]}
 
     @pytest.mark.parametrize("argv", [
         ("classify", "quartic", "--divisor", "F1"),

@@ -146,6 +146,16 @@ def test_importing_the_library_leaves_the_expected_data_unread():
     assert out == "[] []\n"
 
 
+def test_importing_liaison_leaves_pairs_unloaded():
+    # resolutions reads WeakAdmissiblePair only in annotations, so the
+    # liaison formulas load the twist tables and nothing of the pair code
+    out = _run_python(
+        "import sys, acmcurves.liaison\n"
+        "print(sorted(m for m in sys.modules if m.startswith('acmcurves')))\n"
+    )
+    assert out == "['acmcurves', 'acmcurves.liaison', 'acmcurves.resolutions']\n"
+
+
 # the public names of the package, by defining module
 PUBLIC_NAMES = {
     "pairs": [

@@ -1,5 +1,6 @@
 import math
 from argparse import Namespace
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -15,6 +16,7 @@ from acmcurves import (
     solve_classes,
     watanabe_candidates,
 )
+from acmcurves import picard
 from acmcurves.cli import _picard_plane, _picard_solve
 
 F1_L = quartic_lattice(6, 3)
@@ -137,12 +139,16 @@ class TestSolveClasses:
         st.integers(-6, 2),
         st.integers(-20, 20),
         st.integers(-150, 150),
-        st.integers(1, 300),
+        st.integers(1, 20000),
     )
     # hc = 4*10^499 + 1 gives a 1000-digit -det, far longer than the span:
     # the plain scan, with no class at D^2 = 0 and only H at D^2 = 4
     @example(h2=4, hc=4 * 10**499 + 1, half_c2=-1, self_int=0, dh=1, span=300)
     @example(h2=4, hc=4 * 10**499 + 1, half_c2=-1, self_int=4, dh=1, span=300)
+    # the squares sieve mod 16, 144 and 720 (-det = 57, 17 and 13)
+    @example(h2=8, hc=5, half_c2=-2, self_int=2, dh=-150, span=20000)
+    @example(h2=4, hc=3, half_c2=-1, self_int=2, dh=-150, span=20000)
+    @example(h2=6, hc=1, half_c2=-1, self_int=0, dh=-150, span=20000)
     def test_matches_oracle_on_random_lattices(self, h2, hc, half_c2, self_int, dh, span):
         c2 = 2 * half_c2
         if h2 * c2 - hc * hc >= 0:
@@ -295,10 +301,66 @@ def test_solver_equals_the_slice_oracle_over_full_ranges(h2):
         assert plane_curve_classes(l, 200) == plane, gram
 
 
+# small non-square -det (5, 8, 13 and 17) at self-intersections whose
+# congruence has roots, N = h2*s = 0 included
+SIEVE_CASES = [
+    ((2, 1, -2), s) for s in (-2, 0, 2, 8)
+] + [((2, 0, -4), s) for s in (-2, 0)] + [((6, 1, -2), 0), ((4, 1, -4), 0)]
+
+
+@pytest.mark.parametrize("gram,self_int", SIEVE_CASES, ids=str)
+def test_solver_equals_the_slice_oracle_at_every_sieve_modulus(gram, self_int):
+    # the window of span -det*M*(roots + 1) is the shortest that lifts the
+    # residue list to mod -det*M, for each step M of the ladder; it starts
+    # below 0 so that the lifted residues are offset from its first degree
+    h2, hc, c2 = gram
+    delta, n = hc * hc - h2 * c2, h2 * self_int
+    roots = sum((r * r - n) % delta == 0 for r in range(delta))
+    assert math.isqrt(delta) ** 2 != delta and roots
+    l = PicardLattice(*gram)
+    for k in picard._SIEVE_MODULI:
+        span = delta * k * (roots + 1)
+        lo = -(span // 3)
+        want = set().union(*(slice_oracle(*gram, self_int, dh) for dh in range(lo, lo + span)))
+        assert want and solve_classes(l, self_int, lo, lo + span - 1) == want, (k, lo)
+
+
+@pytest.mark.parametrize("gram,self_int", [
+    ((2, 1, 0), 38), ((4, 2, 0), 18), ((4, 1, -2), 10), ((4, 1, -2), 0),
+    ((2, 1, -2), 2), ((6, 1, -2), 0),
+], ids=str)
+def test_the_sieve_is_lifted_exactly_when_delta_is_not_a_square(gram, self_int, monkeypatch):
+    # the solver takes one isqrt of -det, then one of b^2 = (e^2 - h2*s)/-det
+    # per degree e it tests.  Over a clipped range a square -det (1, 4 or 9)
+    # tests every degree of its congruence with b^2 >= 0; a non-square one
+    # (5 or 13) tests fewer
+    taken = []
+
+    def isqrt(x):
+        taken.append(x)
+        return math.isqrt(x)
+
+    l = PicardLattice(*gram)
+    delta, n = -l.det, gram[0] * self_int
+    square = math.isqrt(delta) ** 2 == delta
+    bound = (abs(n) + 1) // 2 if square and n else 10**4
+    congruent = [
+        (e * e - n) // delta for e in range(-bound, bound + 1)
+        if (e * e - n) % delta == 0 and e * e >= n
+    ]
+    monkeypatch.setattr(picard, "math", SimpleNamespace(isqrt=isqrt))
+    solve_classes(l, self_int, -(10**4), 10**4)
+    assert taken[0] == delta
+    if square:
+        assert sorted(taken[1:]) == sorted(congruent)
+    else:
+        assert len(taken) - 1 < len(congruent)
+
+
 @settings(max_examples=40)
 @given(st.sampled_from((2, 4, 6, 8)), st.integers(-20, 20), st.integers(-6, 2))
 def test_every_class_meets_the_congruence_and_the_isotropic_bound(h2, hc, half_c2):
-    """The two facts of the picard docstring, on every class of a box,
+    """The facts of the picard docstring, on every class of a box,
     computed from the Gram matrix and not from the solver's identity."""
     c2 = 2 * half_c2
     if h2 * c2 - hc * hc >= 0:
@@ -306,11 +368,30 @@ def test_every_class_meets_the_congruence_and_the_isotropic_bound(h2, hc, half_c
     l = PicardLattice(h2, hc, c2)
     delta = -l.det
     m = math.isqrt(delta)
+    squares = {k: {x * x % k for x in range(k)} for k in (16, 144, 720)}
     for a in range(-30, 31):
         for b in range(-30, 31):
             x = DivisorClass(a, b)
             e, n = dot(l, x, H), h2 * dot(l, x, x)
             assert (e * e - n) % delta == 0, (x, l)
+            for k, table in squares.items():
+                assert (e * e - n) // delta % k in table, (x, l, k)
             if m * m == delta and n != 0:
                 assert 2 * abs(e) <= abs(n) + 1, (x, l)
 
+
+@settings(max_examples=40)
+@given(st.sampled_from((2, 4, 6, 8)), st.integers(-20, 20), st.integers(-6, 2))
+def test_no_plane_curve_class_has_a_degree_past_3h2_over_h2_minus_1(h2, hc, half_c2):
+    """The plane_curve_classes bound, on every class of a box: a class of
+    degree e >= 1 with D^2 = e^2 - 3e has (h2 - 1)*e <= 3*h2, so e <= 6."""
+    c2 = 2 * half_c2
+    if h2 * c2 - hc * hc >= 0:
+        return
+    l = PicardLattice(h2, hc, c2)
+    for a in range(-30, 31):
+        for b in range(-30, 31):
+            x = DivisorClass(a, b)
+            e = dot(l, x, H)
+            if e >= 1 and dot(l, x, x) == e * e - 3 * e:
+                assert (h2 - 1) * e <= 3 * h2 and e <= 6, (x, l)
