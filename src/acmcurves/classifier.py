@@ -18,9 +18,11 @@ derived:
   derive, kept as data so the arithmetic stays honest), in sorted
   order.  Each is resolved by the first pivot table that solves to it
   (pairs in order, distinct syzygy twists ascending);
-* RESIDUAL: the shifts k = 0, 1, 2 of each attached pair.  A shift is
-  skipped when its table has no curve (a twist below 1, a nonpositive
-  degree or a negative genus) or when its solved classes are all rigid.
+* RESIDUAL: the shifts k = 0, 1, 2 of each attached pair.  Every pair
+  has a_1 = 1 (its representative has a_1 = 0 and is shifted by 1), so
+  every twist of a shift-k table is at least 1.  A shift is skipped when
+  its table has no curve (a nonpositive degree or a negative genus) or
+  when its solved classes are all rigid.
   Equal twist sums make the degree and genus integers (x^2 = x mod 2,
   x^3 = x mod 6), so a table whose sums differ is refused instead.  Each
   solved class D is residual to (k+1)H - D in the complete intersection
@@ -40,7 +42,10 @@ divisor.  One rule makes every entry: an entry is a class on a table,
 it stores that table's (degree, genus), computed once per table by one
 pass over its twists, and that pass must equal the class's lattice
 invariants (D.H, D^2/2 + 1).  So every emitted entry passes the
-cross-check.
+cross-check.  A table the classifier solves (shift 3 of each pair and
+every pivot table) must have a degree and genus that some lattice class
+carries; one that carries no class is refused, so a wrong table cannot
+drop its rows.
 
 Each pivot table is solved once.  So is each attached pair, at shift
 3: shift k, RESIDUAL included, is shift 3 plus (k-3)H.  This
@@ -79,8 +84,7 @@ from .picard import (
     watanabe_candidates,
 )
 from .resolutions import (
-    BettiTable, CurveInvariants, InvalidTableError, _invariants, ci_table, pivot_syzygy_table,
-    surface_generator_table,
+    BettiTable, CurveInvariants, _invariants, ci_table, pivot_syzygy_table, surface_generator_table,
 )
 
 SURFACE_DEGREE = 4
@@ -258,12 +262,11 @@ def _surface_types(degree: int) -> dict[str, tuple[WeakAdmissiblePair, ...]]:
 
 
 def _pivot_tables(pairs: tuple[WeakAdmissiblePair, ...]):
-    """(pair, pivot, table, (degree, genus)) of every pivot table: pairs in
-    order, distinct syzygy twists ascending."""
+    """(pair, pivot, table) of every pivot table: pairs in order, distinct
+    syzygy twists ascending."""
     for pair in pairs:
         for j0 in sorted({pair.b.index(b) + 1 for b in pair.b}):
-            table = pivot_syzygy_table(pair, j0)
-            yield pair, j0, table, _invariants(table)
+            yield pair, j0, pivot_syzygy_table(pair, j0)
 
 
 @lru_cache(maxsize=None)
@@ -272,7 +275,7 @@ def divisor(label: str) -> QuarticDivisor:
         raise KeyError(f"unknown divisor {label!r}; expected one of {DIVISOR_LABELS}")
     pairs = _surface_types(SURFACE_DEGREE)[label]
     # the generator curve: the least (degree, genus) among the pivot tables
-    d_i, g_i = min(checked for *_, checked in _pivot_tables(pairs))
+    d_i, g_i = min(_invariants(table) for *_, table in _pivot_tables(pairs))
     return QuarticDivisor(label, quartic_lattice(d_i, g_i), pairs, _EXCLUSIONS.get(label, ()))
 
 
@@ -318,10 +321,24 @@ def classify_quartic(div: QuarticDivisor, k_max: int = 6) -> list[Classification
     prose = _PROSE.get(div.label, {})
     entries: list[ClassificationEntry] = []
 
-    def emit(provenance, table, checked, classes, pair=None, shift=None, pivot=None,
-             description=None):
-        # checked: the table's (degree, genus) from its one _invariants pass, or
-        # None; every class stores it and must have it as its lattice invariants
+    def solve(table, where):
+        # the lattice classes with the table's (degree, genus); a table the
+        # classifier solves must have both, and some class must carry them
+        checked = _table_invariants(table)
+        if checked is None:
+            raise ClassificationError(f"{div.label}: no degree and genus at {where}: "
+                                      f"table {table.to_json()}")
+        solved = _solved_classes(lattice, *checked)
+        if not solved:
+            raise ClassificationError(f"{div.label}: no integer class of degree {checked[0]}, "
+                                      f"genus {checked[1]} at {where}")
+        return solved
+
+    def emit(provenance, table, classes, pair=None, shift=None, pivot=None, description=None):
+        # every class stores the table's (degree, genus) from its one
+        # _invariants pass, or None, and must have it as its lattice
+        # invariants; returns what the entries store
+        checked = _table_invariants(table)
         inv = CurveInvariants(*checked) if checked else None
         for cls in classes:
             text = description or prose.get((provenance, cls))
@@ -337,38 +354,25 @@ def classify_quartic(div: QuarticDivisor, k_max: int = 6) -> list[Classification
             entries.append(ClassificationEntry(
                 div.label, cls, inv, provenance, text, table, pair, shift, pivot
             ))
+        return inv
 
     rigid = rigid_classes(div)
     for pair in div.pairs:
         # solved once, at shift 3; shift k adds (k-3)H (module docstring)
-        table = surface_generator_table(pair, 3)
-        checked = _invariants(table)
-        base = sorted(_solved_classes(lattice, *checked))
-        if not base:
-            raise ClassificationError(
-                f"{div.label}: no integer class of degree {checked[0]}, "
-                f"genus {checked[1]} at shift 3"
-            )
-        for k in range(3, k_max + 1):
-            if k > 3:  # shift 3 is the table just solved
-                table = surface_generator_table(pair, k)
-                checked = _table_invariants(table)
-            text = f"resolution family with the quartic among the minimal generators, shift k={k}"
-            emit(FAMILY_II, table, checked, [DivisorClass(c.a + k - 3, c.b) for c in base], pair,
-                 shift=k, description=text)
-        for k in range(3):
-            try:
-                table = surface_generator_table(pair, k)
-            except InvalidTableError:
-                continue  # a twist below 1: no curve at this shift
-            checked = _table_invariants(table)
+        base = sorted(solve(surface_generator_table(pair, 3), "shift 3"))
+        for k in range(k_max + 1):
+            table = surface_generator_table(pair, k)
             solved = [DivisorClass(c.a + k - 3, c.b) for c in base]
+            if k >= 3:
+                emit(FAMILY_II, table, solved, pair, shift=k, description="resolution family "
+                     f"with the quartic among the minimal generators, shift k={k}")
+                continue
+            checked = _table_invariants(table)
             # with equal twist sums, None is a degree <= 0 (module docstring)
             no_curve = checked is None or checked[1] < 0
             if no_curve and sum(table.gens) == sum(table.syz) or rigid.issuperset(solved):
                 continue  # no curve, or the rigid entries already cover these classes
-            emit(RESIDUAL, table, checked, solved, pair, shift=k)
-            stored = entries[-1].invariants
+            stored = emit(RESIDUAL, table, solved, pair, shift=k)
             ci = CiProfile(SURFACE_DEGREE, k + 1)
             for cls in solved:
                 partner = DivisorClass(k + 1 - cls.a, -cls.b)  # (k+1)H - D
@@ -381,25 +385,24 @@ def classify_quartic(div: QuarticDivisor, k_max: int = 6) -> list[Classification
                         f"{linked}, the shift-{k} table gives {stored}"
                     )
 
-    # rigid class -> (pair, pivot, table, (degree, genus)) of the first pivot table solving to it
+    # rigid class -> (pair, pivot, table) of the first pivot table solving to it
     first_pivot = {}
-    for pair, j0, table, checked in _pivot_tables(div.pairs):
-        solved = _solved_classes(lattice, *checked)
+    for pair, j0, table in _pivot_tables(div.pairs):
+        solved = solve(table, f"pivot {j0}")
         for cls in solved & rigid:
-            first_pivot.setdefault(cls, (pair, j0, table, checked))
+            first_pivot.setdefault(cls, (pair, j0, table))
         if not solved <= rigid:
-            emit(FAMILY_III, table, checked, sorted(solved), pair, pivot=j0)
+            emit(FAMILY_III, table, sorted(solved), pair, pivot=j0)
     for resolved_by, classes in groupby(sorted(rigid), key=first_pivot.get):
         if resolved_by is None:
             raise ClassificationError(
                 f"{div.label}: no pivot table resolves the rigid class {next(classes)}"
             )
-        pair, j0, table, checked = resolved_by
-        emit(RIGID, table, checked, classes, pair, pivot=j0)
+        pair, j0, table = resolved_by
+        emit(RIGID, table, classes, pair, pivot=j0)
 
     for dd in range(2, k_max + 1):
-        table = ci_table(SURFACE_DEGREE, dd)
-        emit(COMPLETE_INTERSECTION, table, _table_invariants(table), [DivisorClass(dd, 0)],
+        emit(COMPLETE_INTERSECTION, ci_table(SURFACE_DEGREE, dd), [DivisorClass(dd, 0)],
              description=f"complete intersection with a degree-{dd} surface")
     entries.sort(key=lambda e: PROVENANCE_ORDER.index(e.provenance))  # stable
     return entries

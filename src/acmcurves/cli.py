@@ -45,9 +45,10 @@ MAX_ENUMERATE_DEGREE = 7
 # congruence mod -det and its squares sieve allow; with few classes 10^6
 # degrees take ~0.03 s when -det is small and at most ~0.15 s, when -det
 # is near the span or above it.  `classify quartic --kmax 10^4` takes
-# ~1.2 s.  The output size stays unbounded: D^2 = 0 on (4, 1, -2), whose
-# -det = 9 is a square, has 499 999 classes, ~1.5 s to solve and ~5 s to
-# print
+# ~1.2-1.3 s for ~12 MiB of JSON.  The output size stays unbounded:
+# D^2 = 0 on (4, 1, -2), whose -det = 9 is a square, has 499 999 classes,
+# ~1.5 s to solve and ~5 s to print.  Figures from a 2-vCPU shared Xeon,
+# Python 3.11.7
 MAX_DEGREE_SPAN = 10**6
 MAX_KMAX = 10**4
 # the most digits of one integer argument.  Every result is at most cubic
@@ -278,7 +279,7 @@ def _check_kmax(args) -> None:
     if args.kmax > MAX_KMAX:
         raise ValueError(
             f"--kmax {args.kmax} is above {MAX_KMAX}: the tables grow linearly with it, "
-            f"and a quartic table takes ~1.1 s and ~12 MiB of JSON at {MAX_KMAX}"
+            f"and a quartic table takes ~1.2-1.3 s and ~12 MiB of JSON at {MAX_KMAX}"
         )
 
 

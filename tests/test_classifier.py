@@ -603,15 +603,37 @@ def one_twist_off(real, at, offset):
 # Offset 1 makes the degree a half-integer, offset 2 the genus, and offset 6
 # leaves both wrong integers.  Shift 2 is RESIDUAL: a table without
 # invariants is skipped only when its twist sums are equal, so a wrong one
-# is refused, not dropped
+# is refused, not dropped.  Shift 3 is the table each pair is solved at, so
+# it is refused before any entry is made
 @pytest.mark.parametrize("offset", [1, 2, 6])
-@pytest.mark.parametrize("shift, provenance", [(1000, FAMILY_II), (2, RESIDUAL)])
-def test_a_wrong_shift_table_is_refused(monkeypatch, shift, provenance, offset):
+@pytest.mark.parametrize("shift, message", [
+    pytest.param(1000, r"cross-check failed for F2 class .* \(FAMILY_II\): table ",
+                 id="1000-FAMILY_II"),
+    pytest.param(2, r"cross-check failed for F2 class .* \(RESIDUAL\): table ", id="2-RESIDUAL"),
+    pytest.param(3, r"F2: no (degree and genus|integer class of degree \d+, genus \d+) at shift 3",
+                 id="3-solved"),
+])
+def test_a_wrong_shift_table_is_refused(monkeypatch, shift, message, offset):
     wrong = one_twist_off(classifier.surface_generator_table, shift, offset)
     monkeypatch.setattr(classifier, "surface_generator_table", wrong)
-    with pytest.raises(ClassificationError,
-                       match=rf"^cross-check failed for F2 class .* \({provenance}\): table "):
+    with pytest.raises(ClassificationError, match=f"^{message}"):
         classify_quartic(divisor("F2"), k_max=2000)
+
+
+# a pivot table is solved, so like shift 3 it must have invariants that
+# some class carries.  Offset 6 leaves pivot 1 integer invariants no class
+# has; F4 and F5 then lost both FAMILY_III rows without an error
+@pytest.mark.parametrize("offset, refusal", [
+    (1, "no degree and genus"), (2, "no degree and genus"),
+    (6, r"no integer class of degree \d+, genus \d+"),
+], ids=["1", "2", "6"])
+@pytest.mark.parametrize("label", ["F1", "F2", "F3", "F4", "F5"])
+def test_a_wrong_pivot_table_is_refused(monkeypatch, label, offset, refusal):
+    div = divisor(label)  # cached, so built before the patch
+    wrong = one_twist_off(classifier.pivot_syzygy_table, 1, offset)
+    monkeypatch.setattr(classifier, "pivot_syzygy_table", wrong)
+    with pytest.raises(ClassificationError, match=f"^{label}: {refusal} at pivot 1"):
+        classify_quartic(div, k_max=6)
 
 
 @pytest.mark.parametrize("offset", [1, 2, 6])
@@ -643,16 +665,31 @@ def _linkage_one_genus_off(monkeypatch):
     monkeypatch.setattr(classifier, "residual_invariants", off)
 
 
+def _pivot_1_six_off(monkeypatch):
+    wrong = one_twist_off(classifier.pivot_syzygy_table, 1, 6)
+    monkeypatch.setattr(classifier, "pivot_syzygy_table", wrong)
+
+
+def _shift_3_half_a_degree_off(monkeypatch):
+    wrong = one_twist_off(classifier.surface_generator_table, 3, 1)
+    monkeypatch.setattr(classifier, "surface_generator_table", wrong)
+
+
 @pytest.mark.parametrize("patch, message", [
     (_no_classes, re.escape("F2: no integer class of degree 11, genus 14 at shift 3") + "$"),
+    (_pivot_1_six_off, re.escape("F2: no integer class of degree 55, genus 110 at pivot 1") + "$"),
+    (_shift_3_half_a_degree_off, re.escape(
+        "F2: no degree and genus at shift 3: table {'gens': [4, 4, 4, 4], 'syz': [5, 5, 7]}"
+    ) + "$"),
     (_an_extra_rigid_class, re.escape(f"F2: no pivot table resolves the rigid class {cls(5, 0)}")
      + "$"),
     (_linkage_one_genus_off, "F2: linking "),
 ])
 def test_each_refusal_names_its_check(monkeypatch, patch, message):
+    div = divisor("F2")  # cached, so built before the patch
     patch(monkeypatch)
     with pytest.raises(ClassificationError, match=f"^{message}"):
-        classify_quartic(divisor("F2"), k_max=6)
+        classify_quartic(div, k_max=6)
 
 
 def test_f4_exclusion_is_the_plane_cubic():
