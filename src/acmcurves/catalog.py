@@ -55,7 +55,7 @@ _OPS = {"<=": operator.le, ">=": operator.ge, "==": operator.eq, "<": operator.l
 _OP_RE = re.compile("(<=|>=|==|<|>)")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Constraint:
     lhs: dict[str, int]
     op: str
@@ -73,7 +73,7 @@ class Constraint:
         return _OPS[self.op](eval_affine(self.lhs, env), eval_affine(self.rhs, env))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PairFamily:
     """One parametrized family from a degree catalog."""
 

@@ -102,7 +102,7 @@ class ClassificationError(RuntimeError):
     """A derived entry fails a consistency check."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class QuarticDivisor:
     label: str
     lattice: PicardLattice
@@ -110,7 +110,7 @@ class QuarticDivisor:
     exclusions: tuple[tuple[DivisorClass, str], ...]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ClassificationEntry:
     divisor: str
     cls: DivisorClass
@@ -359,7 +359,7 @@ def classify_quartic(div: QuarticDivisor, k_max: int = 6) -> list[Classification
     rigid = rigid_classes(div)
     for pair in div.pairs:
         # solved once, at shift 3; shift k adds (k-3)H (module docstring)
-        base = sorted(solve(surface_generator_table(pair, 3), "shift 3"))
+        base = sorted(solve(surface_generator_table(pair, 3), f"shift 3 of {pair}"))
         for k in range(k_max + 1):
             table = surface_generator_table(pair, k)
             solved = [DivisorClass(c.a + k - 3, c.b) for c in base]
@@ -388,7 +388,7 @@ def classify_quartic(div: QuarticDivisor, k_max: int = 6) -> list[Classification
     # rigid class -> (pair, pivot, table) of the first pivot table solving to it
     first_pivot = {}
     for pair, j0, table in _pivot_tables(div.pairs):
-        solved = solve(table, f"pivot {j0}")
+        solved = solve(table, f"pivot {j0} of {pair}")
         for cls in solved & rigid:
             first_pivot.setdefault(cls, (pair, j0, table))
         if not solved <= rigid:
@@ -415,7 +415,7 @@ _LOW_DEGREE_CASES = {(2, "smooth"): (1, ("main",)), (2, "reducible"): (1, None),
 _SPLIT_N_MAX = 3  # the reducible quadric is listed for splitting types n = 1..3
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class LowDegreeFamily:
     """One resolution family of the degree-2/3 classifications."""
 

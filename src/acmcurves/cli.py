@@ -178,7 +178,7 @@ def _pairs_enumerate(args):
     if args.degree > MAX_ENUMERATE_DEGREE:
         raise ValueError(
             f"--degree {args.degree} is out of reach: degree 7 alone takes ~20 s and "
-            "~1.5 GiB to print its 222 605 kinds, and the kind count grows ~16-fold per degree"
+            "~1.3 GiB to print its 222 605 kinds, and the kind count grows ~16-fold per degree"
         )
     cfg = acm.EnumerationConfig(args.degree, args.cap)
     complete = acm.stable_cap(cfg.degree)

@@ -19,7 +19,7 @@ class LinkageError(ValueError):
     """Linkage data with no residual curve behind it."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CiProfile:
     s: int
     s_prime: int

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 from collections.abc import Iterable
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import chain
 from operator import getitem
 
@@ -34,13 +35,22 @@ def delta(a: int, b: int) -> int:
     return b - a if b > a else 0
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class WeakAdmissiblePair:
     a: tuple[int, ...]
     b: tuple[int, ...]
 
     def __post_init__(self) -> None:
         a, b = self.a, self.b
+        if len(a) == len(b) > 1:
+            x0, y0 = a[0], b[0]
+            for x, y in zip(a, b):
+                if x >= y or x < x0 or y < y0:
+                    break
+                x0, y0 = x, y
+            else:
+                return
+        # something failed: the checks below name the first fault
         if len(a) != len(b):
             raise PairError(f"sequences differ in length ({len(a)} vs {len(b)})")
         if len(a) < 2:
@@ -100,7 +110,7 @@ def _check_trace(trace: int, degree: int) -> None:
         raise ValueError(f"trace {trace} does not equal the declared degree {degree}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class DegreeMatrix:
     degree: int
     entries: tuple[tuple[int, ...], ...]
@@ -161,7 +171,7 @@ def dual_pair(p: WeakAdmissiblePair) -> WeakAdmissiblePair:
     return normalize(WeakAdmissiblePair(a, b))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class KindSignature:
     """Entry-wise abstraction of a degree matrix.
 
@@ -200,6 +210,20 @@ def kind_signature(m: DegreeMatrix) -> KindSignature:
     return KindSignature(d, cells)
 
 
+@lru_cache(maxsize=None)
+def _shared_row(row: tuple[Cell, ...]) -> tuple[Cell, ...]:
+    """The one stored copy of an equal row.
+
+    A catalog repeats its signature rows far more often than it has
+    distinct ones (1 422 165 rows of 222 605 kinds at degree 7, but
+    only 4 074 distinct), so every signature from ``pair_signature``
+    keeps its rows here.  Each row of a degree-d pair is a row of the
+    degree-d kind catalog, so this holds at most 72, 281, 1 072 and
+    4 074 rows for degrees 4 to 7.
+    """
+    return row
+
+
 def pair_signature(p: WeakAdmissiblePair) -> KindSignature:
     """The kind of a pair, in one pass over a and b.
 
@@ -211,11 +235,13 @@ def pair_signature(p: WeakAdmissiblePair) -> KindSignature:
     ``DegreeMatrix``; it fails only for a pair built without validation.
     """
     a, b, d = p.a, p.b, p.degree
-    cells = tuple([
-        tuple([0 if bj <= ai else BIG if bj - ai >= d else bj - ai for bj in b]) for ai in a
-    ])
-    _check_trace(sum(map(delta, a, b)), d)
-    return KindSignature(d, cells)
+    rows = []
+    trace = 0
+    for ai, bi in zip(a, b):
+        rows.append(tuple([0 if bj <= ai else BIG if bj - ai >= d else bj - ai for bj in b]))
+        trace += bi - ai if bi > ai else 0
+    _check_trace(trace, d)
+    return KindSignature(d, tuple(map(_shared_row, rows)))
 
 
 def is_reducible_type(m: DegreeMatrix) -> bool:

@@ -52,7 +52,7 @@ from dataclasses import dataclass
 _SIEVE_MODULI = (720, 144, 16)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PicardLattice:
     h2: int
     hc: int
@@ -76,7 +76,7 @@ class PicardLattice:
         return {"h2": self.h2, "hc": self.hc, "c2": self.c2}
 
 
-@dataclass(frozen=True, order=True)
+@dataclass(frozen=True, order=True, slots=True)
 class DivisorClass:
     a: int
     b: int
@@ -149,7 +149,7 @@ def solve_classes(
     return solutions
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class WatanabeCase:
     """One numerical case of the rigid-class search on a quartic."""
 

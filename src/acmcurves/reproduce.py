@@ -39,7 +39,7 @@ LINK_SAMPLES = 1000
 LINK_SEED = 20250809
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Row:
     target: str
     label: str

@@ -36,7 +36,7 @@ class InvalidTableError(ValueError):
     """A twist table with no curve behind it (bad degree or genus)."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class BettiTable:
     gens: tuple[int, ...]
     syz: tuple[int, ...]
@@ -63,7 +63,7 @@ def _sorted_table(gens: tuple[int, ...], syz: tuple[int, ...]) -> BettiTable:
     return table
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CurveInvariants:
     degree: int
     genus: int

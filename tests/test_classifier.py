@@ -675,11 +675,29 @@ def _shift_3_half_a_degree_off(monkeypatch):
     monkeypatch.setattr(classifier, "surface_generator_table", wrong)
 
 
+def _pivot_1_six_off_on(pair):
+    """Pivot 1 six off on the tables of `pair` alone: F2 has two pairs,
+    and the refusal must say which one failed."""
+    def patch(monkeypatch):
+        real = classifier.pivot_syzygy_table
+        wrong = one_twist_off(real, 1, 6)
+        monkeypatch.setattr(classifier, "pivot_syzygy_table",
+                            lambda p, j0: (wrong if p == pair else real)(p, j0))
+    return patch
+
+
 @pytest.mark.parametrize("patch, message", [
-    (_no_classes, re.escape("F2: no integer class of degree 11, genus 14 at shift 3") + "$"),
-    (_pivot_1_six_off, re.escape("F2: no integer class of degree 55, genus 110 at pivot 1") + "$"),
+    (_no_classes, re.escape(
+        "F2: no integer class of degree 11, genus 14 at shift 3 of ((1, 1, 1), (2, 2, 3))") + "$"),
+    (_pivot_1_six_off, re.escape(
+        "F2: no integer class of degree 55, genus 110 at pivot 1 of ((1, 1, 1), (2, 2, 3))") + "$"),
+    (_pivot_1_six_off_on(make_pair((1, 1, 1), (2, 2, 3))), re.escape(
+        "F2: no integer class of degree 55, genus 110 at pivot 1 of ((1, 1, 1), (2, 2, 3))") + "$"),
+    (_pivot_1_six_off_on(make_pair((1, 2, 2), (3, 3, 3))), re.escape(
+        "F2: no integer class of degree 47, genus 74 at pivot 1 of ((1, 2, 2), (3, 3, 3))") + "$"),
     (_shift_3_half_a_degree_off, re.escape(
-        "F2: no degree and genus at shift 3: table {'gens': [4, 4, 4, 4], 'syz': [5, 5, 7]}"
+        "F2: no degree and genus at shift 3 of ((1, 1, 1), (2, 2, 3)): "
+        "table {'gens': [4, 4, 4, 4], 'syz': [5, 5, 7]}"
     ) + "$"),
     (_an_extra_rigid_class, re.escape(f"F2: no pivot table resolves the rigid class {cls(5, 0)}")
      + "$"),

@@ -1,7 +1,7 @@
 import json
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings, strategies as st
 
 from acmcurves import (
     BIG,
@@ -54,6 +54,53 @@ class TestMakePair:
             make_pair((1,), (2,))
         with pytest.raises(PairError, match="differ in length"):
             make_pair((1, 1), (2, 2, 2))
+
+
+def three_checks(a, b):
+    """The pair's three checks, one after another: the text of the first
+    that fails, or None.  The one-pass loop must agree with them."""
+    if len(a) != len(b):
+        return f"sequences differ in length ({len(a)} vs {len(b)})"
+    if len(a) < 2:
+        return f"length must be at least 2, got {len(a)}"
+    for i in range(1, len(a)):
+        if a[i] < a[i - 1]:
+            return f"a is not nondecreasing at index {i + 1}"
+    for i in range(1, len(b)):
+        if b[i] < b[i - 1]:
+            return f"b is not nondecreasing at index {i + 1}"
+    for i, (ai, bi) in enumerate(zip(a, b)):
+        if ai >= bi:
+            return f"a_i < b_i violated at index {i + 1}"
+    return None
+
+
+@st.composite
+def short_tuples(draw):
+    """Two short integer tuples: half of them unrelated (often of unequal
+    lengths), the rest a sorted a with b_i = a_i + g_i for g_i in -1..2,
+    b sorted or not, so that many are valid or off at one index."""
+    ints = st.lists(st.integers(-2, 5), max_size=5)
+    if draw(st.booleans()):
+        return tuple(draw(ints)), tuple(draw(ints))
+    a = sorted(draw(ints))
+    b = [x + draw(st.integers(-1, 2)) for x in a]
+    if draw(st.booleans()):
+        b.sort()
+    return tuple(a), tuple(b)
+
+
+@settings(max_examples=500)
+@given(short_tuples())
+def test_one_pass_checks_agree_with_the_three_checks(ab):
+    a, b = ab
+    fault = three_checks(a, b)
+    if fault is None:
+        assert WeakAdmissiblePair(a, b).b == b
+    else:
+        with pytest.raises(PairError) as err:
+            WeakAdmissiblePair(a, b)
+        assert str(err.value) == fault
 
 
 class TestNormalize:
