@@ -15,9 +15,9 @@ derived:
 
 * RIGID: the classes of the four numerical rigidity cases minus the
   divisor's exclusion data (geometric facts this library does not
-  derive, kept as data so the arithmetic stays honest), in sorted
-  order.  Each is resolved by the first pivot table that solves to it
-  (pairs in order, distinct syzygy twists ascending);
+  derive, kept as data so the arithmetic stays honest).  The pivot
+  pass (pairs in order, distinct syzygy twists ascending) emits each
+  on the first pivot table that solves to it;
 * RESIDUAL: the shifts k = 0, 1, 2 of each attached pair.  Every pair
   has a_1 = 1 (its representative has a_1 = 0 and is shifted by 1), so
   every twist of a shift-k table is at least 1.  A shift is skipped when
@@ -33,8 +33,8 @@ derived:
 * COMPLETE_INTERSECTION: the classes d*H.
 
 The table lists them in that order (`PROVENANCE_ORDER`), each by
-attached pair, then shift or pivot, then class; RIGID goes by class
-and COMPLETE_INTERSECTION by d.  Each entry records its attached pair
+attached pair, then shift or pivot, then class, and
+COMPLETE_INTERSECTION by d.  Each entry records its attached pair
 (None for a complete intersection), plus its shift k (RESIDUAL,
 FAMILY_II) or its 1-based pivot (RIGID, FAMILY_III).  The descriptions
 of RIGID, RESIDUAL and FAMILY_III entries come from one prose map per
@@ -73,7 +73,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import groupby
 
 from .enumeration import EnumerationConfig, enumerate_kinds
 from .labels import DIVISOR_LABELS, TYPE_LABELS
@@ -319,7 +318,7 @@ def classify_quartic(div: QuarticDivisor, k_max: int = 6) -> list[Classification
         raise ValueError("k_max must be at least 3 to reach the stable family range")
     lattice = div.lattice
     prose = _PROSE.get(div.label, {})
-    entries: list[ClassificationEntry] = []
+    entries: dict[str, list[ClassificationEntry]] = {p: [] for p in PROVENANCE_ORDER}
 
     def solve(table, where):
         # the lattice classes with the table's (degree, genus); a table the
@@ -351,7 +350,7 @@ def classify_quartic(div: QuarticDivisor, k_max: int = 6) -> list[Classification
                     f"cross-check failed for {div.label} class {cls} "
                     f"({provenance}): table {table.to_json()}"
                 )
-            entries.append(ClassificationEntry(
+            entries[provenance].append(ClassificationEntry(
                 div.label, cls, inv, provenance, text, table, pair, shift, pivot
             ))
         return inv
@@ -385,27 +384,22 @@ def classify_quartic(div: QuarticDivisor, k_max: int = 6) -> list[Classification
                         f"{linked}, the shift-{k} table gives {stored}"
                     )
 
-    # rigid class -> (pair, pivot, table) of the first pivot table solving to it
-    first_pivot = {}
+    unresolved = set(rigid)  # each rigid class goes on the first pivot table solving to it
     for pair, j0, table in _pivot_tables(div.pairs):
         solved = solve(table, f"pivot {j0} of {pair}")
-        for cls in solved & rigid:
-            first_pivot.setdefault(cls, (pair, j0, table))
+        emit(RIGID, table, sorted(solved & unresolved), pair, pivot=j0)
+        unresolved -= solved
         if not solved <= rigid:
             emit(FAMILY_III, table, sorted(solved), pair, pivot=j0)
-    for resolved_by, classes in groupby(sorted(rigid), key=first_pivot.get):
-        if resolved_by is None:
-            raise ClassificationError(
-                f"{div.label}: no pivot table resolves the rigid class {next(classes)}"
-            )
-        pair, j0, table = resolved_by
-        emit(RIGID, table, classes, pair, pivot=j0)
+    if unresolved:
+        raise ClassificationError(
+            f"{div.label}: no pivot table resolves the rigid class {min(unresolved)}"
+        )
 
     for dd in range(2, k_max + 1):
         emit(COMPLETE_INTERSECTION, ci_table(SURFACE_DEGREE, dd), [DivisorClass(dd, 0)],
              description=f"complete intersection with a degree-{dd} surface")
-    entries.sort(key=lambda e: PROVENANCE_ORDER.index(e.provenance))  # stable
-    return entries
+    return [entry for rows in entries.values() for entry in rows]
 
 
 # (degree, type) -> k_min and the case label of each pair of the derived type;

@@ -17,7 +17,6 @@ from __future__ import annotations
 
 from collections.abc import Iterable
 from dataclasses import dataclass
-from functools import lru_cache
 from itertools import chain
 from operator import getitem
 
@@ -210,18 +209,13 @@ def kind_signature(m: DegreeMatrix) -> KindSignature:
     return KindSignature(d, cells)
 
 
-@lru_cache(maxsize=None)
-def _shared_row(row: tuple[Cell, ...]) -> tuple[Cell, ...]:
-    """The one stored copy of an equal row.
-
-    A catalog repeats its signature rows far more often than it has
-    distinct ones (1 422 165 rows of 222 605 kinds at degree 7, but
-    only 4 074 distinct), so every signature from ``pair_signature``
-    keeps its rows here.  Each row of a degree-d pair is a row of the
-    degree-d kind catalog, so this holds at most 72, 281, 1 072 and
-    4 074 rows for degrees 4 to 7.
-    """
-    return row
+# the one stored copy of each equal signature row.  A catalog repeats its
+# signature rows far more often than it has distinct ones (1 422 165 rows
+# of 222 605 kinds at degree 7, but only 4 074 distinct), so every
+# signature from ``pair_signature`` keeps its rows here.  Each row of a
+# degree-d pair is a row of the degree-d kind catalog, so this holds at
+# most 72, 281, 1 072 and 4 074 rows for degrees 4 to 7.
+_ROWS: dict[tuple[Cell, ...], tuple[Cell, ...]] = {}
 
 
 def pair_signature(p: WeakAdmissiblePair) -> KindSignature:
@@ -241,7 +235,7 @@ def pair_signature(p: WeakAdmissiblePair) -> KindSignature:
         rows.append(tuple([0 if bj <= ai else BIG if bj - ai >= d else bj - ai for bj in b]))
         trace += bi - ai if bi > ai else 0
     _check_trace(trace, d)
-    return KindSignature(d, tuple(map(_shared_row, rows)))
+    return KindSignature(d, tuple(map(_ROWS.setdefault, rows, rows)))
 
 
 def is_reducible_type(m: DegreeMatrix) -> bool:

@@ -1,4 +1,4 @@
-"""Shared hypothesis strategies."""
+"""Shared hypothesis strategies and test oracles."""
 
 from __future__ import annotations
 
@@ -6,7 +6,7 @@ from functools import lru_cache
 
 from hypothesis import strategies as st
 
-from acmcurves import WeakAdmissiblePair, make_pair
+from acmcurves import DivisorClass, H, WeakAdmissiblePair, dot, make_pair
 
 
 @lru_cache(maxsize=None)
@@ -35,3 +35,15 @@ def weak_pairs(draw, max_degree: int = 8, max_step: int = 4, max_shift: int = 5)
         a.append(a[-1] + max(steps[i - 1], floor))
     b = [a[i] + gaps[i] for i in range(t)]
     return make_pair([x + shift for x in a], [x + shift for x in b])
+
+
+def brute_force_classes(l, self_int, dh_min, dh_max, box=50):
+    """Independent double-loop oracle over a box that safely contains
+    every solution (negative determinant pins them near the origin)."""
+    out = set()
+    for a in range(-box, box + 1):
+        for b in range(-box, box + 1):
+            x = DivisorClass(a, b)
+            if dot(l, x, x) == self_int and dh_min <= dot(l, x, H) <= dh_max:
+                out.add(x)
+    return out

@@ -21,7 +21,6 @@ from acmcurves import (
     degree_from_betti,
     degree_matrix,
     divisor,
-    dot,
     dual_pair,
     enumerate_kinds,
     enumerate_pairs,
@@ -36,8 +35,8 @@ from acmcurves import (
     pivot_syzygy_table,
 )
 from acmcurves.catalog import kind_families
-from acmcurves.picard import H
 from acmcurves.reproduce import run_target
+from conftest import brute_force_classes
 
 
 def report(number: int, description: str, ok: bool) -> None:
@@ -138,16 +137,6 @@ def test_criterion_4_betti_closed_forms():
             if raw_d > 0 and (degree_from_betti(t), genus_from_betti(t)) != (raw_d, raw_g):
                 ok = False
     report(4, "seven degree/genus closed forms exact for k in [0, 10]", ok)
-
-
-def brute_force_classes(l, self_int, dh_min, dh_max, box=50):
-    out = set()
-    for a in range(-box, box + 1):
-        for b in range(-box, box + 1):
-            x = DivisorClass(a, b)
-            if dot(l, x, x) == self_int and dh_min <= dot(l, x, H) <= dh_max:
-                out.add(x)
-    return out
 
 
 def test_criterion_5_diophantine_solver():

@@ -383,7 +383,7 @@ def test_table_order(label, k_max):
     assert ranks == sorted(ranks)
     index = {pair: i for i, pair in enumerate(div.pairs)}
     keys = {
-        RIGID: lambda e: e.cls,
+        RIGID: lambda e: (index[e.pair], e.pivot, e.cls),
         RESIDUAL: lambda e: (index[e.pair], e.shift, e.cls),
         FAMILY_II: lambda e: (index[e.pair], e.shift, e.cls),
         FAMILY_III: lambda e: (index[e.pair], e.pivot, e.cls),
@@ -392,6 +392,38 @@ def test_table_order(label, k_max):
     for tag, key in keys.items():
         got = [key(e) for e in by_provenance(entries, tag)]
         assert got == sorted(set(got)), tag
+
+
+@pytest.mark.parametrize("label", LABELS)
+def test_each_rigid_class_is_on_the_first_pivot_table_solving_to_it(label):
+    div = divisor(label)
+    first = {}
+    for pair, j0, table in classifier._pivot_tables(div.pairs):
+        inv = invariants_from_betti(table)
+        for c in _solved_classes(div.lattice, inv.degree, inv.genus):
+            first.setdefault(c, (pair, j0, table))
+    rows = by_provenance(classify_quartic(div, k_max=6), RIGID)
+    assert sorted(e.cls for e in rows) == sorted(rigid_classes(div))
+    for e in rows:
+        assert (e.pair, e.pivot, e.resolution) == first[e.cls], e.cls
+
+
+@pytest.mark.parametrize("label", LABELS)
+def test_a_repeated_pivot_table_adds_no_rigid_row(monkeypatch, label):
+    # each pivot table again under a new pivot number: the first copy
+    # still resolves every rigid class, and only once.  FAMILY_III rows
+    # may double, so only the RIGID rows are compared
+    div = divisor(label)  # cached, so built before the patch
+    want = by_provenance(classify_quartic(div, k_max=6), RIGID)
+    real = classifier._pivot_tables
+
+    def twice(pairs):
+        for pair, j0, table in real(pairs):
+            yield pair, j0, table
+            yield pair, j0 + 100, table
+
+    monkeypatch.setattr(classifier, "_pivot_tables", twice)
+    assert by_provenance(classify_quartic(div, k_max=6), RIGID) == want
 
 
 def catalog_class(exprs, k):

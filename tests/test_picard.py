@@ -18,6 +18,7 @@ from acmcurves import (
 )
 from acmcurves import picard
 from acmcurves.cli import _picard_plane, _picard_solve
+from conftest import brute_force_classes
 
 F1_L = quartic_lattice(6, 3)
 F2_L = quartic_lattice(3, 0)
@@ -25,18 +26,6 @@ F3_L = quartic_lattice(4, 1)
 F4_L = quartic_lattice(1, 0)
 F5_L = quartic_lattice(2, 0)
 CATALOG = (F1_L, F2_L, F3_L, F4_L, F5_L)
-
-
-def brute_force_classes(l, self_int, dh_min, dh_max, box=50):
-    """Independent double-loop oracle over a box that safely contains
-    every solution (negative determinant pins them near the origin)."""
-    out = set()
-    for a in range(-box, box + 1):
-        for b in range(-box, box + 1):
-            x = DivisorClass(a, b)
-            if dot(l, x, x) == self_int and dh_min <= dot(l, x, H) <= dh_max:
-                out.add(x)
-    return out
 
 
 def classes(*pairs):

@@ -325,13 +325,6 @@ def reference(gens, syz):
         return InvalidTableError
 
 
-def built(constructor, *args):
-    try:
-        return constructor(*args)
-    except InvalidTableError:
-        return InvalidTableError
-
-
 def case_ii_twists(p, k):
     # gens = {a_i + k} + {d},  syz = {b_j + k}
     return [a + k for a in p.a] + [p.degree], [b + k for b in p.b]
