@@ -21,11 +21,10 @@ derived:
 * RESIDUAL: the shifts k = 0, 1, 2 of each attached pair.  Every pair
   has a_1 = 1 (its representative has a_1 = 0 and is shifted by 1), so
   every twist of a shift-k table is at least 1.  A shift is skipped when
-  its table has no curve (a nonpositive degree or a negative genus) or
-  when its solved classes are all rigid.
-  Equal twist sums make the degree and genus integers (x^2 = x mod 2,
-  x^3 = x mod 6), so a table whose sums differ is refused instead.  Each
-  solved class D is residual to (k+1)H - D in the complete intersection
+  its solved classes have no curve (D.H <= 0 or a negative genus) or are
+  all rigid; by the translation below, its classes have no curve exactly
+  when its table has none, so the skip reads no table.  Each solved
+  class D is residual to (k+1)H - D in the complete intersection
   (4, k+1), and linkage must give back the table's invariants;
 * FAMILY_II: the solved classes of each shift k >= 3;
 * FAMILY_III: the solved classes of every pivot table whose solved
@@ -39,13 +38,14 @@ COMPLETE_INTERSECTION by d.  Each entry records its attached pair
 FAMILY_II) or its 1-based pivot (RIGID, FAMILY_III).  The descriptions
 of RIGID, RESIDUAL and FAMILY_III entries come from one prose map per
 divisor.  One rule makes every entry: an entry is a class on a table,
-it stores that table's (degree, genus), computed once per table by one
-pass over its twists, and that pass must equal the class's lattice
-invariants (D.H, D^2/2 + 1).  So every emitted entry passes the
-cross-check.  A table the classifier solves (shift 3 of each pair and
-every pivot table) must have a degree and genus that some lattice class
-carries; one that carries no class is refused, so a wrong table cannot
-drop its rows.
+it stores that table's (degree, genus), read by one pass over its
+twists in each `emit` call, and that pass must equal the class's
+lattice invariants (D.H, D^2/2 + 1).  So every emitted entry passes the
+cross-check, and a wrong table is refused wherever it has rows.  A
+table the classifier solves (shift 3 of each pair and every pivot
+table) is read once more, and must have a degree and genus that some
+lattice class carries; one that carries no class is refused, so a wrong
+table cannot drop its rows.  A skipped RESIDUAL shift is not read.
 
 Each pivot table is solved once.  So is each attached pair, at shift
 3: shift k, RESIDUAL included, is shift 3 plus (k-3)H.  This
@@ -366,10 +366,8 @@ def classify_quartic(div: QuarticDivisor, k_max: int = 6) -> list[Classification
                 emit(FAMILY_II, table, solved, pair, shift=k, description="resolution family "
                      f"with the quartic among the minimal generators, shift k={k}")
                 continue
-            checked = _table_invariants(table)
-            # with equal twist sums, None is a degree <= 0 (module docstring)
-            no_curve = checked is None or checked[1] < 0
-            if no_curve and sum(table.gens) == sum(table.syz) or rigid.issuperset(solved):
+            degree, genus = _lattice_invariants(lattice, solved[0])
+            if degree <= 0 or genus < 0 or rigid.issuperset(solved):
                 continue  # no curve, or the rigid entries already cover these classes
             stored = emit(RESIDUAL, table, solved, pair, shift=k)
             ci = CiProfile(SURFACE_DEGREE, k + 1)

@@ -368,6 +368,41 @@ def test_case_ii_rows_equal_the_per_shift_solve(label):
         assert got == rows
 
 
+# the shifts k < 3 whose table has no curve: a degree <= 0 or a negative genus
+NO_CURVE_SHIFTS = [
+    ("F1", make_pair((1, 1, 1, 1), (2, 2, 2, 2)), 0),
+    ("F1", make_pair((1, 1, 1, 1), (2, 2, 2, 2)), 1),
+    ("F2", make_pair((1, 1, 1), (2, 2, 3)), 0),
+    ("F2", make_pair((1, 2, 2), (3, 3, 3)), 0),
+    ("F3", make_pair((1, 1), (3, 3)), 0),
+]
+
+
+def test_a_shift_has_no_curve_exactly_when_its_classes_have_none():
+    # the reference is the table: no curve when its invariants are refused
+    # or its genus is negative.  The classifier decides from the classes of
+    # shift 3 moved down by (3-k)H, which all have one (D.H, genus)
+    no_curve = []
+    for label in LABELS:
+        div = divisor(label)
+        for pair in div.pairs:
+            inv = invariants_from_betti(surface_generator_table(pair, 3))
+            base = _solved_classes(div.lattice, inv.degree, inv.genus)
+            for k in range(3):
+                table = surface_generator_table(pair, k)
+                try:
+                    table_has_none = invariants_from_betti(table).genus < 0
+                except InvalidTableError:
+                    table_has_none = True
+                moved = {cls(c.a + k - 3, c.b) for c in base}
+                [(degree, genus)] = {(dot(div.lattice, c, H), adjunction_genus(div.lattice, c))
+                                     for c in moved}
+                assert table_has_none == (degree <= 0 or genus < 0), (label, pair, k)
+                if table_has_none:
+                    no_curve.append((label, pair, k))
+    assert no_curve == NO_CURVE_SHIFTS
+
+
 # the table's order of provenances, as the classifier documents it
 ORDER = (RIGID, RESIDUAL, FAMILY_II, FAMILY_III, COMPLETE_INTERSECTION)
 
@@ -630,11 +665,11 @@ def one_twist_off(real, at, offset):
     return constructor
 
 
-# a table's invariants are computed once per table, and each entry on it is
-# still compared with them: a wrong table at one shift or one d is refused.
-# Offset 1 makes the degree a half-integer, offset 2 the genus, and offset 6
-# leaves both wrong integers.  Shift 2 is RESIDUAL: a table without
-# invariants is skipped only when its twist sums are equal, so a wrong one
+# each entry is compared with the invariants of the table it is on: a wrong
+# table at one shift or one d is refused.  Offset 1 makes the degree a
+# half-integer, offset 2 the genus, and offset 6 leaves both wrong integers.
+# Shift 2 is RESIDUAL: a shift k < 3 is skipped only when its classes have
+# no curve or are all rigid, which reads no table, so a wrong table on rows
 # is refused, not dropped.  Shift 3 is the table each pair is solved at, so
 # it is refused before any entry is made
 @pytest.mark.parametrize("offset", [1, 2, 6])
@@ -650,6 +685,21 @@ def test_a_wrong_shift_table_is_refused(monkeypatch, shift, message, offset):
     monkeypatch.setattr(classifier, "surface_generator_table", wrong)
     with pytest.raises(ClassificationError, match=f"^{message}"):
         classify_quartic(divisor("F2"), k_max=2000)
+
+
+# a wrong table at a shift with no rows is not read: F1's shift 0 has no
+# curve, so F1 is unchanged; F4's shift 0 carries the plane cubic, so the
+# wrong table is refused on its row
+@pytest.mark.parametrize("offset", [1, 2, 6])
+def test_a_wrong_table_is_read_only_where_it_has_rows(monkeypatch, offset):
+    f1, f4 = divisor("F1"), divisor("F4")  # cached, so built before the patch
+    clean = classify_quartic(f1, 6)
+    wrong = one_twist_off(classifier.surface_generator_table, 0, offset)
+    monkeypatch.setattr(classifier, "surface_generator_table", wrong)
+    assert classify_quartic(f1, 6) == clean
+    message = re.escape(f"cross-check failed for F4 class {cls(1, -1)} (RESIDUAL): table ")
+    with pytest.raises(ClassificationError, match=f"^{message}"):
+        classify_quartic(f4, 6)
 
 
 # a pivot table is solved, so like shift 3 it must have invariants that

@@ -30,6 +30,40 @@ def shadowed_definitions(body: list[ast.stmt], scope: str = "") -> list[str]:
     return found
 
 
+def private_definitions(body: list[ast.stmt]) -> list[tuple[str, int]]:
+    """(name, line) of each module-level private name (`_x`, not a
+    dunder) that a `def`, a `class` or an assignment binds."""
+    found = []
+    for node in body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            found.append((node.name, node.lineno))
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            found += [(t.id, node.lineno) for target in targets
+                      for t in ast.walk(target)
+                      if isinstance(t, ast.Name) and isinstance(t.ctx, ast.Store)]
+    return [(name, line) for name, line in found
+            if name.startswith("_") and not name.startswith("__")]
+
+
+def dead_private_names(trees: dict[str, ast.Module]) -> list[str]:
+    """`where:name (line n)` of each module-level private name that no
+    tree reads: not by name, as an attribute, nor in an import.  Such a
+    helper is dead code, left behind by a simplification."""
+    read = set()
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+            elif isinstance(node, ast.alias):
+                read.add(node.name)
+    return [f"{where}:{name} (line {line})"
+            for where, tree in trees.items()
+            for name, line in private_definitions(tree.body) if name not in read]
+
+
 def test_the_sources_are_found():
     names = {path.relative_to(ROOT).as_posix() for path in SOURCES}
     assert {"src/acmcurves/classifier.py", "scripts/reproduce_all.py",
@@ -51,3 +85,31 @@ def test_a_shadowed_definition_is_found():
         "def built(): pass\n"
     )
     assert shadowed_definitions(tree.body) == ["T.test_a (line 4)", "built (line 5)"]
+
+
+def test_no_private_name_is_dead():
+    # the library and its scripts must use their own helpers: a helper
+    # only a test reads is dead too
+    trees = {
+        path.relative_to(ROOT).as_posix(): ast.parse(path.read_text(), filename=str(path))
+        for path in SOURCES if path.relative_to(ROOT).parts[0] != "tests"
+    }
+    assert "src/acmcurves/classifier.py" in trees
+    assert dead_private_names(trees) == []
+
+
+def test_a_dead_private_name_is_found():
+    trees = {
+        "m": ast.parse(
+            "def _called(): pass\n"
+            "def _dead(): pass\n"
+            "class _Dead: pass\n"
+            "_DEAD, _USED = 1, 2\n"
+            "_imported = _attribute = 3\n"
+            "def __dunder__(): pass\n"
+            "def public(): return _called() + _USED\n"
+        ),
+        "n": ast.parse("from m import _imported\nimport m\nm._attribute\n"),
+    }
+    assert dead_private_names(trees) == ["m:_dead (line 2)", "m:_Dead (line 3)",
+                                         "m:_DEAD (line 4)"]
