@@ -9,7 +9,7 @@ appears at the bound equal to its representative's ``b_t`` (the least
 pair of a kind is componentwise least; see ``enumerate_kinds``), so the
 growth profile at bound c counts the entries whose representative has
 ``b_t <= c``.  Degrees above ``MAX_ENUMERATE_DEGREE`` are refused: the
-degree-8 catalog alone would need ~3 GiB: ~4.1 M kinds at the ~0.7 KiB
+degree-8 catalog alone would need ~2.4 GiB: ~4.1 M kinds at the ~0.6 KiB
 of peak RSS that a degree-7 kind costs.
 """
 

@@ -177,7 +177,7 @@ def _pairs_reducible(args):
 def _pairs_enumerate(args):
     if args.degree > MAX_ENUMERATE_DEGREE:
         raise ValueError(
-            f"--degree {args.degree} is out of reach: degree 7 alone takes ~20 s and "
+            f"--degree {args.degree} is out of reach: degree 7 alone takes ~18 s and "
             "~1.3 GiB to print its 222 605 kinds, and the kind count grows ~16-fold per degree"
         )
     cfg = acm.EnumerationConfig(args.degree, args.cap)

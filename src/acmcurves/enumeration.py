@@ -8,66 +8,63 @@ appear is the all-BIG staircase of length d, whose smallest
 representative is ((0, d-1, 2(d-1), ...), (1, d, ...)) with
 b_t = (d-1)^2 + 1.
 
-Each kind has a componentwise-least pair, so a kind first appears at
-the bound equal to the b_t of that pair.  Fix a kind and its diagonal
-gaps g_i = b_i - a_i.  A normalized pair is of that kind exactly when a
-solves a system of difference constraints: a_1 = 0; a_{i+1} - a_i >=
-max(0, g_i - g_{i+1}), which keeps a and b nondecreasing; and for each
-cell (i, j) off the diagonal, b_j - a_i = a_j + g_j - a_i gives
-a_j - a_i <= -g_j where the cell is 0, = v - g_j where it is v, and
->= d - g_j where it is BIG.  Each of these is one or two bounds
-x_j - x_i <= c, so the solutions are closed under componentwise min x
-(if x_i comes from the solution y, then x_j <= y_j <= y_i + c =
-x_i + c), and they are bounded below by 0, so the kind has a
-componentwise-least pair.  It shares its length and gaps with every
-pair of the kind, so it is also the least by ``sort_key``, and its
-b_t = a_t + g_t is the least b_t of the kind.
+Both public enumerations run on one depth-first walk, ``_walk``, which
+extends the prefixes of a and b one index at a time with a running
+trace.  For the catalog it visits only the least pair of each kind, by
+the sharp gap lemma.  Write g_i = b_i - a_i for the diagonal gaps,
+h_i = a_i - b_{i-1} for the gap at index i >= 2 (it may be negative),
+and tau_i = d - g_{i-1} - g_i, the sum of the other diagonal gaps, so
+tau_i >= 0.  A pair is fixed by a_1 = 0, its g and its h.
 
-Both public enumerations run on one depth-first walk, ``_walk``.  It
-extends the prefixes of a and b one index at a time, with a running
-trace, and carries a flat integer key for the leading block of the
-degree matrix, clamped as in the kind signature.  Extending from index
-i appends column i above the diagonal (b_i - a_j for j < i, which is
-positive, clamped at d for BIG) and then the diagonal gap g_i; each
-cell takes ``d.bit_length()`` bits.  The part below the diagonal needs
-no cells: b_j - a_i = g_i + g_j - (b_i - a_j), and g_i + g_j <= d, so
-delta(a_i, b_j) is 0 where b_i - a_j is BIG and follows from the key
-elsewhere.  Two leaves therefore share a key exactly when they are of
-the same kind (the leading cell, g_1 >= 1, fixes the length), and the
-key costs O(t) per node instead of O(t^2) per pair.
+Lemma.  The kind of a pair holds its g, and at each i >= 2 either the
+exact h_i, when h_i < tau_i, or only the fact that h_i >= tau_i; and
+every h_i in [tau_i, oo) gives the same kind.
 
-The gap lemma prunes the walk for the catalog.  Where
-a_i - b_{i-1} >= d, every value of a and b up to index i - 1 lies at or
-below b_{i-1} and every later one at or above a_i, so that gap
-separates BIG cells (b_j - a_k for k < i <= j) from zero cells
-(b_k - a_j); stretching it, or shrinking it down to d, keeps the kind.
-No other gap between neighbouring values of a and b can reach d, as
-each lies inside a diagonal gap b_i - a_i <= d - 1.  ``_walk`` takes
-``max_gap`` and keeps a_i <= b_{i-1} + max_gap, counting in m the
-indices where a_i - b_{i-1} = max_gap.  With max_gap = d it yields only
-the gap-compressed pairs, and each stands for exactly
-comb(m + b_cap - b_t, m) pairs: stretch its m gaps of d by e_j >= 0
-with sum(e_j) <= b_cap - b_t.  Every pair shrinks to exactly one
-compressed pair, and the least pair of a kind is compressed, so the
-catalog keeps its representatives and its exact counts while the walk
-visits about one pair in three at degree 5 (3 981 of 12 895 at bound
-19).  A compressed pair has b_t <= d + (t - 1) d <= d^2, so past that
-bound the walk stops growing and only the counts do.
-``enumerate_pairs`` passes max_gap = b_cap, which prunes nothing (and m
-stays 0), so it remains the exhaustive reference.
+Proof.  The diagonal of the kind is g.  Let h_i >= tau_i.  For
+k < i <= j, b_j - a_k >= b_i - a_{i-1} = g_{i-1} + h_i + g_i >= d, so
+the cell (k, j) is BIG, and b_k - a_j <= b_{i-1} - a_i = -h_i <= 0, so
+the cell (j, k) is 0.  Every other cell is b_j - a_k with j and k on
+one side of i, which does not involve h_i.  So moving h_i anywhere in
+[tau_i, oo), which shifts a_j and b_j for j >= i by one amount, keeps a
+and b nondecreasing and keeps every cell.  Let h_i < tau_i instead.  If
+h_i >= 0, the cell (i-1, i) is b_i - a_{i-1} = g_{i-1} + h_i + g_i,
+which lies in (0, d), so the kind holds it and with it h_i.  If h_i < 0,
+the cell (i, i-1) is b_{i-1} - a_i = -h_i > 0, and it is at most
+b_i - a_i = g_i < d, so the kind holds it exactly.  The cell (i-1, i) is
+BIG exactly when h_i >= tau_i, so the kind tells the two cases apart.
 
-``enumerate_kinds`` folds the leaves into one entry per key, so its
-memory grows with the number of kinds, not of pairs; it builds the
-validated ``WeakAdmissiblePair`` and, with the one-pass
-``pairs.pair_signature``, the ``KindSignature`` only for the
-representative of each kind.  A kind then costs ~440 bytes at degree 7:
-three slotted objects, the tuples a and b and the tuple of t rows.  The
-rows themselves are shared, because a degree has far fewer distinct
-rows than kinds (4 074 for 222 605 kinds at degree 7), so equal rows
-are one object across the catalog.  ``kind_signature(degree_matrix(p))`` is
-the slow reference path, and the tests check the catalog and
-``pair_signature`` against it pair by pair over full ranges of degree
-and bound.
+So the pairs of a kind are those with its g, its exact h_i below tau_i,
+and h_i >= tau_i at its other m indices.  Setting those m gaps to tau_i
+gives the kind's least pair, which is componentwise least, as each a_j
+and b_j grows with every h_i; it is also the least by ``sort_key``, and
+its b_t is the least b_t of the kind, so a kind first appears at the
+bound equal to that b_t.  It is the one pair of the kind with every
+h_i <= tau_i.  The count: the kind's other pairs add e_j >= 0 to the m
+gaps at tau_i, which adds sum(e_j) to b_t, so under the bound b_cap the
+kind has the pairs with sum(e_j) <= b_cap - b_t, and there are exactly
+comb(m + b_cap - b_t, m) of them.  A least pair has
+b_t = d + sum(h_i) <= d + sum(tau_i) = (t - 2) d + g_1 + g_t, which is
+at most (t - 1)(d - 1) + 1 <= (d - 1)^2 + 1, so past that bound the
+walk stops growing and only the counts do.
+
+``_walk`` with ``least`` keeps a_i <= b_{i-1} + tau_i, that is
+b_i - a_{i-1} <= d, and counts in m the indices at equality, so it
+yields each kind's least pair once, with its count: 14 137 pairs at
+degree 6 and 222 605 at degree 7, one per kind.  ``enumerate_pairs``
+walks with no bound on the gaps, so it remains the exhaustive
+reference.
+
+``enumerate_kinds`` builds one entry per leaf, so its memory grows
+with the number of kinds, not of pairs; it builds the validated
+``WeakAdmissiblePair`` and, with the one-pass ``pairs.pair_signature``,
+the ``KindSignature`` only for the representative of each kind.  A kind
+then costs ~440 bytes at degree 7: three slotted objects, the tuples a
+and b and the tuple of t rows.  The rows themselves are shared, because
+a degree has far fewer distinct rows than kinds (4 074 for 222 605
+kinds at degree 7), so equal rows are one object across the catalog.
+``kind_signature(degree_matrix(p))`` is the slow reference path, and
+the tests check the catalog and ``pair_signature`` against it pair by
+pair over full ranges of degree and bound.
 """
 
 from __future__ import annotations
@@ -99,59 +96,42 @@ class EnumerationConfig:
 
 
 def _walk(
-    cfg: EnumerationConfig, max_gap: int
-) -> Iterator[tuple[tuple[int, ...], tuple[int, ...], int, int]]:
-    """Yield (a, b, key, m) for every normalized pair with b_t <= b_cap
-    and a_i - b_{i-1} <= max_gap at every i >= 2, where m counts the
-    indices with a_i - b_{i-1} = max_gap.
+    cfg: EnumerationConfig, least: bool
+) -> Iterator[tuple[tuple[int, ...], tuple[int, ...], int]]:
+    """Yield (a, b, m) for the normalized pairs with b_t <= b_cap: every
+    one, with m = 0, or with ``least`` the least pair of each kind, with
+    m the number of its gaps a_i - b_{i-1} at tau_i = d - g_{i-1} - g_i.
 
-    Children are visited in increasing (gap, a_i) order, so among the
-    pairs of one kind (which share their gaps, the diagonal of the key)
-    the first one yielded is the least by ``sort_key``.  Each check the
-    reference path makes per pair is an O(1) test at the extension: a
-    and b nondecreasing and a_i < b_i on every new index, and a leaf is
-    exactly an extension whose gap brings the trace to the degree.
+    Each check the reference path makes per pair is an O(1) test at the
+    extension: a and b nondecreasing and a_i < b_i on every new index,
+    and a leaf is exactly an extension whose gap brings the trace to the
+    degree.
     """
     d, cap = cfg.degree, cfg.b_cap
-    w = d.bit_length()
-    stack = [((0,), (g,), g, g, 0) for g in range(d - 1, 0, -1)]
+    stack = [((0,), (g,), g, 0) for g in range(1, d)]
     while stack:
-        a, b, trace, key, m = stack.pop()
-        i = len(a)
+        a, b, trace, m = stack.pop()
         rest = d - trace
         a_last, b_last = a[-1], b[-1]
-        # the new column above the diagonal, packed and shifted into place,
-        # indexed by b_i - b_last; it is all BIG from b_i = a_last + d on,
-        # so larger indices are clamped to its last entry
-        col = []
-        for bi in range(b_last, min(a_last + d, cap) + 1):
-            cells = 0
-            for aj in a:
-                cells = cells << w | (bi - aj if bi - aj < d else d)
-            col.append(cells << w)
-        big = len(col) - 1
-        head = key << w * (i + 1)
-        a_max = b_last + max_gap
-        children = []
         for g in range(1, rest + 1):
+            # a_i - b_{i-1} <= tau_i is b_i - a_{i-1} <= d
+            a_max = a_last + d - g if least else cap
             for ai in range(max(a_last, b_last - g), min(a_max, cap - g) + 1):
                 bi = ai + g
                 if not (a_last <= ai < bi and b_last <= bi):
                     raise PairError(f"walk left the normalized pairs at {a + (ai,)}, {b + (bi,)}")
-                child_key = head | col[min(bi - b_last, big)] | g
                 child_m = m + (ai == a_max)
                 if g == rest:
-                    yield a + (ai,), b + (bi,), child_key, child_m
+                    yield a + (ai,), b + (bi,), child_m
                 else:
-                    children.append((a + (ai,), b + (bi,), trace + g, child_key, child_m))
-        stack.extend(reversed(children))
+                    stack.append((a + (ai,), b + (bi,), trace + g, child_m))
 
 
 def enumerate_pairs(cfg: EnumerationConfig) -> list[WeakAdmissiblePair]:
     """All normalized pairs of the configured degree with b_t <= b_cap,
     sorted by (length, a, b)."""
     return sorted(
-        (WeakAdmissiblePair(a, b) for a, b, _, _ in _walk(cfg, cfg.b_cap)),
+        (WeakAdmissiblePair(a, b) for a, b, _ in _walk(cfg, False)),
         key=lambda p: p.sort_key,
     )
 
@@ -193,36 +173,26 @@ class KindCatalog:
 def enumerate_kinds(cfg: EnumerationConfig) -> KindCatalog:
     """The kind catalog: one entry per kind, in one pass of the walk.
 
-    The gap-compressed leaves are folded into ``key -> [a, b, count]``,
-    each adding the number of pairs it stands for, and keeping the first
-    pair seen, which is the lexicographically least normalized pair of
-    its kind, so output is stable across runs.  By the difference
-    constraints in the module docstring that pair is componentwise
-    least too, so a kind is in the catalog at every bound from its
-    ``representative.b[-1]`` on and at none below: one catalog at
-    ``stable_cap`` gives the kind count at every bound, as
-    ``scripts/kind_census.py`` reads it.  Only those
-    representatives are built and validated, and their signatures come
-    from the one-pass ``pair_signature``, which builds no
-    ``DegreeMatrix``; ``kind_signature(degree_matrix(p))`` is the
-    reference it is tested against.  Memory grows with the number of
-    kinds, not of pairs: at degree 7 the catalog retains ~93 MiB
-    (~440 bytes per kind, its rows shared) and the call peaks at
-    ~154 MiB RSS on a 2-vCPU Xeon under Python 3.11.
+    The walk yields the least pair of each kind once, with the number
+    of pairs of its kind (see the module docstring), and the entries are
+    sorted by their representatives' ``sort_key``, so output is stable
+    across runs.  A representative is componentwise least, so a kind is
+    in the catalog at every bound from its ``representative.b[-1]`` on
+    and at none below: one catalog at ``stable_cap`` gives the kind
+    count at every bound, as ``scripts/kind_census.py`` reads it.  Each
+    representative is built and validated, and its signature comes from
+    the one-pass ``pair_signature``, which builds no ``DegreeMatrix``;
+    ``kind_signature(degree_matrix(p))`` is the reference it is tested
+    against.  Memory grows with the number of kinds, not of pairs: at
+    degree 7 the catalog retains ~93 MiB (~440 bytes per kind, its rows
+    shared) and the call peaks at ~127 MiB RSS on a 2-vCPU Xeon under
+    Python 3.11.
     """
     cap = cfg.b_cap
-    groups: dict[int, list] = {}
-    for a, b, key, m in _walk(cfg, cfg.degree):
-        count = comb(m + cap - b[-1], m)
-        group = groups.get(key)
-        if group is None:
-            groups[key] = [a, b, count]
-        else:
-            group[2] += count
     entries = []
-    for a, b, count in sorted(groups.values(), key=lambda g: (len(g[0]), g[0], g[1])):
+    for a, b, m in sorted(_walk(cfg, True), key=lambda leaf: (len(leaf[0]), leaf[0], leaf[1])):
         rep = WeakAdmissiblePair(a, b)
-        entries.append(KindEntry(pair_signature(rep), rep, count))
+        entries.append(KindEntry(pair_signature(rep), rep, comb(m + cap - b[-1], m)))
     return KindCatalog(cfg.degree, cfg.b_cap, tuple(entries))
 
 

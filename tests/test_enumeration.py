@@ -1,8 +1,10 @@
 import dataclasses
+import functools
 import importlib
 import itertools
 import pkgutil
 import tracemalloc
+from math import comb
 
 import pytest
 
@@ -61,6 +63,7 @@ def count_pairs(degree: int, b_cap: int) -> int:
     return below[degree][b_cap][b_cap] - 1
 
 
+@functools.cache
 def reference_kinds(cfg: EnumerationConfig) -> dict:
     """Signature -> (least pair, pair count), grouped one pair at a time
     by the reference kind_signature(degree_matrix(p)), which shares no
@@ -298,25 +301,57 @@ def test_gap_compression_keeps_every_kind(degree):
     assert compressed == set(kinds)
 
 
-@pytest.mark.parametrize("degree,cap", [(2, 6), (3, 9), (4, 14), (5, 17), (5, 25)])
-def test_catalog_visits_only_compressed_pairs(degree, cap, monkeypatch):
-    # enumerate_kinds walks each gap-compressed pair once, and the counts
-    # it derives from them add up to every pair under the bound
+def shrink_to_least(p: WeakAdmissiblePair, degree: int) -> WeakAdmissiblePair:
+    """The sharp gap lemma, written from its statement: lower every gap
+    a_i - b_{i-1} above tau_i = d - g_{i-1} - g_i to tau_i, keeping the
+    diagonal gaps g_i = b_i - a_i."""
+    g = [y - x for x, y in zip(p.a, p.b)]
+    a, b = [0], [g[0]]
+    for i in range(1, len(g)):
+        tau = degree - g[i - 1] - g[i]
+        assert tau >= 0  # the sum of the other diagonal gaps
+        a.append(b[-1] + min(p.a[i] - p.b[i - 1], tau))
+        b.append(a[-1] + g[i])
+    return make_pair(a, b)
+
+
+@pytest.mark.parametrize("degree", [2, 3, 4, 5])
+def test_gap_lemma_over_full_ranges(degree):
+    # every pair under stable_cap + d keeps its kind when each gap above
+    # its tau shrinks to it, and all pairs of one kind shrink to its least
+    cfg = EnumerationConfig(degree, stable_cap(degree) + degree)
+    least = {sig: p for sig, (p, _) in reference_kinds(cfg).items()}
+    for p in enumerate_pairs(cfg):
+        sig = kind_signature(degree_matrix(p))
+        q = shrink_to_least(p, degree)
+        assert kind_signature(degree_matrix(q)) == sig, (p, q)
+        assert q == least[sig], (p, q)
+
+
+LEAF_CASES = REFERENCE_CASES + [(5, 25)]
+
+
+@pytest.mark.parametrize("degree,cap", LEAF_CASES)
+def test_catalog_walks_one_least_pair_per_kind(degree, cap):
+    # the catalog's walk yields exactly the least pair of each kind, once,
+    # and the count it derives from each is the number of pairs of its kind
     cfg = EnumerationConfig(degree, cap)
-    pairs = enumerate_pairs(cfg)
-    leaves = []
+    leaves = list(enumeration._walk(cfg, True))
+    got = {make_pair(a, b): comb(m + cap - b[-1], m) for a, b, m in leaves}
+    assert len(got) == len(leaves)
+    assert got == dict(reference_kinds(cfg).values())
+    assert sum(got.values()) == len(enumerate_pairs(cfg))
 
-    def recording_walk(cfg, max_gap, walk=enumeration._walk):
-        for leaf in walk(cfg, max_gap):
-            leaves.append(leaf)
-            yield leaf
 
-    monkeypatch.setattr(enumeration, "_walk", recording_walk)
-    kinds = enumerate_kinds(cfg)
-    visited = [make_pair(a, b) for a, b, _, _ in leaves]
-    assert len(visited) == len(set(visited))
-    assert set(visited) == {p for p in pairs if max(merged_gaps(p)) <= degree}
-    assert sum(e.count for e in kinds.entries) == len(pairs)
+def test_degree7_walk_pins():
+    # 222 605 kinds at (7, 37), whose counts add up to count_pairs(7, 37),
+    # and 7^6 of them with every diagonal gap 1, that is of length 7
+    leaves = total = ones = 0
+    for a, b, m in enumeration._walk(EnumerationConfig(7, 37), True):
+        leaves += 1
+        total += comb(m + 37 - b[-1], m)
+        ones += len(a) == 7
+    assert (leaves, total, ones) == (222605, 10494329, 7**6)
 
 
 class TestMatching:
