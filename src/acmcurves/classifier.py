@@ -35,7 +35,9 @@ The table lists them in that order (`PROVENANCE_ORDER`), each by
 attached pair, then shift or pivot, then class, and
 COMPLETE_INTERSECTION by d.  Each entry records its attached pair
 (None for a complete intersection), plus its shift k (RESIDUAL,
-FAMILY_II) or its 1-based pivot (RIGID, FAMILY_III).  The descriptions
+FAMILY_II) or its 1-based pivot (RIGID, FAMILY_III).  An entry is an
+immutable named tuple (`ClassificationEntry`), so it compares equal to
+the plain tuple of its nine fields.  The descriptions
 of RIGID, RESIDUAL and FAMILY_III entries come from one prose map per
 divisor.  One rule makes every entry: an entry is a class on a table,
 it stores that table's (degree, genus), read by one pass over its
@@ -71,6 +73,7 @@ so every twist is still validated, and every entry is cross-checked.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -109,17 +112,27 @@ class QuarticDivisor:
     exclusions: tuple[tuple[DivisorClass, str], ...]
 
 
-@dataclass(frozen=True, slots=True)
-class ClassificationEntry:
-    divisor: str
-    cls: DivisorClass
-    invariants: CurveInvariants
-    provenance: str
-    description: str
-    resolution: BettiTable
-    pair: WeakAdmissiblePair | None = None  # the attached pair; None for a complete intersection
-    shift: int | None = None  # k of a RESIDUAL or FAMILY_II table
-    pivot: int | None = None  # 1-based pivot of a RIGID or FAMILY_III table
+class ClassificationEntry(namedtuple("ClassificationEntry", (
+    "divisor",  # str
+    "cls",  # DivisorClass
+    "invariants",  # CurveInvariants: the table's (degree, genus)
+    "provenance",  # str, one of PROVENANCE_ORDER
+    "description",  # str
+    "resolution",  # BettiTable
+    "pair",  # WeakAdmissiblePair: the attached pair; None for a complete intersection
+    "shift",  # int: k of a RESIDUAL or FAMILY_II table, else None
+    "pivot",  # int: 1-based pivot of a RIGID or FAMILY_III table, else None
+), defaults=(None, None, None))):
+    """One row of a quartic table: an immutable named tuple, so it
+    compares equal to (and hashes as) the plain tuple of its nine fields.
+
+    A table has ~6 000 rows at k_max = 2000, and a named tuple is built
+    about three times faster than a frozen dataclass, which sets each
+    field through `object.__setattr__`.  The other records stay
+    dataclasses, whose equality matches no plain tuple.
+    """
+
+    __slots__ = ()
 
     @property
     def minimal(self) -> bool:

@@ -45,7 +45,7 @@ MAX_ENUMERATE_DEGREE = 7
 # congruence mod -det and its squares sieve allow; with few classes 10^6
 # degrees take ~0.03 s when -det is small and at most ~0.15 s, when -det
 # is near the span or above it.  `classify quartic --kmax 10^4` takes
-# ~1.2-1.3 s for ~12 MiB of JSON.  The output size stays unbounded:
+# ~0.6-0.7 s for ~12 MiB of JSON.  The output size stays unbounded:
 # D^2 = 0 on (4, 1, -2), whose -det = 9 is a square, has 499 999 classes,
 # ~1.5 s to solve and ~5 s to print.  Figures from a 2-vCPU shared Xeon,
 # Python 3.11.7
@@ -279,7 +279,7 @@ def _check_kmax(args) -> None:
     if args.kmax > MAX_KMAX:
         raise ValueError(
             f"--kmax {args.kmax} is above {MAX_KMAX}: the tables grow linearly with it, "
-            f"and a quartic table takes ~1.2-1.3 s and ~12 MiB of JSON at {MAX_KMAX}"
+            f"and a quartic table takes ~0.6-0.7 s and ~12 MiB of JSON at {MAX_KMAX}"
         )
 
 
@@ -297,6 +297,10 @@ def _classify_quartic(args):
 def _classify_low(args):
     _check_kmax(args)
     fams = acm.classify_low_degree(args.degree, args.type_tag)
+    k_min = min(fam.k_min for fam in fams)
+    if args.kmax < k_min:
+        raise ValueError(f"--kmax {args.kmax} is below {k_min}, the least k_min of "
+                         f"{args.degree}/{args.type_tag}: no family would have a table")
     tables = [[(k, fam.table(k)) for k in range(fam.k_min, args.kmax + 1)] for fam in fams]
     doc = [
         fam.to_json() | {"tables": [t.to_json() | {"k": k} for k, t in shifts]}

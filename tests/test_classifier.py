@@ -519,6 +519,35 @@ class TestEntryJson:
         assert first == self.F4_FIRST
 
 
+def test_entry_contract():
+    """An entry is immutable and slotted, hashable, equal to the tuple of
+    its fields, and keeps its repr, `minimal` and `to_json`."""
+    entries = classify_quartic(divisor("F4"), k_max=3)
+    entry = entries[0]
+    with pytest.raises(AttributeError):
+        entry.cls = cls(1, 0)
+    assert not hasattr(entry, "__dict__")
+    assert entries == classify_quartic(divisor("F4"), k_max=3)
+    assert len(set(entries)) == len(entries) and hash(entry) == hash(tuple(entry))
+    assert entry == tuple(entry) and len(entry) == 9
+    assert repr(entry) == (
+        "ClassificationEntry(divisor='F4', cls=(0, 1), invariants=CurveInvariants(degree=1, "
+        "genus=0), provenance='RIGID', description='the line; the unique curve in its class', "
+        "resolution=BettiTable(gens=(1, 1), syz=(2,)), pair=((1, 1), (2, 4)), shift=None, "
+        "pivot=2)"
+    )
+    # F4's first row, worked by hand: the line (0, 1), D.H = 1 and genus 0,
+    # resolved by (1, 1; 2) on the second syzygy twist of ((1, 1), (2, 4))
+    assert (entry.provenance, entry.cls, entry.pivot) == (RIGID, cls(0, 1), 2)
+    assert entry.pair == make_pair((1, 1), (2, 4)) and entry.shift is None
+    assert entry.minimal
+    assert entry.to_json() == {
+        "divisor": "F4", "class": [0, 1], "degree": 1, "genus": 0, "provenance": RIGID,
+        "description": "the line; the unique curve in its class",
+        "resolution": {"gens": [1, 1], "syz": [2]}, "minimal": True, "pivot": 2,
+    }
+
+
 class TestAgainstCatalog:
     """Exact agreement with data/catalog.json, which is read, never regenerated."""
 

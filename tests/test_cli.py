@@ -411,6 +411,24 @@ class TestAdditionalPaths:
         assert err.startswith("error: --kmax 10001 is above 10000")
         assert err.count("\n") == 1 and "Traceback" not in err
 
+    @pytest.mark.parametrize("degree, type_tag, kmax, k_min", [
+        ("2", "smooth", "-5", 1), ("2", "reducible", "0", 1), ("3", "2x2", "-1", 0),
+    ])
+    def test_kmax_below_k_min_refused_up_front(self, capsys, monkeypatch,
+                                               degree, type_tag, kmax, k_min):
+        # below every family's k_min no table is listed: refused, not an
+        # exit 0 with empty "tables"
+        argv = ("classify", "low", "--degree", degree, "--type", type_tag, "--kmax")
+        monkeypatch.setattr("acmcurves.classifier.surface_generator_table", never)
+        code, out, err = invoke(capsys, *argv, kmax)
+        assert code == 1 and out == ""
+        assert err.startswith(f"error: --kmax {kmax} is below {k_min}, the least k_min of "
+                              f"{degree}/{type_tag}")
+        assert err.count("\n") == 1 and "Traceback" not in err
+        monkeypatch.undo()
+        doc = invoke_json(capsys, *argv, str(k_min))
+        assert doc and all([t["k"] for t in fam["tables"]] == [k_min] for fam in doc)
+
     def test_solve_rejects_zero_h2(self, capsys):
         code, out, err = invoke(
             capsys, "picard", "solve", "--gram", "0,1,0", "--self-int", "0",

@@ -264,17 +264,19 @@ class TestKindCatalog:
 
 
 def test_every_dataclass_is_slotted():
-    # a catalog holds three of these per kind, so none carries an
+    # a catalog holds three of these per kind and a quartic table one entry
+    # per class, so no record, dataclass or named tuple, carries an
     # instance __dict__
     classes = {
         cls
         for info in pkgutil.iter_modules(acmcurves.__path__)
         for module in [importlib.import_module(f"acmcurves.{info.name}")]
         for cls in vars(module).values()
-        if isinstance(cls, type) and dataclasses.is_dataclass(cls)
-        and cls.__module__ == module.__name__
+        if isinstance(cls, type) and cls.__module__ == module.__name__
+        and (dataclasses.is_dataclass(cls) or issubclass(cls, tuple) and hasattr(cls, "_fields"))
     }
-    assert {"WeakAdmissiblePair", "KindSignature", "KindEntry"} <= {c.__name__ for c in classes}
+    assert {"WeakAdmissiblePair", "KindSignature", "KindEntry",
+            "ClassificationEntry"} <= {c.__name__ for c in classes}
     for cls in classes:
         assert "__slots__" in vars(cls), cls
         assert "__dict__" not in dir(cls), cls
