@@ -8,9 +8,10 @@ Each degree takes one catalog, at ``stable_cap(d)``.  A kind first
 appears at the bound equal to its representative's ``b_t`` (the least
 pair of a kind is componentwise least; see ``enumerate_kinds``), so the
 growth profile at bound c counts the entries whose representative has
-``b_t <= c``.  Degrees above ``MAX_ENUMERATE_DEGREE`` are refused: the
-degree-8 catalog alone would need ~2.4 GiB: ~4.1 M kinds at the ~0.6 KiB
-of peak RSS that a degree-7 kind costs.
+``b_t <= c``.  A max_degree below 2 is refused, since no catalog exists
+there, and so is one above ``MAX_ENUMERATE_DEGREE``: the degree-8 catalog
+alone would need ~2.4 GiB: ~4.1 M kinds at the ~0.6 KiB of peak RSS that
+a degree-7 kind costs.
 """
 
 import sys
@@ -26,9 +27,9 @@ def main() -> int:
         max_degree = int(arg)
     except ValueError:
         max_degree = None
-    if max_degree is None or max_degree > MAX_ENUMERATE_DEGREE:
-        print(f"error: max_degree must be an integer of at most {MAX_ENUMERATE_DEGREE}, got {arg!r}",
-              file=sys.stderr)
+    if max_degree is None or not 2 <= max_degree <= MAX_ENUMERATE_DEGREE:
+        print(f"error: max_degree must be an integer of at most {MAX_ENUMERATE_DEGREE} and at "
+              f"least 2, got {arg!r}", file=sys.stderr)
         return 2
     print(f"{'d':>2} {'cap':>4} {'pairs':>7} {'kinds':>6}  growth profile (kinds at cap 2d, 2d+1, ...)")
     for d in range(2, max_degree + 1):

@@ -26,8 +26,8 @@ from __future__ import annotations
 
 from bisect import insort
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
 
+TYPE_CHECKING = False  # typing.TYPE_CHECKING, without importing typing at run time
 if TYPE_CHECKING:
     from .pairs import WeakAdmissiblePair
 

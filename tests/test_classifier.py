@@ -7,6 +7,7 @@ from hypothesis import given, strategies as st
 
 from acmcurves import (
     BettiTable,
+    CiProfile,
     ClassificationEntry,
     CurveInvariants,
     DivisorClass,
@@ -16,6 +17,7 @@ from acmcurves import (
     divisor,
     known_divisors,
     make_pair,
+    residual_invariants,
 )
 from acmcurves.classifier import (
     COMPLETE_INTERSECTION,
@@ -31,7 +33,7 @@ from acmcurves import catalog, classifier
 from acmcurves.enumeration import EnumerationConfig, enumerate_kinds
 from acmcurves.pairs import degree_matrix, is_reducible_type
 from acmcurves.catalog import eval_affine, parse_affine
-from acmcurves.picard import H, adjunction_genus, dot
+from acmcurves.picard import H, PicardLattice, adjunction_genus, dot
 from acmcurves.resolutions import (
     InvalidTableError, invariants_from_betti, pivot_syzygy_table, surface_generator_table,
 )
@@ -403,6 +405,52 @@ def test_a_shift_has_no_curve_exactly_when_its_classes_have_none():
     assert no_curve == NO_CURVE_SHIFTS
 
 
+def _linked_back(lattice, d, s):
+    """The (degree, genus) of sH - D linked in the complete intersection (4, s)."""
+    partner = cls(s - d.a, -d.b)
+    invariants = CurveInvariants(dot(lattice, partner, H), adjunction_genus(lattice, partner))
+    return residual_invariants(invariants, CiProfile(4, s))
+
+
+# (lattice, class, s) triples of the box below with 0 < D.H < 4s
+TRIPLES_IN_THE_BOX = 48_542
+
+
+def test_linking_sh_minus_d_gives_back_d_on_every_quartic_lattice():
+    # the identity behind the RESIDUAL rows (classifier docstring), over a
+    # box of lattices with H^2 = 4, classes and s, wherever the partner
+    # sH - D is a curve of positive degree: 0 < D.H < 4s
+    triples = 0
+    for hc in range(-12, 13):
+        for c2 in range(-20, 13, 2):
+            if 4 * c2 >= hc * hc:
+                continue  # det >= 0: no signature (1, 1)
+            lattice = PicardLattice(4, hc, c2)
+            for a in range(-8, 9):
+                for b in range(-8, 9):
+                    d = cls(a, b)
+                    degree = dot(lattice, d, H)
+                    if degree <= 0:
+                        continue
+                    own = CurveInvariants(degree, adjunction_genus(lattice, d))
+                    for s in range(degree // 4 + 1, 6):  # the least s with 4s > D.H, up to 5
+                        assert _linked_back(lattice, d, s) == own, (lattice, d, s)
+                        triples += 1
+    assert triples == TRIPLES_IN_THE_BOX
+
+
+def test_each_residual_row_links_back_to_its_stored_invariants():
+    # the reference for the RESIDUAL rows, which the classifier does not
+    # re-check: each row's degree is below 4(k+1), so (k+1)H - D is a
+    # curve, and linking it in (4, k+1) gives back the stored invariants
+    rows = [(div.lattice, e) for div in known_divisors()
+            for e in by_provenance(classify_quartic(div, k_max=40), RESIDUAL)]
+    assert len(rows) == 13
+    for lattice, e in rows:
+        assert e.invariants.degree < 4 * (e.shift + 1), e
+        assert _linked_back(lattice, e.cls, e.shift + 1) == e.invariants, e
+
+
 # the table's order of provenances, as the classifier documents it
 ORDER = (RIGID, RESIDUAL, FAMILY_II, FAMILY_III, COMPLETE_INTERSECTION)
 
@@ -767,15 +815,6 @@ def _an_extra_rigid_class(monkeypatch):
     monkeypatch.setattr(classifier, "rigid_classes", lambda div: real(div) | {cls(5, 0)})
 
 
-def _linkage_one_genus_off(monkeypatch):
-    real = classifier.residual_invariants
-
-    def off(c, ci):
-        linked = real(c, ci)
-        return CurveInvariants(linked.degree, linked.genus + 1)
-    monkeypatch.setattr(classifier, "residual_invariants", off)
-
-
 def _pivot_1_six_off(monkeypatch):
     wrong = one_twist_off(classifier.pivot_syzygy_table, 1, 6)
     monkeypatch.setattr(classifier, "pivot_syzygy_table", wrong)
@@ -812,7 +851,6 @@ def _pivot_1_six_off_on(pair):
     ) + "$"),
     (_an_extra_rigid_class, re.escape(f"F2: no pivot table resolves the rigid class {cls(5, 0)}")
      + "$"),
-    (_linkage_one_genus_off, "F2: linking "),
 ])
 def test_each_refusal_names_its_check(monkeypatch, patch, message):
     div = divisor("F2")  # cached, so built before the patch

@@ -279,7 +279,7 @@ class TestHarness:
         (["res", "build", "--case", "ci", "--a", "4", "--b", "3"], ["resolutions"]),
         (["picard", "solve", "--gram", "4,1,-2", "--self-int", "-2", "--dh", "1..3"], ["picard"]),
         (["classify", "quartic", "--divisor", "F4", "--kmax", "3"],
-         ["classifier", "enumeration", "liaison", "pairs", "picard", "resolutions"]),
+         ["classifier", "enumeration", "pairs", "picard", "resolutions"]),
         (["reproduce", "F1"],
          ["catalog", "classifier", "enumeration", "liaison", "pairs", "picard", "reproduce",
           "resolutions"]),
@@ -300,6 +300,29 @@ class TestHarness:
         out = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True,
                              env=dict(os.environ, PYTHONPATH=src), timeout=60, check=True)
         assert json.loads(out.stdout) == [0, sorted(loaded + ["cli", "labels"])]
+
+    def test_commands_load_no_typing(self):
+        # the library names types only in annotations, which are never
+        # evaluated; a baseline child that imports only the stdlib modules the
+        # library uses tells whether this Python loads `typing` regardless
+        src = str(Path(acmcurves.__file__).resolve().parents[1])
+        baseline = ("import bisect, collections, dataclasses, functools, math, sys\n"
+                    "print('typing' in sys.modules)\n")
+        out = subprocess.run([sys.executable, "-S", "-c", baseline], capture_output=True,
+                             text=True, timeout=60, check=True)
+        if out.stdout.strip() == "True":
+            pytest.skip("this Python's standard library loads typing on its own")
+        code = (
+            "import contextlib, io, json, sys\n"
+            "from acmcurves.cli import run\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    codes = [run(['classify', 'quartic', '--divisor', 'F2']),\n"
+            "             run(['res', 'build', '--case', 'ci', '--a', '4', '--b', '3'])]\n"
+            "print(json.dumps([codes, 'typing' in sys.modules]))\n"
+        )
+        out = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True,
+                             env=dict(os.environ, PYTHONPATH=src), timeout=60, check=True)
+        assert json.loads(out.stdout) == [[0, 0], False]
 
     def test_every_library_name_the_cli_reads_is_public(self):
         # the CLI reads the library only as `acm.X`; a name missing from the

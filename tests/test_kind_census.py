@@ -57,7 +57,7 @@ def test_profile_counts_the_catalog_at_each_cap(census_6):
                 assert kinds_at_c == len(enumerate_kinds(EnumerationConfig(d, c))), (d, c)
 
 
-@pytest.mark.parametrize("arg", ["abc", "8", "1.5", ""])
+@pytest.mark.parametrize("arg", ["abc", "8", "1.5", "", "1", "0", "-3"])
 def test_bad_max_degree_refused_up_front(arg, capsys, monkeypatch):
     spec = importlib.util.spec_from_file_location("kind_census", SCRIPT)
     script = importlib.util.module_from_spec(spec)

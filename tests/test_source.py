@@ -11,6 +11,8 @@ SOURCES = sorted(
     for folder in ("src/acmcurves", "scripts", "tests")
     for path in (ROOT / folder).rglob("*.py")
 )
+# the library and its scripts
+LIBRARY = [path for path in SOURCES if path.relative_to(ROOT).parts[0] != "tests"]
 
 
 def shadowed_definitions(body: list[ast.stmt], scope: str = "") -> list[str]:
@@ -64,6 +66,31 @@ def dead_private_names(trees: dict[str, ast.Module]) -> list[str]:
             for name, line in private_definitions(tree.body) if name not in read]
 
 
+def module_imports(node: ast.AST):
+    """Each import statement at module level: in the module body and under
+    its `if`, `try`, `with` and loop statements, not in a function or a
+    class."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, (ast.Import, ast.ImportFrom)):
+            yield child
+        elif not isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            yield from module_imports(child)
+
+
+def dead_imports(tree: ast.Module) -> list[str]:
+    """`name (line n)` of each name a module-level import binds that
+    nothing in the module reads, annotations included.  `from __future__`
+    imports bind no name a module reads, so they are not counted."""
+    read = {node.id for node in ast.walk(tree)
+            if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store)}
+    return [f"{bound} (line {node.lineno})"
+            for node in module_imports(tree)
+            if not (isinstance(node, ast.ImportFrom) and node.module == "__future__")
+            for alias in node.names
+            for bound in [alias.asname or alias.name.partition(".")[0]]
+            if bound not in read]
+
+
 def test_the_sources_are_found():
     names = {path.relative_to(ROOT).as_posix() for path in SOURCES}
     assert {"src/acmcurves/classifier.py", "scripts/reproduce_all.py",
@@ -92,7 +119,7 @@ def test_no_private_name_is_dead():
     # only a test reads is dead too
     trees = {
         path.relative_to(ROOT).as_posix(): ast.parse(path.read_text(), filename=str(path))
-        for path in SOURCES if path.relative_to(ROOT).parts[0] != "tests"
+        for path in LIBRARY
     }
     assert "src/acmcurves/classifier.py" in trees
     assert dead_private_names(trees) == []
@@ -113,3 +140,27 @@ def test_a_dead_private_name_is_found():
     }
     assert dead_private_names(trees) == ["m:_dead (line 2)", "m:_Dead (line 3)",
                                          "m:_DEAD (line 4)"]
+
+
+@pytest.mark.parametrize("path", LIBRARY, ids=lambda p: p.relative_to(ROOT).as_posix())
+def test_no_import_is_dead(path):
+    # an import left behind by a simplification still costs start-up time
+    tree = ast.parse(path.read_text(), filename=str(path))
+    assert dead_imports(tree) == []
+
+
+def test_a_dead_import_is_found():
+    tree = ast.parse(
+        "from __future__ import annotations\n"
+        "import os, os.path as osp\n"
+        "import json.decoder\n"
+        "from .liaison import CiProfile, residual_invariants\n"
+        "TYPE_CHECKING = False\n"
+        "if TYPE_CHECKING:\n"
+        "    from .pairs import Pair, Unread\n"
+        "def f(p: Pair) -> int:\n"
+        "    import math\n"
+        "    return residual_invariants(json)\n"
+    )
+    assert dead_imports(tree) == ["os (line 2)", "osp (line 2)", "CiProfile (line 4)",
+                                  "Unread (line 7)"]
