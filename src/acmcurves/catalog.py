@@ -13,10 +13,10 @@ from __future__ import annotations
 import itertools
 import json
 import operator
+import os
 import re
 from dataclasses import dataclass
 from functools import lru_cache
-from importlib import resources
 
 from .pairs import KindSignature, WeakAdmissiblePair, make_pair, normalize, pair_signature
 
@@ -142,8 +142,9 @@ class PairFamily:
 
 @lru_cache(maxsize=1)
 def raw() -> dict:
-    path = resources.files("acmcurves").joinpath("data/catalog.json")
-    return json.loads(path.read_text("utf-8"))
+    path = os.path.join(os.path.dirname(__file__), "data", "catalog.json")
+    with open(path, encoding="utf-8") as f:
+        return json.load(f)
 
 
 @lru_cache(maxsize=None)

@@ -73,7 +73,7 @@ from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 from math import comb
 
-from .pairs import KindSignature, PairError, WeakAdmissiblePair, pair_signature
+from .pairs import KindSignature, WeakAdmissiblePair, pair_signature
 
 
 def stable_cap(degree: int) -> int:
@@ -102,10 +102,12 @@ def _walk(
     one, with m = 0, or with ``least`` the least pair of each kind, with
     m the number of its gaps a_i - b_{i-1} at tau_i = d - g_{i-1} - g_i.
 
-    Each check the reference path makes per pair is an O(1) test at the
-    extension: a and b nondecreasing and a_i < b_i on every new index,
-    and a leaf is exactly an extension whose gap brings the trace to the
-    degree.
+    No extension needs a check: the loop starts a_i at
+    max(a_{i-1}, b_{i-1} - g) and sets b_i = a_i + g with g >= 1, so
+    a_i >= a_{i-1}, b_i >= b_{i-1} and a_i < b_i by construction, and a
+    leaf is exactly an extension whose gap brings the trace to the
+    degree.  Both callers build each leaf as a validated
+    ``WeakAdmissiblePair``, which is the one check of the pair.
     """
     d, cap = cfg.degree, cfg.b_cap
     stack = [((0,), (g,), g, 0) for g in range(1, d)]
@@ -118,8 +120,6 @@ def _walk(
             a_max = a_last + d - g if least else cap
             for ai in range(max(a_last, b_last - g), min(a_max, cap - g) + 1):
                 bi = ai + g
-                if not (a_last <= ai < bi and b_last <= bi):
-                    raise PairError(f"walk left the normalized pairs at {a + (ai,)}, {b + (bi,)}")
                 child_m = m + (ai == a_max)
                 if g == rest:
                     yield a + (ai,), b + (bi,), child_m

@@ -5,7 +5,10 @@ Two curves linked by surfaces of degrees s and s' satisfy
     d' = s*s' - d,        g' = g + (d' - d)(s + s' - 4) / 2,
 
 a symmetric formula, so double linkage is the identity.  The division
-is always exact: s*s' odd forces s + s' even.
+is always exact, and ``residual_invariants`` relies on it with no check:
+d' - d = s*s' - 2d has the parity of s*s', and s*s' odd makes s and s'
+both odd, so s + s' - 4 is even.  ``LinkageError`` is raised only for a
+residual degree that is not positive.
 """
 
 from __future__ import annotations
@@ -32,9 +35,6 @@ class CiProfile:
     def total_degree(self) -> int:
         return self.s * self.s_prime
 
-    def to_json(self) -> dict:
-        return {"s": self.s, "s_prime": self.s_prime}
-
 
 def residual_invariants(c: CurveInvariants, ci: CiProfile) -> CurveInvariants:
     """Invariants of the curve residual to c in the complete intersection."""
@@ -44,7 +44,4 @@ def residual_invariants(c: CurveInvariants, ci: CiProfile) -> CurveInvariants:
             f"residual degree {degree} is not positive: a degree-{c.degree} curve "
             f"does not fit in a ({ci.s},{ci.s_prime}) complete intersection"
         )
-    product = (degree - c.degree) * (ci.s + ci.s_prime - 4)
-    if product % 2:
-        raise LinkageError("genus transfer is not an integer")
-    return CurveInvariants(degree, c.genus + product // 2)
+    return CurveInvariants(degree, c.genus + (degree - c.degree) * (ci.s + ci.s_prime - 4) // 2)

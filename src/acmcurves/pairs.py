@@ -104,11 +104,6 @@ def equivalent(p: WeakAdmissiblePair, q: WeakAdmissiblePair) -> bool:
     return normalize(p) == normalize(q)
 
 
-def _check_trace(trace: int, degree: int) -> None:
-    if trace != degree:
-        raise ValueError(f"trace {trace} does not equal the declared degree {degree}")
-
-
 @dataclass(frozen=True, slots=True)
 class DegreeMatrix:
     degree: int
@@ -121,7 +116,8 @@ class DegreeMatrix:
             raise ValueError("entries must form a square matrix of size >= 2")
         if min(chain.from_iterable(rows)) < 0:
             raise ValueError("entries must be nonnegative")
-        _check_trace(self.trace, self.degree)
+        if self.trace != self.degree:
+            raise ValueError(f"trace {self.trace} does not equal the declared degree {self.degree}")
 
     @property
     def n(self) -> int:
@@ -223,18 +219,13 @@ def pair_signature(p: WeakAdmissiblePair) -> KindSignature:
 
     Each cell comes straight from the pair: 0 where b_j <= a_i, BIG where
     b_j - a_i >= d, the difference otherwise; no ``DegreeMatrix`` is
-    built.  For a validated pair the cells are square (a and b have one
-    length) and nonnegative (clamped), so of the checks the matrix makes
-    only trace == degree is still made, with the same ``ValueError`` as
-    ``DegreeMatrix``; it fails only for a pair built without validation.
+    built and no check is made.  The pair's constructor is the one
+    check: a and b have one length, so the cells are square; they are
+    clamped, so nonnegative; and b_i > a_i at every i, so the diagonal
+    sums to sum(b) - sum(a), which is ``p.degree``.
     """
-    a, b, d = p.a, p.b, p.degree
-    rows = []
-    trace = 0
-    for ai, bi in zip(a, b):
-        rows.append(tuple([0 if bj <= ai else BIG if bj - ai >= d else bj - ai for bj in b]))
-        trace += bi - ai if bi > ai else 0
-    _check_trace(trace, d)
+    b, d = p.b, p.degree
+    rows = [tuple([0 if bj <= ai else BIG if bj - ai >= d else bj - ai for bj in b]) for ai in p.a]
     return KindSignature(d, tuple(map(_ROWS.setdefault, rows, rows)))
 
 

@@ -26,7 +26,7 @@ from .enumeration import EnumerationConfig, enumerate_kinds, match_families, sta
 from .catalog import eval_affine, parse_affine
 from .labels import DIVISOR_LABELS, TARGET_NAMES
 from .liaison import CiProfile, residual_invariants
-from .pairs import anti_transpose, degree_matrix, make_pair
+from .pairs import WeakAdmissiblePair, anti_transpose, degree_matrix, make_pair
 from .picard import DivisorClass
 from .resolutions import BettiTable, CurveInvariants
 
@@ -154,11 +154,14 @@ def _divisor_rows(label: str) -> list[Row]:
         )
     )
 
-    by_k: dict[int, dict[DivisorClass, CurveInvariants]] = {}
+    # a table's FAMILY_II rows by (attached pair, shift): each family row
+    # checks only the classes emitted under its own pair
+    emitted: dict[tuple[WeakAdmissiblePair, int], dict[DivisorClass, CurveInvariants]] = {}
     for e in entries:
         if e.provenance == FAMILY_II:
-            by_k.setdefault(e.shift, {})[e.cls] = e.invariants
+            emitted.setdefault((e.pair, e.shift), {})[e.cls] = e.invariants
     for fam in expected["families"]:
+        pair = make_pair(*fam["pair"])
         ok = True
         detail = ""
         for k in range(fam["k_min"], DIVISOR_K_MAX + 1):
@@ -168,12 +171,11 @@ def _divisor_rows(label: str) -> list[Row]:
                 )
                 for c in fam["classes"]
             }
-            have = by_k.get(k, {})
+            have = emitted.get((pair, k), {})
             if not all(have.get(cls) == inv for cls, inv in want.items()):
                 ok = False
                 detail = f"mismatch at k={k}: expected {want}, emitted {have}"
                 break
-        pair = make_pair(*fam["pair"])
         rows.append(
             Row(label, f"family {pair} classes and invariants for k in "
                        f"[{fam['k_min']},{DIVISOR_K_MAX}]", ok, detail)

@@ -303,26 +303,30 @@ class TestHarness:
 
     def test_commands_load_no_typing(self):
         # the library names types only in annotations, which are never
-        # evaluated; a baseline child that imports only the stdlib modules the
-        # library uses tells whether this Python loads `typing` regardless
+        # evaluated, and finds its data next to its source; a baseline child
+        # that imports only the stdlib modules the library uses tells whether
+        # this Python loads `typing` or `importlib.resources` regardless
         src = str(Path(acmcurves.__file__).resolve().parents[1])
-        baseline = ("import bisect, collections, dataclasses, functools, math, sys\n"
-                    "print('typing' in sys.modules)\n")
+        heavy = "[m in sys.modules for m in ('typing', 'importlib.resources')]"
+        baseline = ("import bisect, collections, dataclasses, functools, itertools, json, math\n"
+                    "import operator, os, random, re, sys\n"
+                    f"print(any({heavy}))\n")
         out = subprocess.run([sys.executable, "-S", "-c", baseline], capture_output=True,
                              text=True, timeout=60, check=True)
         if out.stdout.strip() == "True":
-            pytest.skip("this Python's standard library loads typing on its own")
+            pytest.skip("this Python loads typing or importlib.resources on its own")
         code = (
             "import contextlib, io, json, sys\n"
             "from acmcurves.cli import run\n"
             "with contextlib.redirect_stdout(io.StringIO()):\n"
             "    codes = [run(['classify', 'quartic', '--divisor', 'F2']),\n"
-            "             run(['res', 'build', '--case', 'ci', '--a', '4', '--b', '3'])]\n"
-            "print(json.dumps([codes, 'typing' in sys.modules]))\n"
+            "             run(['res', 'build', '--case', 'ci', '--a', '4', '--b', '3']),\n"
+            "             run(['reproduce', 'F1'])]\n"
+            f"print(json.dumps([codes, {heavy}]))\n"
         )
         out = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True,
                              env=dict(os.environ, PYTHONPATH=src), timeout=60, check=True)
-        assert json.loads(out.stdout) == [[0, 0], False]
+        assert json.loads(out.stdout) == [[0, 0, 0], [False, False]]
 
     def test_every_library_name_the_cli_reads_is_public(self):
         # the CLI reads the library only as `acm.X`; a name missing from the
@@ -380,6 +384,30 @@ class TestAdditionalPaths:
             "--dh", "1..2",
         )
         assert code == 1 and "three integers" in err
+
+    @pytest.mark.parametrize("argv,code,error", [
+        (["pairs", "matrix", "--a=1,x", "--b=2,3"], 2,
+         "acmcurves pairs matrix: error: argument --a: expected comma-separated integers, "
+         "got '1,x'"),
+        (["picard", "solve", "--gram", "4,1,-2", "--self-int=0", "--dh=1..x"], 2,
+         "acmcurves picard solve: error: argument --dh: expected MIN..MAX, got '1..x'"),
+        (["res", "build", "--case", "ci", "--a", "1,2", "--b", "3"], 1,
+         "error: --case ci expects single integers for --a and --b"),
+        (["picard", "invariants", "--gram", "4,1,-2", "--class=1,2,3"], 1,
+         "error: --class expects two integers A,B"),
+        (["liaison", "--degree", "0", "--genus", "0", "--s", "2", "--t", "2"], 1,
+         "error: degree must be positive, got 0"),
+        (["res", "build", "--case", "ci", "--a", "0", "--b", "3"], 1,
+         "error: complete intersection degrees must be positive"),
+    ], ids=["pairs-list", "picard-range", "ci-lists", "class-length", "liaison-degree",
+            "ci-degree"])
+    def test_refusal_names_its_argument(self, capsys, argv, code, error):
+        got, out, err = invoke(capsys, *argv)
+        assert (got, out) == (code, "")
+        assert err.splitlines()[-1] == error
+        assert "Traceback" not in err
+        if code == 1:
+            assert err == error + "\n"
 
     def test_enumerate_cap_below_degree(self, capsys):
         code, _, err = invoke(capsys, "pairs", "enumerate", "--degree", "4", "--cap", "3")

@@ -1,0 +1,130 @@
+"""The failure paths of `reproduce`: a target fed a wrong expected value
+must FAIL the row that checks it, with its detail, and pass the others.
+
+Each case edits a deep copy of the packaged catalog and serves it in
+place of `catalog.raw`, clearing the `kind_families` cache around it, so
+the real catalog and the other tests are untouched.
+"""
+
+import copy
+import json
+
+import pytest
+
+from acmcurves import catalog, reproduce
+from acmcurves.classifier import FAMILY_II
+from acmcurves.cli import run
+from acmcurves.resolutions import CurveInvariants
+
+
+@pytest.fixture
+def serve_catalog(monkeypatch):
+    """Serve an edited deep copy of the expected catalog to `reproduce`."""
+
+    def apply(edit):
+        doc = copy.deepcopy(catalog.raw())
+        edit(doc)
+        monkeypatch.setattr(catalog, "raw", lambda: doc)
+        catalog.kind_families.cache_clear()
+
+    catalog.kind_families.cache_clear()
+    yield apply
+    catalog.kind_families.cache_clear()
+
+
+def _family(doc, degree, name):
+    return next(f for f in doc["kind_families"][str(degree)] if f["name"] == name)
+
+
+def _failing(target):
+    return {r.label: r.detail for r in reproduce.run_target(target) if not r.ok}
+
+
+def _assert_cli_fails(capsys, target, labels):
+    assert run(["reproduce", target]) == 1
+    table = capsys.readouterr().out
+    assert all(f"FAIL  [{target}] {label}" in table for label in labels)
+    assert run(["reproduce", target, "--format", "json"]) == 1
+    rows = json.loads(capsys.readouterr().out)
+    assert {r["row"] for r in rows if r["status"] == "FAIL"} == set(labels)
+
+
+F4_MISMATCH = (
+    "mismatch at k=3: expected {(4, -1): CurveInvariants(degree=14, genus=28)}, "
+    "emitted {(4, -1): CurveInvariants(degree=15, genus=28)}"
+)
+
+CASES = [
+    # the mapped parameters break the dual family's constraint at once ...
+    ("degree3-kinds", lambda doc: _family(doc, 3, "M3")["dual_map"].update(n="n-2"),
+     {"duality M3^a = M4": "0 parameter choices"}),
+    # ... or after one good choice, so the row cannot pass on its count alone
+    ("degree3-kinds", lambda doc: _family(doc, 3, "M3")["dual_map"].update(n="5-n"),
+     {"duality M3^a = M4": "1 parameter choices"}),
+    # the mapped instance has another matrix, at once or after one good choice
+    ("degree3-kinds", lambda doc: _family(doc, 3, "M6")["dual_map"].update(n="n+1"),
+     {"duality M6^a = M7": "0 parameter choices"}),
+    ("degree3-kinds", lambda doc: _family(doc, 3, "M6")["dual_map"].update(n="n+n-2"),
+     {"duality M6^a = M7": "1 parameter choices"}),
+    ("F4", lambda doc: doc["quartic_propositions"]["F4"]["families"][1].update(degree=[4, 2]),
+     {"family ((1, 3), (4, 4)) classes and invariants for k in [3,6]": F4_MISMATCH}),
+    ("low-degree-corollaries",
+     lambda doc: doc["low_degree_corollaries"][0]["gens"].__setitem__(0, "2+k"),
+     {"degree-2 type smooth case main: resolutions for k in [1,6]": ""}),
+    ("liaison-table", lambda doc: doc["liaison_table"][0].update(residual=[3, 2]),
+     {"(1,0) in (4,1) -> (3,2)": "computed (3,1)"}),
+]
+
+
+@pytest.mark.parametrize("target,edit,failing", CASES, ids=[
+    "constraint-at-once", "constraint-later", "matrix-at-once", "matrix-later",
+    "family-degree", "low-degree-gens", "liaison-residual",
+])
+def test_wrong_expected_value_fails_its_row(serve_catalog, capsys, target, edit, failing):
+    serve_catalog(edit)
+    assert _failing(target) == failing
+    _assert_cli_fails(capsys, target, failing)
+
+
+def test_wrong_linkage_fails_the_table_and_double_linkage(monkeypatch, capsys):
+    real = reproduce.residual_invariants
+
+    def genus_off(c, ci):
+        r = real(c, ci)
+        return CurveInvariants(r.degree, r.genus + 1)
+
+    monkeypatch.setattr(reproduce, "residual_invariants", genus_off)
+    failing = _failing("liaison-table")
+    table = {
+        f"({d['start'][0]},{d['start'][1]}) in ({d['ci'][0]},{d['ci'][1]}) -> "
+        f"({d['residual'][0]},{d['residual'][1]})":
+            f"computed ({d['residual'][0]},{d['residual'][1] + 1})"
+        for d in catalog.liaison_table()
+    }
+    assert failing == {**table, "double linkage is the identity (1000 random inputs)": ""}
+    _assert_cli_fails(capsys, "liaison-table", failing)
+
+
+def test_family_rows_check_the_attached_pair(monkeypatch, capsys):
+    # the two FAMILY_II pairs of F2 swapped on the computed rows: each
+    # family's classes now sit under the other family's pair
+    real = reproduce.classify_quartic
+
+    def swapped(div, k_max):
+        entries = real(div, k_max=k_max)
+        p, q = {e.pair for e in entries if e.provenance == FAMILY_II}
+        other = {p: q, q: p}
+        return [
+            e._replace(pair=other[e.pair]) if e.provenance == FAMILY_II else e
+            for e in entries
+        ]
+
+    monkeypatch.setattr(reproduce, "classify_quartic", swapped)
+    rows = reproduce.run_target("F2")
+    failing = [r.label for r in rows if not r.ok]
+    assert failing == [
+        "family ((1, 1, 1), (2, 2, 3)) classes and invariants for k in [3,6]",
+        "family ((1, 2, 2), (3, 3, 3)) classes and invariants for k in [3,6]",
+    ]
+    assert len(rows) == 7
+    _assert_cli_fails(capsys, "F2", failing)
