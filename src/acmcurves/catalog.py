@@ -1,11 +1,14 @@
 """The one reader of the packaged expected-value catalog (data/catalog.json).
 
-Besides the classification tables, the catalog holds the pair families
-of each degree, such as ``((0, 2+n), (2, 4+n)) for n >= 0``: affine
-integer expressions in a few bounded parameters, which this module
-parses and instantiates.  No computing module (pairs, enumeration,
-resolutions, picard, liaison, classifier) imports it, so the expected
-values stay independent of the code under test.
+`raw` loads the file once.  Its pair families of each degree, such as
+``((0, 2+n), (2, 4+n)) for n >= 0``, are affine integer expressions in
+a few bounded parameters, which `kind_families` parses into
+`PairFamily` objects to instantiate.  The other blocks (the quartic
+classification tables, the low-degree corollaries, the liaison table)
+are plain JSON, which `reproduce` reads from `raw()` as they stand.  No
+computing module (pairs, enumeration, resolutions, picard, liaison,
+classifier) imports this one, so the expected values stay independent
+of the code under test.
 """
 
 from __future__ import annotations
@@ -147,29 +150,9 @@ def raw() -> dict:
         return json.load(f)
 
 
-@lru_cache(maxsize=None)
 def kind_families(degree: int) -> tuple[PairFamily, ...]:
     """The parametrized pair families cataloged for a degree."""
     docs = raw()["kind_families"].get(str(degree))
     if docs is None:
         raise KeyError(f"no family catalog for degree {degree}")
     return tuple(PairFamily.from_json(degree, doc) for doc in docs)
-
-
-def family_by_name(degree: int, name: str) -> PairFamily:
-    for fam in kind_families(degree):
-        if fam.name == name:
-            return fam
-    raise KeyError(f"no family {name} in the degree-{degree} catalog")
-
-
-def quartic_proposition(label: str) -> dict:
-    return raw()["quartic_propositions"][label]
-
-
-def low_degree_corollaries() -> list[dict]:
-    return raw()["low_degree_corollaries"]
-
-
-def liaison_table() -> list[dict]:
-    return raw()["liaison_table"]

@@ -47,8 +47,8 @@ MAX_ENUMERATE_DEGREE = 7
 # is near the span or above it.  `classify quartic --kmax 10^4` takes
 # ~0.6-0.7 s for ~12 MiB of JSON.  The output size stays unbounded:
 # D^2 = 0 on (4, 1, -2), whose -det = 9 is a square, has 499 999 classes,
-# ~1.5 s to solve and ~5 s to print.  Figures from a 2-vCPU shared Xeon,
-# Python 3.11.7
+# ~0.7 s to solve and ~2.1 s in all for 19.0 MiB of JSON.  Figures from a
+# 2-vCPU shared Xeon, Python 3.11.7
 MAX_DEGREE_SPAN = 10**6
 MAX_KMAX = 10**4
 # the most digits of one integer argument.  Every result is at most cubic
@@ -177,8 +177,9 @@ def _pairs_reducible(args):
 def _pairs_enumerate(args):
     if args.degree > MAX_ENUMERATE_DEGREE:
         raise ValueError(
-            f"--degree {args.degree} is out of reach: degree 7 alone takes ~18 s and "
-            "~1.3 GiB to print its 222 605 kinds, and the kind count grows ~16-fold per degree"
+            f"--degree {args.degree} is out of reach: degree 7 alone takes ~10 s and ~1.3 GiB "
+            "to print 250.7 MiB of JSON for its 222 605 kinds, and the kind count grows "
+            "~16-fold per degree"
         )
     cfg = acm.EnumerationConfig(args.degree, args.cap)
     complete = acm.stable_cap(cfg.degree)

@@ -23,7 +23,6 @@ from .classifier import (
     divisor,
 )
 from .enumeration import EnumerationConfig, enumerate_kinds, match_families, stable_cap
-from .catalog import eval_affine, parse_affine
 from .labels import DIVISOR_LABELS, TARGET_NAMES
 from .liaison import CiProfile, residual_invariants
 from .pairs import WeakAdmissiblePair, anti_transpose, degree_matrix, make_pair
@@ -91,39 +90,34 @@ def _kinds_rows(degree: int, b_cap: int) -> list[Row]:
             {s.anti_transpose() for s in sigs} == sigs,
         )
     )
-    window = degree + 3
+    by_name = {f.name: f for f in families}
     for fam in families:
-        partner = catalog.family_by_name(degree, fam.dual_name)
-        ok = True
-        checked = 0
-        for env in fam.envs(window):
+        dual = by_name[fam.dual_name]
+        checked, broken = 0, ""
+        for env in fam.envs(degree + 3):
             mapped = fam.map_params(env)
-            if not all(c.holds(mapped) for c in partner.constraints):
-                ok = False
+            if not all(c.holds(mapped) for c in dual.constraints):
+                broken = f"; at {env} the mapped {mapped} breaks {dual.name}'s constraints"
                 break
-            lhs = anti_transpose(degree_matrix(fam.instantiate(env)))
-            rhs = degree_matrix(partner.instantiate(mapped))
-            if lhs != rhs:
-                ok = False
+            matrix = anti_transpose(degree_matrix(fam.instantiate(env)))
+            if matrix != degree_matrix(dual.instantiate(mapped)):
+                broken = f"; at {env} the anti-transposed matrix is not {dual.name}'s at {mapped}"
                 break
             checked += 1
         rows.append(
             Row(
                 target,
                 f"duality {fam.name}^a = {fam.dual_name}",
-                ok and checked > 0,
-                f"{checked} parameter choices",
+                checked > 0 and not broken,
+                f"{checked} parameter choices{broken}",
             )
         )
     return rows
 
 
-def _expected_class(exprs: list[str], k: int) -> DivisorClass:
-    env = {"k": k}
-    return DivisorClass(
-        eval_affine(parse_affine(exprs[0]), env),
-        eval_affine(parse_affine(exprs[1]), env),
-    )
+def _at(exprs: list[str], k: int) -> tuple[int, ...]:
+    """The catalog's affine expressions in k, evaluated at k."""
+    return tuple(catalog.eval_affine(catalog.parse_affine(e), {"k": k}) for e in exprs)
 
 
 def _poly(coeffs: list[int], k: int) -> int:
@@ -135,7 +129,7 @@ def _poly(coeffs: list[int], k: int) -> int:
 
 
 def _divisor_rows(label: str) -> list[Row]:
-    expected = catalog.quartic_proposition(label)
+    expected = catalog.raw()["quartic_propositions"][label]
     div = divisor(label)
     entries = classify_quartic(div, k_max=DIVISOR_K_MAX)
     rows: list[Row] = []
@@ -162,23 +156,17 @@ def _divisor_rows(label: str) -> list[Row]:
             emitted.setdefault((e.pair, e.shift), {})[e.cls] = e.invariants
     for fam in expected["families"]:
         pair = make_pair(*fam["pair"])
-        ok = True
         detail = ""
         for k in range(fam["k_min"], DIVISOR_K_MAX + 1):
-            want = {
-                _expected_class(c, k): CurveInvariants(
-                    _poly(fam["degree"], k), _poly(fam["genus"], k)
-                )
-                for c in fam["classes"]
-            }
+            inv = CurveInvariants(_poly(fam["degree"], k), _poly(fam["genus"], k))
+            want = {DivisorClass(*_at(c, k)): inv for c in fam["classes"]}
             have = emitted.get((pair, k), {})
-            if not all(have.get(cls) == inv for cls, inv in want.items()):
-                ok = False
+            if have != want:
                 detail = f"mismatch at k={k}: expected {want}, emitted {have}"
                 break
         rows.append(
             Row(label, f"family {pair} classes and invariants for k in "
-                       f"[{fam['k_min']},{DIVISOR_K_MAX}]", ok, detail)
+                       f"[{fam['k_min']},{DIVISOR_K_MAX}]", not detail, detail)
         )
 
     residual = {
@@ -200,18 +188,15 @@ def _divisor_rows(label: str) -> list[Row]:
             )
         )
 
-    ci_expected = expected["complete_intersections"]
-    ci_have = {
-        e.cls: e.invariants
-        for e in entries
-        if e.provenance == COMPLETE_INTERSECTION
+    ci = expected["complete_intersections"]
+    ci_want = {
+        DivisorClass(d, 0): CurveInvariants(_poly(ci["degree"], d), _poly(ci["genus"], d))
+        for d in range(2, DIVISOR_K_MAX + 1)
     }
-    ci_ok = all(
-        ci_have.get(DivisorClass(dd, 0))
-        == CurveInvariants(_poly(ci_expected["degree"], dd), _poly(ci_expected["genus"], dd))
-        for dd in range(2, DIVISOR_K_MAX + 1)
+    ci_have = {e.cls: e.invariants for e in entries if e.provenance == COMPLETE_INTERSECTION}
+    rows.append(
+        Row(label, f"complete intersections dH for d in [2,{DIVISOR_K_MAX}]", ci_have == ci_want)
     )
-    rows.append(Row(label, f"complete intersections dH for d in [2,{DIVISOR_K_MAX}]", ci_ok))
 
     rows.append(
         Row(
@@ -226,18 +211,13 @@ def _divisor_rows(label: str) -> list[Row]:
 def _low_degree_rows() -> list[Row]:
     target = "low-degree-corollaries"
     rows = []
-    for doc in catalog.low_degree_corollaries():
+    for doc in catalog.raw()["low_degree_corollaries"]:
         fams = classify_low_degree(doc["surface_degree"], doc["type"])
         fam = next(f for f in fams if f.case_label == doc["case"])
-        ok = fam.pair == make_pair(*doc["pair"]) and fam.k_min == doc["k_min"]
-        for k in range(doc["k_min"], doc["k_min"] + LOW_DEGREE_K_SPAN):
-            want = BettiTable(
-                tuple(eval_affine(parse_affine(e), {"k": k}) for e in doc["gens"]),
-                tuple(eval_affine(parse_affine(e), {"k": k}) for e in doc["syz"]),
-            )
-            if fam.table(k) != want:
-                ok = False
-                break
+        ok = fam.pair == make_pair(*doc["pair"]) and fam.k_min == doc["k_min"] and all(
+            fam.table(k) == BettiTable(_at(doc["gens"], k), _at(doc["syz"], k))
+            for k in range(doc["k_min"], doc["k_min"] + LOW_DEGREE_K_SPAN)
+        )
         rows.append(
             Row(
                 target,
@@ -253,7 +233,7 @@ def _low_degree_rows() -> list[Row]:
 def _liaison_rows() -> list[Row]:
     target = "liaison-table"
     rows = []
-    for doc in catalog.liaison_table():
+    for doc in catalog.raw()["liaison_table"]:
         start = CurveInvariants(*doc["start"])
         ci = CiProfile(*doc["ci"])
         got = residual_invariants(start, ci)

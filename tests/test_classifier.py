@@ -605,7 +605,7 @@ class TestAgainstCatalog:
         have = {(e.cls, e.invariants.degree, e.invariants.genus)
                 for e in by_provenance(entries, RESIDUAL)}
         want = {(cls(*r["class"]), r["degree"], r["genus"])
-                for r in catalog.quartic_proposition(label)["residuals"]}
+                for r in catalog.raw()["quartic_propositions"][label]["residuals"]}
         assert have == want
 
     @pytest.mark.parametrize("label", LABELS)
@@ -615,7 +615,7 @@ class TestAgainstCatalog:
         for e in by_provenance(entries, FAMILY_II):
             have.setdefault((e.pair, e.shift), set()).add(e.cls)
         want = {}
-        for fam in catalog.quartic_proposition(label)["families"]:
+        for fam in catalog.raw()["quartic_propositions"][label]["families"]:
             pair = make_pair(*fam["pair"])
             for k in range(3, 11):
                 want[(pair, k)] = {catalog_class(c, k) for c in fam["classes"]}
@@ -624,13 +624,13 @@ class TestAgainstCatalog:
 
     @pytest.mark.parametrize("label", LABELS)
     def test_derived_generator_curve_and_pairs(self, label):
-        prop, div = catalog.quartic_proposition(label), divisor(label)
+        prop, div = catalog.raw()["quartic_propositions"][label], divisor(label)
         lattice = div.lattice
         assert tuple(prop["curve"]) == (lattice.hc, lattice.c2 // 2 + 1)
         assert [make_pair(*fam["pair"]) for fam in prop["families"]] == list(div.pairs)
 
     def test_derived_low_degree_pairs(self):
-        for doc in catalog.low_degree_corollaries():
+        for doc in catalog.raw()["low_degree_corollaries"]:
             fams = classify_low_degree(doc["surface_degree"], doc["type"])
             (fam,) = [f for f in fams if f.case_label == doc["case"]]
             assert (fam.pair, fam.k_min) == (make_pair(*doc["pair"]), doc["k_min"])

@@ -12,10 +12,13 @@ from acmcurves.catalog import (
     Constraint,
     PairFamily,
     eval_affine,
-    family_by_name,
     kind_families,
     parse_affine,
 )
+
+
+def family(degree: int, name: str) -> PairFamily:
+    return {f.name: f for f in kind_families(degree)}[name]
 
 
 class TestAffineExpressions:
@@ -54,33 +57,33 @@ class TestConstraints:
 
 class TestPairFamily:
     def test_instantiate_normalizes(self):
-        fam = family_by_name(4, "M1")
+        fam = family(4, "M1")
         assert fam.instantiate({}) == make_pair((0, 0), (1, 3))
 
     def test_min_instance_and_matrix(self):
-        fam = family_by_name(4, "M5")
+        fam = family(4, "M5")
         assert fam.min_instance() == make_pair((0, 2), (2, 4))
         assert degree_matrix(fam.min_instance()).entries == ((2, 4), (0, 2))
 
     def test_instances_respect_the_bound(self):
-        fam = family_by_name(4, "M5")
+        fam = family(4, "M5")
         got = fam.instances(6)
         assert got == [
             normalize(make_pair((0, 2 + n), (2, 4 + n))) for n in range(3)
         ]
 
     def test_envs_respect_constraints(self):
-        fam = family_by_name(4, "M13")  # 0 <= m < n
+        fam = family(4, "M13")  # 0 <= m < n
         envs = fam.envs(2)
         assert envs == [{"m": 0, "n": 1}, {"m": 0, "n": 2}, {"m": 1, "n": 2}]
 
     def test_dual_parameter_map(self):
-        fam = family_by_name(4, "M13")
+        fam = family(4, "M13")
         assert fam.dual_name == "M17"
         assert fam.map_params({"m": 1, "n": 4}) == {"m": 3, "n": 4}
 
     def test_signatures_straddle_the_big_threshold(self):
-        fam = family_by_name(3, "M6")
+        fam = family(3, "M6")
         sigs = fam.signatures(6)
         assert len(sigs) == 2  # small entry at n=2, BIG from n=3 on
         assert pair_signature(make_pair((0, 0, 1), (1, 1, 2))) in sigs
@@ -107,8 +110,6 @@ class TestPairFamily:
         assert fam.instantiate({"m": 2}) == make_pair((0, 3), (2, 5))
 
     def test_unknown_family(self):
-        with pytest.raises(KeyError):
-            family_by_name(4, "M99")
         with pytest.raises(KeyError):
             kind_families(7)
 

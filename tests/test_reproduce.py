@@ -2,8 +2,9 @@
 must FAIL the row that checks it, with its detail, and pass the others.
 
 Each case edits a deep copy of the packaged catalog and serves it in
-place of `catalog.raw`, clearing the `kind_families` cache around it, so
-the real catalog and the other tests are untouched.
+place of `catalog.raw`, so the real catalog and the other tests are
+untouched.  The other cases patch a computing function that `reproduce`
+calls, so a computed value is wrong against the real catalog.
 """
 
 import copy
@@ -12,9 +13,11 @@ import json
 import pytest
 
 from acmcurves import catalog, reproduce
-from acmcurves.classifier import FAMILY_II
+from acmcurves.classifier import COMPLETE_INTERSECTION, FAMILY_II
 from acmcurves.cli import run
-from acmcurves.resolutions import CurveInvariants
+from acmcurves.labels import DIVISOR_LABELS
+from acmcurves.picard import DivisorClass
+from acmcurves.resolutions import CurveInvariants, ci_table
 
 
 @pytest.fixture
@@ -25,11 +28,8 @@ def serve_catalog(monkeypatch):
         doc = copy.deepcopy(catalog.raw())
         edit(doc)
         monkeypatch.setattr(catalog, "raw", lambda: doc)
-        catalog.kind_families.cache_clear()
 
-    catalog.kind_families.cache_clear()
-    yield apply
-    catalog.kind_families.cache_clear()
+    return apply
 
 
 def _family(doc, degree, name):
@@ -57,15 +57,19 @@ F4_MISMATCH = (
 CASES = [
     # the mapped parameters break the dual family's constraint at once ...
     ("degree3-kinds", lambda doc: _family(doc, 3, "M3")["dual_map"].update(n="n-2"),
-     {"duality M3^a = M4": "0 parameter choices"}),
+     {"duality M3^a = M4":
+      "0 parameter choices; at {'n': 3} the mapped {'n': 1} breaks M4's constraints"}),
     # ... or after one good choice, so the row cannot pass on its count alone
     ("degree3-kinds", lambda doc: _family(doc, 3, "M3")["dual_map"].update(n="5-n"),
-     {"duality M3^a = M4": "1 parameter choices"}),
+     {"duality M3^a = M4":
+      "1 parameter choices; at {'n': 4} the mapped {'n': 1} breaks M4's constraints"}),
     # the mapped instance has another matrix, at once or after one good choice
     ("degree3-kinds", lambda doc: _family(doc, 3, "M6")["dual_map"].update(n="n+1"),
-     {"duality M6^a = M7": "0 parameter choices"}),
+     {"duality M6^a = M7":
+      "0 parameter choices; at {'n': 2} the anti-transposed matrix is not M7's at {'n': 3}"}),
     ("degree3-kinds", lambda doc: _family(doc, 3, "M6")["dual_map"].update(n="n+n-2"),
-     {"duality M6^a = M7": "1 parameter choices"}),
+     {"duality M6^a = M7":
+      "1 parameter choices; at {'n': 3} the anti-transposed matrix is not M7's at {'n': 4}"}),
     ("F4", lambda doc: doc["quartic_propositions"]["F4"]["families"][1].update(degree=[4, 2]),
      {"family ((1, 3), (4, 4)) classes and invariants for k in [3,6]": F4_MISMATCH}),
     ("low-degree-corollaries",
@@ -99,7 +103,7 @@ def test_wrong_linkage_fails_the_table_and_double_linkage(monkeypatch, capsys):
         f"({d['start'][0]},{d['start'][1]}) in ({d['ci'][0]},{d['ci'][1]}) -> "
         f"({d['residual'][0]},{d['residual'][1]})":
             f"computed ({d['residual'][0]},{d['residual'][1] + 1})"
-        for d in catalog.liaison_table()
+        for d in catalog.raw()["liaison_table"]
     }
     assert failing == {**table, "double linkage is the identity (1000 random inputs)": ""}
     _assert_cli_fails(capsys, "liaison-table", failing)
@@ -128,3 +132,44 @@ def test_family_rows_check_the_attached_pair(monkeypatch, capsys):
     ]
     assert len(rows) == 7
     _assert_cli_fails(capsys, "F2", failing)
+
+
+@pytest.mark.parametrize("label", DIVISOR_LABELS)
+def test_stray_family_class_fails_its_family_row(monkeypatch, capsys, label):
+    # the first FAMILY_II row of shift 5 relabelled as shift 4: every
+    # class the catalog expects is still emitted at k = 4, next to one
+    # class it does not list
+    real = reproduce.classify_quartic
+
+    def stray(div, k_max):
+        entries = real(div, k_max=k_max)
+        i = next(i for i, e in enumerate(entries) if e.provenance == FAMILY_II and e.shift == 5)
+        entries[i] = entries[i]._replace(shift=4)
+        return entries
+
+    monkeypatch.setattr(reproduce, "classify_quartic", stray)
+    rows = reproduce.run_target(label)
+    first_family = next(r.label for r in rows if r.label.startswith("family "))
+    failing = {r.label: r.detail for r in rows if not r.ok}
+    assert list(failing) == [first_family]
+    assert failing[first_family].startswith("mismatch at k=4: ")
+    _assert_cli_fails(capsys, label, failing)
+
+
+@pytest.mark.parametrize("label", DIVISOR_LABELS)
+def test_stray_complete_intersection_fails_its_row(monkeypatch, capsys, label):
+    # an extra 7H row past k_max = 6, whose table and invariants agree, so
+    # the cross-check row cannot see it
+    real = reproduce.classify_quartic
+
+    def stray(div, k_max):
+        entries = real(div, k_max=k_max)
+        last = [e for e in entries if e.provenance == COMPLETE_INTERSECTION][-1]
+        return entries + [last._replace(
+            cls=DivisorClass(7, 0), invariants=CurveInvariants(28, 99), resolution=ci_table(4, 7)
+        )]
+
+    monkeypatch.setattr(reproduce, "classify_quartic", stray)
+    failing = _failing(label)
+    assert failing == {"complete intersections dH for d in [2,6]": ""}
+    _assert_cli_fails(capsys, label, failing)
