@@ -17,8 +17,8 @@ _ORIGIN = {
     for module, names in {
         "pairs": (
             "BIG", "DegreeMatrix", "KindSignature", "PairError", "WeakAdmissiblePair",
-            "anti_transpose", "degree_matrix", "delta", "dual_pair", "equivalent",
-            "is_reducible_type", "kind_signature", "make_pair", "normalize", "pair_signature",
+            "anti_transpose", "degree_matrix", "dual_pair", "is_reducible_type",
+            "kind_signature", "make_pair", "normalize", "pair_signature",
         ),
         "enumeration": (
             "EnumerationConfig", "KindCatalog", "enumerate_kinds", "enumerate_pairs",

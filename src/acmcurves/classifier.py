@@ -320,10 +320,6 @@ def cross_check(entry: ClassificationEntry, lattice: PicardLattice) -> bool:
     return stored == _table_invariants(entry.resolution) == _lattice_invariants(lattice, entry.cls)
 
 
-def _solved_classes(lattice: PicardLattice, degree: int, genus: int) -> set[DivisorClass]:
-    return solve_classes(lattice, 2 * genus - 2, degree, degree)
-
-
 def rigid_classes(div: QuarticDivisor) -> set[DivisorClass]:
     """Numerical rigid candidates minus the divisor's exclusion data."""
     found = set().union(*(case.classes for case in watanabe_candidates(div.lattice)))
@@ -345,10 +341,11 @@ def classify_quartic(div: QuarticDivisor, k_max: int = 6) -> list[Classification
         if checked is None:
             raise ClassificationError(f"{div.label}: no degree and genus at {where}: "
                                       f"table {table.to_json()}")
-        solved = _solved_classes(lattice, *checked)
+        degree, genus = checked
+        solved = solve_classes(lattice, 2 * genus - 2, degree, degree)
         if not solved:
-            raise ClassificationError(f"{div.label}: no integer class of degree {checked[0]}, "
-                                      f"genus {checked[1]} at {where}")
+            raise ClassificationError(f"{div.label}: no integer class of degree {degree}, "
+                                      f"genus {genus} at {where}")
         return solved
 
     def emit(provenance, table, classes, pair=None, shift=None, pivot=None, description=None):
@@ -415,25 +412,23 @@ _SPLIT_N_MAX = 3  # the reducible quadric is listed for splitting types n = 1..3
 
 @dataclass(frozen=True, slots=True)
 class LowDegreeFamily:
-    """One resolution family of the degree-2/3 classifications."""
+    """One resolution family of the degree-2/3 classifications.
+
+    Its table at shift k is ``surface_generator_table(pair, k)``, and its
+    surface degree is ``pair.degree``.  Only the reducible quadric's
+    families have a splitting type ``n``, and their JSON alone carries a
+    note that their tables come from the surface-generator constructor.
+    """
 
     type_tag: str
     case_label: str
     pair: WeakAdmissiblePair
     k_min: int
     n: int | None = None
-    note: str = ""
-
-    @property
-    def surface_degree(self) -> int:
-        return self.pair.degree
-
-    def table(self, k: int) -> BettiTable:
-        return surface_generator_table(self.pair, k)
 
     def to_json(self) -> dict:
         doc = {
-            "surface_degree": self.surface_degree,
+            "surface_degree": self.pair.degree,
             "type": self.type_tag,
             "case": self.case_label,
             "pair": self.pair.to_json(),
@@ -441,8 +436,7 @@ class LowDegreeFamily:
         }
         if self.n is not None:
             doc["n"] = self.n
-        if self.note:
-            doc["note"] = self.note
+            doc["note"] = "tables generated by the surface-generator constructor"
         return doc
 
 
@@ -463,9 +457,6 @@ def classify_low_degree(surface_degree: int, type_tag: str) -> list[LowDegreeFam
     # ((1, 2), (2, 3)), with the second diagonal block raised by n - 1
     [((a1, a2), (b1, b2))] = [(p.a, p.b) for p in pairs]
     return [
-        LowDegreeFamily(
-            type_tag, f"n={n}", make_pair((a1, a2 + n - 1), (b1, b2 + n - 1)), k_min, n=n,
-            note="tables generated by the surface-generator constructor",
-        )
+        LowDegreeFamily(type_tag, f"n={n}", make_pair((a1, a2 + n - 1), (b1, b2 + n - 1)), k_min, n)
         for n in range(1, _SPLIT_N_MAX + 1)
     ]

@@ -302,7 +302,10 @@ def _classify_low(args):
     if args.kmax < k_min:
         raise ValueError(f"--kmax {args.kmax} is below {k_min}, the least k_min of "
                          f"{args.degree}/{args.type_tag}: no family would have a table")
-    tables = [[(k, fam.table(k)) for k in range(fam.k_min, args.kmax + 1)] for fam in fams]
+    tables = [
+        [(k, acm.surface_generator_table(fam.pair, k)) for k in range(fam.k_min, args.kmax + 1)]
+        for fam in fams
+    ]
     doc = [
         fam.to_json() | {"tables": [t.to_json() | {"k": k} for k, t in shifts]}
         for fam, shifts in zip(fams, tables)

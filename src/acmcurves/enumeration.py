@@ -196,20 +196,20 @@ def enumerate_kinds(cfg: EnumerationConfig) -> KindCatalog:
     return KindCatalog(cfg.degree, cfg.b_cap, tuple(entries))
 
 
-@dataclass(frozen=True, slots=True)
-class FamilyMatchReport:
-    """Family-aware matching: a parametrized family can straddle several
-    kinds (entries cross the BIG threshold as parameters grow), so the
-    catalog is compared against every instance within the bound."""
-
-    matched: tuple[tuple[str, bool], ...]  # (family name, min instance found?)
-    unmatched_signatures: tuple[KindSignature, ...]
-
-
-def match_families(catalog: KindCatalog, families: Iterable) -> FamilyMatchReport:
+def match_families(
+    catalog: KindCatalog, families: Iterable
+) -> tuple[list[tuple[str, bool]], tuple[KindSignature, ...]]:
     """Match a kind catalog against families that give ``name``, ``degree``,
     ``min_instance()`` and ``signatures(b_cap)``, as ``catalog.PairFamily``
-    does; this module does not import the expected data."""
+    does; this module does not import the expected data.
+
+    Returns ``(matched, unmatched)``: ``matched`` holds (family name,
+    whether its minimal instance's kind is in the catalog) per family, in
+    order; ``unmatched`` the catalog's signatures, in catalog order, that
+    no family instance within the catalog's bound generates.  A
+    parametrized family can straddle several kinds (entries cross the BIG
+    threshold as parameters grow), so every instance within the bound is
+    compared, not only the minimal one."""
     sigs = catalog.signatures()
     matched = []
     generated: set[KindSignature] = set()
@@ -223,4 +223,4 @@ def match_families(catalog: KindCatalog, families: Iterable) -> FamilyMatchRepor
     unmatched = tuple(
         e.signature for e in catalog.entries if e.signature not in generated
     )
-    return FamilyMatchReport(tuple(matched), unmatched)
+    return matched, unmatched

@@ -31,14 +31,10 @@ class CiProfile:
         if self.s < 1 or self.s_prime < 1:
             raise ValueError("linking surface degrees must be positive")
 
-    @property
-    def total_degree(self) -> int:
-        return self.s * self.s_prime
-
 
 def residual_invariants(c: CurveInvariants, ci: CiProfile) -> CurveInvariants:
     """Invariants of the curve residual to c in the complete intersection."""
-    degree = ci.total_degree - c.degree
+    degree = ci.s * ci.s_prime - c.degree
     if degree <= 0:
         raise LinkageError(
             f"residual degree {degree} is not positive: a degree-{c.degree} curve "

@@ -4,8 +4,9 @@ A weak admissible pair is two nondecreasing integer sequences
 ``a = (a_1, ..., a_t)`` and ``b = (b_1, ..., b_t)`` with ``t >= 2`` and
 ``a_i < b_i`` for every ``i``.  Its degree is ``sum(b_i - a_i)`` and two
 pairs are equivalent when they differ by a common integer shift.  The
-degree matrix has entries ``delta(a_i, b_j)`` where ``delta`` clamps
-nonpositive differences to zero; its trace equals the degree.
+degree matrix has entries delta(a_i, b_j) = max(b_j - a_i, 0), the
+difference with nonpositive values clamped to zero; its trace equals
+the degree.
 
 Kinds abstract the degree matrix entry-wise: zero stays zero, a value
 strictly between 0 and the degree is kept exactly, and anything >= the
@@ -27,11 +28,6 @@ Cell = int | str  # 0, a value in (0, d), or BIG
 
 class PairError(ValueError):
     """Raised when sequences do not form a weak admissible pair."""
-
-
-def delta(a: int, b: int) -> int:
-    """Clamped difference: b - a if positive, else 0."""
-    return b - a if b > a else 0
 
 
 @dataclass(frozen=True, slots=True)
@@ -99,11 +95,6 @@ def normalize(p: WeakAdmissiblePair) -> WeakAdmissiblePair:
     return p if p.a[0] == 0 else p.shift(-p.a[0])
 
 
-def equivalent(p: WeakAdmissiblePair, q: WeakAdmissiblePair) -> bool:
-    """True when the pairs differ by a common integer shift."""
-    return normalize(p) == normalize(q)
-
-
 @dataclass(frozen=True, slots=True)
 class DegreeMatrix:
     degree: int
@@ -118,10 +109,6 @@ class DegreeMatrix:
             raise ValueError("entries must be nonnegative")
         if self.trace != self.degree:
             raise ValueError(f"trace {self.trace} does not equal the declared degree {self.degree}")
-
-    @property
-    def n(self) -> int:
-        return len(self.entries)
 
     @property
     def trace(self) -> int:
@@ -178,10 +165,6 @@ class KindSignature:
     degree: int
     cells: tuple[tuple[Cell, ...], ...]
 
-    @property
-    def length(self) -> int:
-        return len(self.cells)
-
     def anti_transpose(self) -> "KindSignature":
         return KindSignature(self.degree, _anti_transpose(self.cells))
 
@@ -235,4 +218,4 @@ def is_reducible_type(m: DegreeMatrix) -> bool:
     A zero at (i+1, i) forces a full zero block below it, so every
     determinant realizing the matrix factors and the surface splits.
     """
-    return any(m.entries[i + 1][i] == 0 for i in range(m.n - 1))
+    return any(m.entries[i + 1][i] == 0 for i in range(len(m.entries) - 1))

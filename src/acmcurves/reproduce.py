@@ -27,7 +27,7 @@ from .labels import DIVISOR_LABELS, TARGET_NAMES
 from .liaison import CiProfile, residual_invariants
 from .pairs import WeakAdmissiblePair, anti_transpose, degree_matrix, make_pair
 from .picard import DivisorClass
-from .resolutions import BettiTable, CurveInvariants
+from .resolutions import BettiTable, CurveInvariants, surface_generator_table
 
 # the degree-4 catalog is checked at this bound; the family tables are
 # complete at every bound, so no kind goes unexplained even below stable_cap
@@ -68,18 +68,14 @@ def _kinds_rows(degree: int, b_cap: int) -> list[Row]:
     target = f"degree{degree}-kinds"
     families = catalog.kind_families(degree)
     kinds = enumerate_kinds(EnumerationConfig(degree, b_cap))
-    report = match_families(kinds, families)
-    rows = [
-        Row(target, f"{name} kind present at minimum parameters", ok)
-        for name, ok in report.matched
-    ]
+    matched, unmatched = match_families(kinds, families)
+    rows = [Row(target, f"{name} kind present at minimum parameters", ok) for name, ok in matched]
     rows.append(
         Row(
             target,
             f"all {len(kinds)} catalog kinds generated by the {len(families)} families",
-            not report.unmatched_signatures,
-            f"unexplained: {[s.render() for s in report.unmatched_signatures]}"
-            if report.unmatched_signatures else "",
+            not unmatched,
+            f"unexplained: {[s.render() for s in unmatched]}" if unmatched else "",
         )
     )
     sigs = kinds.signatures()
@@ -215,7 +211,8 @@ def _low_degree_rows() -> list[Row]:
         fams = classify_low_degree(doc["surface_degree"], doc["type"])
         fam = next(f for f in fams if f.case_label == doc["case"])
         ok = fam.pair == make_pair(*doc["pair"]) and fam.k_min == doc["k_min"] and all(
-            fam.table(k) == BettiTable(_at(doc["gens"], k), _at(doc["syz"], k))
+            surface_generator_table(fam.pair, k)
+            == BettiTable(_at(doc["gens"], k), _at(doc["syz"], k))
             for k in range(doc["k_min"], doc["k_min"] + LOW_DEGREE_K_SPAN)
         )
         rows.append(

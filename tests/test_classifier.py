@@ -1,3 +1,4 @@
+import json
 import re
 from collections import Counter
 from functools import lru_cache
@@ -26,14 +27,14 @@ from acmcurves.classifier import (
     FAMILY_III,
     RESIDUAL,
     RIGID,
-    _solved_classes,
     rigid_classes,
 )
 from acmcurves import catalog, classifier
+from acmcurves.cli import run
 from acmcurves.enumeration import EnumerationConfig, enumerate_kinds
 from acmcurves.pairs import degree_matrix, is_reducible_type
 from acmcurves.catalog import eval_affine, parse_affine
-from acmcurves.picard import H, PicardLattice, adjunction_genus, dot
+from acmcurves.picard import H, PicardLattice, adjunction_genus, dot, solve_classes
 from acmcurves.resolutions import (
     InvalidTableError, invariants_from_betti, pivot_syzygy_table, surface_generator_table,
 )
@@ -280,37 +281,43 @@ class TestLowDegree:
     def test_smooth_quadric(self):
         fams = classify_low_degree(2, "smooth")
         assert len(fams) == 1 and fams[0].k_min == 1
-        t = fams[0].table(2)
+        t = surface_generator_table(fams[0].pair, 2)
         assert (t.gens, t.syz) == ((2, 3, 3), (4, 4))
 
     def test_smooth_cubic_determinantal(self):
         (fam,) = classify_low_degree(3, "3x3")
         assert fam.k_min == 1
-        t = fam.table(1)
+        t = surface_generator_table(fam.pair, 1)
         assert (t.gens, t.syz) == ((2, 2, 2, 3), (3, 3, 3))
 
     def test_smooth_cubic_two_by_two(self):
         fams = {f.case_label: f for f in classify_low_degree(3, "2x2")}
-        ta = fams["A"].table(0)
+        ta = surface_generator_table(fams["A"].pair, 0)
         assert (ta.gens, ta.syz) == ((1, 1, 3), (2, 3))
-        tb = fams["B"].table(0)
+        tb = surface_generator_table(fams["B"].pair, 0)
         assert (tb.gens, tb.syz) == ((1, 2, 3), (3, 3))
 
     def test_split_quadric_families(self):
         fams = classify_low_degree(2, "reducible")
         assert [f.n for f in fams] == [1, 2, 3]
-        t = fams[0].table(1)
+        t = surface_generator_table(fams[0].pair, 1)
         assert (t.gens, t.syz) == ((2, 2, 3), (3, 4))
-        assert fams[0].note
+        assert fams[0].to_json()["note"]
 
     def test_unknown_tag(self):
         with pytest.raises(KeyError, match="unknown type"):
             classify_low_degree(3, "4x4")
 
-    def test_tables_come_from_the_main_constructor(self):
-        for fam in classify_low_degree(3, "2x2"):
-            for k in range(fam.k_min, fam.k_min + 4):
-                assert fam.table(k) == surface_generator_table(fam.pair, k)
+    def test_tables_come_from_the_main_constructor(self, capsys):
+        # the tables `classify low` prints are the constructor's, k_min on
+        assert run(["classify", "low", "--degree", "3", "--type", "2x2", "--kmax", "3"]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        for fam, fam_doc in zip(classify_low_degree(3, "2x2"), doc, strict=True):
+            assert fam_doc["pair"] == fam.pair.to_json()
+            assert fam_doc["tables"] == [
+                surface_generator_table(fam.pair, k).to_json() | {"k": k}
+                for k in range(fam.k_min, fam.k_min + 4)
+            ]
 
 
 def test_classification_is_deterministic():
@@ -358,7 +365,7 @@ def test_case_ii_rows_equal_the_per_shift_solve(label):
             except InvalidTableError:
                 assert k < 3
                 continue
-            solved = sorted(_solved_classes(div.lattice, inv.degree, inv.genus))
+            solved = sorted(solve_classes(div.lattice, 2 * inv.genus - 2, inv.degree, inv.degree))
             if k < 3 and (inv.genus < 0 or set(solved) <= rigid):
                 continue
             want[RESIDUAL if k < 3 else FAMILY_II] += [(pair, k, c, inv, table) for c in solved]
@@ -389,7 +396,7 @@ def test_a_shift_has_no_curve_exactly_when_its_classes_have_none():
         div = divisor(label)
         for pair in div.pairs:
             inv = invariants_from_betti(surface_generator_table(pair, 3))
-            base = _solved_classes(div.lattice, inv.degree, inv.genus)
+            base = solve_classes(div.lattice, 2 * inv.genus - 2, inv.degree, inv.degree)
             for k in range(3):
                 table = surface_generator_table(pair, k)
                 try:
@@ -483,7 +490,7 @@ def test_each_rigid_class_is_on_the_first_pivot_table_solving_to_it(label):
     first = {}
     for pair, j0, table in classifier._pivot_tables(div.pairs):
         inv = invariants_from_betti(table)
-        for c in _solved_classes(div.lattice, inv.degree, inv.genus):
+        for c in solve_classes(div.lattice, 2 * inv.genus - 2, inv.degree, inv.degree):
             first.setdefault(c, (pair, j0, table))
     rows = by_provenance(classify_quartic(div, k_max=6), RIGID)
     assert sorted(e.cls for e in rows) == sorted(rigid_classes(div))

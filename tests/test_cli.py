@@ -205,6 +205,29 @@ class TestClassifyCommands:
         assert doc[0]["pair"] == {"a": [1, 1, 1], "b": [2, 2, 2]}
         assert doc[0]["tables"][0]["gens"] == [2, 2, 2, 3]
 
+    @pytest.mark.parametrize("degree,type_tag", [
+        ("2", "smooth"), ("2", "reducible"), ("3", "2x2"), ("3", "3x3"),
+    ])
+    def test_low_family_documents(self, capsys, degree, type_tag):
+        # each family's document: its pair's degree, the splitting type and
+        # the note on the reducible quadric's families alone, and the
+        # constructor's table at each k from k_min
+        doc = invoke_json(capsys, "classify", "low", "--degree", degree, "--type", type_tag,
+                          "--kmax", "9")
+        for fam in doc:
+            pair = acmcurves.make_pair(fam["pair"]["a"], fam["pair"]["b"])
+            assert fam["surface_degree"] == sum(pair.b) - sum(pair.a) == int(degree)
+            assert fam["tables"] == [
+                acmcurves.surface_generator_table(pair, k).to_json() | {"k": k}
+                for k in range(fam["k_min"], 10)
+            ]
+        split = [{key: fam[key] for key in ("n", "note") if key in fam} for fam in doc]
+        if type_tag == "reducible":
+            note = "tables generated by the surface-generator constructor"
+            assert split == [{"n": n, "note": note} for n in (1, 2, 3)]
+        else:
+            assert split == [{}] * len(doc)
+
 
 class TestHarness:
     def test_usage_error_exit_code(self, capsys):
@@ -280,11 +303,14 @@ class TestHarness:
         (["picard", "solve", "--gram", "4,1,-2", "--self-int", "-2", "--dh", "1..3"], ["picard"]),
         (["classify", "quartic", "--divisor", "F4", "--kmax", "3"],
          ["classifier", "enumeration", "pairs", "picard", "resolutions"]),
+        (["classify", "low", "--degree", "2", "--type", "reducible"],
+         ["classifier", "enumeration", "pairs", "picard", "resolutions"]),
+        (["pairs", "enumerate", "--degree", "3"], ["enumeration", "pairs"]),
         (["reproduce", "F1"],
          ["catalog", "classifier", "enumeration", "liaison", "pairs", "picard", "reproduce",
           "resolutions"]),
     ], ids=["pairs-matrix", "liaison", "res-invariants", "res-build-ci", "picard-solve",
-            "classify-quartic", "reproduce"])
+            "classify-quartic", "classify-low", "pairs-enumerate", "reproduce"])
     def test_command_loads_only_the_modules_it_uses(self, argv, loaded):
         # every module but the package, the CLI and its choice labels is loaded
         # by the handler that runs
