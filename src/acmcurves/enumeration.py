@@ -198,18 +198,19 @@ def enumerate_kinds(cfg: EnumerationConfig) -> KindCatalog:
 
 def match_families(
     catalog: KindCatalog, families: Iterable
-) -> tuple[list[tuple[str, bool]], tuple[KindSignature, ...]]:
+) -> tuple[list[tuple[str, bool]], set[KindSignature]]:
     """Match a kind catalog against families that give ``name``, ``degree``,
     ``min_instance()`` and ``signatures(b_cap)``, as ``catalog.PairFamily``
     does; this module does not import the expected data.
 
-    Returns ``(matched, unmatched)``: ``matched`` holds (family name,
+    Returns ``(matched, generated)``: ``matched`` holds (family name,
     whether its minimal instance's kind is in the catalog) per family, in
-    order; ``unmatched`` the catalog's signatures, in catalog order, that
-    no family instance within the catalog's bound generates.  A
-    parametrized family can straddle several kinds (entries cross the BIG
-    threshold as parameters grow), so every instance within the bound is
-    compared, not only the minimal one."""
+    order; ``generated`` the kinds of every family instance within the
+    catalog's bound, so the families explain the catalog exactly when it
+    equals ``catalog.signatures()``.  A parametrized family can straddle
+    several kinds (entries cross the BIG threshold as parameters grow),
+    so every instance within the bound is compared, not only the minimal
+    one."""
     sigs = catalog.signatures()
     matched = []
     generated: set[KindSignature] = set()
@@ -220,7 +221,4 @@ def match_families(
             )
         matched.append((fam.name, pair_signature(fam.min_instance()) in sigs))
         generated |= fam.signatures(catalog.b_cap)
-    unmatched = tuple(
-        e.signature for e in catalog.entries if e.signature not in generated
-    )
-    return matched, unmatched
+    return matched, generated

@@ -66,12 +66,12 @@ def test_criterion_2_degree3_kinds():
     start = time.perf_counter()
     families = kind_families(3)
     kinds = enumerate_kinds(EnumerationConfig(3))
-    matched, unmatched = match_families(kinds, families)
+    matched, generated = match_families(kinds, families)
     elapsed = time.perf_counter() - start
     ok = (
         len(families) == 8
         and all(ok for _, ok in matched)
-        and not unmatched
+        and generated == kinds.signatures()
         and all(r.ok for r in run_target("degree3-kinds"))
         and elapsed < 1.0
     )

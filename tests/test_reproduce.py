@@ -8,14 +8,16 @@ calls, so a computed value is wrong against the real catalog.
 """
 
 import copy
+import dataclasses
 import json
 
 import pytest
 
 from acmcurves import catalog, reproduce
-from acmcurves.classifier import COMPLETE_INTERSECTION, FAMILY_II
+from acmcurves.classifier import COMPLETE_INTERSECTION, FAMILY_II, RESIDUAL
 from acmcurves.cli import run
 from acmcurves.labels import DIVISOR_LABELS
+from acmcurves.pairs import make_pair, pair_signature
 from acmcurves.picard import DivisorClass
 from acmcurves.resolutions import CurveInvariants, ci_table
 
@@ -49,6 +51,8 @@ def _assert_cli_fails(capsys, target, labels):
     assert {r["row"] for r in rows if r["status"] == "FAIL"} == set(labels)
 
 
+TYPE_2X2_ROW = "degree-3 type 2x2 case {}: resolutions for k in [0,5]"
+
 F4_MISMATCH = (
     "mismatch at k=3: expected {(4, -1): CurveInvariants(degree=14, genus=28)}, "
     "emitted {(4, -1): CurveInvariants(degree=15, genus=28)}"
@@ -75,6 +79,12 @@ CASES = [
     ("low-degree-corollaries",
      lambda doc: doc["low_degree_corollaries"][0]["gens"].__setitem__(0, "2+k"),
      {"degree-2 type smooth case main: resolutions for k in [1,6]": ""}),
+    # case B renamed C: C is not computed, and the computed B is not listed
+    ("low-degree-corollaries",
+     lambda doc: next(
+         d for d in doc["low_degree_corollaries"] if d["case"] == "B"
+     ).update(case="C"),
+     {TYPE_2X2_ROW.format(case): "computed cases ['A', 'B']" for case in "AC"}),
     ("liaison-table", lambda doc: doc["liaison_table"][0].update(residual=[3, 2]),
      {"(1,0) in (4,1) -> (3,2)": "computed (3,1)"}),
 ]
@@ -82,7 +92,7 @@ CASES = [
 
 @pytest.mark.parametrize("target,edit,failing", CASES, ids=[
     "constraint-at-once", "constraint-later", "matrix-at-once", "matrix-later",
-    "family-degree", "low-degree-gens", "liaison-residual",
+    "family-degree", "low-degree-gens", "low-degree-case-renamed", "liaison-residual",
 ])
 def test_wrong_expected_value_fails_its_row(serve_catalog, capsys, target, edit, failing):
     serve_catalog(edit)
@@ -173,3 +183,88 @@ def test_stray_complete_intersection_fails_its_row(monkeypatch, capsys, label):
     failing = _failing(label)
     assert failing == {"complete intersections dH for d in [2,6]": ""}
     _assert_cli_fails(capsys, label, failing)
+
+
+def _with_first_family_row(monkeypatch, **changes):
+    """Append to every quartic table a copy of its first FAMILY_II row with
+    `changes` applied."""
+    real = reproduce.classify_quartic
+
+    def patched(div, k_max):
+        entries = real(div, k_max=k_max)
+        first = next(e for e in entries if e.provenance == FAMILY_II)
+        return entries + [first._replace(**changes)]
+
+    monkeypatch.setattr(reproduce, "classify_quartic", patched)
+
+
+@pytest.mark.parametrize("label", DIVISOR_LABELS[1:])  # F1 lists no residual class
+def test_stray_residual_fails_the_residual_rows(monkeypatch, capsys, label):
+    # every listed residual class is still computed, next to one the
+    # catalog does not list; its table agrees with its class, so the
+    # cross-check row cannot see it
+    _with_first_family_row(monkeypatch, provenance=RESIDUAL)
+    failing = _failing(label)
+    residuals = catalog.raw()["quartic_propositions"][label]["residuals"]
+    assert len(failing) == len(residuals) > 0
+    assert all(row.startswith("residual class ") for row in failing)
+    assert all("; computed {" in detail for detail in failing.values())
+    _assert_cli_fails(capsys, label, failing)
+
+
+@pytest.mark.parametrize("label", DIVISOR_LABELS)
+def test_family_row_under_an_unlisted_pair_fails_every_family_row(monkeypatch, capsys, label):
+    _with_first_family_row(monkeypatch, pair=make_pair((0, 0), (1, 3)))
+    rows = reproduce.run_target(label)
+    failing = {r.label: r.detail for r in rows if not r.ok}
+    assert list(failing) == [r.label for r in rows if r.label.startswith("family ")]
+    assert all(
+        detail.startswith("mismatch at k=3 under ((0, 0), (1, 3)): expected {}, emitted {")
+        for detail in failing.values()
+    )
+    _assert_cli_fails(capsys, label, failing)
+
+
+@pytest.mark.parametrize("degree", [3, 4])
+def test_kind_missing_from_the_catalog_fails_the_generation_row(monkeypatch, capsys, degree):
+    # the last kind that is not self-dual and no family's minimal instance,
+    # with its anti-transpose, dropped from the enumerated catalog: the
+    # families still generate both, and every other row still passes
+    real = reproduce.enumerate_kinds
+    families = catalog.kind_families(degree)
+    minimal = {pair_signature(f.min_instance()) for f in families}
+    gone, kept = set(), []
+
+    def dropped(cfg):
+        kinds = real(cfg)
+        sig = next(e.signature for e in reversed(kinds.entries)
+                   if e.signature.anti_transpose() != e.signature
+                   and not {e.signature, e.signature.anti_transpose()} & minimal)
+        gone.update({sig, sig.anti_transpose()})
+        kept[:] = [e for e in kinds.entries if e.signature not in gone]
+        return dataclasses.replace(kinds, entries=tuple(kept))
+
+    monkeypatch.setattr(reproduce, "enumerate_kinds", dropped)
+    target = f"degree{degree}-kinds"
+    failing = _failing(target)
+    assert len(gone) == 2
+    assert failing == {
+        f"all {len(kept)} catalog kinds generated by the {len(families)} families":
+            f"generated but not in the catalog: {sorted(s.render() for s in gone)}"
+    }
+    _assert_cli_fails(capsys, target, failing)
+
+
+def test_extra_computed_case_fails_the_rows_of_its_type(monkeypatch, capsys):
+    real = reproduce.classify_low_degree
+
+    def extra(surface_degree, type_tag):
+        fams = real(surface_degree, type_tag)
+        if type_tag == "2x2":
+            fams.append(dataclasses.replace(fams[-1], case_label="C"))
+        return fams
+
+    monkeypatch.setattr(reproduce, "classify_low_degree", extra)
+    failing = {TYPE_2X2_ROW.format(case): "computed cases ['A', 'B', 'C']" for case in "AB"}
+    assert _failing("low-degree-corollaries") == failing
+    _assert_cli_fails(capsys, "low-degree-corollaries", failing)
