@@ -9,6 +9,15 @@ The public names load on first use (PEP 562): `import acmcurves` runs
 no submodule, and the first `acmcurves.X` imports the submodule that
 defines X and keeps X in the package namespace, so later lookups are
 plain attribute reads.
+
+Every record (a pair, a matrix, a lattice, a class, a table, an entry)
+is a slotted named tuple: immutable, hashed and ordered as the plain
+tuple of its fields, and equal to that tuple (and to a record of
+another class with the same fields).  A record whose fields must agree
+checks them in ``__new__``, and its ``_make``, and so its ``_replace``,
+builds through the constructor, so no path skips the check.  A named
+tuple is also the cheapest record class to define, which matters
+because every CLI process defines the classes it uses afresh.
 """
 
 # each public name -> the submodule that defines it

@@ -18,7 +18,7 @@ import json
 import operator
 import os
 import re
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import lru_cache
 
 from .pairs import KindSignature, WeakAdmissiblePair, make_pair, normalize, pair_signature
@@ -58,11 +58,10 @@ _OPS = {"<=": operator.le, ">=": operator.ge, "==": operator.eq, "<": operator.l
 _OP_RE = re.compile("(<=|>=|==|<|>)")
 
 
-@dataclass(frozen=True, slots=True)
-class Constraint:
-    lhs: dict[str, int]
-    op: str
-    rhs: dict[str, int]
+class Constraint(namedtuple("Constraint", "lhs op rhs")):
+    """``lhs op rhs``: two parsed affine expressions and a comparison."""
+
+    __slots__ = ()
 
     @classmethod
     def parse(cls, text: str) -> "Constraint":
@@ -76,19 +75,20 @@ class Constraint:
         return _OPS[self.op](eval_affine(self.lhs, env), eval_affine(self.rhs, env))
 
 
-@dataclass(frozen=True, slots=True)
-class PairFamily:
+class PairFamily(namedtuple("PairFamily", (
+    "name",  # str
+    "degree",  # int
+    "a",  # tuple[dict[str, int], ...]
+    "b",  # tuple[dict[str, int], ...]
+    "params",  # tuple[str, ...]
+    "constraints",  # tuple[Constraint, ...]
+    "min_params",  # dict[str, int]
+    "dual_name",  # str
+    "dual_map",  # dict[str, dict[str, int]]
+))):
     """One parametrized family from a degree catalog."""
 
-    name: str
-    degree: int
-    a: tuple[dict[str, int], ...]
-    b: tuple[dict[str, int], ...]
-    params: tuple[str, ...]
-    constraints: tuple[Constraint, ...]
-    min_params: dict[str, int]
-    dual_name: str
-    dual_map: dict[str, dict[str, int]]
+    __slots__ = ()
 
     @classmethod
     def from_json(cls, degree: int, doc: dict) -> "PairFamily":

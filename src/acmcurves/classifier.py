@@ -42,10 +42,11 @@ attached pair, then shift or pivot, then class, and
 COMPLETE_INTERSECTION by d.  Each entry records its attached pair
 (None for a complete intersection), plus its shift k (RESIDUAL,
 FAMILY_II) or its 1-based pivot (RIGID, FAMILY_III).  An entry is an
-immutable named tuple (`ClassificationEntry`), so it compares equal to
-the plain tuple of its nine fields.  The descriptions
-of RIGID, RESIDUAL and FAMILY_III entries come from one prose map per
-divisor.  One rule makes every entry: an entry is a class on a table,
+immutable named tuple (`ClassificationEntry`), like every record of the
+library, so it compares equal to the plain tuple of its nine fields.
+The descriptions of RIGID, RESIDUAL and FAMILY_III entries come from
+one prose map per divisor.
+One rule makes every entry: an entry is a class on a table,
 it stores that table's (degree, genus), read by one pass over its
 twists in each `emit` call, and that pass must equal the class's
 lattice invariants (D.H, D^2/2 + 1).  So every emitted entry passes the
@@ -80,7 +81,6 @@ so every twist is still validated, and every entry is cross-checked.
 from __future__ import annotations
 
 from collections import namedtuple
-from dataclasses import dataclass
 from functools import lru_cache
 
 from .enumeration import EnumerationConfig, enumerate_kinds
@@ -109,12 +109,9 @@ class ClassificationError(RuntimeError):
     """A derived entry fails a consistency check."""
 
 
-@dataclass(frozen=True, slots=True)
-class QuarticDivisor:
-    label: str
-    lattice: PicardLattice
-    pairs: tuple[WeakAdmissiblePair, ...]
-    exclusions: tuple[tuple[DivisorClass, str], ...]
+# label: str, lattice: PicardLattice, pairs: tuple[WeakAdmissiblePair, ...],
+# exclusions: tuple[tuple[DivisorClass, str], ...]
+QuarticDivisor = namedtuple("QuarticDivisor", "label lattice pairs exclusions")
 
 
 class ClassificationEntry(namedtuple("ClassificationEntry", (
@@ -128,13 +125,10 @@ class ClassificationEntry(namedtuple("ClassificationEntry", (
     "shift",  # int: k of a RESIDUAL or FAMILY_II table, else None
     "pivot",  # int: 1-based pivot of a RIGID or FAMILY_III table, else None
 ), defaults=(None, None, None))):
-    """One row of a quartic table: an immutable named tuple, so it
-    compares equal to (and hashes as) the plain tuple of its nine fields.
-
-    A table has ~6 000 rows at k_max = 2000, and a named tuple is built
-    about three times faster than a frozen dataclass, which sets each
-    field through `object.__setattr__`.  The other records stay
-    dataclasses, whose equality matches no plain tuple.
+    """One row of a quartic table: an immutable named tuple, as every
+    record of the library is, so it compares equal to (and hashes as)
+    the plain tuple of its nine fields.  A table has ~6 000 rows at
+    k_max = 2000, and a named tuple is the cheapest record to build.
     """
 
     __slots__ = ()
@@ -410,8 +404,13 @@ _LOW_DEGREE_CASES = {(2, "smooth"): (1, ("main",)), (2, "reducible"): (1, None),
 _SPLIT_N_MAX = 3  # the reducible quadric is listed for splitting types n = 1..3
 
 
-@dataclass(frozen=True, slots=True)
-class LowDegreeFamily:
+class LowDegreeFamily(namedtuple("LowDegreeFamily", (
+    "type_tag",  # str
+    "case_label",  # str
+    "pair",  # WeakAdmissiblePair
+    "k_min",  # int
+    "n",  # int or None
+), defaults=(None,))):
     """One resolution family of the degree-2/3 classifications.
 
     Its table at shift k is ``surface_generator_table(pair, k)``, and its
@@ -420,11 +419,7 @@ class LowDegreeFamily:
     note that their tables come from the surface-generator constructor.
     """
 
-    type_tag: str
-    case_label: str
-    pair: WeakAdmissiblePair
-    k_min: int
-    n: int | None = None
+    __slots__ = ()
 
     def to_json(self) -> dict:
         doc = {

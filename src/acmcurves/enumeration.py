@@ -58,7 +58,7 @@ reference.
 with the number of kinds, not of pairs; it builds the validated
 ``WeakAdmissiblePair`` and, with the one-pass ``pairs.pair_signature``,
 the ``KindSignature`` only for the representative of each kind.  A kind
-then costs ~440 bytes at degree 7: three slotted objects, the tuples a
+then costs ~485 bytes at degree 7: three named tuples, the tuples a
 and b and the tuple of t rows.  The rows themselves are shared, because
 a degree has far fewer distinct rows than kinds (4 074 for 222 605
 kinds at degree 7), so equal rows are one object across the catalog.
@@ -69,8 +69,8 @@ pair over full ranges of degree and bound.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from collections.abc import Iterable, Iterator
-from dataclasses import dataclass
 from math import comb
 
 from .pairs import KindSignature, WeakAdmissiblePair, pair_signature
@@ -81,18 +81,20 @@ def stable_cap(degree: int) -> int:
     return max(2 * degree, (degree - 1) ** 2 + 1)
 
 
-@dataclass(frozen=True, slots=True)
-class EnumerationConfig:
-    degree: int
-    b_cap: int | None = None
+class EnumerationConfig(namedtuple("EnumerationConfig", "degree b_cap")):
+    """A degree and a bound on b_t; the bound defaults to ``stable_cap``."""
 
-    def __post_init__(self) -> None:
-        if self.degree < 2:
+    __slots__ = ()
+    _make = classmethod(lambda cls, fields: cls(*fields))
+
+    def __new__(cls, degree: int, b_cap: int | None = None) -> EnumerationConfig:
+        if degree < 2:
             raise ValueError("degree must be at least 2")
-        if self.b_cap is None:
-            object.__setattr__(self, "b_cap", stable_cap(self.degree))
-        if self.b_cap < self.degree:
+        if b_cap is None:
+            b_cap = stable_cap(degree)
+        if b_cap < degree:
             raise ValueError("b_cap below the degree misses kinds with BIG entries")
+        return tuple.__new__(cls, (degree, b_cap))
 
 
 def _walk(
@@ -136,11 +138,9 @@ def enumerate_pairs(cfg: EnumerationConfig) -> list[WeakAdmissiblePair]:
     )
 
 
-@dataclass(frozen=True, slots=True)
-class KindEntry:
-    signature: KindSignature
-    representative: WeakAdmissiblePair
-    count: int
+class KindEntry(namedtuple("KindEntry", "signature representative count")):
+    # signature: KindSignature, representative: WeakAdmissiblePair, count: int
+    __slots__ = ()
 
     def to_json(self) -> dict:
         return {
@@ -150,11 +150,13 @@ class KindEntry:
         }
 
 
-@dataclass(frozen=True, slots=True)
-class KindCatalog:
-    degree: int
-    b_cap: int
-    entries: tuple[KindEntry, ...]
+class KindCatalog(namedtuple("KindCatalog", "degree b_cap entries")):
+    """The kinds of one degree under one bound; ``len`` counts the
+    entries, not the three fields, so ``_make`` builds through the
+    constructor, which never asks for the length."""
+
+    __slots__ = ()
+    _make = classmethod(lambda cls, fields: cls(*fields))
 
     def signatures(self) -> set[KindSignature]:
         return {e.signature for e in self.entries}
@@ -184,8 +186,8 @@ def enumerate_kinds(cfg: EnumerationConfig) -> KindCatalog:
     the one-pass ``pair_signature``, which builds no ``DegreeMatrix``;
     ``kind_signature(degree_matrix(p))`` is the reference it is tested
     against.  Memory grows with the number of kinds, not of pairs: at
-    degree 7 the catalog retains ~93 MiB (~440 bytes per kind, its rows
-    shared) and the call peaks at ~127 MiB RSS on a 2-vCPU Xeon under
+    degree 7 the catalog retains ~103 MiB (~485 bytes per kind, its rows
+    shared) and the call peaks at ~137 MiB RSS on a 2-vCPU Xeon under
     Python 3.11.
     """
     cap = cfg.b_cap

@@ -13,7 +13,7 @@ residual degree that is not positive.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .resolutions import CurveInvariants
 
@@ -22,14 +22,14 @@ class LinkageError(ValueError):
     """Linkage data with no residual curve behind it."""
 
 
-@dataclass(frozen=True, slots=True)
-class CiProfile:
-    s: int
-    s_prime: int
+class CiProfile(namedtuple("CiProfile", "s s_prime")):
+    __slots__ = ()
+    _make = classmethod(lambda cls, fields: cls(*fields))
 
-    def __post_init__(self) -> None:
-        if self.s < 1 or self.s_prime < 1:
+    def __new__(cls, s: int, s_prime: int) -> CiProfile:
+        if s < 1 or s_prime < 1:
             raise ValueError("linking surface degrees must be positive")
+        return tuple.__new__(cls, (s, s_prime))
 
 
 def residual_invariants(c: CurveInvariants, ci: CiProfile) -> CurveInvariants:

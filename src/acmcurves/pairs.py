@@ -16,8 +16,8 @@ per degree, which is what makes the family catalogs finite.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from collections.abc import Iterable
-from dataclasses import dataclass
 from itertools import chain
 from operator import getitem
 
@@ -30,13 +30,14 @@ class PairError(ValueError):
     """Raised when sequences do not form a weak admissible pair."""
 
 
-@dataclass(frozen=True, slots=True)
-class WeakAdmissiblePair:
-    a: tuple[int, ...]
-    b: tuple[int, ...]
+class WeakAdmissiblePair(namedtuple("WeakAdmissiblePair", "a b")):
+    """Two integer tuples a and b, checked by ``__new__``, which
+    ``_make`` and ``_replace`` go through too."""
 
-    def __post_init__(self) -> None:
-        a, b = self.a, self.b
+    __slots__ = ()
+    _make = classmethod(lambda cls, fields: cls(*fields))
+
+    def __new__(cls, a: tuple[int, ...], b: tuple[int, ...]) -> "WeakAdmissiblePair":
         if len(a) == len(b) > 1:
             x0, y0 = a[0], b[0]
             for x, y in zip(a, b):
@@ -44,7 +45,7 @@ class WeakAdmissiblePair:
                     break
                 x0, y0 = x, y
             else:
-                return
+                return tuple.__new__(cls, (a, b))
         # something failed: the checks below name the first fault
         if len(a) != len(b):
             raise PairError(f"sequences differ in length ({len(a)} vs {len(b)})")
@@ -95,20 +96,20 @@ def normalize(p: WeakAdmissiblePair) -> WeakAdmissiblePair:
     return p if p.a[0] == 0 else p.shift(-p.a[0])
 
 
-@dataclass(frozen=True, slots=True)
-class DegreeMatrix:
-    degree: int
-    entries: tuple[tuple[int, ...], ...]
+class DegreeMatrix(namedtuple("DegreeMatrix", "degree entries")):
+    __slots__ = ()
+    _make = classmethod(lambda cls, fields: cls(*fields))
 
-    def __post_init__(self) -> None:
-        rows = self.entries
-        t = len(rows)
-        if t < 2 or set(map(len, rows)) != {t}:
+    def __new__(cls, degree: int, entries: tuple[tuple[int, ...], ...]) -> "DegreeMatrix":
+        t = len(entries)
+        if t < 2 or set(map(len, entries)) != {t}:
             raise ValueError("entries must form a square matrix of size >= 2")
-        if min(chain.from_iterable(rows)) < 0:
+        if min(chain.from_iterable(entries)) < 0:
             raise ValueError("entries must be nonnegative")
-        if self.trace != self.degree:
-            raise ValueError(f"trace {self.trace} does not equal the declared degree {self.degree}")
+        self = tuple.__new__(cls, (degree, entries))
+        if self.trace != degree:
+            raise ValueError(f"trace {self.trace} does not equal the declared degree {degree}")
+        return self
 
     @property
     def trace(self) -> int:
@@ -153,8 +154,7 @@ def dual_pair(p: WeakAdmissiblePair) -> WeakAdmissiblePair:
     return normalize(WeakAdmissiblePair(a, b))
 
 
-@dataclass(frozen=True, slots=True)
-class KindSignature:
+class KindSignature(namedtuple("KindSignature", "degree cells")):
     """Entry-wise abstraction of a degree matrix.
 
     Cells are 0, an exact value v with 0 < v < degree, or BIG for
@@ -162,8 +162,7 @@ class KindSignature:
     their signatures are equal.
     """
 
-    degree: int
-    cells: tuple[tuple[Cell, ...], ...]
+    __slots__ = ()
 
     def anti_transpose(self) -> "KindSignature":
         return KindSignature(self.degree, _anti_transpose(self.cells))

@@ -45,28 +45,31 @@ list holds only multiples e of m, where (e^2 - N)/delta = (e/m)^2.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 
 # the moduli M of the squares sieve, largest first: 1/15, 1/9 and 1/4 of
 # the residues mod M are squares
 _SIEVE_MODULI = (720, 144, 16)
 
 
-@dataclass(frozen=True, slots=True)
-class PicardLattice:
-    h2: int
-    hc: int
-    c2: int
+class PicardLattice(namedtuple("PicardLattice", "h2 hc c2")):
+    """The Gram matrix [[h2, hc], [hc, c2]] of an even lattice of
+    signature (1,1)."""
 
-    def __post_init__(self) -> None:
-        if self.h2 <= 0:
-            raise ValueError(f"h2 = H^2 is the surface degree and must be positive, got {self.h2}")
-        if self.h2 % 2 or self.c2 % 2:
+    __slots__ = ()
+    _make = classmethod(lambda cls, fields: cls(*fields))
+
+    def __new__(cls, h2: int, hc: int, c2: int) -> PicardLattice:
+        if h2 <= 0:
+            raise ValueError(f"h2 = H^2 is the surface degree and must be positive, got {h2}")
+        if h2 % 2 or c2 % 2:
             raise ValueError("h2 and c2 must be even (even lattice)")
+        self = tuple.__new__(cls, (h2, hc, c2))
         if self.det >= 0:
             raise ValueError(
                 f"determinant {self.det} must be negative (signature (1,1))"
             )
+        return self
 
     @property
     def det(self) -> int:
@@ -76,10 +79,10 @@ class PicardLattice:
         return {"h2": self.h2, "hc": self.hc, "c2": self.c2}
 
 
-@dataclass(frozen=True, order=True, slots=True)
-class DivisorClass:
-    a: int
-    b: int
+class DivisorClass(namedtuple("DivisorClass", "a b")):
+    """The class aH + bC, ordered as the tuple (a, b)."""
+
+    __slots__ = ()
 
     def to_json(self) -> list[int]:
         return [self.a, self.b]
@@ -149,16 +152,17 @@ def solve_classes(
     return solutions
 
 
-@dataclass(frozen=True, slots=True)
-class WatanabeCase:
+class WatanabeCase(namedtuple("WatanabeCase", (
+    "label",  # str
+    "self_int",  # int
+    "dh_min",  # int
+    "dh_max",  # int
+    "classes",  # frozenset[DivisorClass]
+    "side_condition",  # str or None
+), defaults=(None,))):
     """One numerical case of the rigid-class search on a quartic."""
 
-    label: str
-    self_int: int
-    dh_min: int
-    dh_max: int
-    classes: frozenset[DivisorClass]
-    side_condition: str | None = None
+    __slots__ = ()
 
     def to_json(self) -> dict:
         doc = {

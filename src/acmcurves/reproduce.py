@@ -16,8 +16,7 @@ sees them.
 from __future__ import annotations
 
 import random
-from collections import defaultdict
-from dataclasses import dataclass
+from collections import defaultdict, namedtuple
 from functools import partial
 
 from . import catalog
@@ -48,12 +47,8 @@ LINK_SAMPLES = 1000
 LINK_SEED = 20250809
 
 
-@dataclass(frozen=True, slots=True)
-class Row:
-    target: str
-    label: str
-    ok: bool
-    detail: str = ""
+class Row(namedtuple("Row", "target label ok detail", defaults=("",))):
+    __slots__ = ()
 
     @property
     def status(self) -> str:

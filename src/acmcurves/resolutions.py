@@ -25,7 +25,7 @@ side: `a + k` with d inserted in order, `shift + a`, `b + k` or
 from __future__ import annotations
 
 from bisect import insort
-from dataclasses import dataclass
+from collections import namedtuple
 
 TYPE_CHECKING = False  # typing.TYPE_CHECKING, without importing typing at run time
 if TYPE_CHECKING:
@@ -36,16 +36,15 @@ class InvalidTableError(ValueError):
     """A twist table with no curve behind it (bad degree or genus)."""
 
 
-@dataclass(frozen=True, slots=True)
-class BettiTable:
-    gens: tuple[int, ...]
-    syz: tuple[int, ...]
+class BettiTable(namedtuple("BettiTable", "gens syz")):
+    __slots__ = ()
+    _make = classmethod(lambda cls, fields: cls(*fields))
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "gens", tuple(sorted(self.gens)))
-        object.__setattr__(self, "syz", tuple(sorted(self.syz)))
-        if any(x <= 0 for x in self.gens + self.syz):
+    def __new__(cls, gens: tuple[int, ...], syz: tuple[int, ...]) -> BettiTable:
+        gens, syz = tuple(sorted(gens)), tuple(sorted(syz))
+        if any(x <= 0 for x in gens + syz):
             raise InvalidTableError("nonpositive twist")
+        return tuple.__new__(cls, (gens, syz))
 
     def to_json(self) -> dict:
         return {"gens": list(self.gens), "syz": list(self.syz)}
@@ -57,20 +56,17 @@ def _sorted_table(gens: tuple[int, ...], syz: tuple[int, ...]) -> BettiTable:
     every twist positive."""
     if gens and gens[0] <= 0 or syz and syz[0] <= 0:
         raise InvalidTableError("nonpositive twist")
-    table = object.__new__(BettiTable)
-    object.__setattr__(table, "gens", gens)
-    object.__setattr__(table, "syz", syz)
-    return table
+    return tuple.__new__(BettiTable, (gens, syz))
 
 
-@dataclass(frozen=True, slots=True)
-class CurveInvariants:
-    degree: int
-    genus: int
+class CurveInvariants(namedtuple("CurveInvariants", "degree genus")):
+    __slots__ = ()
+    _make = classmethod(lambda cls, fields: cls(*fields))
 
-    def __post_init__(self) -> None:
-        if self.degree < 1:
-            raise ValueError(f"degree must be positive, got {self.degree}")
+    def __new__(cls, degree: int, genus: int) -> CurveInvariants:
+        if degree < 1:
+            raise ValueError(f"degree must be positive, got {degree}")
+        return tuple.__new__(cls, (degree, genus))
 
     def to_json(self) -> dict:
         return {"degree": self.degree, "genus": self.genus}

@@ -327,32 +327,48 @@ class TestHarness:
                              env=dict(os.environ, PYTHONPATH=src), timeout=60, check=True)
         assert json.loads(out.stdout) == [0, sorted(loaded + ["cli", "labels"])]
 
-    def test_commands_load_no_typing(self):
-        # the library names types only in annotations, which are never
-        # evaluated, and finds its data next to its source; a baseline child
-        # that imports only the stdlib modules the library uses tells whether
-        # this Python loads `typing` or `importlib.resources` regardless
+    @staticmethod
+    def loaded_by(argvs, heavy):
+        """[exit codes, whether each `heavy` module is loaded] of one
+        `python -S` child that runs every argv.  A baseline child that
+        imports only the stdlib modules the library uses tells whether
+        this Python loads one of them regardless; then the test skips."""
         src = str(Path(acmcurves.__file__).resolve().parents[1])
-        heavy = "[m in sys.modules for m in ('typing', 'importlib.resources')]"
-        baseline = ("import bisect, collections, dataclasses, functools, itertools, json, math\n"
+        check = f"[m in sys.modules for m in {heavy!r}]"
+        baseline = ("import bisect, collections, functools, itertools, json, math\n"
                     "import operator, os, random, re, sys\n"
-                    f"print(any({heavy}))\n")
+                    f"print(any({check}))\n")
         out = subprocess.run([sys.executable, "-S", "-c", baseline], capture_output=True,
                              text=True, timeout=60, check=True)
         if out.stdout.strip() == "True":
-            pytest.skip("this Python loads typing or importlib.resources on its own")
+            pytest.skip(f"this Python loads one of {heavy} on its own")
         code = (
             "import contextlib, io, json, sys\n"
             "from acmcurves.cli import run\n"
             "with contextlib.redirect_stdout(io.StringIO()):\n"
-            "    codes = [run(['classify', 'quartic', '--divisor', 'F2']),\n"
-            "             run(['res', 'build', '--case', 'ci', '--a', '4', '--b', '3']),\n"
-            "             run(['reproduce', 'F1'])]\n"
-            f"print(json.dumps([codes, {heavy}]))\n"
+            f"    codes = [run(argv) for argv in {argvs!r}]\n"
+            f"print(json.dumps([codes, {check}]))\n"
         )
         out = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True,
                              env=dict(os.environ, PYTHONPATH=src), timeout=60, check=True)
-        assert json.loads(out.stdout) == [[0, 0, 0], [False, False]]
+        return json.loads(out.stdout)
+
+    def test_commands_load_no_typing(self):
+        # the library names types only in annotations, which are never
+        # evaluated, and finds its data next to its source
+        argvs = [["classify", "quartic", "--divisor", "F2"],
+                 ["res", "build", "--case", "ci", "--a", "4", "--b", "3"],
+                 ["reproduce", "F1"]]
+        assert self.loaded_by(argvs, ("typing", "importlib.resources")) == [[0, 0, 0], [False, False]]
+
+    def test_commands_load_no_dataclasses(self):
+        # every record is a named tuple, so no command imports `dataclasses`,
+        # which would load `inspect` (and with it `ast`, `dis` and `tokenize`)
+        argvs = [["classify", "quartic", "--divisor", "F2"],
+                 ["res", "build", "--case", "ci", "--a", "4", "--b", "3"],
+                 ["reproduce", "F1"],
+                 ["pairs", "matrix", "--a", "1,1", "--b", "2,4"]]
+        assert self.loaded_by(argvs, ("dataclasses", "inspect")) == [[0, 0, 0, 0], [False, False]]
 
     def test_every_library_name_the_cli_reads_is_public(self):
         # the CLI reads the library only as `acm.X`; a name missing from the

@@ -1,4 +1,3 @@
-import dataclasses
 import functools
 import importlib
 import itertools
@@ -21,7 +20,11 @@ from acmcurves import (
 import acmcurves
 from acmcurves import enumeration
 from acmcurves.catalog import kind_families
-from acmcurves.pairs import WeakAdmissiblePair, degree_matrix, kind_signature
+from acmcurves.enumeration import KindCatalog
+from acmcurves.liaison import CiProfile
+from acmcurves.pairs import DegreeMatrix, PairError, WeakAdmissiblePair, degree_matrix, kind_signature
+from acmcurves.picard import PicardLattice
+from acmcurves.resolutions import BettiTable, CurveInvariants, InvalidTableError
 
 
 def brute_force_pairs(degree: int, b_cap: int) -> set[WeakAdmissiblePair]:
@@ -252,10 +255,11 @@ class TestKindCatalog:
     def test_every_representative_is_validated(self, monkeypatch):
         pairs = set()
 
-        def post_init(obj, check=WeakAdmissiblePair.__post_init__):
-            check(obj)
+        def new(cls, a, b, check=WeakAdmissiblePair.__new__):
+            obj = check(cls, a, b)
             pairs.add(obj)
-        monkeypatch.setattr(WeakAdmissiblePair, "__post_init__", post_init)
+            return obj
+        monkeypatch.setattr(WeakAdmissiblePair, "__new__", new)
         kinds = enumerate_kinds(EnumerationConfig(4, 8))
         for e in kinds.entries:
             assert e.representative in pairs
@@ -263,23 +267,76 @@ class TestKindCatalog:
             assert e.signature == kind_signature(degree_matrix(e.representative))
 
 
-def test_every_dataclass_is_slotted():
-    # a catalog holds three of these per kind and a quartic table one entry
-    # per class, so no record, dataclass or named tuple, carries an
-    # instance __dict__
+def test_every_record_is_slotted():
+    # a catalog holds three records per kind and a quartic table one entry
+    # per class, so every record is a named tuple with no instance
+    # __dict__, and no class is a dataclass, whose module loads `inspect`
     classes = {
         cls
         for info in pkgutil.iter_modules(acmcurves.__path__)
         for module in [importlib.import_module(f"acmcurves.{info.name}")]
         for cls in vars(module).values()
         if isinstance(cls, type) and cls.__module__ == module.__name__
-        and (dataclasses.is_dataclass(cls) or issubclass(cls, tuple) and hasattr(cls, "_fields"))
     }
-    assert {"WeakAdmissiblePair", "KindSignature", "KindEntry",
-            "ClassificationEntry"} <= {c.__name__ for c in classes}
-    for cls in classes:
+    records = {cls for cls in classes if issubclass(cls, tuple) and hasattr(cls, "_fields")}
+    assert {c.__name__ for c in records} == {
+        "WeakAdmissiblePair", "DegreeMatrix", "KindSignature",
+        "EnumerationConfig", "KindEntry", "KindCatalog",
+        "PicardLattice", "DivisorClass", "WatanabeCase",
+        "BettiTable", "CurveInvariants", "CiProfile",
+        "QuarticDivisor", "ClassificationEntry", "LowDegreeFamily",
+        "Constraint", "PairFamily", "Row",
+    }
+    for cls in records:
         assert "__slots__" in vars(cls), cls
         assert "__dict__" not in dir(cls), cls
+    assert [cls for cls in classes if hasattr(cls, "__dataclass_fields__")] == []
+
+
+def _built(build):
+    """What a construction gives: the record and its len, or its error."""
+    try:
+        record = build()
+    except ValueError as err:
+        return type(err), str(err)
+    return type(record), record, len(record)
+
+
+_DEGREE3 = enumerate_kinds(EnumerationConfig(3))
+
+
+# (record class, fields, a change of them, what the changed record builds to)
+_CONSTRUCTIONS = [
+    (WeakAdmissiblePair, ((0, 1), (1, 2)), {"b": (0, 0)},
+     (PairError, "a_i < b_i violated at index 1")),
+    (DegreeMatrix, (2, ((1, 1), (0, 1))), {"degree": 3},
+     (ValueError, "trace 2 does not equal the declared degree 3")),
+    (EnumerationConfig, (5, None), {"b_cap": 4},
+     (ValueError, "b_cap below the degree misses kinds with BIG entries")),
+    (PicardLattice, (4, 1, -2), {"c2": 2},
+     (ValueError, "determinant 7 must be negative (signature (1,1))")),
+    (BettiTable, ((3, 1), (4,)), {"syz": (0,)}, (InvalidTableError, "nonpositive twist")),
+    (CurveInvariants, (3, 0), {"degree": 0}, (ValueError, "degree must be positive, got 0")),
+    (CiProfile, (4, 2), {"s_prime": 0},
+     (ValueError, "linking surface degrees must be positive")),
+    (KindCatalog, tuple(_DEGREE3), {"entries": _DEGREE3.entries[:1]},
+     (KindCatalog, (3, _DEGREE3.b_cap, _DEGREE3.entries[:1]), 1)),
+]
+
+
+@pytest.mark.parametrize("cls,fields,change,want", _CONSTRUCTIONS,
+                         ids=[case[0].__name__ for case in _CONSTRUCTIONS])
+def test_every_construction_path_checks_alike(cls, fields, change, want):
+    # `_make` and `_replace` build through the constructor: a checked
+    # record raises the constructor's error, an unsorted table is sorted,
+    # a default bound is filled in, and a catalog's len stays its number
+    # of entries
+    record = cls(*fields)
+    assert _built(lambda: cls._make(fields)) == _built(lambda: record)
+    changed = record._asdict() | change
+    assert _built(lambda: cls(**changed)) == want
+    assert _built(lambda: cls._make(changed.values())) == want
+    assert _built(lambda: record._replace(**change)) == want
 
 
 def merged_gaps(p: WeakAdmissiblePair) -> list[int]:

@@ -187,9 +187,7 @@ class TestKindSignature:
     def test_wrong_trace_raises_alike(self, a, b):
         # built without validation: some b_i <= a_i, so trace != degree;
         # the matrix refuses it, while pair_signature trusts the constructor
-        p = object.__new__(WeakAdmissiblePair)
-        object.__setattr__(p, "a", a)
-        object.__setattr__(p, "b", b)
+        p = tuple.__new__(WeakAdmissiblePair, (a, b))
         with pytest.raises(ValueError, match="^trace "):
             kind_signature(degree_matrix(p))
 

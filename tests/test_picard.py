@@ -210,7 +210,7 @@ def test_plane_curves_equal_the_per_degree_union(gram):
 
 
 @pytest.mark.parametrize("gram", PLANE_GRAMS, ids=str)
-def test_cli_lists_classes_in_the_dataclass_order(gram):
+def test_cli_lists_classes_in_divisor_class_order(gram):
     # the CLI sorts the [a, b] lists; the reference is DivisorClass's order
     l = PicardLattice(*gram)
     for self_int in range(-10, 11):

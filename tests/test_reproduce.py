@@ -8,7 +8,6 @@ calls, so a computed value is wrong against the real catalog.
 """
 
 import copy
-import dataclasses
 import json
 
 import pytest
@@ -242,7 +241,7 @@ def test_kind_missing_from_the_catalog_fails_the_generation_row(monkeypatch, cap
                    and not {e.signature, e.signature.anti_transpose()} & minimal)
         gone.update({sig, sig.anti_transpose()})
         kept[:] = [e for e in kinds.entries if e.signature not in gone]
-        return dataclasses.replace(kinds, entries=tuple(kept))
+        return kinds._replace(entries=tuple(kept))
 
     monkeypatch.setattr(reproduce, "enumerate_kinds", dropped)
     target = f"degree{degree}-kinds"
@@ -261,7 +260,7 @@ def test_extra_computed_case_fails_the_rows_of_its_type(monkeypatch, capsys):
     def extra(surface_degree, type_tag):
         fams = real(surface_degree, type_tag)
         if type_tag == "2x2":
-            fams.append(dataclasses.replace(fams[-1], case_label="C"))
+            fams.append(fams[-1]._replace(case_label="C"))
         return fams
 
     monkeypatch.setattr(reproduce, "classify_low_degree", extra)
