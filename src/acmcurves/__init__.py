@@ -15,8 +15,23 @@ is a slotted named tuple: immutable, hashed and ordered as the plain
 tuple of its fields, and equal to that tuple (and to a record of
 another class with the same fields).  A record whose fields must agree
 checks them in ``__new__``, and its ``_make``, and so its ``_replace``,
-builds through the constructor, so no path skips the check.  A named
-tuple is also the cheapest record class to define, which matters
+builds through the constructor.  Records are built through their
+constructor everywhere except at four private sites, each of which
+establishes the check's fact itself and then calls ``tuple.__new__``:
+
+* ``resolutions._sorted_table``: a ``BettiTable`` whose constructors
+  put the twists in ascending order; it checks the least twist of each
+  side in place of the re-sort;
+* ``classifier.classify_quartic``: the ``DivisorClass`` of each shift,
+  translated from shift 3 (``DivisorClass`` checks nothing);
+* ``classifier.classify_quartic.emit``: each table's ``CurveInvariants``,
+  whose positive degree ``_invariants`` has checked, and each
+  ``ClassificationEntry`` (which checks nothing) from all nine fields;
+* ``liaison.residual_invariants``: its ``CurveInvariants``, after it
+  refuses a degree below 1.
+
+``tests/test_source.py`` lists these sites and fails on any other.  A
+named tuple is also the cheapest record class to define, which matters
 because every CLI process defines the classes it uses afresh.
 """
 

@@ -86,10 +86,7 @@ from functools import lru_cache
 from .enumeration import EnumerationConfig, enumerate_kinds
 from .labels import DIVISOR_LABELS, TYPE_LABELS
 from .pairs import WeakAdmissiblePair, degree_matrix, is_reducible_type, make_pair
-from .picard import (
-    DivisorClass, H, PicardLattice, adjunction_genus, dot, quartic_lattice, solve_classes,
-    watanabe_candidates,
-)
+from .picard import DivisorClass, PicardLattice, quartic_lattice, solve_classes, watanabe_candidates
 from .resolutions import (
     BettiTable, CurveInvariants, _invariants, ci_table, pivot_syzygy_table, surface_generator_table,
 )
@@ -127,8 +124,10 @@ class ClassificationEntry(namedtuple("ClassificationEntry", (
 ), defaults=(None, None, None))):
     """One row of a quartic table: an immutable named tuple, as every
     record of the library is, so it compares equal to (and hashes as)
-    the plain tuple of its nine fields.  A table has ~6 000 rows at
-    k_max = 2000, and a named tuple is the cheapest record to build.
+    the plain tuple of its nine fields.  It checks nothing, so
+    `classify_quartic`, which builds ~6 000 rows per table at
+    k_max = 2000, builds each with `tuple.__new__` from all nine fields;
+    what every row satisfies is `cross_check`.
     """
 
     __slots__ = ()
@@ -304,7 +303,13 @@ def _table_invariants(table: BettiTable) -> tuple[int, int] | None:
 
 
 def _lattice_invariants(lattice: PicardLattice, cls: DivisorClass) -> tuple[int, int]:
-    return dot(lattice, cls, H), adjunction_genus(lattice, cls)
+    """(D.H, D^2/2 + 1) of D = aH + bC from the Gram entries: with
+    e = D.H = h2*a + hc*b, D^2 = a*e + b*(hc*a + c2*b).  `dot` and
+    `adjunction_genus` give the same two integers in three calls."""
+    h2, hc, c2 = lattice
+    a, b = cls
+    e = h2 * a + hc * b
+    return e, (a * e + b * (hc * a + c2 * b)) // 2 + 1
 
 
 def cross_check(entry: ClassificationEntry, lattice: PicardLattice) -> bool:
@@ -347,7 +352,8 @@ def classify_quartic(div: QuarticDivisor, k_max: int = 6) -> list[Classification
         # _invariants pass, or None, and must have it as its lattice
         # invariants
         checked = _table_invariants(table)
-        inv = CurveInvariants(*checked) if checked else None
+        # unchecked build: _invariants refuses a degree below 1, CurveInvariants' one check
+        inv = tuple.__new__(CurveInvariants, checked) if checked else None
         for cls in classes:
             text = description or prose.get((provenance, cls))
             if text is None:
@@ -359,9 +365,10 @@ def classify_quartic(div: QuarticDivisor, k_max: int = 6) -> list[Classification
                     f"cross-check failed for {div.label} class {cls} "
                     f"({provenance}): table {table.to_json()}"
                 )
-            entries[provenance].append(ClassificationEntry(
+            # unchecked build: ClassificationEntry checks nothing, and all nine fields are given
+            entries[provenance].append(tuple.__new__(ClassificationEntry, (
                 div.label, cls, inv, provenance, text, table, pair, shift, pivot
-            ))
+            )))
 
     rigid = rigid_classes(div)
     for pair in div.pairs:
@@ -369,7 +376,8 @@ def classify_quartic(div: QuarticDivisor, k_max: int = 6) -> list[Classification
         base = sorted(solve(surface_generator_table(pair, 3), f"shift 3 of {pair}"))
         for k in range(k_max + 1):
             table = surface_generator_table(pair, k)
-            solved = [DivisorClass(c.a + k - 3, c.b) for c in base]
+            # unchecked build: DivisorClass checks nothing
+            solved = [tuple.__new__(DivisorClass, (c.a + k - 3, c.b)) for c in base]
             if k >= 3:
                 emit(FAMILY_II, table, solved, pair, shift=k, description="resolution family "
                      f"with the quartic among the minimal generators, shift k={k}")

@@ -44,11 +44,11 @@ MAX_ENUMERATE_DEGREE = 7
 # `classify quartic|low --kmax`.  `picard solve` tests only the degrees its
 # congruence mod -det and its squares sieve allow; with few classes 10^6
 # degrees take ~0.03 s when -det is small and at most ~0.15 s, when -det
-# is near the span or above it.  `classify quartic --kmax 10^4` takes
-# ~0.6-0.7 s for ~12 MiB of JSON.  The output size stays unbounded:
-# D^2 = 0 on (4, 1, -2), whose -det = 9 is a square, has 499 999 classes,
-# ~0.7 s to solve and ~2.1 s in all for 19.0 MiB of JSON.  Figures from a
-# 2-vCPU shared Xeon, Python 3.11.7
+# is near the span or above it.  `classify quartic --divisor F5 --kmax 10^4`
+# takes ~0.7-1.0 s for ~12 MiB of JSON, in process or as a fresh process.
+# The output size stays unbounded: D^2 = 0 on (4, 1, -2), whose -det = 9
+# is a square, has 499 999 classes, ~0.7 s to solve and ~2.1 s in all for
+# 19.0 MiB of JSON.  Figures from a 2-vCPU shared Intel Xeon, Python 3.11.7
 MAX_DEGREE_SPAN = 10**6
 MAX_KMAX = 10**4
 # the most digits of one integer argument.  Every result is at most cubic
@@ -280,7 +280,7 @@ def _check_kmax(args) -> None:
     if args.kmax > MAX_KMAX:
         raise ValueError(
             f"--kmax {args.kmax} is above {MAX_KMAX}: the tables grow linearly with it, "
-            f"and a quartic table takes ~0.6-0.7 s and ~12 MiB of JSON at {MAX_KMAX}"
+            f"and a quartic table takes ~0.7-1.0 s and ~12 MiB of JSON at {MAX_KMAX}"
         )
 
 
