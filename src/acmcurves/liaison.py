@@ -40,7 +40,6 @@ def residual_invariants(c: CurveInvariants, ci: CiProfile) -> CurveInvariants:
             f"residual degree {degree} is not positive: a degree-{c.degree} curve "
             f"does not fit in a ({ci.s},{ci.s_prime}) complete intersection"
         )
+    genus = c.genus + (degree - c.degree) * (ci.s + ci.s_prime - 4) // 2
     # unchecked build: the refusal above is CurveInvariants' one check, degree >= 1
-    return tuple.__new__(
-        CurveInvariants, (degree, c.genus + (degree - c.degree) * (ci.s + ci.s_prime - 4) // 2)
-    )
+    return tuple.__new__(CurveInvariants, (degree, genus))

@@ -344,6 +344,20 @@ def test_family_ii_branch_counts():
 LABELS = ["F1", "F2", "F3", "F4", "F5"]
 
 
+@pytest.mark.parametrize("label", LABELS)
+def test_every_row_at_k_max_2000_is_the_constructors_record(label):
+    # classify_quartic builds its rows with tuple.__new__ (the sites listed
+    # in tests/test_source.py): each row must still hold the exact record
+    # types, pass the cross-check, and carry invariants that the checking
+    # constructor accepts
+    div = divisor(label)
+    for e in classify_quartic(div, k_max=2000):
+        assert type(e) is ClassificationEntry and type(e.cls) is DivisorClass, e
+        assert type(e.invariants) is CurveInvariants and type(e.resolution) is BettiTable, e
+        assert cross_check(e, div.lattice), e
+        assert CurveInvariants(*e.invariants) == e.invariants, e
+
+
 # RESIDUAL rows per divisor at any k_max: 13 in all
 RESIDUAL_COUNTS = {"F1": 0, "F2": 2, "F3": 2, "F4": 5, "F5": 4}
 

@@ -40,6 +40,31 @@ def test_residual_must_have_positive_degree():
         residual_invariants(CurveInvariants(8, 9), CiProfile(4, 2))
 
 
+def test_every_small_residual_is_the_constructors_record():
+    # residual_invariants builds its record with tuple.__new__ after its own
+    # degree refusal: over every degree that fits, the result is a
+    # CurveInvariants with the formula's values, and linking twice is the
+    # identity; every degree that does not fit is refused
+    for s in range(1, 9):
+        for t in range(1, 9):
+            ci = CiProfile(s, t)
+            for d in range(1, s * t):
+                for g in range(41):
+                    c = CurveInvariants(d, g)
+                    residual = residual_invariants(c, ci)
+                    assert type(residual) is CurveInvariants
+                    assert (s * t - 2 * d) * (s + t - 4) % 2 == 0
+                    assert residual == (s * t - d, g + (s * t - 2 * d) * (s + t - 4) // 2)
+                    assert residual_invariants(residual, ci) == c
+            for d in (s * t, s * t + 1, s * t + 7):
+                with pytest.raises(LinkageError) as err:
+                    residual_invariants(CurveInvariants(d, 0), ci)
+                assert str(err.value) == (
+                    f"residual degree {s * t - d} is not positive: a degree-{d} curve "
+                    f"does not fit in a ({s},{t}) complete intersection"
+                )
+
+
 def test_ci_profile_validation():
     with pytest.raises(ValueError):
         CiProfile(0, 2)

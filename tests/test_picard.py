@@ -17,6 +17,7 @@ from acmcurves import (
     watanabe_candidates,
 )
 from acmcurves import picard
+from acmcurves.classifier import _lattice_invariants
 from acmcurves.cli import _picard_plane, _picard_solve
 from conftest import brute_force_classes
 
@@ -220,6 +221,27 @@ def test_cli_lists_classes_in_divisor_class_order(gram):
             assert doc == {"classes": want}, (self_int, lo, hi)
     doc, _ = _picard_plane(Namespace(gram=list(gram), dh_max=200))
     assert doc == {"classes": [c.to_json() for c in sorted(plane_curve_classes(l, 200))]}
+
+
+def lattice_invariants_mismatches(l: PicardLattice) -> list[DivisorClass]:
+    """The classes with |a|, |b| <= 30 whose one-expression (D.H, genus)
+    in the classifier differs from the public `dot` and `adjunction_genus`."""
+    return [x for a in range(-30, 31) for b in range(-30, 31)
+            if _lattice_invariants(l, x := DivisorClass(a, b))
+            != (dot(l, x, H), adjunction_genus(l, x))]
+
+
+@pytest.mark.parametrize("gram", PLANE_GRAMS, ids=str)
+def test_lattice_invariants_equal_dot_and_adjunction_genus(gram):
+    assert lattice_invariants_mismatches(PicardLattice(*gram)) == []
+
+
+# the lattices of the random-lattice oracle test above
+@given(st.sampled_from((2, 4, 6, 8)), st.integers(-20, 20), st.integers(-6, 2))
+def test_lattice_invariants_equal_dot_and_adjunction_genus_on_random_lattices(h2, hc, half_c2):
+    if h2 * 2 * half_c2 - hc * hc >= 0:
+        return
+    assert lattice_invariants_mismatches(PicardLattice(h2, hc, 2 * half_c2)) == []
 
 
 @pytest.mark.parametrize("gram", PLANE_GRAMS, ids=str)
