@@ -20,8 +20,8 @@ constructor everywhere except at four private sites, each of which
 establishes the check's fact itself and then calls ``tuple.__new__``:
 
 * ``resolutions._sorted_table``: a ``BettiTable`` whose constructors
-  put the twists in ascending order; it checks the least twist of each
-  side in place of the re-sort;
+  put the twists in ascending order and first refuse their one twist
+  that can be nonpositive;
 * ``classifier.classify_quartic``: the ``DivisorClass`` of each shift,
   translated from shift 3 (``DivisorClass`` checks nothing);
 * ``classifier.classify_quartic.emit``: each table's ``CurveInvariants``,

@@ -13,7 +13,8 @@ signature`, `pairs enumerate`, `picard watanabe`, `classify quartic`,
 more than 10^6 degrees, and `classify quartic|low` a `--kmax` above
 10^4.  `picard plane` needs no bound on `--dh-max`: it solves at most six
 slices, as no plane-curve class has a degree above 6.  Every integer
-argument is limited to 1000 digits (exit 2).  The JSON is written by
+argument is limited to 1000 digits, and every integer list to 1000
+entries (exit 2).  The JSON is written by
 `_json_text`, byte for byte `json.dumps(doc, indent=2, sort_keys=True)`,
 the reference.
 
@@ -38,41 +39,47 @@ import acmcurves as acm
 
 from .labels import DIVISOR_LABELS, TARGET_NAMES
 
-# the largest degree `pairs enumerate` finishes in bounded time and memory
+# Each bound keeps a command's time and memory finite; README has the
+# measured times.  The largest `pairs enumerate --degree`: degree 7 prints
+# 250.7 MiB of JSON for 222 605 kinds, and the kind count grows ~16-fold
+# per degree
 MAX_ENUMERATE_DEGREE = 7
-# the most degrees `picard solve --dh` covers, and the largest
-# `classify quartic|low --kmax`.  `picard solve` tests only the degrees its
-# congruence mod -det and its squares sieve allow; with few classes 10^6
-# degrees take ~0.03 s when -det is small and at most ~0.15 s, when -det
-# is near the span or above it.  `classify quartic --divisor F5 --kmax 10^4`
-# takes ~0.7-1.0 s for ~12 MiB of JSON, in process or as a fresh process.
-# The output size stays unbounded: D^2 = 0 on (4, 1, -2), whose -det = 9
-# is a square, has 499 999 classes, ~0.7 s to solve and ~2.1 s in all for
-# 19.0 MiB of JSON.  Figures from a 2-vCPU shared Intel Xeon, Python 3.11.7
+# the most degrees `picard solve --dh` covers: the solver tests each degree
+# its congruences allow, and on a square -det it can find a class every two
+# degrees
 MAX_DEGREE_SPAN = 10**6
+# the largest `classify quartic|low --kmax`: the tables grow linearly with
+# it, to ~12 MiB of JSON at 10^4
 MAX_KMAX = 10**4
 # the most digits of one integer argument.  Every result is at most cubic
 # in the arguments (the genus formulas), so its digits stay below Python's
 # 4300-digit limit on printing an integer
 MAX_INT_DIGITS = 1000
+# the most entries of one integer list: `pairs matrix|signature|reducible`
+# build t x t cells, so 10^6 cells and ~8.6 MiB of JSON at 1000
+MAX_LIST_ENTRIES = 1000
 
 
-class _TooManyDigits(Exception):
-    """An integer argument longer than MAX_INT_DIGITS.  Not a ValueError,
-    so argparse lets it through instead of echoing the value."""
+class _TooLarge(Exception):
+    """An integer argument longer than MAX_INT_DIGITS, or a list longer than
+    MAX_LIST_ENTRIES.  Not a ValueError, so argparse lets it through
+    instead of echoing the value."""
 
 
 def _int(text: str) -> int:
     """The one parser of integer arguments: refuses more than
     MAX_INT_DIGITS digits before converting."""
     if len(text.strip().lstrip("+-")) > MAX_INT_DIGITS:
-        raise _TooManyDigits(f"integer arguments are limited to {MAX_INT_DIGITS} digits")
+        raise _TooLarge(f"integer arguments are limited to {MAX_INT_DIGITS} digits")
     return int(text)
 
 
 def _int_list(text: str) -> list[int]:
+    entries = [x for x in text.split(",") if x != ""]
+    if len(entries) > MAX_LIST_ENTRIES:
+        raise _TooLarge(f"integer lists are limited to {MAX_LIST_ENTRIES} entries")
     try:
-        return [_int(x) for x in text.split(",") if x != ""]
+        return [_int(x) for x in entries]
     except ValueError:
         raise argparse.ArgumentTypeError(f"expected comma-separated integers, got {text!r}")
 
@@ -177,9 +184,8 @@ def _pairs_reducible(args):
 def _pairs_enumerate(args):
     if args.degree > MAX_ENUMERATE_DEGREE:
         raise ValueError(
-            f"--degree {args.degree} is out of reach: degree 7 alone takes ~10 s and ~1.3 GiB "
-            "to print 250.7 MiB of JSON for its 222 605 kinds, and the kind count grows "
-            "~16-fold per degree"
+            f"--degree {args.degree} is out of reach: degree 7 alone prints 250.7 MiB of JSON "
+            "for its 222 605 kinds, and the kind count grows ~16-fold per degree"
         )
     cfg = acm.EnumerationConfig(args.degree, args.cap)
     complete = acm.stable_cap(cfg.degree)
@@ -202,15 +208,13 @@ def _res_build(args):
         if len(args.a) != 1 or len(args.b) != 1:
             raise ValueError("--case ci expects single integers for --a and --b")
         table = acm.ci_table(args.a[0], args.b[0])
-    elif args.surface_degree is None:
-        raise ValueError("--surface-degree is required for cases ii and iii")
     else:
         p = acm.make_pair(args.a, args.b)
         flag = "k" if args.case == "ii" else "j0"
         if getattr(args, flag) is None:
             raise ValueError(f"--{flag} is required for case {args.case}")
-        # the constructors take the surface degree from the pair
-        if p.degree != args.surface_degree:
+        # the constructors take the surface degree from the pair; a given one must agree
+        if args.surface_degree not in (None, p.degree):
             raise ValueError(f"pair has degree {p.degree}, surface degree {args.surface_degree}")
         build = acm.surface_generator_table if args.case == "ii" else acm.pivot_syzygy_table
         table = build(p, getattr(args, flag))
@@ -230,7 +234,7 @@ def _picard_solve(args):
     if hi - lo + 1 > MAX_DEGREE_SPAN:
         raise ValueError(
             f"--dh {lo}..{hi} spans {hi - lo + 1} degrees, more than {MAX_DEGREE_SPAN}: "
-            "the solver takes up to ~0.015 s per 10^5 degrees"
+            "on a square -det the solver can find a class every two degrees"
         )
     classes = acm.solve_classes(_lattice(args.gram), args.self_int, lo, hi)
     return {"classes": sorted([c.to_json() for c in classes])}, None
@@ -280,7 +284,7 @@ def _check_kmax(args) -> None:
     if args.kmax > MAX_KMAX:
         raise ValueError(
             f"--kmax {args.kmax} is above {MAX_KMAX}: the tables grow linearly with it, "
-            f"and a quartic table takes ~0.7-1.0 s and ~12 MiB of JSON at {MAX_KMAX}"
+            f"to ~12 MiB of JSON for a quartic table at {MAX_KMAX}"
         )
 
 
@@ -368,7 +372,8 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="pair b-sequence; for --case ci the second surface degree")
         p.add_argument("--k", type=_int, default=None, help="shift for case ii")
         p.add_argument("--j0", type=_int, default=None, help="1-based pivot for case iii")
-        p.add_argument("--surface-degree", type=_int, default=None)
+        p.add_argument("--surface-degree", type=_int, default=None,
+                       help="for cases ii and iii; if given, must equal the pair's degree")
     with _command(rsub, "invariants", _res_invariants) as p:
         p.add_argument("--gens", type=_int_list, required=True)
         p.add_argument("--syz", type=_int_list, required=True)
@@ -418,7 +423,7 @@ def run(argv: list[str] | None = None) -> int:
         args = _build_parser().parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
-    except _TooManyDigits as err:
+    except _TooLarge as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
     try:

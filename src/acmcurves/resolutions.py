@@ -14,12 +14,19 @@ classification: keeping the surface equation among the generators
 one syzygy twist).  Both take the surface degree d from the pair.
 
 `BettiTable(gens, syz)` normalizes outside input (the CLI's, a test's):
-it sorts both twist tuples and rejects any nonpositive twist.  The
-constructors `ci_table`, `surface_generator_table` and
-`pivot_syzygy_table` build their twists in ascending order instead, so
-their tables skip the re-sort and check only the least twist of each
-side: `a + k` with d inserted in order, `shift + a`, `b + k` or
-`shift + b` without the pivot, and `(min(f, g), max(f, g))`.
+it sorts both twist tuples and rejects a nonpositive least twist on
+either side.  The constructors `ci_table`, `surface_generator_table` and
+`pivot_syzygy_table` build their twists in ascending order instead (`a +
+k` with d inserted in order, `shift + a`, `b + k` or `shift + b` without
+the pivot, and `(min(f, g), max(f, g))`), so their tables skip the
+re-sort, and each refuses its one twist that can be nonpositive before
+it builds anything.  A pair has d >= 2 and b_i > a_i >= a_1, so:
+
+* case ii: every twist is at least `a_1 + k`, so the table is valid
+  exactly when `a_1 + k >= 1`;
+* case iii: every twist is at least `shift + a_1` (`shift = d - b_j0`),
+  so the table is valid exactly when `shift + a_1 >= 1`;
+* ci: f, g >= 1 makes f + g positive too.
 """
 
 from __future__ import annotations
@@ -42,7 +49,7 @@ class BettiTable(namedtuple("BettiTable", "gens syz")):
 
     def __new__(cls, gens: tuple[int, ...], syz: tuple[int, ...]) -> BettiTable:
         gens, syz = tuple(sorted(gens)), tuple(sorted(syz))
-        if any(x <= 0 for x in gens + syz):
+        if gens and gens[0] <= 0 or syz and syz[0] <= 0:
             raise InvalidTableError("nonpositive twist")
         return tuple.__new__(cls, (gens, syz))
 
@@ -51,11 +58,9 @@ class BettiTable(namedtuple("BettiTable", "gens syz")):
 
 
 def _sorted_table(gens: tuple[int, ...], syz: tuple[int, ...]) -> BettiTable:
-    """The table of twists already in ascending order, without the re-sort
-    of `BettiTable(gens, syz)`: a positive least twist on each side makes
-    every twist positive."""
-    if gens and gens[0] <= 0 or syz and syz[0] <= 0:
-        raise InvalidTableError("nonpositive twist")
+    """The table of positive twists already in ascending order, without the
+    re-sort and the check of `BettiTable(gens, syz)`: each caller refuses
+    its one twist that can be nonpositive first."""
     return tuple.__new__(BettiTable, (gens, syz))
 
 
@@ -129,12 +134,11 @@ def surface_generator_table(p: WeakAdmissiblePair, k: int) -> BettiTable:
     d is the pair's degree: gens = {a_i + k} + {d},  syz = {b_j + k},
     and the twist sums balance exactly because the pair has degree d.
     """
+    if p.a[0] + k <= 0:
+        raise InvalidTableError(f"nonpositive twist: shift {k} is too negative")
     gens = [a + k for a in p.a]
     insort(gens, p.degree)
-    try:
-        return _sorted_table(tuple(gens), tuple([b + k for b in p.b]))
-    except InvalidTableError as err:
-        raise InvalidTableError(f"{err}: shift {k} is too negative") from None
+    return _sorted_table(tuple(gens), tuple([b + k for b in p.b]))
 
 
 def pivot_syzygy_table(p: WeakAdmissiblePair, j0: int) -> BettiTable:
@@ -148,13 +152,11 @@ def pivot_syzygy_table(p: WeakAdmissiblePair, j0: int) -> BettiTable:
         raise ValueError(f"pivot index {j0} out of range 1..{p.length}")
     b = p.b
     shift = p.degree - b[j0 - 1]
-    try:
-        return _sorted_table(
-            tuple([shift + a for a in p.a]),
-            tuple([shift + x for x in b[:j0 - 1] + b[j0:]]),
-        )
-    except InvalidTableError as err:
-        raise InvalidTableError(f"{err}: pivot {j0} shifts below 1") from None
+    if shift + p.a[0] <= 0:
+        raise InvalidTableError(f"nonpositive twist: pivot {j0} shifts below 1")
+    return _sorted_table(
+        tuple([shift + a for a in p.a]), tuple([shift + x for x in b[:j0 - 1] + b[j0:]])
+    )
 
 
 def validate(t: BettiTable) -> list[str]:

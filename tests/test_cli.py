@@ -91,6 +91,26 @@ class TestResCommands:
         code, _, err = invoke(capsys, "res", "invariants", "--gens", "1,1", "--syz", "2,2")
         assert code == 1 and "shape" in err
 
+    # every 400th normalized pair of degrees 2-5 with b_t <= 12, and the
+    # README's two pairs
+    SAMPLED = [
+        p for d in range(2, 6) for p in acmcurves.enumerate_pairs(acmcurves.EnumerationConfig(d, 12))
+    ][::400] + [acmcurves.make_pair((1, 1), (2, 4)), acmcurves.make_pair((1, 2), (3, 4))]
+
+    @pytest.mark.parametrize("p", SAMPLED, ids=repr)
+    def test_surface_degree_is_the_pairs_own(self, capsys, p):
+        # the same document, or the same refusal, with and without the flag,
+        # at shifts on both sides of the least one and at every pivot
+        argv = ["res", "build", "--a", ",".join(map(str, p.a)), "--b", ",".join(map(str, p.b))]
+        twists = [("ii", "--k", k) for k in (-p.a[0], 1 - p.a[0], 3, 7)]
+        twists += [("iii", "--j0", j0) for j0 in range(p.length + 2)]
+        for case, flag, value in twists:
+            without = invoke(capsys, *argv, "--case", case, f"{flag}={value}")
+            given = invoke(capsys, *argv, "--case", case, f"{flag}={value}",
+                           "--surface-degree", str(p.degree))
+            assert without == given, (case, value)
+        assert without[0] == 1 and "out of range" in without[2]
+
     def test_missing_flags(self, capsys):
         code, _, err = invoke(capsys, "res", "build", "--case", "ii", "--a", "1,1", "--b", "2,4")
         assert code == 1
@@ -459,7 +479,7 @@ class TestAdditionalPaths:
         monkeypatch.setattr("acmcurves.enumerate_kinds", never)
         code, out, err = invoke(capsys, "pairs", "enumerate", "--degree", "8")
         assert code == 1 and out == ""
-        assert err.startswith("error: --degree 8 is out of reach: degree 7 alone takes")
+        assert err.startswith("error: --degree 8 is out of reach: degree 7 alone prints")
         assert err.count("\n") == 1 and "Traceback" not in err
 
     def test_enumerate_cap_above_bound_refused_up_front(self, capsys, monkeypatch):
@@ -559,7 +579,23 @@ class TestAdditionalPaths:
         assert code == 2 and out == ""
         assert err == "error: integer arguments are limited to 1000 digits\n"
 
+    @pytest.mark.parametrize("command", ["matrix", "signature", "reducible", "normalize"])
+    def test_long_list_refused_up_front(self, capsys, monkeypatch, command):
+        # matrix, signature and reducible build t x t cells; every list is bounded alike
+        for name in ("degree_matrix", "pair_signature", "make_pair"):
+            monkeypatch.setattr(f"acmcurves.{name}", never)
+        long = ",".join(["0"] * 1001)
+        code, out, err = invoke(capsys, "pairs", command, "--a", long, "--b", "1")
+        assert code == 2 and out == ""
+        assert err == "error: integer lists are limited to 1000 entries\n"
+
+    def test_thousand_entry_lists_pass(self, capsys):
+        doc = invoke_json(capsys, "pairs", "normalize", "--a", ",".join(["3"] * 1000),
+                          "--b", ",".join(["4"] * 1000))
+        assert doc == {"a": [0] * 1000, "b": [1] * 1000}
+
     @pytest.mark.parametrize("name,argv", [
+        ("degree_matrix", ["pairs", "matrix", "--a", "0,0", "--b", "1,1"]),
         ("enumerate_kinds", ["pairs", "enumerate", "--degree", "2"]),
         ("solve_classes", ["picard", "solve", "--gram", "4,1,-2", "--self-int=-2", "--dh", "1..3"]),
         ("plane_curve_classes", ["picard", "plane", "--gram", "4,1,-2", "--dh-max", "4"]),

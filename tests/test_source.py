@@ -123,8 +123,8 @@ def unchecked_builds(node: ast.AST, scope: tuple[str, ...] = (),
 # record's constructor: each site establishes the constructor's fact itself
 UNCHECKED_BUILDS = {
     ("resolutions", "_sorted_table", "BettiTable"):
-        "its constructors build the twists in ascending order, and it checks the least twist "
-        "of each side in place of the re-sort",
+        "each caller refuses its one nonpositive twist first and builds its twists in "
+        "ascending order",
     ("classifier", "classify_quartic", "DivisorClass"):
         "DivisorClass checks nothing",
     ("classifier", "classify_quartic.emit", "CurveInvariants"):
