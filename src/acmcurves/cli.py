@@ -14,9 +14,19 @@ more than 10^6 degrees, and `classify quartic|low` a `--kmax` above
 10^4.  `picard plane` needs no bound on `--dh-max`: it solves at most six
 slices, as no plane-curve class has a degree above 6.  Every integer
 argument is limited to 1000 digits, and every integer list to 1000
-entries (exit 2).  The JSON is written by
-`_json_text`, byte for byte `json.dumps(doc, indent=2, sort_keys=True)`,
-the reference.
+entries (exit 2).  `res build` refuses a twist flag that its case
+does not read: `--k`, `--j0` and `--surface-degree` with `--case ci`,
+`--j0` with `ii` and `--k` with `iii`.
+
+Every JSON document is byte for byte `json.dumps(doc, indent=2,
+sort_keys=True)` of its records' `to_json`, the reference.  The two big
+ones stream: `pairs enumerate` writes its catalog through
+`KindCatalog.json_chunks` and `classify quartic` its entries through
+`ClassificationEntry.json_chunks`, each row from one fixed template, in
+chunks of 1 000 rows, so neither builds the document or its whole text.
+Each handler builds its rows and finishes every check that can fail
+before the first byte is written.  Every other command builds its
+document and writes it with `_json_text`.
 
 Start-up: building the parser needs only `labels`, which imports
 nothing.  The handlers read library names as `acm.X`, and the package
@@ -156,7 +166,9 @@ def _lattice(gram: list[int]):
     return acm.PicardLattice(*gram)
 
 
-# -- handlers: args -> (JSON document, table renderer or None[, exit code])
+# -- handlers: args -> (JSON document or an iterator of its text chunks,
+#    table renderer or None[, exit code]).  A handler finishes every check
+#    that can fail before it returns, so a refusal writes nothing to stdout
 
 def _pairs_matrix(args):
     m = acm.degree_matrix(acm.make_pair(args.a, args.b))
@@ -200,10 +212,18 @@ def _pairs_enumerate(args):
         ((e.signature.render(), repr(e.representative), e.count) for e in kinds.entries),
     )
     head = f"degree {kinds.degree}, b_cap {kinds.b_cap}: {len(kinds)} kinds\n"
-    return kinds.to_json(), lambda: head + rows()
+    return kinds.json_chunks(), lambda: head + rows()
+
+
+# the twist flags of `res build` that each case does not read
+_RES_UNUSED = {"ci": ("k", "j0", "surface_degree"), "ii": ("j0",), "iii": ("k",)}
 
 
 def _res_build(args):
+    given = [f"--{flag.replace('_', '-')}" for flag in _RES_UNUSED[args.case]
+             if getattr(args, flag) is not None]
+    if given:
+        raise ValueError(f"--case {args.case} takes no {' or '.join(given)}")
     if args.case == "ci":
         if len(args.a) != 1 or len(args.b) != 1:
             raise ValueError("--case ci expects single integers for --a and --b")
@@ -296,7 +316,7 @@ def _classify_quartic(args):
         ((e.cls, e.invariants.degree, e.invariants.genus, e.provenance, e.description)
          for e in entries),
     )
-    return [e.to_json() for e in entries], render
+    return acm.ClassificationEntry.json_chunks(entries), render
 
 
 def _classify_low(args):
@@ -428,8 +448,17 @@ def run(argv: list[str] | None = None) -> int:
         return 2
     try:
         doc, render, *code = args.handler(args)
-        table = args.format == "table" and render is not None
-        print(render() if table else _json_text(doc))
+        if args.format == "table" and render is not None:
+            chunks = (render(),)
+        elif iter(doc) is doc:  # an iterator of text chunks, written as they come
+            chunks = doc
+        else:
+            chunks = (_json_text(doc),)
+        # looked up here, not at import, so a redirected stdout gets the text
+        write = sys.stdout.write
+        for chunk in chunks:
+            write(chunk)
+        write("\n")
         return code[0] if code else 0
     # the tuple is evaluated only once a handler has raised, so a command
     # that succeeds does not load the classifier

@@ -73,7 +73,7 @@ from collections import namedtuple
 from collections.abc import Iterable, Iterator
 from math import comb
 
-from .pairs import KindSignature, WeakAdmissiblePair, pair_signature
+from .pairs import BIG, KindSignature, WeakAdmissiblePair, pair_signature
 
 
 def stable_cap(degree: int) -> int:
@@ -150,6 +150,30 @@ class KindEntry(namedtuple("KindEntry", "signature representative count")):
         }
 
 
+# the text of one `KindEntry.to_json()` in a catalog's "kinds" list, as
+# json.dumps(indent=2, sort_keys=True) writes it: keys sorted, and each
+# depth's indent written out.  The slots are the count, the items of a and
+# of b, the signature rows and the degree
+_KIND_JSON = """\
+    {{
+      "count": {},
+      "representative": {{
+        "a": [
+          {}
+        ],
+        "b": [
+          {}
+        ]
+      }},
+      "signature": {{
+        "cells": [
+          {}
+        ],
+        "degree": {}
+      }}
+    }}"""
+
+
 class KindCatalog(namedtuple("KindCatalog", "degree b_cap entries")):
     """The kinds of one degree under one bound; ``len`` counts the
     entries, not the three fields, so ``_make`` builds through the
@@ -170,6 +194,40 @@ class KindCatalog(namedtuple("KindCatalog", "degree b_cap entries")):
             "b_cap": self.b_cap,
             "kinds": [e.to_json() for e in self.entries],
         }
+
+    def json_chunks(self) -> Iterator[str]:
+        """``json.dumps(self.to_json(), indent=2, sort_keys=True)``, byte
+        for byte, in chunks of 1 000 kinds.
+
+        Each kind is written from one template (``_KIND_JSON``), and the
+        text of each distinct signature row once: a catalog has far fewer
+        distinct rows than kinds (see the module docstring).  So no
+        document is built, and memory stays that of the catalog."""
+        head = f'{{\n  "b_cap": {self.b_cap},\n  "degree": {self.degree},\n  "kinds": '
+        if not self.entries:
+            yield head + "[]\n}"
+            return
+        rows: dict[tuple, str] = {}
+
+        def row_text(row: tuple) -> str:
+            text = rows.get(row)
+            if text is None:
+                cells = ",\n            ".join(['"BIG"' if c == BIG else str(c) for c in row])
+                text = rows[row] = f"[\n            {cells}\n          ]"
+            return text
+
+        sep = head + "[\n"
+        for start in range(0, len(self.entries), 1000):
+            yield sep + ",\n".join([
+                _KIND_JSON.format(
+                    count, ",\n          ".join(map(str, rep.a)),
+                    ",\n          ".join(map(str, rep.b)),
+                    ",\n          ".join(map(row_text, sig.cells)), sig.degree,
+                )
+                for sig, rep, count in self.entries[start:start + 1000]
+            ])
+            sep = ",\n"
+        yield "\n  ]\n}"
 
 
 def enumerate_kinds(cfg: EnumerationConfig) -> KindCatalog:

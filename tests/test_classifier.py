@@ -588,6 +588,50 @@ class TestEntryJson:
         assert first == self.F4_FIRST
 
 
+def reference_json(entries) -> str:
+    return json.dumps([e.to_json() for e in entries], indent=2, sort_keys=True)
+
+
+@pytest.mark.parametrize("k_max", [3, 6, 40, 2000])
+@pytest.mark.parametrize("label", LABELS)
+def test_json_chunks_equal_json_dumps(label, k_max):
+    # the writer `classify quartic` streams, byte for byte the reference
+    entries = classify_quartic(divisor(label), k_max=k_max)
+    chunks = list(ClassificationEntry.json_chunks(entries))
+    assert "".join(chunks) == reference_json(entries)
+    # the first 1 000 entries, one chunk per further 1 000, the tail
+    assert len(chunks) == -(-len(entries) // 1000) + 1
+
+
+PAIR = make_pair((1, 1), (2, 4))
+PLANTED = {
+    "pivot": ClassificationEntry("F4", cls(0, 1), CurveInvariants(1, 0), RIGID, "the line",
+                                 BettiTable((1, 1), (2,)), PAIR, pivot=2),
+    "k": ClassificationEntry("F4", cls(3, 1), CurveInvariants(13, 21), FAMILY_II, "shift 3",
+                             BettiTable((4, 4, 4), (5, 7)), PAIR, shift=3),
+    "complete intersection": ClassificationEntry(
+        "F4", cls(2, 0), CurveInvariants(8, 9), COMPLETE_INTERSECTION, "a (2, 4) intersection",
+        BettiTable((2, 4), (6,))),
+    "negative class": ClassificationEntry("F5", cls(-3, -7), CurveInvariants(2, -40), RESIDUAL,
+                                          "below", BettiTable((1, 1), (2,)), PAIR, shift=-2),
+    # a twist on both sides: not minimal
+    "non-minimal": ClassificationEntry("F2", cls(1, 1), CurveInvariants(5, 3), RESIDUAL, "twice",
+                                       BettiTable((2, 3, 4), (3, 6)), PAIR, shift=1),
+    "k and pivot": ClassificationEntry("F3", cls(1, 2), CurveInvariants(4, 1), FAMILY_III,
+                                       "both", BettiTable((2, 2), (4,)), PAIR, 5, 1),
+    "escaped text": ClassificationEntry("F\"1", cls(0, 0), CurveInvariants(1, 0), "R\u00e9",
+                                        'a "quoted" \\ line\n\u00e9 \U0001f600',
+                                        BettiTable((), ()), None),
+}
+
+
+@pytest.mark.parametrize("entries", [[], *([e] for e in PLANTED.values()),
+                                     list(PLANTED.values())],
+                         ids=["empty", *PLANTED, "all"])
+def test_json_chunks_of_planted_entries(entries):
+    assert "".join(ClassificationEntry.json_chunks(entries)) == reference_json(entries)
+
+
 def test_entry_contract():
     """An entry is immutable and slotted, hashable, equal to the tuple of
     its fields, and keeps its repr, `minimal` and `to_json`."""

@@ -28,6 +28,19 @@ def invoke_json(capsys, *argv):
     return json.loads(out)
 
 
+def reference_document(argv):
+    """The document a command prints, built from its records' `to_json`:
+    `pairs enumerate` and `classify quartic` stream their text, so theirs is
+    built here; every other handler returns its document."""
+    args = cli._build_parser().parse_args(argv)
+    if args.handler is cli._pairs_enumerate:
+        return acmcurves.enumerate_kinds(acmcurves.EnumerationConfig(args.degree, args.cap)).to_json()
+    if args.handler is cli._classify_quartic:
+        entries = acmcurves.classify_quartic(acmcurves.divisor(args.divisor), k_max=args.kmax)
+        return [e.to_json() for e in entries]
+    return args.handler(args)[0]
+
+
 def never(*args, **kwargs):
     """Patched over a library name that a refusal must not reach."""
     raise AssertionError("the library was called")
@@ -114,6 +127,27 @@ class TestResCommands:
     def test_missing_flags(self, capsys):
         code, _, err = invoke(capsys, "res", "build", "--case", "ii", "--a", "1,1", "--b", "2,4")
         assert code == 1
+
+    @pytest.mark.parametrize("argv, error", [
+        # a flag that its case does not read was once ignored, with exit 0
+        (["--case", "ci", "--a", "4", "--b", "3", "--surface-degree", "99", "--k", "5",
+          "--j0", "2"], "--case ci takes no --k or --j0 or --surface-degree"),
+        (["--case", "ii", "--a", "0,0,1", "--b", "1,2,2", "--k", "3", "--j0", "7"],
+         "--case ii takes no --j0"),
+        (["--case", "ci", "--a", "4", "--b", "3", "--k", "5"], "--case ci takes no --k"),
+        (["--case", "ci", "--a", "4", "--b", "3", "--j0", "1"], "--case ci takes no --j0"),
+        (["--case", "ci", "--a", "4", "--b", "3", "--surface-degree", "7"],
+         "--case ci takes no --surface-degree"),
+        (["--case", "iii", "--a", "0,0,1", "--b", "1,2,2", "--j0", "1", "--k", "3"],
+         "--case iii takes no --k"),
+        # before any work: the pair is not read, so its fault is not the one named
+        (["--case", "ii", "--a", "2,1", "--b", "1,1", "--k", "3", "--j0", "1"],
+         "--case ii takes no --j0"),
+    ])
+    def test_flag_of_another_case_refused_up_front(self, capsys, monkeypatch, argv, error):
+        for name in ("make_pair", "ci_table", "surface_generator_table", "pivot_syzygy_table"):
+            monkeypatch.setattr(f"acmcurves.{name}", never)
+        assert invoke(capsys, "res", "build", *argv) == (1, "", f"error: {error}\n")
 
     @pytest.mark.parametrize("gens, syz, error", [
         ("", "", "shape: expected one more generator than syzygies, got 0 vs 0; "
@@ -267,9 +301,8 @@ class TestHarness:
         out = capsys.readouterr().out
         assert code == 0
         assert json.dumps(json.loads(out), indent=2, sort_keys=True) + "\n" == out
-        # and the handler's own document, tuples and all, prints as json.dumps writes it
-        args = cli._build_parser().parse_args(argv)
-        assert json.dumps(args.handler(args)[0], indent=2, sort_keys=True) + "\n" == out
+        # and the records' own document, tuples and all, prints as json.dumps writes it
+        assert json.dumps(reference_document(argv), indent=2, sort_keys=True) + "\n" == out
 
     def test_table_mode_carries_same_data(self, capsys):
         doc = invoke_json(capsys, "classify", "quartic", "--divisor", "F1", "--kmax", "3")
@@ -482,11 +515,13 @@ class TestAdditionalPaths:
         assert err.startswith("error: --degree 8 is out of reach: degree 7 alone prints")
         assert err.count("\n") == 1 and "Traceback" not in err
 
-    def test_enumerate_cap_above_bound_refused_up_front(self, capsys, monkeypatch):
+    @pytest.mark.parametrize("degree, cap, bound", [("2", "1000000000", 6), ("5", "100", 22)])
+    def test_enumerate_cap_above_bound_refused_up_front(self, capsys, monkeypatch,
+                                                        degree, cap, bound):
         monkeypatch.setattr("acmcurves.enumerate_kinds", never)
-        code, out, err = invoke(capsys, "pairs", "enumerate", "--degree", "2", "--cap", "1000000000")
+        code, out, err = invoke(capsys, "pairs", "enumerate", "--degree", degree, "--cap", cap)
         assert code == 1 and out == ""
-        assert err.startswith("error: --cap 1000000000 is above 6 for degree 2")
+        assert err.startswith(f"error: --cap {cap} is above {bound} for degree {degree}")
         assert err.count("\n") == 1 and "Traceback" not in err
 
     def test_enumerate_cap_at_bound_succeeds(self, capsys):
@@ -619,14 +654,19 @@ class TestAdditionalPaths:
                           "--s", str(n), "--t", f"+{n}")
         assert doc["degree"] == n * n - 1
 
-    def test_closed_stdout_pipe_exits_quietly(self):
+    @pytest.mark.parametrize("command, first", [
+        (["classify", "quartic", "--divisor", "F1", "--kmax", "2000"], b"[\n"),
+        (["pairs", "enumerate", "--degree", "6"], b"{\n"),
+    ], ids=["classify-quartic", "pairs-enumerate"])
+    def test_closed_stdout_pipe_exits_quietly(self, command, first):
+        # both commands stream: the reader closes the pipe after their first
+        # chunk, while the writer still has rows to write
         src = str(Path(acmcurves.__file__).resolve().parents[1])
         env = dict(os.environ, PYTHONPATH=src)
-        argv = [sys.executable, "-m", "acmcurves.cli", "classify", "quartic", "--divisor", "F1",
-                "--kmax", "2000"]
+        argv = [sys.executable, "-m", "acmcurves.cli", *command]
         with subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
                               env=env) as proc:
-            assert proc.stdout.readline() == b"[\n"
+            assert proc.stdout.readline() == first
             proc.stdout.close()
             err = proc.stderr.read()
             assert proc.wait(timeout=60) == 1
@@ -776,8 +816,7 @@ class TestJsonText:
     def test_command_documents_take_the_fast_path(self, argv, monkeypatch):
         # every document the CLI prints is exact dicts, lists, str, int, bool
         # and None, so it never reaches json.dumps
-        args = cli._build_parser().parse_args(argv)
-        doc = args.handler(args)[0]
+        doc = reference_document(argv)
         want = reference_text(doc)
         monkeypatch.setattr(cli.json, "dumps", never)
         assert _json_text(doc) == want

@@ -1,6 +1,7 @@
 import functools
 import importlib
 import itertools
+import json
 import pkgutil
 import tracemalloc
 from math import comb
@@ -20,7 +21,7 @@ from acmcurves import (
 import acmcurves
 from acmcurves import enumeration
 from acmcurves.catalog import kind_families
-from acmcurves.enumeration import KindCatalog
+from acmcurves.enumeration import KindCatalog, KindEntry
 from acmcurves.liaison import CiProfile
 from acmcurves.pairs import DegreeMatrix, PairError, WeakAdmissiblePair, degree_matrix, kind_signature
 from acmcurves.picard import PicardLattice
@@ -411,6 +412,36 @@ def test_degree7_walk_pins():
         total += comb(m + 37 - b[-1], m)
         ones += len(a) == 7
     assert (leaves, total, ones) == (222605, 10494329, 7**6)
+
+
+def reference_json(catalog: KindCatalog) -> str:
+    return json.dumps(catalog.to_json(), indent=2, sort_keys=True)
+
+
+@pytest.mark.parametrize("degree,cap", [
+    (d, cap) for d in range(2, 7) for cap in range(d, stable_cap(d) + d + 1)
+])
+def test_json_chunks_equal_json_dumps(degree, cap):
+    # the writer `pairs enumerate` streams, byte for byte the reference, at
+    # every bound the CLI accepts up to degree 6
+    catalog = enumerate_kinds(EnumerationConfig(degree, cap))
+    chunks = list(catalog.json_chunks())
+    assert "".join(chunks) == reference_json(catalog)
+    # the head with the first 1 000 kinds, one chunk per further 1 000, the tail
+    assert len(chunks) == -(-len(catalog) // 1000) + 1
+
+
+@pytest.mark.parametrize("entries", [
+    (),
+    # a count past 2^64, and a signature whose rows are not the shared ones
+    (KindEntry(kind_signature(degree_matrix(make_pair((0, 0), (1, 2)))),
+               make_pair((0, 0), (1, 2)), 10**30),),
+    tuple(KindEntry(pair_signature(p), p, i) for i, p in enumerate(
+        [make_pair((0, 5, 9), (1, 6, 11)), make_pair((0, 0), (1, 2))])),
+], ids=["empty", "planted", "unsorted"])
+def test_json_chunks_of_planted_catalogs(entries):
+    catalog = KindCatalog(3, 9, entries)
+    assert "".join(catalog.json_chunks()) == reference_json(catalog)
 
 
 class TestMatching:

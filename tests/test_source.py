@@ -1,6 +1,7 @@
 """Source checks that need no linter: only the stdlib ``ast`` module."""
 
 import ast
+import re
 from pathlib import Path
 
 import pytest
@@ -243,3 +244,68 @@ def test_an_unlisted_build_is_found():
     assert unchecked_builds(tree) == [("R.again", "R", 7), ("S.__new__", "R", 10),
                                       ("outer.inner", "type(R)", 13), ("outer", "R", 14),
                                       ("", "S", 15)]
+
+
+def method(tree: ast.Module, cls: str, name: str) -> ast.FunctionDef:
+    [node] = [node for c in tree.body if isinstance(c, ast.ClassDef) and c.name == cls
+              for node in c.body if isinstance(node, ast.FunctionDef) and node.name == name]
+    return node
+
+
+def to_json_keys(tree: ast.Module, cls: str) -> set[str]:
+    """The keys `cls.to_json` writes: those of its dict displays and of its
+    `doc["key"] = ...` assignments."""
+    keys = set()
+    for node in ast.walk(method(tree, cls, "to_json")):
+        if isinstance(node, ast.Dict):
+            keys |= {k.value for k in node.keys if isinstance(k, ast.Constant)}
+        elif isinstance(node, ast.Subscript) and isinstance(node.ctx, ast.Store):
+            keys.add(node.slice.value)
+    return keys
+
+
+def writer_keys(tree: ast.Module, cls: str) -> set[str]:
+    """Each `"key": ` that `cls.json_chunks` writes: in its own strings and
+    in the module-level templates it reads."""
+    writer = method(tree, cls, "json_chunks")
+    names = {node.id for node in ast.walk(writer) if isinstance(node, ast.Name)}
+    templates = [node.value for node in tree.body if isinstance(node, ast.Assign)
+                 and any(isinstance(t, ast.Name) and t.id in names for t in node.targets)]
+    text = "".join(node.value for part in [writer, *templates] for node in ast.walk(part)
+                   if isinstance(node, ast.Constant) and isinstance(node.value, str))
+    return set(re.findall(r'"(\w+)": ', text))
+
+
+# each streaming writer (module, record) -> the records whose `to_json`
+# documents it writes from its templates
+WRITERS = {
+    ("enumeration", "KindCatalog"): [("enumeration", "KindCatalog"), ("enumeration", "KindEntry"),
+                                     ("pairs", "KindSignature"), ("pairs", "WeakAdmissiblePair")],
+    ("classifier", "ClassificationEntry"): [("classifier", "ClassificationEntry"),
+                                            ("resolutions", "BettiTable")],
+}
+
+
+def test_every_to_json_key_is_written():
+    # a key added to a `to_json` and not to its writer would be missing from
+    # the streamed JSON of `pairs enumerate` or `classify quartic`
+    trees = {path.stem: ast.parse(path.read_text(), filename=str(path))
+             for path in LIBRARY if path.parent.name == "acmcurves"}
+    for (module, cls), records in WRITERS.items():
+        wanted = set().union(*(to_json_keys(trees[m], c) for m, c in records))
+        assert writer_keys(trees[module], cls) == wanted, cls
+
+
+def test_a_key_the_writer_lacks_is_found():
+    tree = ast.parse(
+        "_ROW = '{{\\n  \"a\": {},\\n  \"b\": {}\\n}}'\n"
+        "class R(tuple):\n"
+        "    def to_json(self):\n"
+        "        doc = {'a': 1, 'b': [2]}\n"
+        "        doc['c'] = 3\n"
+        "        return doc\n"
+        "    def json_chunks(self):\n"
+        "        yield _ROW.format(1, 2)\n"
+    )
+    assert to_json_keys(tree, "R") == {"a", "b", "c"}
+    assert writer_keys(tree, "R") == {"a", "b"}
