@@ -166,7 +166,7 @@ class ClassificationEntry(namedtuple("ClassificationEntry", (
         return doc
 
     @staticmethod
-    def json_chunks(entries) -> Iterator[str]:
+    def json_chunks(entries: list[ClassificationEntry]) -> Iterator[str]:
         """``json.dumps([e.to_json() for e in entries], indent=2,
         sort_keys=True)``, byte for byte, in chunks of 1 000 entries.
 

@@ -34,7 +34,8 @@ def reference_document(argv):
     built here; every other handler returns its document."""
     args = cli._build_parser().parse_args(argv)
     if args.handler is cli._pairs_enumerate:
-        return acmcurves.enumerate_kinds(acmcurves.EnumerationConfig(args.degree, args.cap)).to_json()
+        cfg = acmcurves.EnumerationConfig(args.degree, args.cap)
+        return acmcurves.enumerate_kinds(cfg).to_json()
     if args.handler is cli._classify_quartic:
         entries = acmcurves.classify_quartic(acmcurves.divisor(args.divisor), k_max=args.kmax)
         return [e.to_json() for e in entries]
@@ -515,14 +516,13 @@ class TestAdditionalPaths:
         assert err.startswith("error: --degree 8 is out of reach: degree 7 alone prints")
         assert err.count("\n") == 1 and "Traceback" not in err
 
-    @pytest.mark.parametrize("degree, cap, bound", [("2", "1000000000", 6), ("5", "100", 22)])
-    def test_enumerate_cap_above_bound_refused_up_front(self, capsys, monkeypatch,
-                                                        degree, cap, bound):
+    def test_enumerate_cap_above_bound_refused_up_front(self, capsys, monkeypatch):
         monkeypatch.setattr("acmcurves.enumerate_kinds", never)
-        code, out, err = invoke(capsys, "pairs", "enumerate", "--degree", degree, "--cap", cap)
-        assert code == 1 and out == ""
-        assert err.startswith(f"error: --cap {cap} is above {bound} for degree {degree}")
-        assert err.count("\n") == 1 and "Traceback" not in err
+        for degree, cap, bound in [("2", "1000000000", 6), ("5", "100", 22)]:
+            code, out, err = invoke(capsys, "pairs", "enumerate", "--degree", degree, "--cap", cap)
+            assert code == 1 and out == ""
+            assert err.startswith(f"error: --cap {cap} is above {bound} for degree {degree}")
+            assert err.count("\n") == 1 and "Traceback" not in err
 
     def test_enumerate_cap_at_bound_succeeds(self, capsys):
         doc = invoke_json(capsys, "pairs", "enumerate", "--degree", "2", "--cap", "6")
@@ -654,23 +654,23 @@ class TestAdditionalPaths:
                           "--s", str(n), "--t", f"+{n}")
         assert doc["degree"] == n * n - 1
 
-    @pytest.mark.parametrize("command, first", [
-        (["classify", "quartic", "--divisor", "F1", "--kmax", "2000"], b"[\n"),
-        (["pairs", "enumerate", "--degree", "6"], b"{\n"),
-    ], ids=["classify-quartic", "pairs-enumerate"])
-    def test_closed_stdout_pipe_exits_quietly(self, command, first):
-        # both commands stream: the reader closes the pipe after their first
-        # chunk, while the writer still has rows to write
+    def test_closed_stdout_pipe_exits_quietly(self):
+        # both commands stream: the reader closes the pipe after the first
+        # line, while the writer still has rows to write
         src = str(Path(acmcurves.__file__).resolve().parents[1])
         env = dict(os.environ, PYTHONPATH=src)
-        argv = [sys.executable, "-m", "acmcurves.cli", *command]
-        with subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
-                              env=env) as proc:
-            assert proc.stdout.readline() == first
-            proc.stdout.close()
-            err = proc.stderr.read()
-            assert proc.wait(timeout=60) == 1
-        assert err == b""
+        for command, first in [
+            (["classify", "quartic", "--divisor", "F1", "--kmax", "2000"], b"[\n"),
+            (["pairs", "enumerate", "--degree", "6"], b"{\n"),
+        ]:
+            argv = [sys.executable, "-m", "acmcurves.cli", *command]
+            with subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                                  env=env) as proc:
+                assert proc.stdout.readline() == first
+                proc.stdout.close()
+                err = proc.stderr.read()
+                assert proc.wait(timeout=60) == 1
+            assert err == b"", command
 
     # the first line of each comes well before the last: the degree-6
     # catalog, and every reproduce target after the first
