@@ -18,15 +18,15 @@ entries (exit 2).  `res build` refuses a twist flag that its case
 does not read: `--k`, `--j0` and `--surface-degree` with `--case ci`,
 `--j0` with `ii` and `--k` with `iii`.
 
-Every JSON document is byte for byte `json.dumps(doc, indent=2,
-sort_keys=True)` of its records' `to_json`, the reference.  The two big
-ones stream: `pairs enumerate` writes its catalog through
+Every command but two builds its document from its records' `to_json`
+and prints `json.dumps(doc, indent=2, sort_keys=True)`.  The two big
+documents stream from their row templates, byte for byte that same
+text: `pairs enumerate` writes its catalog through
 `KindCatalog.json_chunks` and `classify quartic` its entries through
 `ClassificationEntry.json_chunks`, each row from one fixed template, in
 chunks of 1 000 rows, so neither builds the document or its whole text.
 Each handler builds its rows and finishes every check that can fail
-before the first byte is written.  Every other command builds its
-document and writes it with `_json_text`.
+before the first byte is written.
 
 Start-up: building the parser needs only `labels`, which imports
 nothing.  The handlers read library names as `acm.X`, and the package
@@ -43,7 +43,6 @@ import json
 import os
 import sys
 from contextlib import contextmanager
-from json.encoder import encode_basestring_ascii as _quote
 
 import acmcurves as acm
 
@@ -109,55 +108,6 @@ def _table(columns: tuple[str, ...], rows):
         widths = [max(len(row[i]) for row in cells) for i in range(len(columns))]
         return "\n".join("  ".join(v.ljust(w) for v, w in zip(row, widths)) for row in cells)
     return render
-
-
-# exact type -> the JSON text of a scalar, as json.dumps writes it
-_SCALARS = {
-    str: _quote,
-    int: int.__repr__,
-    bool: {True: "true", False: "false"}.__getitem__,
-    type(None): lambda _: "null",
-}
-
-
-def _json_text(doc) -> str:
-    """`json.dumps(doc, indent=2, sort_keys=True)`, byte for byte, without
-    the pure-Python encoder that json falls back to when `indent` is set.
-
-    Containers are exact dicts, lists and tuples; a list of scalars is one
-    comprehension, and only lists that hold containers recurse.  Any other
-    value (a float, a subclass such as IntEnum or a NamedTuple, a non-str
-    key), or nesting deeper than the recursion limit allows, hands the whole
-    document to the reference `json.dumps`, which also raises its errors.
-    """
-    seps: list[tuple[str, str, str]] = []  # (open, item, close) of each depth
-
-    def emit(value, depth: int) -> str:
-        kind = type(value)
-        scalar = _SCALARS.get(kind)
-        if scalar:
-            return scalar(value)
-        if kind is not dict and kind is not list and kind is not tuple:
-            raise TypeError
-        if not value:
-            return "{}" if kind is dict else "[]"
-        while len(seps) <= depth:
-            pad = "\n" + "  " * len(seps)
-            seps.append((pad + "  ", "," + pad + "  ", pad))
-        first, item, last = seps[depth]
-        if kind is dict:
-            parts = [_quote(k) + ": " + emit(v, depth + 1) for k, v in sorted(value.items())]
-            return "{" + first + item.join(parts) + last + "}"
-        try:
-            parts = [_SCALARS[type(v)](v) for v in value]
-        except KeyError:
-            parts = [emit(v, depth + 1) for v in value]
-        return "[" + first + item.join(parts) + last + "]"
-
-    try:
-        return emit(doc, 0)
-    except (TypeError, RecursionError):
-        return json.dumps(doc, indent=2, sort_keys=True)
 
 
 def _lattice(gram: list[int]):
@@ -453,7 +403,7 @@ def run(argv: list[str] | None = None) -> int:
         elif iter(doc) is doc:  # an iterator of text chunks, written as they come
             chunks = doc
         else:
-            chunks = (_json_text(doc),)
+            chunks = (json.dumps(doc, indent=2, sort_keys=True),)
         # looked up here, not at import, so a redirected stdout gets the text
         write = sys.stdout.write
         for chunk in chunks:

@@ -1,18 +1,15 @@
 import ast
-import enum
 import json
 import os
 import subprocess
 import sys
 from pathlib import Path
-from typing import NamedTuple
 
 import pytest
-from hypothesis import example, given, strategies as st
 
 import acmcurves
 from acmcurves import cli
-from acmcurves.cli import _json_text, run
+from acmcurves.cli import run
 from acmcurves.reproduce import TARGETS, run_target
 
 
@@ -734,89 +731,3 @@ class TestOutputContract:
         assert code == 0
         assert default == (as_table if name == "reproduce" else as_json)
 
-
-def reference_text(doc) -> str:
-    return json.dumps(doc, indent=2, sort_keys=True)
-
-
-# text weighted towards what json escapes: quotes, backslashes, control
-# characters, DEL and non-ASCII (an astral character is written as a
-# surrogate pair)
-TEXT = st.text(st.sampled_from('"\\/\n\t\x00\x1f\x7fa \xe9\u20ac\U0001f600') | st.characters(),
-               max_size=6)
-SCALARS = (st.none() | st.booleans() | st.integers() | st.integers(-2**200, 2**200)
-           | st.sampled_from([2**63, 2**64, -2**63 - 1]) | TEXT)
-DOCUMENTS = st.recursive(
-    SCALARS,
-    lambda kids: (st.lists(kids, max_size=5) | st.lists(kids, max_size=4).map(tuple)
-                  | st.dictionaries(TEXT, kids, max_size=5)),
-    max_leaves=40,
-)
-
-
-class Color(enum.IntEnum):
-    RED = 1
-
-
-class Point(NamedTuple):
-    x: int
-    y: int
-
-
-class TestJsonText:
-    """`_json_text` is `json.dumps(doc, indent=2, sort_keys=True)`, byte for byte."""
-
-    @given(DOCUMENTS)
-    @example([True, 1, 0, False, None])
-    @example({"": [], "\u00e9\"\\\x01": [[], [[]], {}], "a": ((), [()])})
-    @example([[], (), {}, [[], ()], {"x": {}}])
-    @example({"n": [-1, -2**64, 2**64, 10**30], "b": {"z": True, "y": None, "x": "\u2028"}})
-    def test_equals_the_reference(self, doc):
-        assert _json_text(doc) == reference_text(doc)
-
-    @pytest.mark.parametrize("doc", [
-        1.5, [1, 2.0], {"x": [0, 0.5]}, float("nan"), [float("inf")], {"x": -float("inf")},
-        Color.RED, [Color.RED, 1], {"c": Color.RED},
-        Point(1, 2), [Point(1, 2), (3, 4)],
-        {1: "a"}, {"a": {2: [3]}}, {True: 1}, {None: 0},
-    ], ids=repr)
-    def test_values_outside_the_fast_types_go_to_the_reference(self, doc):
-        assert _json_text(doc) == reference_text(doc)
-
-    @pytest.mark.parametrize("doc", [{1, 2}, {"a": [object()]}, {"a": 1, 2: 3}, b"bytes"],
-                             ids=["set", "object", "mixed keys", "bytes"])
-    def test_unserializable_raises_as_the_reference(self, doc):
-        with pytest.raises(TypeError) as want:
-            reference_text(doc)
-        with pytest.raises(TypeError) as got:
-            _json_text(doc)
-        assert str(got.value) == str(want.value)
-
-    def test_deep_nesting_equals_the_reference(self):
-        # json's encoder nests deeper than the emitter's recursion allows;
-        # the emitter's RecursionError hands such a document to json.dumps
-        doc = []
-        for i in range(900):
-            doc = {"k": doc} if i % 2 else [doc]
-        assert _json_text(doc) == reference_text(doc)
-
-    def test_circular_document_raises_as_the_reference(self):
-        doc = {"a": []}
-        doc["a"].append(doc)
-        with pytest.raises(ValueError, match="Circular reference detected"):
-            _json_text(doc)
-
-    @pytest.mark.parametrize("argv", [
-        ["pairs", "enumerate", "--degree", "5"],
-        ["classify", "quartic", "--divisor", "F4", "--kmax", "40"],
-        ["classify", "low", "--degree", "3", "--type", "3x3"],
-        ["picard", "watanabe", "--divisor", "F3"],
-        ["reproduce", "F1"],
-    ], ids=" ".join)
-    def test_command_documents_take_the_fast_path(self, argv, monkeypatch):
-        # every document the CLI prints is exact dicts, lists, str, int, bool
-        # and None, so it never reaches json.dumps
-        doc = reference_document(argv)
-        want = reference_text(doc)
-        monkeypatch.setattr(cli.json, "dumps", never)
-        assert _json_text(doc) == want
