@@ -731,3 +731,67 @@ class TestOutputContract:
         assert code == 0
         assert default == (as_table if name == "reproduce" else as_json)
 
+
+
+# the two documents that stream from their row templates; every other
+# command builds its document and prints it through json.dumps
+STREAMED = {"pairs enumerate", "classify quartic"}
+
+
+class TestJsonWriter:
+    """`run` writes a built document as `json.dumps(doc, indent=2, sort_keys=True)`,
+    and the two streamed documents without it, byte for byte the same text."""
+
+    @pytest.mark.parametrize("name", sorted(set(LEAF_COMMANDS) - STREAMED))
+    def test_built_document_is_written_by_json_dumps(self, name, capsys, monkeypatch):
+        argv = [*LEAF_COMMANDS[name], "--format", "json"]
+        doc = reference_document(argv)
+        dumps, calls = json.dumps, []
+
+        def recording(obj, **kwargs):
+            calls.append((obj, kwargs))
+            return dumps(obj, **kwargs)
+
+        monkeypatch.setattr(cli.json, "dumps", recording)
+        code, out, err = invoke(capsys, *argv)
+        assert (code, err) == (0, "")
+        assert calls == [(doc, {"indent": 2, "sort_keys": True})]
+        assert out == dumps(doc, indent=2, sort_keys=True) + "\n"
+
+    @pytest.mark.parametrize("argv", [
+        *(["pairs", "enumerate", "--degree", str(d)] for d in (2, 3, 4, 5)),
+        ["pairs", "enumerate", "--degree", "4", "--cap", "4"],
+        *(["classify", "quartic", "--divisor", f"F{i}", "--kmax", "3"] for i in range(1, 6)),
+        ["classify", "quartic", "--divisor", "F5", "--kmax", "300"],
+    ], ids=" ".join)
+    def test_streamed_document_does_not_reach_json_dumps(self, argv, capsys, monkeypatch):
+        want = json.dumps(reference_document(argv), indent=2, sort_keys=True) + "\n"
+        monkeypatch.setattr(cli.json, "dumps", never)
+        code, out, err = invoke(capsys, *argv)
+        assert (code, err) == (0, "")
+        assert out == want
+
+    @pytest.mark.parametrize("argv, row_key", [
+        (["pairs", "enumerate", "--degree", "5"], '"count"'),
+        (["classify", "quartic", "--divisor", "F5", "--kmax", "1000"], '"class"'),
+    ], ids=["pairs enumerate --degree 5", "classify quartic --divisor F5 --kmax 1000"])
+    def test_streamed_rows_go_out_in_several_writes(self, argv, row_key, monkeypatch):
+        # more rows than one chunk holds, so no single write carries them all
+        want = json.dumps(reference_document(argv), indent=2, sort_keys=True) + "\n"
+        writes = []
+        monkeypatch.setattr(sys, "stdout", type("Sink", (), {"write": writes.append})())
+        assert run(argv) == 0
+        assert "".join(writes) == want
+        assert sum(row_key in w for w in writes) > 1
+
+    @pytest.mark.parametrize("argv", [
+        ["picard", "solve", "--gram", "4,1,-2", "--self-int=0", "--dh", "1..5000"],
+        *(["classify", "low", "--degree", d, "--type", t, "--kmax", "1000"]
+          for d, t in (("2", "smooth"), ("2", "reducible"), ("3", "2x2"), ("3", "3x3"))),
+        ["pairs", "matrix", "--a", ",".join(map(str, range(1000))),
+         "--b", ",".join(map(str, range(1, 1001)))],
+    ], ids=lambda argv: " ".join(argv)[:60])
+    def test_large_built_document_equals_the_reference(self, argv, capsys):
+        code, out, err = invoke(capsys, *argv)
+        assert (code, err) == (0, "")
+        assert out == json.dumps(reference_document(argv), indent=2, sort_keys=True) + "\n"
