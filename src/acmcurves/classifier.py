@@ -168,14 +168,13 @@ class ClassificationEntry(namedtuple("ClassificationEntry", (
     @staticmethod
     def json_chunks(entries: list[ClassificationEntry]) -> Iterator[str]:
         """``json.dumps([e.to_json() for e in entries], indent=2,
-        sort_keys=True)``, byte for byte, in chunks of 1 000 entries.
+        sort_keys=True)``, byte for byte, in n + 1 pieces for n entries:
+        one per entry, the first with the list's opening, and the list's
+        closing; ``"[]"`` alone for no entries.
 
         Each entry is written from one template (``_ENTRY_JSON``), and the
         text of each distinct table, with its "minimal" flag, once: the
         classes of one table share it."""
-        if not entries:
-            yield "[]"
-            return
         tables: dict[BettiTable, tuple[str, str, str]] = {}
 
         def twists(values: tuple[int, ...]) -> str:
@@ -198,10 +197,10 @@ class ClassificationEntry(namedtuple("ClassificationEntry", (
             )
 
         sep = "[\n"
-        for start in range(0, len(entries), 1000):
-            yield sep + ",\n".join(map(entry_text, entries[start:start + 1000]))
+        for e in entries:
+            yield sep + entry_text(e)
             sep = ",\n"
-        yield "\n]"
+        yield "\n]" if entries else "[]"
 
 
 # the text of one `ClassificationEntry.to_json()` in a list, as

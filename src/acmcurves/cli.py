@@ -23,10 +23,12 @@ and prints `json.dumps(doc, indent=2, sort_keys=True)`.  The two big
 documents stream from their row templates, byte for byte that same
 text: `pairs enumerate` writes its catalog through
 `KindCatalog.json_chunks` and `classify quartic` its entries through
-`ClassificationEntry.json_chunks`, each row from one fixed template, in
-chunks of 1 000 rows, so neither builds the document or its whole text.
-Each handler builds its rows and finishes every check that can fail
-before the first byte is written.
+`ClassificationEntry.json_chunks`, one piece per row from one fixed
+template, so neither builds the document or its whole text.  A table
+view is likewise one piece per line.  `run` alone decides how much text
+goes to stdout at once: it joins the pieces 1 000 at a time, so a row
+is not a write of its own.  Each handler builds its rows and finishes
+every check that can fail before the first byte is written.
 
 Start-up: building the parser needs only `labels`, which imports
 nothing.  The handlers read library names as `acm.X`, and the package
@@ -43,6 +45,7 @@ import json
 import os
 import sys
 from contextlib import contextmanager
+from itertools import chain, islice
 
 import acmcurves as acm
 
@@ -84,7 +87,8 @@ def _int(text: str) -> int:
 
 
 def _int_list(text: str) -> list[int]:
-    entries = [x for x in text.split(",") if x != ""]
+    """Comma-separated integers; an empty entry is refused, and "" is the empty list."""
+    entries = text.split(",") if text else []
     if len(entries) > MAX_LIST_ENTRIES:
         raise _TooLarge(f"integer lists are limited to {MAX_LIST_ENTRIES} entries")
     try:
@@ -102,11 +106,16 @@ def _int_range(text: str) -> tuple[int, int]:
 
 
 def _table(columns: tuple[str, ...], rows):
-    """A table renderer: `rows` (consumed when it is called) aligned under `columns`."""
-    def render() -> str:
+    """A table renderer: `rows` (consumed when it is called) aligned under
+    `columns`, one piece per line.  It holds every cell, as each column is
+    as wide as its widest cell, but never the whole text."""
+    def render():
         cells = [list(columns)] + [[str(v) for v in row] for row in rows]
         widths = [max(len(row[i]) for row in cells) for i in range(len(columns))]
-        return "\n".join("  ".join(v.ljust(w) for v, w in zip(row, widths)) for row in cells)
+        sep = ""
+        for row in cells:
+            yield sep + "  ".join(v.ljust(w) for v, w in zip(row, widths))
+            sep = "\n"
     return render
 
 
@@ -116,13 +125,14 @@ def _lattice(gram: list[int]):
     return acm.PicardLattice(*gram)
 
 
-# -- handlers: args -> (JSON document or an iterator of its text chunks,
-#    table renderer or None[, exit code]).  A handler finishes every check
-#    that can fail before it returns, so a refusal writes nothing to stdout
+# -- handlers: args -> (JSON document or an iterator of its text pieces,
+#    table renderer, which returns its text pieces, or None[, exit code]).
+#    A handler finishes every check that can fail before it returns, so a
+#    refusal writes nothing to stdout
 
 def _pairs_matrix(args):
     m = acm.degree_matrix(acm.make_pair(args.a, args.b))
-    return m.to_json(), lambda: "\n".join(" ".join(map(str, r)) for r in m.entries)
+    return m.to_json(), lambda: ("\n".join(" ".join(map(str, r)) for r in m.entries),)
 
 
 def _pairs_normalize(args):
@@ -135,7 +145,7 @@ def _pairs_dual(args):
 
 def _pairs_signature(args):
     sig = acm.pair_signature(acm.make_pair(args.a, args.b))
-    return sig.to_json(), sig.render
+    return sig.to_json(), lambda: (sig.render(),)
 
 
 def _pairs_reducible(args):
@@ -162,7 +172,7 @@ def _pairs_enumerate(args):
         ((e.signature.render(), repr(e.representative), e.count) for e in kinds.entries),
     )
     head = f"degree {kinds.degree}, b_cap {kinds.b_cap}: {len(kinds)} kinds\n"
-    return kinds.json_chunks(), lambda: head + rows()
+    return kinds.json_chunks(), lambda: chain((head,), rows())
 
 
 # the twist flags of `res build` that each case does not read
@@ -301,7 +311,7 @@ def _reproduce(args):
     rows = run_target(args.target)
     n_ok = sum(r.ok for r in rows)
     report = "\n".join([r.line for r in rows] + [f"{n_ok}/{len(rows)} rows pass"])
-    return [r.to_json() for r in rows], lambda: report, 0 if n_ok == len(rows) else 1
+    return [r.to_json() for r in rows], lambda: (report,), 0 if n_ok == len(rows) else 1
 
 
 @contextmanager
@@ -399,14 +409,17 @@ def run(argv: list[str] | None = None) -> int:
     try:
         doc, render, *code = args.handler(args)
         if args.format == "table" and render is not None:
-            chunks = (render(),)
-        elif iter(doc) is doc:  # an iterator of text chunks, written as they come
-            chunks = doc
+            pieces = iter(render())
+        elif iter(doc) is doc:  # an iterator of text pieces, written as they come
+            pieces = doc
         else:
-            chunks = (json.dumps(doc, indent=2, sort_keys=True),)
+            pieces = iter((json.dumps(doc, indent=2, sort_keys=True),))
         # looked up here, not at import, so a redirected stdout gets the text
         write = sys.stdout.write
-        for chunk in chunks:
+        # 1 000 pieces per write: one write per row would be one small
+        # write into the pipe per row.  No piece is empty, so a batch is
+        # empty only once the pieces run out
+        for chunk in iter(lambda: "".join(islice(pieces, 1000)), ""):
             write(chunk)
         write("\n")
         return code[0] if code else 0

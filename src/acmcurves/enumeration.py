@@ -197,16 +197,14 @@ class KindCatalog(namedtuple("KindCatalog", "degree b_cap entries")):
 
     def json_chunks(self) -> Iterator[str]:
         """``json.dumps(self.to_json(), indent=2, sort_keys=True)``, byte
-        for byte, in chunks of 1 000 kinds.
+        for byte, in n + 2 pieces for n kinds: the head up to the "kinds"
+        list, one piece per kind, and the tail.
 
         Each kind is written from one template (``_KIND_JSON``), and the
         text of each distinct signature row once: a catalog has far fewer
         distinct rows than kinds (see the module docstring).  So no
         document is built, and memory stays that of the catalog."""
-        head = f'{{\n  "b_cap": {self.b_cap},\n  "degree": {self.degree},\n  "kinds": '
-        if not self.entries:
-            yield head + "[]\n}"
-            return
+        yield f'{{\n  "b_cap": {self.b_cap},\n  "degree": {self.degree},\n  "kinds": '
         rows: dict[tuple, str] = {}
 
         def row_text(row: tuple) -> str:
@@ -216,18 +214,15 @@ class KindCatalog(namedtuple("KindCatalog", "degree b_cap entries")):
                 text = rows[row] = f"[\n            {cells}\n          ]"
             return text
 
-        sep = head + "[\n"
-        for start in range(0, len(self.entries), 1000):
-            yield sep + ",\n".join([
-                _KIND_JSON.format(
-                    count, ",\n          ".join(map(str, rep.a)),
-                    ",\n          ".join(map(str, rep.b)),
-                    ",\n          ".join(map(row_text, sig.cells)), sig.degree,
-                )
-                for sig, rep, count in self.entries[start:start + 1000]
-            ])
+        sep = "[\n"
+        for sig, rep, count in self.entries:
+            yield sep + _KIND_JSON.format(
+                count, ",\n          ".join(map(str, rep.a)),
+                ",\n          ".join(map(str, rep.b)),
+                ",\n          ".join(map(row_text, sig.cells)), sig.degree,
+            )
             sep = ",\n"
-        yield "\n  ]\n}"
+        yield "\n  ]\n}" if self.entries else "[]\n}"
 
 
 def enumerate_kinds(cfg: EnumerationConfig) -> KindCatalog:

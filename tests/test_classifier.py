@@ -599,8 +599,8 @@ def test_json_chunks_equal_json_dumps(label, k_max):
     entries = classify_quartic(divisor(label), k_max=k_max)
     chunks = list(ClassificationEntry.json_chunks(entries))
     assert "".join(chunks) == reference_json(entries)
-    # the first 1 000 entries, one chunk per further 1 000, the tail
-    assert len(chunks) == -(-len(entries) // 1000) + 1
+    # one piece per entry, the first with the opening "[", and the closing "]"
+    assert len(chunks) == len(entries) + 1
 
 
 PAIR = make_pair((1, 1), (2, 4))
@@ -629,7 +629,10 @@ PLANTED = {
                                      list(PLANTED.values())],
                          ids=["empty", *PLANTED, "all"])
 def test_json_chunks_of_planted_entries(entries):
-    assert "".join(ClassificationEntry.json_chunks(entries)) == reference_json(entries)
+    chunks = list(ClassificationEntry.json_chunks(entries))
+    assert "".join(chunks) == reference_json(entries)
+    # no entries is the one piece "[]"
+    assert len(chunks) == len(entries) + 1
 
 
 def test_entry_contract():

@@ -39,6 +39,51 @@ def reference_document(argv):
     return args.handler(args)[0]
 
 
+def layout(columns, rows) -> str:
+    """A table as one string, each column left-justified to its widest cell."""
+    cells = [list(columns)] + [[str(v) for v in row] for row in rows]
+    widths = [max(len(row[i]) for row in cells) for i in range(len(columns))]
+    return "\n".join("  ".join(v.ljust(w) for v, w in zip(row, widths)) for row in cells)
+
+
+def reference_table(argv) -> str:
+    """The text a table view prints, less its final newline, built in one
+    piece from the library's records."""
+    args = cli._build_parser().parse_args(argv)
+    handler = args.handler
+    if handler is cli._pairs_matrix:
+        m = acmcurves.degree_matrix(acmcurves.make_pair(args.a, args.b))
+        return "\n".join(" ".join(map(str, r)) for r in m.entries)
+    if handler is cli._pairs_signature:
+        return acmcurves.pair_signature(acmcurves.make_pair(args.a, args.b)).render()
+    if handler is cli._pairs_enumerate:
+        kinds = acmcurves.enumerate_kinds(acmcurves.EnumerationConfig(args.degree, args.cap))
+        head = f"degree {kinds.degree}, b_cap {kinds.b_cap}: {len(kinds)} kinds\n"
+        return head + layout(("signature", "representative", "count"), [
+            (e.signature.render(), repr(e.representative), e.count) for e in kinds.entries])
+    if handler is cli._picard_watanabe:
+        lattice = (acmcurves.divisor(args.divisor).lattice if args.divisor
+                   else acmcurves.PicardLattice(*args.gram))
+        cases = [c.to_json() for c in acmcurves.watanabe_candidates(lattice)]
+        return layout(("case", "classes", "side_condition"), [
+            (c["label"], " ".join(map(str, c["classes"])) or "(none)",
+             c.get("side_condition", "")) for c in cases])
+    if handler is cli._classify_quartic:
+        entries = acmcurves.classify_quartic(acmcurves.divisor(args.divisor), k_max=args.kmax)
+        return layout(("class", "degree", "genus", "provenance", "description"), [
+            (e.cls, e.invariants.degree, e.invariants.genus, e.provenance, e.description)
+            for e in entries])
+    if handler is cli._classify_low:
+        return layout(("case", "k", "gens", "syz"), [
+            (fam.case_label, k, ",".join(map(str, t.gens)), ",".join(map(str, t.syz)))
+            for fam in acmcurves.classify_low_degree(args.degree, args.type_tag)
+            for k in range(fam.k_min, args.kmax + 1)
+            for t in [acmcurves.surface_generator_table(fam.pair, k)]])
+    assert handler is cli._reproduce
+    rows = run_target(args.target)
+    return "\n".join([r.line for r in rows] + [f"{sum(r.ok for r in rows)}/{len(rows)} rows pass"])
+
+
 def never(*args, **kwargs):
     """Patched over a library name that a refusal must not reach."""
     raise AssertionError("the library was called")
@@ -502,6 +547,21 @@ class TestAdditionalPaths:
         if code == 1:
             assert err == error + "\n"
 
+    @pytest.mark.parametrize("argv, flag, value", [
+        (["pairs", "matrix", "--a", "1,,1", "--b", "2,4"], "--a", "1,,1"),
+        (["pairs", "matrix", "--a=1,1,", "--b=2,4,"], "--a", "1,1,"),
+        (["res", "invariants", "--gens", ",1", "--syz", "2"], "--gens", ",1"),
+        (["picard", "solve", "--gram", "4,1,,-2", "--self-int=0", "--dh", "1..2"],
+         "--gram", "4,1,,-2"),
+        (["picard", "invariants", "--gram", "4,6,4", "--class", "0,1,"], "--class", "0,1,"),
+    ], ids=["inner", "trailing", "leading", "gram", "class"])
+    def test_empty_list_entry_refused(self, capsys, argv, flag, value):
+        # an empty entry is malformed, not dropped; "" alone is the empty list
+        code, out, err = invoke(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert err.splitlines()[-1].endswith(
+            f": error: argument {flag}: expected comma-separated integers, got {value!r}")
+
     def test_enumerate_cap_below_degree(self, capsys):
         code, _, err = invoke(capsys, "pairs", "enumerate", "--degree", "4", "--cap", "3")
         assert code == 1 and "b_cap" in err
@@ -652,13 +712,15 @@ class TestAdditionalPaths:
         assert doc["degree"] == n * n - 1
 
     def test_closed_stdout_pipe_exits_quietly(self):
-        # both commands stream: the reader closes the pipe after the first
+        # each command streams: the reader closes the pipe after the first
         # line, while the writer still has rows to write
         src = str(Path(acmcurves.__file__).resolve().parents[1])
         env = dict(os.environ, PYTHONPATH=src)
         for command, first in [
             (["classify", "quartic", "--divisor", "F1", "--kmax", "2000"], b"[\n"),
             (["pairs", "enumerate", "--degree", "6"], b"{\n"),
+            (["pairs", "enumerate", "--degree", "6", "--format", "table"],
+             b"degree 6, b_cap 26: 14137 kinds\n"),
         ]:
             argv = [sys.executable, "-m", "acmcurves.cli", *command]
             with subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
@@ -733,6 +795,58 @@ class TestOutputContract:
 
 
 
+BIG_MATRIX = ["pairs", "matrix", "--a", ",".join(map(str, range(1000))),
+              "--b", ",".join(map(str, range(1, 1001)))]
+
+
+class TestTableViews:
+    """Each table view prints, byte for byte, its layout built as one
+    string from all its cells, though it reaches `run` a line at a time."""
+
+    @pytest.mark.parametrize("argv", [
+        *(LEAF_COMMANDS[name] for name in sorted(TABLE_VIEWS)),
+        ["pairs", "enumerate", "--degree", "5"],
+        ["classify", "quartic", "--divisor", "F5", "--kmax", "1000"],
+        ["classify", "low", "--degree", "3", "--type", "2x2", "--kmax", "1000"],
+        BIG_MATRIX,
+    ], ids=lambda argv: " ".join(argv)[:60])
+    def test_equals_the_reference(self, argv, capsys):
+        code, out, err = invoke(capsys, *argv, "--format", "table")
+        assert (code, err) == (0, "")
+        assert out == reference_table(argv) + "\n"
+
+    def test_degree_2_catalog_written_by_hand(self, capsys):
+        # b_cap = stable_cap(2) = 4.  A pair of degree 2 is ((0, a2), (1, a2 + 1)),
+        # with b_2 = a2 + 1 <= 4.  Its cells b_j - a_i, with d = 2 shown as B:
+        # a2 = 0 gives 1,1 / 1,1; each a2 = 1, 2, 3 gives 1,B / 0,1, whose
+        # least pair is the one at a2 = 1.  Each column is left-justified to
+        # its widest cell, so the count column ends in spaces
+        code, out, err = invoke(capsys, "pairs", "enumerate", "--degree", "2", "--format", "table")
+        assert (code, err) == (0, "")
+        assert out == (
+            "degree 2, b_cap 4: 2 kinds\n"
+            "signature  representative    count\n"
+            "1,1 / 1,1  ((0, 0), (1, 1))  1    \n"
+            "1,B / 0,1  ((0, 1), (1, 2))  3    \n"
+        )
+
+    @pytest.mark.parametrize("fmt", ["json", "table"])
+    def test_pieces_go_out_1000_to_a_write(self, fmt, monkeypatch):
+        # the JSON is the catalog's head, one piece per kind and its tail;
+        # the table is the head line, the header and one line per kind
+        argv = ["pairs", "enumerate", "--degree", "5", "--format", fmt]
+        pieces = len(acmcurves.enumerate_kinds(acmcurves.EnumerationConfig(5))) + 2
+        want = (reference_table(argv) if fmt == "table"
+                else json.dumps(reference_document(argv), indent=2, sort_keys=True))
+        writes = []
+        monkeypatch.setattr(sys, "stdout", type("Sink", (), {"write": writes.append})())
+        assert run(argv) == 0
+        assert "".join(writes) == want + "\n"
+        # 1 082 kinds: two batches, then the newline
+        assert len(writes) == -(-pieces // 1000) + 1 == 3
+        assert writes[-1] == "\n"
+
+
 # the two documents that stream from their row templates; every other
 # command builds its document and prints it through json.dumps
 STREAMED = {"pairs enumerate", "classify quartic"}
@@ -776,7 +890,7 @@ class TestJsonWriter:
         (["classify", "quartic", "--divisor", "F5", "--kmax", "1000"], '"class"'),
     ], ids=["pairs enumerate --degree 5", "classify quartic --divisor F5 --kmax 1000"])
     def test_streamed_rows_go_out_in_several_writes(self, argv, row_key, monkeypatch):
-        # more rows than one chunk holds, so no single write carries them all
+        # more rows than one batch of 1 000 pieces holds, so no single write carries them all
         want = json.dumps(reference_document(argv), indent=2, sort_keys=True) + "\n"
         writes = []
         monkeypatch.setattr(sys, "stdout", type("Sink", (), {"write": writes.append})())
@@ -788,8 +902,7 @@ class TestJsonWriter:
         ["picard", "solve", "--gram", "4,1,-2", "--self-int=0", "--dh", "1..5000"],
         *(["classify", "low", "--degree", d, "--type", t, "--kmax", "1000"]
           for d, t in (("2", "smooth"), ("2", "reducible"), ("3", "2x2"), ("3", "3x3"))),
-        ["pairs", "matrix", "--a", ",".join(map(str, range(1000))),
-         "--b", ",".join(map(str, range(1, 1001)))],
+        BIG_MATRIX,
     ], ids=lambda argv: " ".join(argv)[:60])
     def test_large_built_document_equals_the_reference(self, argv, capsys):
         code, out, err = invoke(capsys, *argv)

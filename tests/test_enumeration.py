@@ -427,8 +427,8 @@ def test_json_chunks_equal_json_dumps(degree, cap):
     catalog = enumerate_kinds(EnumerationConfig(degree, cap))
     chunks = list(catalog.json_chunks())
     assert "".join(chunks) == reference_json(catalog)
-    # the head with the first 1 000 kinds, one chunk per further 1 000, the tail
-    assert len(chunks) == -(-len(catalog) // 1000) + 1
+    # the head, one piece per kind, the tail
+    assert len(chunks) == len(catalog) + 2
 
 
 @pytest.mark.parametrize("entries", [
@@ -441,7 +441,9 @@ def test_json_chunks_equal_json_dumps(degree, cap):
 ], ids=["empty", "planted", "unsorted"])
 def test_json_chunks_of_planted_catalogs(entries):
     catalog = KindCatalog(3, 9, entries)
-    assert "".join(catalog.json_chunks()) == reference_json(catalog)
+    chunks = list(catalog.json_chunks())
+    assert "".join(chunks) == reference_json(catalog)
+    assert len(chunks) == len(entries) + 2
 
 
 class TestMatching:
