@@ -154,5 +154,5 @@ def kind_families(degree: int) -> tuple[PairFamily, ...]:
     """The parametrized pair families cataloged for a degree."""
     docs = raw()["kind_families"].get(str(degree))
     if docs is None:
-        raise KeyError(f"no family catalog for degree {degree}")
+        raise ValueError(f"no family catalog for degree {degree}")
     return tuple(PairFamily.from_json(degree, doc) for doc in docs)

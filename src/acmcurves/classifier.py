@@ -104,8 +104,9 @@ COMPLETE_INTERSECTION = "COMPLETE_INTERSECTION"
 PROVENANCE_ORDER = (RIGID, RESIDUAL, FAMILY_II, FAMILY_III, COMPLETE_INTERSECTION)
 
 
-class ClassificationError(RuntimeError):
-    """A derived entry fails a consistency check."""
+class ClassificationError(ValueError):
+    """A derived entry fails a consistency check.  A `ValueError`, like
+    every refusal of the library, so the CLI reports it as one."""
 
 
 # label: str, lattice: PicardLattice, pairs: tuple[WeakAdmissiblePair, ...],
@@ -344,7 +345,7 @@ def _pivot_tables(pairs: tuple[WeakAdmissiblePair, ...]):
 @lru_cache(maxsize=None)
 def divisor(label: str) -> QuarticDivisor:
     if label not in DIVISOR_LABELS:
-        raise KeyError(f"unknown divisor {label!r}; expected one of {DIVISOR_LABELS}")
+        raise ValueError(f"unknown divisor {label!r}; expected one of {DIVISOR_LABELS}")
     pairs = _surface_types(SURFACE_DEGREE)[label]
     # the generator curve: the least (degree, genus) among the pivot tables
     d_i, g_i = min(_invariants(table) for *_, table in _pivot_tables(pairs))
@@ -509,7 +510,7 @@ def classify_low_degree(surface_degree: int, type_tag: str) -> list[LowDegreeFam
     """Resolution families (besides complete intersections) on a degree-2
     or degree-3 surface of the named type."""
     if (surface_degree, type_tag) not in _LOW_DEGREE_CASES:
-        raise KeyError(
+        raise ValueError(
             f"unknown type {surface_degree}/{type_tag}; expected one of "
             + ", ".join(f"{d}/{t}" for d, t in sorted(_LOW_DEGREE_CASES))
         )

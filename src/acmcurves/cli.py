@@ -2,8 +2,9 @@
 
 One executable, one subcommand per module: pairs / res / picard /
 liaison / classify, plus `reproduce` for the batch verification
-targets.  Exit codes: 0 success, 1 domain error or internal consistency
-failure (`ClassificationError`), with one diagnostic line on stderr, 2
+targets.  Exit codes: 0 success; 1 a refusal of the library, which is
+always a `ValueError` (an internal consistency failure,
+`ClassificationError`, is one), with one diagnostic line on stderr; 2
 usage error.  Output is JSON by default.  `pairs matrix`, `pairs
 signature`, `pairs enumerate`, `picard watanabe`, `classify quartic`,
 `classify low` and `reproduce` (by default) have a table view under
@@ -35,7 +36,8 @@ nothing.  The handlers read library names as `acm.X`, and the package
 imports the module that defines X on first use (PEP 562); the one
 handler import is `reproduce`.  So each command loads only the modules
 it runs: `pairs matrix` loads `pairs` alone, and only `reproduce` loads
-`catalog`.
+`catalog`.  `run` reports a refusal as the `ValueError` it is, so a
+refused command, too, loads only the modules its handler reached.
 """
 
 from __future__ import annotations
@@ -423,11 +425,8 @@ def run(argv: list[str] | None = None) -> int:
             write(chunk)
         write("\n")
         return code[0] if code else 0
-    # the tuple is evaluated only once a handler has raised, so a command
-    # that succeeds does not load the classifier
-    except (acm.ClassificationError, ValueError, KeyError) as err:
-        message = err.args[0] if err.args else str(err)
-        print(f"error: {message}", file=sys.stderr)
+    except ValueError as err:
+        print(f"error: {err}", file=sys.stderr)
         return 1
 
 

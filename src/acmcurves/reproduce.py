@@ -5,7 +5,7 @@ Each target re-derives one block of the expected catalog
 checked fact.  Each target reads the computed result once; every row
 compares whole values: a slice of that result with the catalog's, as
 ``have == want``, so a computed value the catalog does not list fails a
-row as surely as a listed one that is missing or wrong.
+row as surely as a listed one that is missing, wrong or computed twice.
 
 Two computed results have no row yet: F1 lists no residual class, so it
 has no residual row and a stray RESIDUAL row in F1 passes; and FAMILY_III
@@ -133,10 +133,16 @@ def _divisor_rows(label: str) -> list[Row]:
     expected = catalog.raw()["quartic_propositions"][label]
     div = divisor(label)
     entries = classify_quartic(div, k_max=DIVISOR_K_MAX)
-    # provenance -> (attached pair, shift) -> {class: invariants}
+    # provenance -> (attached pair, shift) -> {class: invariants}.  A class
+    # its provenance already holds maps to None in every group that holds
+    # it: no catalog value is None, so a repeated entry fails the rows of
+    # its provenance
     table: dict[str, dict] = defaultdict(dict)
     for e in entries:
-        table[e.provenance].setdefault((e.pair, e.shift), {})[e.cls] = e.invariants
+        groups = table[e.provenance]
+        held = [classes for classes in groups.values() if e.cls in classes]
+        for classes in held + [groups.setdefault((e.pair, e.shift), {})]:
+            classes[e.cls] = None if held else e.invariants
 
     rigid, want_rigid = _merged(table[RIGID]), _classes(expected["rigid"])
     rows = [Row(label, f"rigid classes = {sorted(want_rigid)}", rigid == want_rigid,
@@ -260,5 +266,5 @@ TARGETS = dict(zip(TARGET_NAMES, (
 
 def run_target(target: str) -> list[Row]:
     if target not in TARGETS:
-        raise KeyError(f"unknown target {target!r}; expected one of {tuple(TARGETS)}")
+        raise ValueError(f"unknown target {target!r}; expected one of {tuple(TARGETS)}")
     return TARGETS[target]()

@@ -72,7 +72,8 @@ class TestKnownDivisors:
         )
 
     def test_unknown_label(self):
-        with pytest.raises(KeyError):
+        message = "unknown divisor 'F6'; expected one of ('F1', 'F2', 'F3', 'F4', 'F5')"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             divisor("F6")
 
 
@@ -305,7 +306,8 @@ class TestLowDegree:
         assert fams[0].to_json()["note"]
 
     def test_unknown_tag(self):
-        with pytest.raises(KeyError, match="unknown type"):
+        message = "unknown type 3/4x4; expected one of 2/reducible, 2/smooth, 3/2x2, 3/3x3"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             classify_low_degree(3, "4x4")
 
     def test_tables_come_from_the_main_constructor(self, capsys):

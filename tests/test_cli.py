@@ -1,16 +1,24 @@
 import ast
+import contextlib
+import importlib
+import io
 import json
 import os
+import pkgutil
+import re
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import acmcurves
 from acmcurves import cli
 from acmcurves.cli import run
+from acmcurves.labels import DIVISOR_LABELS
 from acmcurves.reproduce import TARGETS, run_target
+from conftest import weak_pairs
 
 
 def invoke(capsys, *argv):
@@ -369,7 +377,10 @@ class TestHarness:
         assert all(row["status"] == "PASS" for row in doc)
 
     def test_run_target_unknown(self):
-        with pytest.raises(KeyError):
+        message = ("unknown target 'degree9-kinds'; expected one of ('degree2-kinds', "
+                   "'degree3-kinds', 'degree4-kinds', 'F1', 'F2', 'F3', 'F4', 'F5', "
+                   "'low-degree-corollaries', 'liaison-table')")
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             run_target("degree9-kinds")
 
     def test_runtime_loads_only_the_standard_library(self):
@@ -410,6 +421,24 @@ class TestHarness:
     def test_command_loads_only_the_modules_it_uses(self, argv, loaded):
         # every module but the package, the CLI and its choice labels is loaded
         # by the handler that runs
+        assert self.modules_loaded_by(argv) == [0, sorted(loaded + ["cli", "labels"])]
+
+    @pytest.mark.parametrize("argv,loaded", [
+        (["pairs", "matrix", "--a", "1,2", "--b", "2,2"], ["pairs"]),
+        (["liaison", "--degree", "13", "--genus", "2", "--s", "4", "--t", "3"],
+         ["liaison", "resolutions"]),
+        (["res", "build", "--case", "ii", "--a", "1,1", "--b", "2,4", "--k", "-3"],
+         ["pairs", "resolutions"]),
+    ], ids=["pairs-matrix", "liaison", "res-build"])
+    def test_refusal_loads_only_the_modules_it_reached(self, argv, loaded):
+        # `run` catches a refusal as a plain ValueError, so reporting it
+        # loads no module the handler did not reach
+        assert self.modules_loaded_by(argv) == [1, sorted(loaded + ["cli", "labels"])]
+
+    @staticmethod
+    def modules_loaded_by(argv):
+        """[exit code, the `acmcurves` modules loaded] of `run(argv)` in a
+        fresh `python -S` child."""
         src = str(Path(acmcurves.__file__).resolve().parents[1])
         code = (
             "import contextlib, io, json, sys\n"
@@ -421,7 +450,7 @@ class TestHarness:
         )
         out = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True,
                              env=dict(os.environ, PYTHONPATH=src), timeout=60, check=True)
-        assert json.loads(out.stdout) == [0, sorted(loaded + ["cli", "labels"])]
+        return json.loads(out.stdout)
 
     @staticmethod
     def loaded_by(argvs, heavy):
@@ -475,7 +504,7 @@ class TestHarness:
             if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
             and node.value.id == "acm"
         }
-        assert {"make_pair", "enumerate_kinds", "ClassificationError"} <= names
+        assert {"make_pair", "enumerate_kinds"} <= names
         assert names - set(acmcurves.__all__) == set()
 
     def test_classification_error_exits_1_without_traceback(self, capsys, monkeypatch):
@@ -488,6 +517,114 @@ class TestHarness:
         assert code == 1 and out == ""
         assert err.startswith("error: F4: no description for the FAMILY_III class")
         assert err.count("\n") == 1 and "Traceback" not in err
+
+
+SMALL = st.integers(-6, 12)
+# +-(10^999 - 1), the longest integers accepted, and one of 1001 digits
+EDGE_INTS = st.sampled_from([10**999 - 1, -(10**999 - 1), 10**1000]).map(str)
+INTS = SMALL.map(str) | EDGE_INTS
+
+
+def csv(xs):
+    return ",".join(map(str, xs))
+
+
+LISTS = st.lists(SMALL, max_size=5).map(csv) | EDGE_INTS | st.just(csv([0] * 1001))
+# any list, or the entries --gram or --class takes: an even lattice has an
+# even positive H^2 and an even C^2
+GRAMS = LISTS | st.tuples(st.integers(1, 6), SMALL, st.integers(-3, 6)).map(
+    lambda g: csv([2 * g[0], g[1], 2 * g[2]]))
+CLASSES = LISTS | st.tuples(SMALL, SMALL).map(csv)
+# a --dh span of 10^6 + 1 is refused up front; no drawn span runs past 19
+RANGES = st.tuples(INTS, INTS).map("..".join) | INTS | st.just("0..1000000")
+KMAX = INTS | st.just("10001")
+# degrees 6 and 7 run to their bound; 8 and above are refused up front
+ENUMERATE_DEGREES = st.sampled_from([str(d) for d in range(-6, 13) if d not in (6, 7)]) | EDGE_INTS
+
+
+def optional(values):
+    return st.none() | values
+
+
+# independent lists, or the two sequences of a valid pair
+PAIR_FLAGS = st.fixed_dictionaries({"--a": LISTS, "--b": LISTS}) | weak_pairs(max_degree=5).map(
+    lambda p: {"--a": csv(p.a), "--b": csv(p.b)})
+
+# every leaf command but `reproduce`, whose targets are run one by one
+# above: {flag: value} of one command line; None leaves the flag out,
+# and True gives a flag that takes no value
+FUZZED_COMMANDS = {
+    **{("pairs", name): PAIR_FLAGS
+       for name in ("matrix", "normalize", "dual", "signature", "reducible")},
+    ("pairs", "enumerate"): st.fixed_dictionaries(
+        {"--degree": ENUMERATE_DEGREES, "--cap": optional(INTS)}),
+    ("res", "build"): st.builds(dict.__or__, PAIR_FLAGS, st.fixed_dictionaries({
+        "--case": st.sampled_from(["ci", "ii", "iii"]), "--k": optional(INTS),
+        "--j0": optional(INTS), "--surface-degree": optional(INTS)})),
+    ("res", "invariants"): st.fixed_dictionaries({"--gens": LISTS, "--syz": LISTS}),
+    ("picard", "solve"): st.fixed_dictionaries(
+        {"--gram": GRAMS, "--self-int": INTS, "--dh": RANGES}),
+    ("picard", "watanabe"): st.fixed_dictionaries(
+        {"--divisor": optional(st.sampled_from(DIVISOR_LABELS)), "--gram": optional(GRAMS)}),
+    ("picard", "plane"): st.fixed_dictionaries({"--gram": GRAMS, "--dh-max": INTS}),
+    ("picard", "invariants"): st.fixed_dictionaries({"--gram": GRAMS, "--class": CLASSES}),
+    ("liaison",): st.fixed_dictionaries({"--degree": INTS, "--genus": INTS, "--s": INTS,
+                                         "--t": INTS, "--twice": optional(st.just(True))}),
+    ("classify", "quartic"): st.fixed_dictionaries(
+        {"--divisor": st.sampled_from(DIVISOR_LABELS), "--kmax": optional(KMAX)}),
+    ("classify", "low"): st.fixed_dictionaries({
+        "--degree": st.sampled_from(["2", "3"]) | INTS,
+        "--type": st.sampled_from(["smooth", "reducible", "2x2", "3x3", "4x4"]),
+        "--kmax": optional(KMAX)}),
+}
+
+
+@st.composite
+def fuzzed_argv(draw):
+    command = draw(st.sampled_from(sorted(FUZZED_COMMANDS)))
+    argv = list(command)
+    for flag, value in draw(FUZZED_COMMANDS[command]).items():
+        if value is True:
+            argv.append(flag)
+        elif value is not None:
+            argv.append(f"{flag}={value}")  # the = form takes a leading minus sign
+    return argv + [f"--format={draw(st.sampled_from(['json', 'table']))}"]
+
+
+class TestRefusals:
+    """Every refusal of the library is a ValueError, which `run` reports
+    in one `error:` line with exit code 1."""
+
+    def test_every_library_error_is_a_value_error(self):
+        # the package's modules are walked, so a new error class of
+        # another kind fails here; `cli._TooLarge` is an argument bound
+        # that argparse must not echo as a ValueError's usage error
+        package = Path(acmcurves.__file__).parent
+        errors = {
+            obj for info in pkgutil.iter_modules([str(package)])
+            for obj in vars(importlib.import_module(f"acmcurves.{info.name}")).values()
+            if isinstance(obj, type) and issubclass(obj, BaseException)
+            and obj.__module__ == f"acmcurves.{info.name}"
+        }
+        assert {e.__name__ for e in errors} >= {
+            "ClassificationError", "InvalidTableError", "LinkageError", "PairError", "_TooLarge"}
+        assert [e for e in errors if not issubclass(e, ValueError)] == [cli._TooLarge]
+
+    @settings(max_examples=300, deadline=None)
+    @given(fuzzed_argv())
+    def test_run_never_raises(self, argv):
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = run(argv)
+        out, err = out.getvalue(), err.getvalue()
+        assert code in (0, 1, 2)
+        if code == 1:
+            assert out == "" and err.startswith("error: ") and err.count("\n") == 1
+            assert err.endswith("\n")
+        elif code == 2:
+            assert out == ""
+        elif argv[-1] == "--format=json":
+            json.loads(out)
 
 
 class TestAdditionalPaths:

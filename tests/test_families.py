@@ -110,7 +110,7 @@ class TestPairFamily:
         assert fam.instantiate({"m": 2}) == make_pair((0, 3), (2, 5))
 
     def test_unknown_family(self):
-        with pytest.raises(KeyError):
+        with pytest.raises(ValueError, match="^no family catalog for degree 7$"):
             kind_families(7)
 
 

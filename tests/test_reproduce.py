@@ -13,7 +13,7 @@ import json
 import pytest
 
 from acmcurves import catalog, reproduce
-from acmcurves.classifier import COMPLETE_INTERSECTION, FAMILY_II, RESIDUAL
+from acmcurves.classifier import COMPLETE_INTERSECTION, FAMILY_II, RESIDUAL, RIGID
 from acmcurves.cli import run
 from acmcurves.labels import DIVISOR_LABELS
 from acmcurves.pairs import make_pair, pair_signature
@@ -208,6 +208,63 @@ def test_stray_residual_fails_the_residual_rows(monkeypatch, capsys, label):
     assert len(failing) == len(residuals) > 0
     assert all(row.startswith("residual class ") for row in failing)
     assert all("; computed {" in detail for detail in failing.values())
+    _assert_cli_fails(capsys, label, failing)
+
+
+@pytest.mark.parametrize("label,provenance", [
+    (label, provenance) for label in DIVISOR_LABELS
+    for provenance in (RIGID, RESIDUAL, FAMILY_II, COMPLETE_INTERSECTION)
+    if (label, provenance) != ("F1", RESIDUAL)  # F1 lists no residual class
+])
+def test_repeated_entry_fails_the_rows_of_its_provenance(monkeypatch, capsys, label, provenance):
+    # the first entry of the provenance computed twice: the same class,
+    # table and invariants, so only a row that counts the class can see it
+    before = reproduce.run_target(label)
+    real = reproduce.classify_quartic
+    first = next(e for e in real(reproduce.divisor(label), k_max=reproduce.DIVISOR_K_MAX)
+                 if e.provenance == provenance)
+
+    def repeated(div, k_max):
+        entries = real(div, k_max=k_max)
+        i = entries.index(first)
+        return entries[:i + 1] + entries[i:]
+
+    monkeypatch.setattr(reproduce, "classify_quartic", repeated)
+    rows = reproduce.run_target(label)
+    prefix = {RIGID: "rigid classes = ", RESIDUAL: "residual class ",
+              FAMILY_II: f"family {first.pair} ",
+              COMPLETE_INTERSECTION: "complete intersections "}[provenance]
+    failing = [r.label for r in rows if not r.ok]
+    assert failing and all(row.startswith(prefix) for row in failing)
+    assert failing == [r.label for r in before if r.label.startswith(prefix)]
+    # the last row, the cross-check, counts the entries; every other row
+    # keeps its label, and every passing one its text
+    assert rows[-1].label.startswith("lattice/resolution cross-check") and rows[-1].ok
+    assert [r.label for r in rows[:-1]] == [r.label for r in before[:-1]]
+    assert [r for r in rows[:-1] if r.ok] == [r for r in before[:-1] if r.label not in failing]
+    _assert_cli_fails(capsys, label, failing)
+
+
+# F1 lists no residual class, and F3's two share one (pair, shift)
+@pytest.mark.parametrize("label", ["F2", "F4", "F5"])
+def test_residual_repeated_under_an_earlier_group_fails_the_residual_rows(
+        monkeypatch, capsys, label):
+    # the last RESIDUAL class computed once more, under the (pair, shift)
+    # of the first: a group read before the class's own
+    real = reproduce.classify_quartic
+
+    def repeated(div, k_max):
+        entries = real(div, k_max=k_max)
+        first, *_, last = [e for e in entries if e.provenance == RESIDUAL]
+        assert (first.pair, first.shift) != (last.pair, last.shift)
+        return entries + [last._replace(pair=first.pair, shift=first.shift)]
+
+    monkeypatch.setattr(reproduce, "classify_quartic", repeated)
+    failing = _failing(label)
+    residuals = catalog.raw()["quartic_propositions"][label]["residuals"]
+    assert len(failing) == len(residuals)
+    assert all(row.startswith("residual class ") for row in failing)
+    assert all(": None" in detail for detail in failing.values())
     _assert_cli_fails(capsys, label, failing)
 
 
