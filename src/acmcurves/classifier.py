@@ -1,11 +1,13 @@
 """Classification of ACM curves on the surfaces of degree 2, 3 and 4.
 
-The surface types of degree d are derived from its kind catalog: the
-irreducible kinds whose representative has no twist on both sides (in
-both a and b; such a kind's tables are a shorter pair's, see
-`_shares_a_twist`), grouped into duality orbits under anti-transposition
-and shifted by +1; the one reducible kind of degree 2 seeds the
-reducible quadric's n-family.  Written out are only the labels (in
+The surface types of degree d are derived from its irreducible pairs,
+without its kind catalog: an irreducible kind has exactly one
+normalized pair, and `_irreducible_pairs` walks those alone.  The pairs
+with no twist on both sides (in both a and b; such a kind's tables are
+a shorter pair's, see `_shares_a_twist`) are grouped into duality
+orbits {p, dual_pair(p)} and shifted by +1.  The reducible quadric's
+n-family, ((1, n+1), (2, n+2)), is written from the gap lemma in
+`enumeration`'s docstring.  Written out are only the labels (in
 `labels`), k_min, the prose and the exclusions.
 A quartic type's lattice is that of its generator curve, the least
 (degree, genus) among its pivot tables: (6,3), (3,0), (4,1), (1,0) and
@@ -85,9 +87,8 @@ from collections.abc import Iterator
 from functools import lru_cache
 from json.encoder import encode_basestring_ascii as _quote
 
-from .enumeration import EnumerationConfig, enumerate_kinds
-from .labels import DIVISOR_LABELS, TYPE_LABELS
-from .pairs import WeakAdmissiblePair, degree_matrix, is_reducible_type, make_pair
+from .labels import DIVISOR_LABELS, LOW_DEGREE_TYPES, TYPE_LABELS
+from .pairs import WeakAdmissiblePair, dual_pair, make_pair
 from .picard import DivisorClass, PicardLattice, quartic_lattice, solve_classes, watanabe_candidates
 from .resolutions import (
     BettiTable, CurveInvariants, _invariants, ci_table, pivot_syzygy_table, surface_generator_table,
@@ -315,23 +316,52 @@ def _shares_a_twist(gens: tuple[int, ...], syz: tuple[int, ...]) -> bool:
     return not set(gens).isdisjoint(syz)
 
 
+def _irreducible_pairs(degree: int) -> list[WeakAdmissiblePair]:
+    """The irreducible normalized pairs of a degree, in ``sort_key`` order:
+    one per irreducible kind.
+
+    With the notation of the gap lemma in `enumeration`'s docstring
+    (g_i = b_i - a_i, h_i = a_i - b_(i-1), tau_i = d - g_(i-1) - g_i >= 0),
+    the cell (i, i-1) of the degree matrix is max(b_(i-1) - a_i, 0) =
+    max(-h_i, 0), so a pair is irreducible (no zero just below the
+    diagonal, `is_reducible_type`) exactly when every h_i < 0.  That is a
+    condition on each prefix, so the walk extends only irreducible
+    prefixes: a_i runs over max(a_(i-1), b_(i-1) - g) .. b_(i-1) - 1, and
+    b_i = a_i + g.  Then h_i < 0 <= tau_i at every i, so by the lemma the
+    kind holds every h_i exactly: an irreducible kind has exactly one
+    normalized pair, its least one, and the walk visits it once.  No bound
+    is needed, as b_t = d + sum(h_i) <= d - (t - 1).
+    """
+    def extend(a, b, rest):
+        if not rest:
+            yield WeakAdmissiblePair(a, b)
+        for g in range(1, rest + 1):
+            for ai in range(max(a[-1], b[-1] - g), b[-1]):
+                yield from extend(a + (ai,), b + (ai + g,), rest - g)
+
+    leaves = (p for g in range(1, degree) for p in extend((0,), (g,), degree - g))
+    return sorted(leaves, key=lambda p: p.sort_key)
+
+
 @lru_cache(maxsize=None)
 def _surface_types(degree: int) -> dict[str, tuple[WeakAdmissiblePair, ...]]:
-    """The labelled orbits of irreducible kinds of a degree, and its
-    reducible kinds under "reducible".  A kind whose representative has a
-    twist in both a and b is left out: its tables are those of a shorter
-    pair (`_shares_a_twist`)."""
+    """The labelled duality orbits of the irreducible kinds of a degree,
+    each pair shifted by +1.  A kind whose pair has a twist in both a and
+    b is left out: its tables are those of a shorter pair
+    (`_shares_a_twist`).
+
+    Anti-transposition keeps the cells just below the diagonal, so the
+    dual of an irreducible kind is irreducible, and its one normalized
+    pair (`_irreducible_pairs`) is ``dual_pair(p)``: keying an orbit by
+    {p, dual_pair(p)} keys it by the two kinds.  The orbits come in the
+    order of their least pair, and their pairs in ``sort_key`` order, as
+    the labels in `labels` are listed.
+    """
     orbits: dict[frozenset, list[WeakAdmissiblePair]] = {}
-    reducible = []
-    for e in enumerate_kinds(EnumerationConfig(degree)).entries:  # in sort_key order
-        rep = e.representative
-        if is_reducible_type(degree_matrix(rep)):
-            reducible.append(rep.shift(1))
-        elif not _shares_a_twist(rep.a, rep.b):
-            orbit = frozenset((e.signature, e.signature.anti_transpose()))
-            orbits.setdefault(orbit, []).append(rep.shift(1))
-    labelled = zip(TYPE_LABELS[degree], map(tuple, orbits.values()), strict=True)
-    return dict(labelled) | {"reducible": tuple(reducible)}
+    for p in _irreducible_pairs(degree):
+        if not _shares_a_twist(p.a, p.b):
+            orbits.setdefault(frozenset((p, dual_pair(p))), []).append(p.shift(1))
+    return dict(zip(TYPE_LABELS[degree], map(tuple, orbits.values()), strict=True))
 
 
 def _pivot_tables(pairs: tuple[WeakAdmissiblePair, ...]):
@@ -468,10 +498,12 @@ def classify_quartic(div: QuarticDivisor, k_max: int = 6) -> list[Classification
     return [entry for rows in entries.values() for entry in rows]
 
 
-# (degree, type) -> k_min and the case label of each pair of the derived type;
-# the reducible quadric has one case per splitting type n instead
-_LOW_DEGREE_CASES = {(2, "smooth"): (1, ("main",)), (2, "reducible"): (1, None),
-                     (3, "2x2"): (0, ("A", "B")), (3, "3x3"): (1, ("main",))}
+# (degree, type) -> k_min and the case label of each pair of the derived type,
+# for the types of `LOW_DEGREE_TYPES` in order; the reducible quadric has one
+# case per splitting type n instead
+_LOW_DEGREE_CASES = dict(zip(
+    [(d, tag) for d, tags in LOW_DEGREE_TYPES.items() for tag in tags],
+    [(1, ("main",)), (1, None), (0, ("A", "B")), (1, ("main",))], strict=True))
 _SPLIT_N_MAX = 3  # the reducible quadric is listed for splitting types n = 1..3
 
 
@@ -510,19 +542,16 @@ def classify_low_degree(surface_degree: int, type_tag: str) -> list[LowDegreeFam
     """Resolution families (besides complete intersections) on a degree-2
     or degree-3 surface of the named type."""
     if (surface_degree, type_tag) not in _LOW_DEGREE_CASES:
-        raise ValueError(
-            f"unknown type {surface_degree}/{type_tag}; expected one of "
-            + ", ".join(f"{d}/{t}" for d, t in sorted(_LOW_DEGREE_CASES))
-        )
+        raise ValueError(f"unknown type {surface_degree}/{type_tag}; expected one of "
+                         + ", ".join(f"{d}/{t}" for d, t in sorted(_LOW_DEGREE_CASES)))
     k_min, cases = _LOW_DEGREE_CASES[surface_degree, type_tag]
-    pairs = _surface_types(surface_degree)[type_tag]
-    if cases is not None:
-        return [LowDegreeFamily(type_tag, case, pair, k_min)
-                for case, pair in zip(cases, pairs, strict=True)]
-    # one family per splitting type n of the quadric: its one kind,
-    # ((1, 2), (2, 3)), with the second diagonal block raised by n - 1
-    [((a1, a2), (b1, b2))] = [(p.a, p.b) for p in pairs]
-    return [
-        LowDegreeFamily(type_tag, f"n={n}", make_pair((a1, a2 + n - 1), (b1, b2 + n - 1)), k_min, n)
-        for n in range(1, _SPLIT_N_MAX + 1)
-    ]
+    if cases is None:
+        # one family per splitting type n of the reducible quadric.  A pair of
+        # degree 2 has t = 2 and g = (1, 1), so tau_2 = 0: h_2 = -1 is the
+        # smooth quadric, and by the gap lemma (`enumeration`) every
+        # h_2 = n - 1 >= 0 gives the one reducible kind, ((0, n), (1, n + 1))
+        # normalized, here shifted by +1
+        return [LowDegreeFamily(type_tag, f"n={n}", make_pair((1, n + 1), (2, n + 2)), k_min, n)
+                for n in range(1, _SPLIT_N_MAX + 1)]
+    return [LowDegreeFamily(type_tag, case, pair, k_min)
+            for case, pair in zip(cases, _surface_types(surface_degree)[type_tag], strict=True)]

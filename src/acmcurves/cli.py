@@ -51,7 +51,7 @@ from itertools import chain, islice
 
 import acmcurves as acm
 
-from .labels import DIVISOR_LABELS, TARGET_NAMES
+from .labels import DIVISOR_LABELS, LOW_DEGREE_TYPES, TARGET_NAMES
 
 # Each bound keeps a command's time and memory finite; README has the
 # measured times.  The largest `pairs enumerate --degree`: degree 7 prints
@@ -390,9 +390,11 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--divisor", choices=DIVISOR_LABELS, required=True)
         p.add_argument("--kmax", type=_int, default=6)
     with _command(ksub, "low", _classify_low) as p:
-        p.add_argument("--degree", type=_int, choices=(2, 3), required=True)
+        p.add_argument("--degree", type=_int, choices=tuple(LOW_DEGREE_TYPES), required=True)
         p.add_argument("--type", dest="type_tag", required=True,
-                       help="smooth|reducible (degree 2), 2x2|3x3 (degree 3)")
+                       choices=list(chain(*LOW_DEGREE_TYPES.values())),
+                       help=", ".join(f"{'|'.join(tags)} (degree {d})"
+                                      for d, tags in LOW_DEGREE_TYPES.items()))
         p.add_argument("--kmax", type=_int, default=6)
 
     with _command(sub, "reproduce", _reproduce, "table", help="re-derive a cataloged table") as p:

@@ -31,8 +31,8 @@ from acmcurves.classifier import (
 )
 from acmcurves import catalog, classifier
 from acmcurves.cli import run
-from acmcurves.enumeration import EnumerationConfig, enumerate_kinds
-from acmcurves.pairs import degree_matrix, is_reducible_type
+from acmcurves.enumeration import EnumerationConfig, enumerate_kinds, enumerate_pairs
+from acmcurves.pairs import degree_matrix, dual_pair, is_reducible_type, pair_signature
 from acmcurves.catalog import eval_affine, parse_affine
 from acmcurves.picard import H, PicardLattice, adjunction_genus, dot, solve_classes
 from acmcurves.resolutions import (
@@ -707,15 +707,25 @@ class TestAgainstCatalog:
 
 
 @lru_cache(maxsize=None)
+def kind_catalog(degree, b_cap=None):
+    return enumerate_kinds(EnumerationConfig(degree, b_cap))
+
+
+def irreducible_kinds(degree, b_cap=None):
+    """The entries of the irreducible kinds of a kind catalog, in its order."""
+    return [e for e in kind_catalog(degree, b_cap).entries
+            if not is_reducible_type(degree_matrix(e.representative))]
+
+
+@lru_cache(maxsize=None)
 def irreducible_orbits(degree):
     """The irreducible kinds (normalized a, b) of a degree, read from its kind
     catalog, grouped into duality orbits: orbits in least-representative
     order, members in sort_key order."""
     orbits = {}
-    for e in enumerate_kinds(EnumerationConfig(degree)).entries:
-        if not is_reducible_type(degree_matrix(e.representative)):
-            key = frozenset((e.signature, e.signature.anti_transpose()))
-            orbits.setdefault(key, []).append((e.representative.a, e.representative.b))
+    for e in irreducible_kinds(degree):
+        key = frozenset((e.signature, e.signature.anti_transpose()))
+        orbits.setdefault(key, []).append((e.representative.a, e.representative.b))
     return list(orbits.values())
 
 
@@ -727,29 +737,59 @@ def cancelled(a, b):
 
 
 class TestSurfaceTypeCensus:
-    """The surface types are derived from the kind catalogs: pin their census,
-    so a change to the enumeration or to is_reducible_type fails here first."""
+    """The surface types are derived from the irreducible pairs, walked
+    without a kind catalog: check the walk against the catalogs, and pin
+    its census, so a change to the walk, the enumeration or
+    is_reducible_type fails here first."""
 
-    IRREDUCIBLE = {2: 1, 3: 3, 4: 8}
-    ORBITS = {2: 1, 3: 2, 4: 5}  # after the exclusion
+    # irreducible kinds and surface types (duality orbits with no shared
+    # twist) of degrees 2..10
+    IRREDUCIBLE = dict(zip(range(2, 11), (1, 3, 8, 19, 45, 104, 241, 556, 1284)))
+    TYPES = dict(zip(range(2, 11), (1, 2, 5, 9, 19, 35, 71, 135, 271)))
     EXCLUDED = ((0, 0, 1), (1, 2, 2))
 
+    @pytest.mark.parametrize("degree", range(2, 7))
+    def test_the_walk_gives_the_catalogs_irreducible_kinds(self, degree):
+        walked = classifier._irreducible_pairs(degree)
+        assert walked == [e.representative for e in irreducible_kinds(degree)]
+        # the dual of each is the one pair of the dual kind, so {p, dual_pair(p)}
+        # groups them as the catalog's signatures do
+        orbits = {}
+        for p in walked:
+            orbits.setdefault(frozenset((p, dual_pair(p))), []).append((p.a, p.b))
+        assert list(orbits.values()) == irreducible_orbits(degree)
+
+    def test_the_walk_at_degree_7(self):
+        # an irreducible least pair has every h_i <= -1, so its
+        # b_t = d + sum(h_i) <= d - (t - 1): the catalog at bound 7 holds
+        # every irreducible kind of degree 7
+        walked = classifier._irreducible_pairs(7)
+        assert walked == [e.representative for e in irreducible_kinds(7, 7)]
+
+    def test_census(self):
+        kinds, types = {}, {}
+        for degree in range(2, 11):
+            walked = classifier._irreducible_pairs(degree)
+            kinds[degree] = len(walked)
+            # orbits keyed by kinds, not by dual_pair
+            sigs = [pair_signature(p) for p in walked if not classifier._shares_a_twist(*p)]
+            types[degree] = len({frozenset((sig, sig.anti_transpose())) for sig in sigs})
+        assert (kinds, types) == (self.IRREDUCIBLE, self.TYPES)
+
     @pytest.mark.parametrize("degree", [2, 3, 4])
-    def test_census(self, degree):
-        orbits = irreducible_orbits(degree)
-        n_kinds = sum(map(len, orbits))
-        assert n_kinds == self.IRREDUCIBLE[degree], (
-            f"degree {degree}: {n_kinds} irreducible kinds, expected {self.IRREDUCIBLE[degree]}"
-        )
-        kept = [o for o in orbits if self.EXCLUDED not in o]
-        assert len(kept) == self.ORBITS[degree], (
-            f"degree {degree}: {len(kept)} orbits after the exclusion, "
-            f"expected {self.ORBITS[degree]}"
-        )
-        # each type holds its orbit, shifted by +1
-        derived = [list(pairs) for label, pairs in classifier._surface_types(degree).items()
-                   if label != "reducible"]
+    def test_each_type_is_a_catalog_orbit_shifted_by_one(self, degree):
+        kept = [o for o in irreducible_orbits(degree) if self.EXCLUDED not in o]
+        derived = [list(pairs) for pairs in classifier._surface_types(degree).values()]
         assert derived == [[make_pair(a, b).shift(1) for a, b in o] for o in kept]
+
+    @pytest.mark.parametrize("degree", range(2, 7))
+    def test_a_kind_is_reducible_exactly_when_some_a_reaches_the_b_before_it(self, degree):
+        # the cell (i+1, i) is max(b_i - a_(i+1), 0), which is 0 exactly
+        # when a_(i+1) >= b_i
+        for e in kind_catalog(degree).entries:
+            a, b = e.representative
+            assert is_reducible_type(degree_matrix(e.representative)) == any(
+                a[i + 1] >= b[i] for i in range(len(a) - 1))
 
     # the irreducible kinds with a twist on both sides, by degree (at degree
     # 6 there are 14)
@@ -779,8 +819,11 @@ class TestSurfaceTypeCensus:
         a, b = cancelled(*self.EXCLUDED)
         assert divisor("F3").pairs == (make_pair(a, b).shift(1),)
 
-    def test_one_reducible_quadric_kind(self):
-        assert classifier._surface_types(2)["reducible"] == (make_pair((1, 2), (2, 3)),)
+    def test_the_reducible_quadric_family_is_the_least_reducible_quadric_pairs(self):
+        family = [fam.pair.shift(-1) for fam in classify_low_degree(2, "reducible")]
+        reducible = [p for p in enumerate_pairs(EnumerationConfig(2, 5))
+                     if is_reducible_type(degree_matrix(p))]
+        assert family == reducible[:3]
 
 
 class TestProse:

@@ -409,15 +409,17 @@ class TestHarness:
         (["res", "build", "--case", "ci", "--a", "4", "--b", "3"], ["resolutions"]),
         (["picard", "solve", "--gram", "4,1,-2", "--self-int", "-2", "--dh", "1..3"], ["picard"]),
         (["classify", "quartic", "--divisor", "F4", "--kmax", "3"],
-         ["classifier", "enumeration", "pairs", "picard", "resolutions"]),
+         ["classifier", "pairs", "picard", "resolutions"]),
         (["classify", "low", "--degree", "2", "--type", "reducible"],
-         ["classifier", "enumeration", "pairs", "picard", "resolutions"]),
+         ["classifier", "pairs", "picard", "resolutions"]),
+        (["picard", "watanabe", "--divisor", "F1"],
+         ["classifier", "pairs", "picard", "resolutions"]),
         (["pairs", "enumerate", "--degree", "3"], ["enumeration", "pairs"]),
         (["reproduce", "F1"],
          ["catalog", "classifier", "enumeration", "liaison", "pairs", "picard", "reproduce",
           "resolutions"]),
     ], ids=["pairs-matrix", "liaison", "res-invariants", "res-build-ci", "picard-solve",
-            "classify-quartic", "classify-low", "pairs-enumerate", "reproduce"])
+            "classify-quartic", "classify-low", "watanabe-divisor", "pairs-enumerate", "reproduce"])
     def test_command_loads_only_the_modules_it_uses(self, argv, loaded):
         # every module but the package, the CLI and its choice labels is loaded
         # by the handler that runs
@@ -683,6 +685,22 @@ class TestAdditionalPaths:
         assert "Traceback" not in err
         if code == 1:
             assert err == error + "\n"
+
+    @pytest.mark.parametrize("argv", [
+        ["classify", "low", "--degree", "3", "--type", "4x4"],
+        ["classify", "quartic", "--divisor", "F6"],
+    ], ids=["type", "divisor"])
+    def test_an_unknown_name_is_a_usage_error(self, capsys, argv):
+        # `--type` and `--divisor` take their choices from `labels`
+        code, out, err = invoke(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert err.startswith(f"usage: acmcurves {argv[0]} {argv[1]} ")
+        assert f"invalid choice: {argv[-1]!r}" in err.splitlines()[-1]
+
+    def test_a_known_type_at_another_degree_is_a_refusal(self, capsys):
+        assert invoke(capsys, "classify", "low", "--degree", "2", "--type", "2x2") == (
+            1, "", "error: unknown type 2/2x2; expected one of 2/reducible, 2/smooth, 3/2x2, "
+            "3/3x3\n")
 
     @pytest.mark.parametrize("argv, flag, value", [
         (["pairs", "matrix", "--a", "1,,1", "--b", "2,4"], "--a", "1,,1"),
