@@ -56,15 +56,19 @@ reference.
 
 ``enumerate_kinds`` builds one entry per leaf, so its memory grows
 with the number of kinds, not of pairs; it builds the validated
-``WeakAdmissiblePair`` and, with the one-pass ``pairs.pair_signature``,
-the ``KindSignature`` only for the representative of each kind.  A kind
-then costs ~485 bytes at degree 7: three named tuples, the tuples a
-and b and the tuple of t rows.  The rows themselves are shared, because
-a degree has far fewer distinct rows than kinds (4 074 for 222 605
-kinds at degree 7), so equal rows are one object across the catalog.
-``kind_signature(degree_matrix(p))`` is the slow reference path, and
-the tests check the catalog and ``pair_signature`` against it pair by
-pair over full ranges of degree and bound.
+``WeakAdmissiblePair`` and the ``KindSignature`` only for the
+representative of each kind.  Every entry of a least pair lies in
+0..min(b_cap, stable_cap(d)), so each call tabulates the cells of that
+square once (``pairs.signature_table``) and reads each signature row
+from the table, not cell by cell.  A kind then costs ~485 bytes at
+degree 7: three named tuples, the tuples a and b and the tuple of t
+rows.  The rows themselves are shared, because a degree has far fewer
+distinct rows than kinds (4 074 for 222 605 kinds at degree 7), so
+equal rows are one object across the catalog and with
+``pairs.pair_signature``.  ``kind_signature(degree_matrix(p))`` is the
+slow reference path, and the tests check the catalog and
+``pair_signature`` against it pair by pair over full ranges of degree
+and bound.
 """
 
 from __future__ import annotations
@@ -73,7 +77,7 @@ from collections import namedtuple
 from collections.abc import Iterable, Iterator
 from math import comb
 
-from .pairs import BIG, KindSignature, WeakAdmissiblePair, pair_signature
+from .pairs import BIG, KindSignature, WeakAdmissiblePair, pair_signature, signature_table
 
 
 def stable_cap(degree: int) -> int:
@@ -235,19 +239,23 @@ def enumerate_kinds(cfg: EnumerationConfig) -> KindCatalog:
     in the catalog at every bound from its ``representative.b[-1]`` on
     and at none below: one catalog at ``stable_cap`` gives the kind
     count at every bound, as ``scripts/kind_census.py`` reads it.  Each
-    representative is built and validated, and its signature comes from
-    the one-pass ``pair_signature``, which builds no ``DegreeMatrix``;
-    ``kind_signature(degree_matrix(p))`` is the reference it is tested
-    against.  Memory grows with the number of kinds, not of pairs: at
-    degree 7 the catalog retains ~103 MiB (~485 bytes per kind, its rows
-    shared) and the call peaks at ~137 MiB RSS on a 2-vCPU Xeon under
-    Python 3.11.
+    representative is built and validated, and its signature is read
+    from a table of the cells of this degree, built once per call for
+    the entries 0..min(b_cap, stable_cap(degree)) (``signature_table``).
+    It equals ``pair_signature(rep)``, and
+    ``kind_signature(degree_matrix(rep))`` is the reference both are
+    tested against.  Memory grows with the number of kinds, not of
+    pairs: at degree 7 the catalog retains ~103 MiB (~485 bytes per
+    kind, its rows shared) and the call peaks at ~137 MiB RSS on a
+    2-vCPU Xeon under Python 3.11.
     """
     cap = cfg.b_cap
+    # every entry of a least pair is at most b_t <= stable_cap (module docstring)
+    signature = signature_table(cfg.degree, min(cap, stable_cap(cfg.degree)))
     entries = []
     for a, b, m in sorted(_walk(cfg, True), key=lambda leaf: (len(leaf[0]), leaf[0], leaf[1])):
         rep = WeakAdmissiblePair(a, b)
-        entries.append(KindEntry(pair_signature(rep), rep, comb(m + cap - b[-1], m)))
+        entries.append(KindEntry(signature(rep), rep, comb(m + cap - b[-1], m)))
     return KindCatalog(cfg.degree, cfg.b_cap, tuple(entries))
 
 

@@ -17,9 +17,9 @@ per degree, which is what makes the family catalogs finite.
 from __future__ import annotations
 
 from collections import namedtuple
-from collections.abc import Iterable
+from collections.abc import Callable, Iterable, Sequence
 from itertools import chain
-from operator import getitem
+from operator import getitem, itemgetter
 
 BIG = "BIG"
 
@@ -190,10 +190,17 @@ def kind_signature(m: DegreeMatrix) -> KindSignature:
 # the one stored copy of each equal signature row.  A catalog repeats its
 # signature rows far more often than it has distinct ones (1 422 165 rows
 # of 222 605 kinds at degree 7, but only 4 074 distinct), so every
-# signature from ``pair_signature`` keeps its rows here.  Each row of a
-# degree-d pair is a row of the degree-d kind catalog, so this holds at
-# most 72, 281, 1 072 and 4 074 rows for degrees 4 to 7.
+# signature from ``pair_signature`` and from a ``signature_table`` keeps
+# its rows here, and the two share them.  Each row of a degree-d pair is a
+# row of the degree-d kind catalog, so this holds at most 72, 281, 1 072
+# and 4 074 rows for degrees 4 to 7.
 _ROWS: dict[tuple[Cell, ...], tuple[Cell, ...]] = {}
+
+
+def _cells(a: Iterable[int], xs: Sequence[int], d: int) -> list[tuple[Cell, ...]]:
+    # the clamp rule, the one place it is written: row i holds the kind
+    # cell of x - a_i for each x in xs
+    return [tuple([0 if x <= ai else BIG if x - ai >= d else x - ai for x in xs]) for ai in a]
 
 
 def pair_signature(p: WeakAdmissiblePair) -> KindSignature:
@@ -204,11 +211,33 @@ def pair_signature(p: WeakAdmissiblePair) -> KindSignature:
     built and no check is made.  The pair's constructor is the one
     check: a and b have one length, so the cells are square; they are
     clamped, so nonnegative; and b_i > a_i at every i, so the diagonal
-    sums to sum(b) - sum(a), which is ``p.degree``.
+    sums to sum(b) - sum(a), which is ``p.degree``.  The kind catalog
+    uses ``signature_table`` instead, which gives the same signature.
     """
-    b, d = p.b, p.degree
-    rows = [tuple([0 if bj <= ai else BIG if bj - ai >= d else bj - ai for bj in b]) for ai in p.a]
+    d = p.degree
+    rows = _cells(p.a, p.b, d)
     return KindSignature(d, tuple(map(_ROWS.setdefault, rows, rows)))
+
+
+def signature_table(degree: int, top: int) -> Callable[[WeakAdmissiblePair], KindSignature]:
+    """``pair_signature`` for the pairs of one degree whose entries all
+    lie in 0..top, from a table of their cells built once.
+
+    Row a of the table holds the cell of x - a for every x in 0..top, so
+    a pair's row i is row a_i read at b_1, ..., b_t, which ``itemgetter``
+    reads in C, with no comparison per cell (a pair has t >= 2, so it
+    reads a tuple, not one cell).  The table holds
+    (top + 1)^2 cells and lives as long as the function returned.  It
+    checks neither the degree nor the range of the pairs it is given.
+    """
+    cells = range(top + 1)
+    rows_of = _cells(cells, cells, degree).__getitem__
+
+    def signature(p: WeakAdmissiblePair) -> KindSignature:
+        rows = [*map(itemgetter(*p.b), map(rows_of, p.a))]
+        return KindSignature(degree, tuple(map(_ROWS.setdefault, rows, rows)))
+
+    return signature
 
 
 def is_reducible_type(m: DegreeMatrix) -> bool:

@@ -8,6 +8,7 @@ import pkgutil
 import re
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -19,6 +20,7 @@ from acmcurves.cli import run
 from acmcurves.labels import DIVISOR_LABELS
 from acmcurves.reproduce import TARGETS, run_target
 from conftest import weak_pairs
+from test_enumeration import count_pairs
 
 
 def invoke(capsys, *argv):
@@ -739,6 +741,19 @@ class TestAdditionalPaths:
     def test_enumerate_cap_at_bound_succeeds(self, capsys):
         doc = invoke_json(capsys, "pairs", "enumerate", "--degree", "2", "--cap", "6")
         assert doc["b_cap"] == 6 and len(doc["kinds"]) == 2
+
+    def test_enumerate_largest_accepted_cap_succeeds(self, capsys):
+        # degree 6 at the largest cap it accepts, stable_cap(6) + 6 = 32;
+        # the same call at degree 7 takes seconds, too long for tier-1
+        start = time.perf_counter()
+        code = run(["pairs", "enumerate", "--degree", "6", "--cap", "32"])
+        elapsed = time.perf_counter() - start
+        out, err = capsys.readouterr()
+        assert (code, err) == (0, "")
+        doc = json.loads(out)
+        assert (doc["degree"], doc["b_cap"], len(doc["kinds"])) == (6, 32, 14137)
+        assert sum(k["count"] for k in doc["kinds"]) == count_pairs(6, 32)
+        assert elapsed < 1.0
 
     def test_solve_dh_range_above_bound_refused_up_front(self, capsys, monkeypatch):
         monkeypatch.setattr("acmcurves.solve_classes", never)

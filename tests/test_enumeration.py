@@ -2,6 +2,7 @@ import functools
 import importlib
 import itertools
 import json
+import operator
 import pkgutil
 import tracemalloc
 from math import comb
@@ -23,7 +24,9 @@ from acmcurves import enumeration
 from acmcurves.catalog import kind_families
 from acmcurves.enumeration import KindCatalog, KindEntry
 from acmcurves.liaison import CiProfile
-from acmcurves.pairs import DegreeMatrix, PairError, WeakAdmissiblePair, degree_matrix, kind_signature
+from acmcurves.pairs import (
+    DegreeMatrix, PairError, WeakAdmissiblePair, degree_matrix, kind_signature, signature_table,
+)
 from acmcurves.picard import PicardLattice
 from acmcurves.resolutions import BettiTable, CurveInvariants, InvalidTableError
 
@@ -249,9 +252,20 @@ class TestKindCatalog:
 
     @pytest.mark.parametrize("degree", [2, 3, 4, 5, 6])
     def test_signatures_share_equal_rows(self, degree):
-        rows = [row for e in enumerate_kinds(EnumerationConfig(degree)).entries
-                for row in e.signature.cells]
+        entries = enumerate_kinds(EnumerationConfig(degree)).entries
+        rows = [row for e in entries for row in e.signature.cells]
         assert len({id(row) for row in rows}) == len(set(rows))
+        # the catalog's table and pair_signature keep one copy of a row
+        for e in entries:
+            cells = pair_signature(e.representative).cells
+            assert all(map(operator.is_, e.signature.cells, cells))
+
+    @pytest.mark.parametrize("degree,cap", [(2, 6), (3, 9), (4, 14), (5, 12)])
+    def test_signature_table_agrees_with_pair_signature(self, degree, cap):
+        # every pair under the cap, not only the least pair of each kind
+        signature = signature_table(degree, cap)
+        for p in enumerate_pairs(EnumerationConfig(degree, cap)):
+            assert signature(p) == pair_signature(p)
 
     def test_every_representative_is_validated(self, monkeypatch):
         pairs = set()
