@@ -16,12 +16,15 @@ tuple of its fields, and equal to that tuple (and to a record of
 another class with the same fields).  A record whose fields must agree
 checks them in ``__new__``, and its ``_make``, and so its ``_replace``,
 builds through the constructor.  Records are built through their
-constructor everywhere except at four private sites, each of which
+constructor everywhere except at five sites, each of which
 establishes the check's fact itself and then calls ``tuple.__new__``:
 
 * ``resolutions._sorted_table``: a ``BettiTable`` whose constructors
   put the twists in ascending order and first refuse their one twist
   that can be nonpositive;
+* ``enumeration.enumerate_kinds``: each kind's ``KindSignature`` and
+  ``KindEntry``, which check nothing, from all their fields; the
+  representative is a ``WeakAdmissiblePair`` built by its constructor;
 * ``classifier.classify_quartic``: the ``DivisorClass`` of each shift,
   translated from shift 3 (``DivisorClass`` checks nothing);
 * ``classifier.classify_quartic.emit``: each table's ``CurveInvariants``,

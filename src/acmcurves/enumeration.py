@@ -52,19 +52,20 @@ b_i - a_{i-1} <= d, and counts in m the indices at equality, so it
 yields each kind's least pair once, with its count: 14 137 pairs at
 degree 6 and 222 605 at degree 7, one per kind.  ``enumerate_pairs``
 walks with no bound on the gaps, so it remains the exhaustive
-reference.
+reference.  The walk hands its leaves over in ``sort_key`` order, the
+one order of both enumerations, so neither caller sorts.
 
 ``enumerate_kinds`` builds one entry per leaf, so its memory grows
 with the number of kinds, not of pairs; it builds the validated
 ``WeakAdmissiblePair`` and the ``KindSignature`` only for the
 representative of each kind.  Every entry of a least pair lies in
 0..min(b_cap, stable_cap(d)), so each call tabulates the cells of that
-square once (``pairs.signature_table``) and reads each signature row
-from the table, not cell by cell.  A kind then costs ~485 bytes at
-degree 7: three named tuples, the tuples a and b and the tuple of t
-rows.  The rows themselves are shared, because a degree has far fewer
-distinct rows than kinds (4 074 for 222 605 kinds at degree 7), so
-equal rows are one object across the catalog and with
+square once (``pairs.signature_table``) and reads each kind's stored
+signature rows from the table, not cell by cell.  A kind then costs
+~485 bytes at degree 7: three named tuples, the tuples a and b and the
+tuple of t rows.  The rows themselves are shared, because a degree has
+far fewer distinct rows than kinds (4 074 for 222 605 kinds at degree
+7), so equal rows are one object across the catalog and with
 ``pairs.pair_signature``.  ``kind_signature(degree_matrix(p))`` is the
 slow reference path, and the tests check the catalog and
 ``pair_signature`` against it pair by pair over full ranges of degree
@@ -104,42 +105,45 @@ class EnumerationConfig(namedtuple("EnumerationConfig", "degree b_cap")):
 def _walk(
     cfg: EnumerationConfig, least: bool
 ) -> Iterator[tuple[tuple[int, ...], tuple[int, ...], int]]:
-    """Yield (a, b, m) for the normalized pairs with b_t <= b_cap: every
-    one, with m = 0, or with ``least`` the least pair of each kind, with
-    m the number of its gaps a_i - b_{i-1} at tau_i = d - g_{i-1} - g_i.
+    """Yield (a, b, m) for the normalized pairs with b_t <= b_cap, in
+    ``sort_key`` order: every one, with m = 0, or with ``least`` the
+    least pair of each kind, with m the number of its gaps
+    a_i - b_{i-1} at tau_i = d - g_{i-1} - g_i.
 
-    No extension needs a check: the loop starts a_i at
-    max(a_{i-1}, b_{i-1} - g) and sets b_i = a_i + g with g >= 1, so
+    No extension needs a check: the loops start a_i at
+    max(a_{i-1}, b_{i-1} - g) and set b_i = a_i + g with g >= 1, so
     a_i >= a_{i-1}, b_i >= b_{i-1} and a_i < b_i by construction, and a
-    leaf is exactly an extension whose gap brings the trace to the
-    degree.  Both callers build each leaf as a validated
-    ``WeakAdmissiblePair``, which is the one check of the pair.
+    leaf is exactly an extension by the closing gap g = d - trace.  Both
+    callers build each leaf as a validated ``WeakAdmissiblePair``, which
+    is the one check of the pair.  The leaves are collected per length
+    t and each length is sorted as plain tuples: among leaves of one
+    length, (a, b, m) orders as (a, b), since no two share a and b.
     """
     d, cap = cfg.degree, cfg.b_cap
+    by_length: list[list] = [[] for _ in range(d + 1)]
     stack = [((0,), (g,), g, 0) for g in range(1, d)]
     while stack:
         a, b, trace, m = stack.pop()
         rest = d - trace
         a_last, b_last = a[-1], b[-1]
-        for g in range(1, rest + 1):
+        for g in range(1, rest):
             # a_i - b_{i-1} <= tau_i is b_i - a_{i-1} <= d
             a_max = a_last + d - g if least else cap
             for ai in range(max(a_last, b_last - g), min(a_max, cap - g) + 1):
-                bi = ai + g
-                child_m = m + (ai == a_max)
-                if g == rest:
-                    yield a + (ai,), b + (bi,), child_m
-                else:
-                    stack.append((a + (ai,), b + (bi,), trace + g, child_m))
+                stack.append((a + (ai,), b + (ai + g,), trace + g, m + (ai == a_max)))
+        a_max = a_last + d - rest if least else cap
+        leaves = by_length[len(a) + 1]
+        for ai in range(max(a_last, b_last - rest), min(a_max, cap - rest) + 1):
+            leaves.append((a + (ai,), b + (ai + rest,), m + (ai == a_max)))
+    for leaves in by_length:
+        leaves.sort()
+        yield from leaves
 
 
 def enumerate_pairs(cfg: EnumerationConfig) -> list[WeakAdmissiblePair]:
     """All normalized pairs of the configured degree with b_t <= b_cap,
     sorted by (length, a, b)."""
-    return sorted(
-        (WeakAdmissiblePair(a, b) for a, b, _ in _walk(cfg, False)),
-        key=lambda p: p.sort_key,
-    )
+    return [WeakAdmissiblePair(a, b) for a, b, _ in _walk(cfg, False)]
 
 
 class KindEntry(namedtuple("KindEntry", "signature representative count")):
@@ -233,30 +237,34 @@ def enumerate_kinds(cfg: EnumerationConfig) -> KindCatalog:
     """The kind catalog: one entry per kind, in one pass of the walk.
 
     The walk yields the least pair of each kind once, with the number
-    of pairs of its kind (see the module docstring), and the entries are
-    sorted by their representatives' ``sort_key``, so output is stable
-    across runs.  A representative is componentwise least, so a kind is
+    of pairs of its kind (see the module docstring), in the
+    representatives' ``sort_key`` order, so output is stable across
+    runs.  A representative is componentwise least, so a kind is
     in the catalog at every bound from its ``representative.b[-1]`` on
     and at none below: one catalog at ``stable_cap`` gives the kind
     count at every bound, as ``scripts/kind_census.py`` reads it.  Each
-    representative is built and validated, and its signature is read
-    from a table of the cells of this degree, built once per call for
-    the entries 0..min(b_cap, stable_cap(degree)) (``signature_table``).
-    It equals ``pair_signature(rep)``, and
-    ``kind_signature(degree_matrix(rep))`` is the reference both are
-    tested against.  Memory grows with the number of kinds, not of
-    pairs: at degree 7 the catalog retains ~103 MiB (~485 bytes per
-    kind, its rows shared) and the call peaks at ~137 MiB RSS on a
-    2-vCPU Xeon under Python 3.11.
+    representative is built and validated, and its signature rows are
+    read from a table of the cells of this degree, built once per call
+    for the entries 0..min(b_cap, stable_cap(degree))
+    (``signature_table``).  They are ``pair_signature(rep)``'s rows,
+    and ``kind_signature(degree_matrix(rep))`` is the reference both are
+    tested against.  ``KindSignature`` and ``KindEntry`` check nothing,
+    so each is built from its fields with ``tuple.__new__``.  Memory
+    grows with the number of kinds, not of pairs: at degree 7 the
+    catalog retains ~103 MiB (~485 bytes per kind, its rows shared) and
+    the call peaks at ~137 MiB RSS on a 2-vCPU Xeon under Python 3.11.
     """
-    cap = cfg.b_cap
+    d, cap = cfg.degree, cfg.b_cap
     # every entry of a least pair is at most b_t <= stable_cap (module docstring)
-    signature = signature_table(cfg.degree, min(cap, stable_cap(cfg.degree)))
-    entries = []
-    for a, b, m in sorted(_walk(cfg, True), key=lambda leaf: (len(leaf[0]), leaf[0], leaf[1])):
-        rep = WeakAdmissiblePair(a, b)
-        entries.append(KindEntry(signature(rep), rep, comb(m + cap - b[-1], m)))
-    return KindCatalog(cfg.degree, cfg.b_cap, tuple(entries))
+    rows = signature_table(d, min(cap, stable_cap(d)))
+    return KindCatalog(d, cap, tuple([
+        tuple.__new__(KindEntry, (
+            tuple.__new__(KindSignature, (d, rows(a, b))),
+            WeakAdmissiblePair(a, b),
+            comb(m + cap - b[-1], m),
+        ))
+        for a, b, m in _walk(cfg, True)
+    ]))
 
 
 def match_families(

@@ -187,6 +187,17 @@ def kind_signature(m: DegreeMatrix) -> KindSignature:
     return KindSignature(d, cells)
 
 
+class _RowStore(dict):
+    """Maps each signature row to its one stored copy: ``store[row]``
+    returns the copy, and stores ``row`` itself when it is new."""
+
+    __slots__ = ()
+
+    def __missing__(self, row: tuple[Cell, ...]) -> tuple[Cell, ...]:
+        self[row] = row
+        return row
+
+
 # the one stored copy of each equal signature row.  A catalog repeats its
 # signature rows far more often than it has distinct ones (1 422 165 rows
 # of 222 605 kinds at degree 7, but only 4 074 distinct), so every
@@ -194,7 +205,7 @@ def kind_signature(m: DegreeMatrix) -> KindSignature:
 # its rows here, and the two share them.  Each row of a degree-d pair is a
 # row of the degree-d kind catalog, so this holds at most 72, 281, 1 072
 # and 4 074 rows for degrees 4 to 7.
-_ROWS: dict[tuple[Cell, ...], tuple[Cell, ...]] = {}
+_ROWS = _RowStore()
 
 
 def _cells(a: Iterable[int], xs: Sequence[int], d: int) -> list[tuple[Cell, ...]]:
@@ -212,32 +223,34 @@ def pair_signature(p: WeakAdmissiblePair) -> KindSignature:
     check: a and b have one length, so the cells are square; they are
     clamped, so nonnegative; and b_i > a_i at every i, so the diagonal
     sums to sum(b) - sum(a), which is ``p.degree``.  The kind catalog
-    uses ``signature_table`` instead, which gives the same signature.
+    uses ``signature_table`` instead, which gives the same rows.
     """
     d = p.degree
-    rows = _cells(p.a, p.b, d)
-    return KindSignature(d, tuple(map(_ROWS.setdefault, rows, rows)))
+    return KindSignature(d, tuple(map(_ROWS.__getitem__, _cells(p.a, p.b, d))))
 
 
-def signature_table(degree: int, top: int) -> Callable[[WeakAdmissiblePair], KindSignature]:
-    """``pair_signature`` for the pairs of one degree whose entries all
-    lie in 0..top, from a table of their cells built once.
+def signature_table(
+    degree: int, top: int
+) -> Callable[[tuple[int, ...], tuple[int, ...]], tuple[tuple[Cell, ...], ...]]:
+    """For the pairs of one degree whose entries all lie in 0..top, a
+    function of a and b that gives the stored rows of
+    ``pair_signature``'s cells, from a table of the cells built once.
 
     Row a of the table holds the cell of x - a for every x in 0..top, so
     a pair's row i is row a_i read at b_1, ..., b_t, which ``itemgetter``
     reads in C, with no comparison per cell (a pair has t >= 2, so it
     reads a tuple, not one cell).  The table holds
     (top + 1)^2 cells and lives as long as the function returned.  It
-    checks neither the degree nor the range of the pairs it is given.
+    checks neither the degree nor the range of the a and b it is given.
     """
     cells = range(top + 1)
     rows_of = _cells(cells, cells, degree).__getitem__
+    stored = _ROWS.__getitem__
 
-    def signature(p: WeakAdmissiblePair) -> KindSignature:
-        rows = [*map(itemgetter(*p.b), map(rows_of, p.a))]
-        return KindSignature(degree, tuple(map(_ROWS.setdefault, rows, rows)))
+    def rows(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[tuple[Cell, ...], ...]:
+        return tuple(map(stored, map(itemgetter(*b), map(rows_of, a))))
 
-    return signature
+    return rows
 
 
 def is_reducible_type(m: DegreeMatrix) -> bool:

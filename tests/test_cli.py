@@ -765,6 +765,16 @@ class TestAdditionalPaths:
         assert err.startswith("error: --dh 0..1000000 spans 1000001 degrees, more than 1000000")
         assert err.count("\n") == 1 and "Traceback" not in err
 
+    def test_solve_dh_range_at_bound_succeeds(self, capsys):
+        # a span of exactly 10^6 degrees, the largest accepted
+        start = time.perf_counter()
+        doc = invoke_json(capsys, "picard", "solve", "--gram", "4,1,-4", "--self-int=-2",
+                          "--dh", "1..1000000")
+        elapsed = time.perf_counter() - start
+        classes = acmcurves.solve_classes(acmcurves.PicardLattice(4, 1, -4), -2, 1, 10**6)
+        assert doc == {"classes": sorted(c.to_json() for c in classes)}
+        assert elapsed < 2.0
+
     def test_plane_dh_max_is_bounded_by_degree_6_only(self, capsys):
         # no plane-curve class has a degree above 6, so a 1000-digit
         # --dh-max prints what --dh-max 6 prints
@@ -785,6 +795,26 @@ class TestAdditionalPaths:
         assert code == 1 and out == ""
         assert err.startswith("error: --kmax 10001 is above 10000")
         assert err.count("\n") == 1 and "Traceback" not in err
+
+    def test_quartic_kmax_at_bound_succeeds(self, capsys):
+        # the largest --kmax accepted, on the divisor with the most rows
+        start = time.perf_counter()
+        code, out, err = invoke(capsys, "classify", "quartic", "--divisor", "F5",
+                                "--kmax", "10000")
+        elapsed = time.perf_counter() - start
+        assert (code, err) == (0, "")
+        entries = acmcurves.classify_quartic(acmcurves.divisor("F5"), k_max=10000)
+        assert len(json.loads(out)) == len(entries)
+        assert elapsed < 2.0
+
+    def test_low_kmax_at_bound_succeeds(self, capsys):
+        start = time.perf_counter()
+        doc = invoke_json(capsys, "classify", "low", "--degree", "3", "--type", "2x2",
+                          "--kmax", "10000")
+        elapsed = time.perf_counter() - start
+        families = acmcurves.classify_low_degree(3, "2x2")
+        assert [len(fam["tables"]) for fam in doc] == [10001 - fam.k_min for fam in families]
+        assert elapsed < 2.0
 
     @pytest.mark.parametrize("degree, type_tag, kmax, k_min", [
         ("2", "smooth", "-5", 1), ("2", "reducible", "0", 1), ("3", "2x2", "-1", 0),

@@ -263,9 +263,13 @@ class TestKindCatalog:
     @pytest.mark.parametrize("degree,cap", [(2, 6), (3, 9), (4, 14), (5, 12)])
     def test_signature_table_agrees_with_pair_signature(self, degree, cap):
         # every pair under the cap, not only the least pair of each kind
-        signature = signature_table(degree, cap)
+        # and the rows it gives are the very objects pair_signature keeps
+        rows = signature_table(degree, cap)
         for p in enumerate_pairs(EnumerationConfig(degree, cap)):
-            assert signature(p) == pair_signature(p)
+            cells = pair_signature(p).cells
+            got = rows(p.a, p.b)
+            assert got == cells
+            assert all(map(operator.is_, got, cells))
 
     def test_every_representative_is_validated(self, monkeypatch):
         pairs = set()
@@ -405,27 +409,48 @@ def test_gap_lemma_over_full_ranges(degree):
 LEAF_CASES = REFERENCE_CASES + [(5, 25)]
 
 
+def assert_in_catalog_order(leaves):
+    """Each leaf's (len(a), a, b) is strictly greater than the one before:
+    the catalog's order, with no leaf twice, checked in one pass.  A leaf
+    is a walk's (a, b, m) or a pair (a, b)."""
+    last = ()
+    for a, b, *_ in leaves:
+        key = (len(a), a, b)
+        assert key > last, (last, key)
+        last = key
+
+
 @pytest.mark.parametrize("degree,cap", LEAF_CASES)
 def test_catalog_walks_one_least_pair_per_kind(degree, cap):
     # the catalog's walk yields exactly the least pair of each kind, once,
-    # and the count it derives from each is the number of pairs of its kind
+    # and the count it derives from each is the number of pairs of its kind;
+    # both walks hand their leaves over in catalog order, as no caller sorts
     cfg = EnumerationConfig(degree, cap)
     leaves = list(enumeration._walk(cfg, True))
+    assert_in_catalog_order(leaves)
     got = {make_pair(a, b): comb(m + cap - b[-1], m) for a, b, m in leaves}
     assert len(got) == len(leaves)
     assert got == dict(reference_kinds(cfg).values())
-    assert sum(got.values()) == len(enumerate_pairs(cfg))
+    pairs = enumerate_pairs(cfg)
+    assert_in_catalog_order(pairs)
+    assert sum(got.values()) == len(pairs)
 
 
 def test_degree7_walk_pins():
     # 222 605 kinds at (7, 37), whose counts add up to count_pairs(7, 37),
-    # and 7^6 of them with every diagonal gap 1, that is of length 7
-    leaves = total = ones = 0
-    for a, b, m in enumeration._walk(EnumerationConfig(7, 37), True):
-        leaves += 1
-        total += comb(m + 37 - b[-1], m)
-        ones += len(a) == 7
-    assert (leaves, total, ones) == (222605, 10494329, 7**6)
+    # and 7^6 of them with every diagonal gap 1, that is of length 7; the
+    # walk hands them over in catalog order
+    leaves = list(enumeration._walk(EnumerationConfig(7, 37), True))
+    assert_in_catalog_order(leaves)
+    total = sum(comb(m + 37 - b[-1], m) for _, b, m in leaves)
+    ones = sum(len(a) == 7 for a, _, _ in leaves)
+    assert (len(leaves), total, ones) == (222605, 10494329, 7**6)
+
+
+def test_degree6_exhaustive_walk_in_catalog_order():
+    # 92 772 pairs; degrees 2-5 at every cap and (6, 26) are checked with
+    # the catalog's walk above
+    assert_in_catalog_order(enumeration._walk(EnumerationConfig(6, 20), False))
 
 
 def reference_json(catalog: KindCatalog) -> str:

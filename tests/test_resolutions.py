@@ -1,3 +1,4 @@
+import contextlib
 from itertools import combinations_with_replacement, product
 
 import pytest
@@ -19,6 +20,7 @@ from acmcurves import (
     pivot_syzygy_table,
     validate,
 )
+from acmcurves import classifier
 from conftest import weak_pairs
 
 F4_A = make_pair((1, 1), (2, 4))
@@ -311,6 +313,35 @@ def test_dual_families_give_complementary_branches():
     b_degrees = {raw_invariants(surface_generator_table(b_pair, k))[0] for k in range(1, 10)}
     assert all(d % 4 == 1 for d in a_degrees)
     assert all(d % 4 == 3 for d in b_degrees)
+
+
+@pytest.mark.parametrize("degree,tables", [(2, 14), (3, 42), (4, 111), (5, 264),
+                                           (6, 628), (7, 1457)])
+def test_hodge_index_on_every_irreducible_kind(degree, tables):
+    # a curve of degree e and genus g on a smooth surface S of degree d has
+    # C.H = e and, by adjunction with K_S = (d - 4)H, C^2 = 2g - 2 - (d - 4)e;
+    # the Hodge index makes H^2 C^2 - (C.H)^2 negative unless C is a multiple
+    # of H.  Checked on every table with g >= 0 of every irreducible kind,
+    # shifted by 1: case ii at k = -1..11 and case iii at every pivot.  The
+    # pinned count of such tables fails a range that shrinks
+    checked = 0
+    for p in classifier._irreducible_pairs(degree):
+        p = p.shift(1)
+        built = []
+        for build, args in [(surface_generator_table, range(-1, 12)),
+                            (pivot_syzygy_table, range(1, p.length + 1))]:
+            for arg in args:
+                with contextlib.suppress(InvalidTableError):
+                    built.append(build(p, arg))
+        for t in built:
+            try:
+                e, g = invariants_from_betti(t)
+            except InvalidTableError:
+                continue
+            if g >= 0:
+                checked += 1
+                assert degree * (2 * g - 2 - (degree - 4) * e) - e * e < 0, (p, t)
+    assert checked == tables
 
 
 # The constructors build their twists in ascending order and skip the

@@ -132,6 +132,11 @@ UNCHECKED_BUILDS = {
         "_invariants refuses a degree below 1, the constructor's one check",
     ("classifier", "classify_quartic.emit", "ClassificationEntry"):
         "ClassificationEntry checks nothing, and all nine fields are given",
+    ("enumeration", "enumerate_kinds", "KindSignature"):
+        "KindSignature checks nothing, and both fields are given",
+    ("enumeration", "enumerate_kinds", "KindEntry"):
+        "KindEntry checks nothing, and all three fields are given; its representative is "
+        "built by WeakAdmissiblePair, which checks the pair",
     ("liaison", "residual_invariants", "CurveInvariants"):
         "it refuses a residual degree below 1 first, the constructor's one check",
 }
