@@ -16,26 +16,14 @@ tuple of its fields, and equal to that tuple (and to a record of
 another class with the same fields).  A record whose fields must agree
 checks them in ``__new__``, and its ``_make``, and so its ``_replace``,
 builds through the constructor.  Records are built through their
-constructor everywhere except at five sites, each of which
-establishes the check's fact itself and then calls ``tuple.__new__``:
-
-* ``resolutions._sorted_table``: a ``BettiTable`` whose constructors
-  put the twists in ascending order and first refuse their one twist
-  that can be nonpositive;
-* ``enumeration.enumerate_kinds``: each kind's ``KindSignature`` and
-  ``KindEntry``, which check nothing, from all their fields; the
-  representative is a ``WeakAdmissiblePair`` built by its constructor;
-* ``classifier.classify_quartic``: the ``DivisorClass`` of each shift,
-  translated from shift 3 (``DivisorClass`` checks nothing);
-* ``classifier.classify_quartic.emit``: each table's ``CurveInvariants``,
-  whose positive degree ``_invariants`` has checked, and each
-  ``ClassificationEntry`` (which checks nothing) from all nine fields;
-* ``liaison.residual_invariants``: its ``CurveInvariants``, after it
-  refuses a degree below 1.
-
-``tests/test_source.py`` lists these sites and fails on any other.  A
-named tuple is also the cheapest record class to define, which matters
-because every CLI process defines the classes it uses afresh.
+constructor everywhere except at a few sites, each of which establishes
+the check's fact itself (or builds a record that checks nothing, from
+all its fields) and then calls ``tuple.__new__``.  The one list of
+those sites, each with its reason, is ``UNCHECKED_BUILDS`` in
+``tests/test_source.py``, which fails on any other site and on a stale
+entry.  A named tuple is also the cheapest record class to define,
+which matters because every CLI process defines the classes it uses
+afresh.
 """
 
 # each public name -> the submodule that defines it

@@ -83,9 +83,7 @@ so every twist is still validated, and every entry is cross-checked.
 from __future__ import annotations
 
 from collections import namedtuple
-from collections.abc import Iterator
 from functools import lru_cache
-from json.encoder import encode_basestring_ascii as _quote
 
 from .labels import DIVISOR_LABELS, LOW_DEGREE_TYPES, TYPE_LABELS
 from .pairs import WeakAdmissiblePair, dual_pair, make_pair
@@ -166,66 +164,6 @@ class ClassificationEntry(namedtuple("ClassificationEntry", (
         if self.pivot is not None:
             doc["pivot"] = self.pivot
         return doc
-
-    @staticmethod
-    def json_chunks(entries: list[ClassificationEntry]) -> Iterator[str]:
-        """``json.dumps([e.to_json() for e in entries], indent=2,
-        sort_keys=True)``, byte for byte, in n + 1 pieces for n entries:
-        one per entry, the first with the list's opening, and the list's
-        closing; ``"[]"`` alone for no entries.
-
-        Each entry is written from one template (``_ENTRY_JSON``), and the
-        text of each distinct table, with its "minimal" flag, once: the
-        classes of one table share it."""
-        tables: dict[BettiTable, tuple[str, str, str]] = {}
-
-        def twists(values: tuple[int, ...]) -> str:
-            items = ",\n        ".join(map(str, values))
-            return f"[\n        {items}\n      ]" if values else "[]"
-
-        def entry_text(e: ClassificationEntry) -> str:
-            table = tables.get(e.resolution)
-            if table is None:
-                table = tables[e.resolution] = (
-                    "true" if e.minimal else "false",
-                    twists(e.resolution.gens), twists(e.resolution.syz),
-                )
-            minimal, gens, syz = table
-            return _ENTRY_JSON.format(
-                e.cls.a, e.cls.b, e.invariants.degree, _quote(e.description), _quote(e.divisor),
-                e.invariants.genus, "" if e.shift is None else f'\n    "k": {e.shift},', minimal,
-                "" if e.pivot is None else f'\n    "pivot": {e.pivot},', _quote(e.provenance),
-                gens, syz,
-            )
-
-        sep = "[\n"
-        for e in entries:
-            yield sep + entry_text(e)
-            sep = ",\n"
-        yield "\n]" if entries else "[]"
-
-
-# the text of one `ClassificationEntry.to_json()` in a list, as
-# json.dumps(indent=2, sort_keys=True) writes it: keys sorted, each
-# depth's indent written out, and the optional "k" and "pivot" lines
-# (each with its line break before and its comma) in their sorted places
-_ENTRY_JSON = """\
-  {{
-    "class": [
-      {},
-      {}
-    ],
-    "degree": {},
-    "description": {},
-    "divisor": {},
-    "genus": {},{}
-    "minimal": {},{}
-    "provenance": {},
-    "resolution": {{
-      "gens": {},
-      "syz": {}
-    }}
-  }}"""
 
 
 # classes each divisor's rigid search drops, with the reason

@@ -19,17 +19,18 @@ entries (exit 2).  `res build` refuses a twist flag that its case
 does not read: `--k`, `--j0` and `--surface-degree` with `--case ci`,
 `--j0` with `ii` and `--k` with `iii`.
 
-Every command but two builds its document from its records' `to_json`
-and prints `json.dumps(doc, indent=2, sort_keys=True)`.  The two big
-documents stream from their row templates, byte for byte that same
-text: `pairs enumerate` writes its catalog through
-`KindCatalog.json_chunks` and `classify quartic` its entries through
-`ClassificationEntry.json_chunks`, one piece per row from one fixed
-template, so neither builds the document or its whole text.  A table
-view is likewise one piece per line.  `run` alone decides how much text
-goes to stdout at once: it joins the pieces 1 000 at a time, so a row
-is not a write of its own.  Each handler builds its rows and finishes
-every check that can fail before the first byte is written.
+This module writes every byte of output; the library's records give
+only their `to_json` documents.  Every command but two builds its
+document from them and prints `json.dumps(doc, indent=2,
+sort_keys=True)`.  The two big documents stream, byte for byte that
+same text, from the row templates below: `pairs enumerate` writes its
+catalog through `_catalog_json` and `classify quartic` its entries
+through `_entries_json`, one piece per row through `_json_list`, so
+neither builds the document or its whole text.  A table view is
+likewise one piece per line.  `run` alone decides how much text goes to
+stdout at once: it joins the pieces 1 000 at a time, so a row is not a
+write of its own.  Each handler builds its rows and finishes every
+check that can fail before the first byte is written.
 
 Start-up: building the parser needs only `labels`, which imports
 nothing.  The handlers read library names as `acm.X`, and the package
@@ -46,8 +47,10 @@ import argparse
 import json
 import os
 import sys
+from collections.abc import Iterable, Iterator
 from contextlib import contextmanager
 from itertools import chain, islice
+from json.encoder import encode_basestring_ascii as _quote
 
 import acmcurves as acm
 
@@ -121,6 +124,119 @@ def _table(columns: tuple[str, ...], rows):
     return render
 
 
+def _json_list(texts: Iterable[str], indent: str, end: str = "") -> Iterator[str]:
+    """The pieces of a JSON list of the given item texts, as
+    json.dumps(indent=2) writes a list whose closing "]" is at `indent`:
+    one piece per item, the first with the opening "[", and a last piece
+    that closes the list and appends `end`.  No piece is empty, and no
+    items give the one piece "[]" + `end`."""
+    sep = "[\n"
+    for text in texts:
+        yield sep + text
+        sep = ",\n"
+    yield ("[]" if sep == "[\n" else f"\n{indent}]") + end
+
+
+# the text of one `KindEntry.to_json()` in a catalog's "kinds" list, as
+# json.dumps(indent=2, sort_keys=True) writes it: keys sorted, and each
+# depth's indent written out.  The slots are the count, the items of a and
+# of b, the signature rows and the degree
+_KIND_JSON = """\
+    {{
+      "count": {},
+      "representative": {{
+        "a": [
+          {}
+        ],
+        "b": [
+          {}
+        ]
+      }},
+      "signature": {{
+        "cells": [
+          {}
+        ],
+        "degree": {}
+      }}
+    }}"""
+
+
+def _catalog_json(kinds) -> Iterator[str]:
+    """``json.dumps(kinds.to_json(), indent=2, sort_keys=True)`` of a
+    `KindCatalog`, byte for byte, in n + 2 pieces for n kinds: the head
+    up to the "kinds" list, one piece per kind, and the list's closing
+    with the tail.  The text of each distinct signature row is made
+    once: a catalog has far fewer distinct rows than kinds (4 074 for
+    222 605 kinds at degree 7)."""
+    yield f'{{\n  "b_cap": {kinds.b_cap},\n  "degree": {kinds.degree},\n  "kinds": '
+    rows: dict[tuple, str] = {}
+
+    def row_text(row: tuple) -> str:
+        text = rows.get(row)
+        if text is None:
+            cells = ",\n            ".join(['"BIG"' if c == acm.BIG else str(c) for c in row])
+            text = rows[row] = f"[\n            {cells}\n          ]"
+        return text
+
+    yield from _json_list((_KIND_JSON.format(
+        count, ",\n          ".join(map(str, rep.a)), ",\n          ".join(map(str, rep.b)),
+        ",\n          ".join(map(row_text, sig.cells)), sig.degree,
+    ) for sig, rep, count in kinds.entries), "  ", "\n}")
+
+
+# the text of one `ClassificationEntry.to_json()` in a list, as
+# json.dumps(indent=2, sort_keys=True) writes it: keys sorted, each
+# depth's indent written out, and the optional "k" and "pivot" lines
+# (each with its line break before and its comma) in their sorted places
+_ENTRY_JSON = """\
+  {{
+    "class": [
+      {},
+      {}
+    ],
+    "degree": {},
+    "description": {},
+    "divisor": {},
+    "genus": {},{}
+    "minimal": {},{}
+    "provenance": {},
+    "resolution": {{
+      "gens": {},
+      "syz": {}
+    }}
+  }}"""
+
+
+def _entries_json(entries) -> Iterator[str]:
+    """``json.dumps([e.to_json() for e in entries], indent=2,
+    sort_keys=True)`` of `ClassificationEntry` rows, byte for byte, in
+    n + 1 pieces for n entries: one per entry and the list's closing.
+    The text of each distinct table, with its "minimal" flag, is made
+    once: the classes of one table share it."""
+    tables: dict[tuple, tuple[str, str, str]] = {}
+
+    def twists(values: tuple[int, ...]) -> str:
+        items = ",\n        ".join(map(str, values))
+        return f"[\n        {items}\n      ]" if values else "[]"
+
+    def entry_text(e) -> str:
+        table = tables.get(e.resolution)
+        if table is None:
+            table = tables[e.resolution] = (
+                "true" if e.minimal else "false",
+                twists(e.resolution.gens), twists(e.resolution.syz),
+            )
+        minimal, gens, syz = table
+        return _ENTRY_JSON.format(
+            e.cls.a, e.cls.b, e.invariants.degree, _quote(e.description), _quote(e.divisor),
+            e.invariants.genus, "" if e.shift is None else f'\n    "k": {e.shift},', minimal,
+            "" if e.pivot is None else f'\n    "pivot": {e.pivot},', _quote(e.provenance),
+            gens, syz,
+        )
+
+    return _json_list(map(entry_text, entries), "")
+
+
 def _lattice(gram: list[int]):
     if len(gram) != 3:
         raise ValueError("--gram expects three integers H2,HC,C2")
@@ -174,7 +290,7 @@ def _pairs_enumerate(args):
         ((e.signature.render(), repr(e.representative), e.count) for e in kinds.entries),
     )
     head = f"degree {kinds.degree}, b_cap {kinds.b_cap}: {len(kinds)} kinds\n"
-    return kinds.json_chunks(), lambda: chain((head,), rows())
+    return _catalog_json(kinds), lambda: chain((head,), rows())
 
 
 # the twist flags of `res build` that each case does not read
@@ -278,7 +394,7 @@ def _classify_quartic(args):
         ((e.cls, e.invariants.degree, e.invariants.genus, e.provenance, e.description)
          for e in entries),
     )
-    return acm.ClassificationEntry.json_chunks(entries), render
+    return _entries_json(entries), render
 
 
 def _classify_low(args):

@@ -78,7 +78,7 @@ from collections import namedtuple
 from collections.abc import Iterable, Iterator
 from math import comb
 
-from .pairs import BIG, KindSignature, WeakAdmissiblePair, pair_signature, signature_table
+from .pairs import KindSignature, WeakAdmissiblePair, degree_matrix, kind_signature, signature_table
 
 
 def stable_cap(degree: int) -> int:
@@ -158,30 +158,6 @@ class KindEntry(namedtuple("KindEntry", "signature representative count")):
         }
 
 
-# the text of one `KindEntry.to_json()` in a catalog's "kinds" list, as
-# json.dumps(indent=2, sort_keys=True) writes it: keys sorted, and each
-# depth's indent written out.  The slots are the count, the items of a and
-# of b, the signature rows and the degree
-_KIND_JSON = """\
-    {{
-      "count": {},
-      "representative": {{
-        "a": [
-          {}
-        ],
-        "b": [
-          {}
-        ]
-      }},
-      "signature": {{
-        "cells": [
-          {}
-        ],
-        "degree": {}
-      }}
-    }}"""
-
-
 class KindCatalog(namedtuple("KindCatalog", "degree b_cap entries")):
     """The kinds of one degree under one bound; ``len`` counts the
     entries, not the three fields, so ``_make`` builds through the
@@ -202,35 +178,6 @@ class KindCatalog(namedtuple("KindCatalog", "degree b_cap entries")):
             "b_cap": self.b_cap,
             "kinds": [e.to_json() for e in self.entries],
         }
-
-    def json_chunks(self) -> Iterator[str]:
-        """``json.dumps(self.to_json(), indent=2, sort_keys=True)``, byte
-        for byte, in n + 2 pieces for n kinds: the head up to the "kinds"
-        list, one piece per kind, and the tail.
-
-        Each kind is written from one template (``_KIND_JSON``), and the
-        text of each distinct signature row once: a catalog has far fewer
-        distinct rows than kinds (see the module docstring).  So no
-        document is built, and memory stays that of the catalog."""
-        yield f'{{\n  "b_cap": {self.b_cap},\n  "degree": {self.degree},\n  "kinds": '
-        rows: dict[tuple, str] = {}
-
-        def row_text(row: tuple) -> str:
-            text = rows.get(row)
-            if text is None:
-                cells = ",\n            ".join(['"BIG"' if c == BIG else str(c) for c in row])
-                text = rows[row] = f"[\n            {cells}\n          ]"
-            return text
-
-        sep = "[\n"
-        for sig, rep, count in self.entries:
-            yield sep + _KIND_JSON.format(
-                count, ",\n          ".join(map(str, rep.a)),
-                ",\n          ".join(map(str, rep.b)),
-                ",\n          ".join(map(row_text, sig.cells)), sig.degree,
-            )
-            sep = ",\n"
-        yield "\n  ]\n}" if self.entries else "[]\n}"
 
 
 def enumerate_kinds(cfg: EnumerationConfig) -> KindCatalog:
@@ -281,7 +228,10 @@ def match_families(
     equals ``catalog.signatures()``.  A parametrized family can straddle
     several kinds (entries cross the BIG threshold as parameters grow),
     so every instance within the bound is compared, not only the minimal
-    one."""
+    one.  The expected kinds come from the reference
+    ``kind_signature(degree_matrix(p))``, not from ``pair_signature``,
+    which shares its clamp rule (``pairs._cells``) with the catalog's
+    ``signature_table``: a wrong rule there would agree with itself."""
     sigs = catalog.signatures()
     matched = []
     generated: set[KindSignature] = set()
@@ -290,6 +240,6 @@ def match_families(
             raise ValueError(
                 f"family {fam.name} has degree {fam.degree}, catalog degree {catalog.degree}"
             )
-        matched.append((fam.name, pair_signature(fam.min_instance()) in sigs))
+        matched.append((fam.name, kind_signature(degree_matrix(fam.min_instance())) in sigs))
         generated |= fam.signatures(catalog.b_cap)
     return matched, generated

@@ -180,7 +180,11 @@ def kind_signature(m: DegreeMatrix) -> KindSignature:
     """The kind of a validated degree matrix.
 
     ``kind_signature(degree_matrix(p))`` is the reference that the
-    tests hold ``pair_signature(p)`` to.
+    tests hold ``pair_signature(p)`` to, and that ``reproduce`` reads for
+    the families' expected kinds (``catalog.PairFamily.signatures``,
+    ``enumeration.match_families``): it builds each cell from the
+    checked matrix, apart from ``_cells``, so a wrong clamp rule there
+    cannot agree with itself.
     """
     d = m.degree
     cells = tuple([tuple([v if v < d else BIG for v in row]) for row in m.entries])

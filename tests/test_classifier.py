@@ -29,7 +29,7 @@ from acmcurves.classifier import (
     RIGID,
     rigid_classes,
 )
-from acmcurves import catalog, classifier
+from acmcurves import catalog, classifier, cli
 from acmcurves.cli import run
 from acmcurves.enumeration import EnumerationConfig, enumerate_kinds, enumerate_pairs
 from acmcurves.pairs import degree_matrix, dual_pair, is_reducible_type, pair_signature
@@ -596,10 +596,10 @@ def reference_json(entries) -> str:
 
 @pytest.mark.parametrize("k_max", [3, 6, 40, 2000])
 @pytest.mark.parametrize("label", LABELS)
-def test_json_chunks_equal_json_dumps(label, k_max):
+def test_entry_writer_equals_json_dumps(label, k_max):
     # the writer `classify quartic` streams, byte for byte the reference
     entries = classify_quartic(divisor(label), k_max=k_max)
-    chunks = list(ClassificationEntry.json_chunks(entries))
+    chunks = list(cli._entries_json(entries))
     assert "".join(chunks) == reference_json(entries)
     # one piece per entry, the first with the opening "[", and the closing "]"
     assert len(chunks) == len(entries) + 1
@@ -619,6 +619,10 @@ PLANTED = {
     # a twist on both sides: not minimal
     "non-minimal": ClassificationEntry("F2", cls(1, 1), CurveInvariants(5, 3), RESIDUAL, "twice",
                                        BettiTable((2, 3, 4), (3, 6)), PAIR, shift=1),
+    # the least generator twist is the one on both sides, which no table
+    # the classifier builds has
+    "least twist twice": ClassificationEntry("F2", cls(1, 1), CurveInvariants(5, 3), RESIDUAL,
+                                             "first", BettiTable((2, 3, 4), (2, 7)), PAIR, shift=1),
     "k and pivot": ClassificationEntry("F3", cls(1, 2), CurveInvariants(4, 1), FAMILY_III,
                                        "both", BettiTable((2, 2), (4,)), PAIR, 5, 1),
     "escaped text": ClassificationEntry("F\"1", cls(0, 0), CurveInvariants(1, 0), "R\u00e9",
@@ -630,11 +634,17 @@ PLANTED = {
 @pytest.mark.parametrize("entries", [[], *([e] for e in PLANTED.values()),
                                      list(PLANTED.values())],
                          ids=["empty", *PLANTED, "all"])
-def test_json_chunks_of_planted_entries(entries):
-    chunks = list(ClassificationEntry.json_chunks(entries))
+def test_entry_writer_on_planted_entries(entries):
+    chunks = list(cli._entries_json(entries))
     assert "".join(chunks) == reference_json(entries)
     # no entries is the one piece "[]"
     assert len(chunks) == len(entries) + 1
+
+
+def test_minimal_flag_of_planted_entries():
+    # not minimal exactly when some twist is a generator and a syzygy twist
+    assert {name for name, e in PLANTED.items() if not e.minimal} == {"non-minimal",
+                                                                      "least twist twice"}
 
 
 def test_entry_contract():

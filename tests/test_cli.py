@@ -20,7 +20,7 @@ from acmcurves.cli import run
 from acmcurves.labels import DIVISOR_LABELS
 from acmcurves.reproduce import TARGETS, run_target
 from conftest import weak_pairs
-from test_enumeration import count_pairs
+from test_enumeration import brute_force_pairs, count_pairs
 
 
 def invoke(capsys, *argv):
@@ -753,6 +753,21 @@ class TestAdditionalPaths:
         doc = json.loads(out)
         assert (doc["degree"], doc["b_cap"], len(doc["kinds"])) == (6, 32, 14137)
         assert sum(k["count"] for k in doc["kinds"]) == count_pairs(6, 32)
+        assert elapsed < 1.0
+
+    def test_enumerate_largest_accepted_degree_succeeds(self, capsys):
+        # degree 7, the largest accepted, at its least cap: 4 471 kinds in
+        # ~0.07 s, each kind one pair
+        start = time.perf_counter()
+        code = run(["pairs", "enumerate", "--degree", "7", "--cap", "7"])
+        elapsed = time.perf_counter() - start
+        out, err = capsys.readouterr()
+        assert (code, err) == (0, "")
+        doc = json.loads(out)
+        kinds = {acmcurves.kind_signature(acmcurves.degree_matrix(p))
+                 for p in brute_force_pairs(7, 7)}
+        assert (doc["degree"], doc["b_cap"], len(doc["kinds"])) == (7, 7, len(kinds))
+        assert sum(k["count"] for k in doc["kinds"]) == count_pairs(7, 7)
         assert elapsed < 1.0
 
     def test_solve_dh_range_above_bound_refused_up_front(self, capsys, monkeypatch):

@@ -20,7 +20,7 @@ from acmcurves import (
     stable_cap,
 )
 import acmcurves
-from acmcurves import enumeration
+from acmcurves import cli, enumeration
 from acmcurves.catalog import kind_families
 from acmcurves.enumeration import KindCatalog, KindEntry
 from acmcurves.liaison import CiProfile
@@ -460,11 +460,11 @@ def reference_json(catalog: KindCatalog) -> str:
 @pytest.mark.parametrize("degree,cap", [
     (d, cap) for d in range(2, 7) for cap in range(d, stable_cap(d) + d + 1)
 ])
-def test_json_chunks_equal_json_dumps(degree, cap):
+def test_catalog_writer_equals_json_dumps(degree, cap):
     # the writer `pairs enumerate` streams, byte for byte the reference, at
     # every bound the CLI accepts up to degree 6
     catalog = enumerate_kinds(EnumerationConfig(degree, cap))
-    chunks = list(catalog.json_chunks())
+    chunks = list(cli._catalog_json(catalog))
     assert "".join(chunks) == reference_json(catalog)
     # the head, one piece per kind, the tail
     assert len(chunks) == len(catalog) + 2
@@ -478,9 +478,9 @@ def test_json_chunks_equal_json_dumps(degree, cap):
     tuple(KindEntry(pair_signature(p), p, i) for i, p in enumerate(
         [make_pair((0, 5, 9), (1, 6, 11)), make_pair((0, 0), (1, 2))])),
 ], ids=["empty", "planted", "unsorted"])
-def test_json_chunks_of_planted_catalogs(entries):
+def test_catalog_writer_on_planted_catalogs(entries):
     catalog = KindCatalog(3, 9, entries)
-    chunks = list(catalog.json_chunks())
+    chunks = list(cli._catalog_json(catalog))
     assert "".join(chunks) == reference_json(catalog)
     assert len(chunks) == len(entries) + 2
 

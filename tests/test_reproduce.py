@@ -9,14 +9,15 @@ calls, so a computed value is wrong against the real catalog.
 
 import copy
 import json
+import re
 
 import pytest
 
-from acmcurves import catalog, reproduce
+from acmcurves import catalog, pairs, reproduce
 from acmcurves.classifier import COMPLETE_INTERSECTION, FAMILY_II, RESIDUAL, RIGID
 from acmcurves.cli import run
 from acmcurves.labels import DIVISOR_LABELS
-from acmcurves.pairs import make_pair, pair_signature
+from acmcurves.pairs import BIG, make_pair, pair_signature
 from acmcurves.picard import DivisorClass
 from acmcurves.resolutions import CurveInvariants, ci_table
 
@@ -97,6 +98,21 @@ def test_wrong_expected_value_fails_its_row(serve_catalog, capsys, target, edit,
     serve_catalog(edit)
     assert _failing(target) == failing
     _assert_cli_fails(capsys, target, failing)
+
+
+def early_clamp(a, xs, d):
+    # a wrong clamp rule: a cell is BIG one step early, at x - a >= d - 1
+    return [tuple([0 if x <= ai else BIG if x - ai >= d - 1 else x - ai for x in xs]) for ai in a]
+
+
+@pytest.mark.parametrize("degree", [2, 3, 4])
+def test_wrong_clamp_rule_fails_the_catalog_row(monkeypatch, degree):
+    # the catalog's signature rows (and `pair_signature`) read `pairs._cells`;
+    # the families' expected kinds come from `kind_signature`, which does
+    # not, so a wrong clamp rule cannot agree with itself
+    monkeypatch.setattr(pairs, "_cells", early_clamp)
+    assert any(re.fullmatch(r"all \d+ catalog kinds generated by the \d+ families", label)
+               for label in _failing(f"degree{degree}-kinds"))
 
 
 def test_wrong_linkage_fails_the_table_and_double_linkage(monkeypatch, capsys):

@@ -269,10 +269,11 @@ def to_json_keys(tree: ast.Module, cls: str) -> set[str]:
     return keys
 
 
-def writer_keys(tree: ast.Module, cls: str) -> set[str]:
-    """Each `"key": ` that `cls.json_chunks` writes: in its own strings and
-    in the module-level templates it reads."""
-    writer = method(tree, cls, "json_chunks")
+def writer_keys(tree: ast.Module, function: str) -> set[str]:
+    """Each `"key": ` that the module-level `function` writes: in its own
+    strings and in the module-level templates it reads."""
+    [writer] = [node for node in tree.body
+                if isinstance(node, ast.FunctionDef) and node.name == function]
     names = {node.id for node in ast.walk(writer) if isinstance(node, ast.Name)}
     templates = [node.value for node in tree.body if isinstance(node, ast.Assign)
                  and any(isinstance(t, ast.Name) and t.id in names for t in node.targets)]
@@ -281,13 +282,12 @@ def writer_keys(tree: ast.Module, cls: str) -> set[str]:
     return set(re.findall(r'"(\w+)": ', text))
 
 
-# each streaming writer (module, record) -> the records whose `to_json`
-# documents it writes from its templates
+# each streaming writer of `cli` -> the records whose `to_json` documents
+# it writes from its templates
 WRITERS = {
-    ("enumeration", "KindCatalog"): [("enumeration", "KindCatalog"), ("enumeration", "KindEntry"),
-                                     ("pairs", "KindSignature"), ("pairs", "WeakAdmissiblePair")],
-    ("classifier", "ClassificationEntry"): [("classifier", "ClassificationEntry"),
-                                            ("resolutions", "BettiTable")],
+    "_catalog_json": [("enumeration", "KindCatalog"), ("enumeration", "KindEntry"),
+                      ("pairs", "KindSignature"), ("pairs", "WeakAdmissiblePair")],
+    "_entries_json": [("classifier", "ClassificationEntry"), ("resolutions", "BettiTable")],
 }
 
 
@@ -296,9 +296,9 @@ def test_every_to_json_key_is_written():
     # the streamed JSON of `pairs enumerate` or `classify quartic`
     trees = {path.stem: ast.parse(path.read_text(), filename=str(path))
              for path in LIBRARY if path.parent.name == "acmcurves"}
-    for (module, cls), records in WRITERS.items():
+    for function, records in WRITERS.items():
         wanted = set().union(*(to_json_keys(trees[m], c) for m, c in records))
-        assert writer_keys(trees[module], cls) == wanted, cls
+        assert writer_keys(trees["cli"], function) == wanted, function
 
 
 def test_a_key_the_writer_lacks_is_found():
@@ -309,8 +309,8 @@ def test_a_key_the_writer_lacks_is_found():
         "        doc = {'a': 1, 'b': [2]}\n"
         "        doc['c'] = 3\n"
         "        return doc\n"
-        "    def json_chunks(self):\n"
-        "        yield _ROW.format(1, 2)\n"
+        "def _r_json(r):\n"
+        "    yield _ROW.format(1, 2)\n"
     )
     assert to_json_keys(tree, "R") == {"a", "b", "c"}
-    assert writer_keys(tree, "R") == {"a", "b"}
+    assert writer_keys(tree, "_r_json") == {"a", "b"}
