@@ -21,9 +21,7 @@ import re
 from collections import namedtuple
 from functools import lru_cache
 
-from .pairs import (
-    KindSignature, WeakAdmissiblePair, degree_matrix, kind_signature, make_pair, normalize,
-)
+from .pairs import KindSignature, WeakAdmissiblePair, make_pair, normalize, pair_signature
 
 _TERM = r"(?:\d+|[A-Za-z_]\w*)"
 # a whole expression: terms after the first carry an explicit sign
@@ -142,9 +140,8 @@ class PairFamily(namedtuple("PairFamily", (
         return pairs
 
     def signatures(self, b_cap: int) -> set[KindSignature]:
-        """The kinds of the instances, by the reference ``kind_signature``,
-        which shares no code with the catalog's ``signature_table``."""
-        return {kind_signature(degree_matrix(p)) for p in self.instances(b_cap)}
+        """The kinds of the instances, by ``pair_signature``."""
+        return {pair_signature(p) for p in self.instances(b_cap)}
 
 
 @lru_cache(maxsize=1)

@@ -60,25 +60,26 @@ with the number of kinds, not of pairs; it builds the validated
 ``WeakAdmissiblePair`` and the ``KindSignature`` only for the
 representative of each kind.  Every entry of a least pair lies in
 0..min(b_cap, stable_cap(d)), so each call tabulates the cells of that
-square once (``pairs.signature_table``) and reads each kind's stored
+square once (``signature_table``) and reads each kind's stored
 signature rows from the table, not cell by cell.  A kind then costs
 ~485 bytes at degree 7: three named tuples, the tuples a and b and the
 tuple of t rows.  The rows themselves are shared, because a degree has
 far fewer distinct rows than kinds (4 074 for 222 605 kinds at degree
-7), so equal rows are one object across the catalog and with
-``pairs.pair_signature``.  ``kind_signature(degree_matrix(p))`` is the
-slow reference path, and the tests check the catalog and
-``pair_signature`` against it pair by pair over full ranges of degree
-and bound.
+7), so equal rows are one object across the catalogs of a process
+(``_ROWS``, which keeps them for the life of the process).  The table and the store serve the catalog alone: a one-off kind is
+``pairs.pair_signature``, the reference
+``kind_signature(degree_matrix(p))``, and the tests check the catalog's
+table against it pair by pair over full ranges of degree and bound.
 """
 
 from __future__ import annotations
 
 from collections import namedtuple
-from collections.abc import Iterable, Iterator
+from collections.abc import Callable, Iterable, Iterator, Sequence
 from math import comb
+from operator import itemgetter
 
-from .pairs import KindSignature, WeakAdmissiblePair, degree_matrix, kind_signature, signature_table
+from .pairs import BIG, Cell, KindSignature, WeakAdmissiblePair, pair_signature
 
 
 def stable_cap(degree: int) -> int:
@@ -180,6 +181,57 @@ class KindCatalog(namedtuple("KindCatalog", "degree b_cap entries")):
         }
 
 
+class _RowStore(dict):
+    """Maps each signature row to its one stored copy: ``store[row]``
+    returns the copy, and stores ``row`` itself when it is new."""
+
+    __slots__ = ()
+
+    def __missing__(self, row: tuple[Cell, ...]) -> tuple[Cell, ...]:
+        self[row] = row
+        return row
+
+
+# the one stored copy of each equal signature row.  A catalog repeats its
+# signature rows far more often than it has distinct ones (1 422 165 rows
+# of 222 605 kinds at degree 7, but only 4 074 distinct), so every
+# signature from a ``signature_table`` keeps its rows here, and the
+# catalogs of one process share them.  Each row of a degree-d pair is a
+# row of the degree-d kind catalog, so this holds at most 72, 281, 1 072
+# and 4 074 rows for degrees 4 to 7.
+_ROWS = _RowStore()
+
+
+def _cells(a: Iterable[int], xs: Sequence[int], d: int) -> list[tuple[Cell, ...]]:
+    # the catalog's clamp rule, written apart from ``pairs.kind_signature``:
+    # row i holds the kind cell of x - a_i for each x in xs
+    return [tuple([0 if x <= ai else BIG if x - ai >= d else x - ai for x in xs]) for ai in a]
+
+
+def signature_table(
+    degree: int, top: int
+) -> Callable[[tuple[int, ...], tuple[int, ...]], tuple[tuple[Cell, ...], ...]]:
+    """For the pairs of one degree whose entries all lie in 0..top, a
+    function of a and b that gives the stored rows of the pair's kind
+    cells, from a table of the cells built once.
+
+    Row a of the table holds the cell of x - a for every x in 0..top, so
+    a pair's row i is row a_i read at b_1, ..., b_t, which ``itemgetter``
+    reads in C, with no comparison per cell (a pair has t >= 2, so it
+    reads a tuple, not one cell).  The table holds
+    (top + 1)^2 cells and lives as long as the function returned.  It
+    checks neither the degree nor the range of the a and b it is given.
+    """
+    cells = range(top + 1)
+    rows_of = _cells(cells, cells, degree).__getitem__
+    stored = _ROWS.__getitem__
+
+    def rows(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[tuple[Cell, ...], ...]:
+        return tuple(map(stored, map(itemgetter(*b), map(rows_of, a))))
+
+    return rows
+
+
 def enumerate_kinds(cfg: EnumerationConfig) -> KindCatalog:
     """The kind catalog: one entry per kind, in one pass of the walk.
 
@@ -193,13 +245,13 @@ def enumerate_kinds(cfg: EnumerationConfig) -> KindCatalog:
     representative is built and validated, and its signature rows are
     read from a table of the cells of this degree, built once per call
     for the entries 0..min(b_cap, stable_cap(degree))
-    (``signature_table``).  They are ``pair_signature(rep)``'s rows,
-    and ``kind_signature(degree_matrix(rep))`` is the reference both are
-    tested against.  ``KindSignature`` and ``KindEntry`` check nothing,
-    so each is built from its fields with ``tuple.__new__``.  Memory
-    grows with the number of kinds, not of pairs: at degree 7 the
-    catalog retains ~103 MiB (~485 bytes per kind, its rows shared) and
-    the call peaks at ~137 MiB RSS on a 2-vCPU Xeon under Python 3.11.
+    (``signature_table``).  Their cells are ``pair_signature(rep)``'s,
+    the reference the table is tested against.  ``KindSignature`` and
+    ``KindEntry`` check nothing, so each is built from its fields with
+    ``tuple.__new__``.  Memory grows with the number of kinds, not of
+    pairs: at degree 7 the catalog retains ~103 MiB (~485 bytes per
+    kind, its rows shared) and the call peaks at ~137 MiB RSS on a
+    2-vCPU Xeon under Python 3.11.
     """
     d, cap = cfg.degree, cfg.b_cap
     # every entry of a least pair is at most b_t <= stable_cap (module docstring)
@@ -228,10 +280,7 @@ def match_families(
     equals ``catalog.signatures()``.  A parametrized family can straddle
     several kinds (entries cross the BIG threshold as parameters grow),
     so every instance within the bound is compared, not only the minimal
-    one.  The expected kinds come from the reference
-    ``kind_signature(degree_matrix(p))``, not from ``pair_signature``,
-    which shares its clamp rule (``pairs._cells``) with the catalog's
-    ``signature_table``: a wrong rule there would agree with itself."""
+    one.  The expected kinds are ``pair_signature``'s."""
     sigs = catalog.signatures()
     matched = []
     generated: set[KindSignature] = set()
@@ -240,6 +289,6 @@ def match_families(
             raise ValueError(
                 f"family {fam.name} has degree {fam.degree}, catalog degree {catalog.degree}"
             )
-        matched.append((fam.name, kind_signature(degree_matrix(fam.min_instance())) in sigs))
+        matched.append((fam.name, pair_signature(fam.min_instance()) in sigs))
         generated |= fam.signatures(catalog.b_cap)
     return matched, generated

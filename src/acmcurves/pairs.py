@@ -12,14 +12,19 @@ Kinds abstract the degree matrix entry-wise: zero stays zero, a value
 strictly between 0 and the degree is kept exactly, and anything >= the
 degree collapses to a single BIG marker.  There are finitely many kinds
 per degree, which is what makes the family catalogs finite.
+``pair_signature(p)`` is ``kind_signature(degree_matrix(p))``, the one
+reference for a pair's kind; the kind catalog's faster cell table and
+its store of shared rows live in ``enumeration``, next to their one
+caller.  This module holds the records, their checks and the reference,
+and keeps no state between calls.
 """
 
 from __future__ import annotations
 
 from collections import namedtuple
-from collections.abc import Callable, Iterable, Sequence
+from collections.abc import Iterable
 from itertools import chain
-from operator import getitem, itemgetter
+from operator import getitem
 
 BIG = "BIG"
 
@@ -138,9 +143,10 @@ def degree_matrix(p: WeakAdmissiblePair) -> DegreeMatrix:
     entries are the positive gaps b_i - a_i, hence trace = degree.
     """
     b = p.b
-    # delta(ai, bj), written out: a call per cell costs more than the cell
-    entries = tuple([tuple([bj - ai if bj > ai else 0 for bj in b]) for ai in p.a])
-    return DegreeMatrix(p.degree, entries)
+    # delta(ai, bj), written out: a call per cell costs more than the cell.
+    # Row i depends on a_i alone, so equal a_i share one row, built once
+    row = {ai: tuple([bj - ai if bj > ai else 0 for bj in b]) for ai in set(p.a)}
+    return DegreeMatrix(p.degree, tuple([row[ai] for ai in p.a]))
 
 
 def dual_pair(p: WeakAdmissiblePair) -> WeakAdmissiblePair:
@@ -177,84 +183,30 @@ class KindSignature(namedtuple("KindSignature", "degree cells")):
 
 
 def kind_signature(m: DegreeMatrix) -> KindSignature:
-    """The kind of a validated degree matrix.
-
-    ``kind_signature(degree_matrix(p))`` is the reference that the
-    tests hold ``pair_signature(p)`` to, and that ``reproduce`` reads for
-    the families' expected kinds (``catalog.PairFamily.signatures``,
-    ``enumeration.match_families``): it builds each cell from the
-    checked matrix, apart from ``_cells``, so a wrong clamp rule there
-    cannot agree with itself.
-    """
+    """The kind of a validated degree matrix: each entry of at least the
+    degree becomes BIG, every other entry is kept."""
     d = m.degree
-    cells = tuple([tuple([v if v < d else BIG for v in row]) for row in m.entries])
+    # a row with no entry at or above d is its own kind row, and ``max``
+    # finds that out in C, without a comparison per cell in Python
+    cells = tuple([
+        row if max(row) < d else tuple([v if v < d else BIG for v in row]) for row in m.entries
+    ])
     return KindSignature(d, cells)
 
 
-class _RowStore(dict):
-    """Maps each signature row to its one stored copy: ``store[row]``
-    returns the copy, and stores ``row`` itself when it is new."""
-
-    __slots__ = ()
-
-    def __missing__(self, row: tuple[Cell, ...]) -> tuple[Cell, ...]:
-        self[row] = row
-        return row
-
-
-# the one stored copy of each equal signature row.  A catalog repeats its
-# signature rows far more often than it has distinct ones (1 422 165 rows
-# of 222 605 kinds at degree 7, but only 4 074 distinct), so every
-# signature from ``pair_signature`` and from a ``signature_table`` keeps
-# its rows here, and the two share them.  Each row of a degree-d pair is a
-# row of the degree-d kind catalog, so this holds at most 72, 281, 1 072
-# and 4 074 rows for degrees 4 to 7.
-_ROWS = _RowStore()
-
-
-def _cells(a: Iterable[int], xs: Sequence[int], d: int) -> list[tuple[Cell, ...]]:
-    # the clamp rule, the one place it is written: row i holds the kind
-    # cell of x - a_i for each x in xs
-    return [tuple([0 if x <= ai else BIG if x - ai >= d else x - ai for x in xs]) for ai in a]
-
-
 def pair_signature(p: WeakAdmissiblePair) -> KindSignature:
-    """The kind of a pair, in one pass over a and b.
+    """The kind of a pair: ``kind_signature(degree_matrix(p))``, the
+    reference.
 
-    Each cell comes straight from the pair: 0 where b_j <= a_i, BIG where
-    b_j - a_i >= d, the difference otherwise; no ``DegreeMatrix`` is
-    built and no check is made.  The pair's constructor is the one
-    check: a and b have one length, so the cells are square; they are
-    clamped, so nonnegative; and b_i > a_i at every i, so the diagonal
-    sums to sum(b) - sum(a), which is ``p.degree``.  The kind catalog
-    uses ``signature_table`` instead, which gives the same rows.
+    The kind catalog reads its rows from a cell table instead
+    (``enumeration.signature_table``), which writes the clamp rule
+    separately, in ``enumeration._cells``, and the tests hold it to this
+    function.  A family's expected kinds (``catalog.PairFamily.signatures``,
+    ``enumeration.match_families``) come from here and never from that
+    table, so a wrong clamp rule there cannot agree with itself.  Nothing
+    is kept once the call returns.
     """
-    d = p.degree
-    return KindSignature(d, tuple(map(_ROWS.__getitem__, _cells(p.a, p.b, d))))
-
-
-def signature_table(
-    degree: int, top: int
-) -> Callable[[tuple[int, ...], tuple[int, ...]], tuple[tuple[Cell, ...], ...]]:
-    """For the pairs of one degree whose entries all lie in 0..top, a
-    function of a and b that gives the stored rows of
-    ``pair_signature``'s cells, from a table of the cells built once.
-
-    Row a of the table holds the cell of x - a for every x in 0..top, so
-    a pair's row i is row a_i read at b_1, ..., b_t, which ``itemgetter``
-    reads in C, with no comparison per cell (a pair has t >= 2, so it
-    reads a tuple, not one cell).  The table holds
-    (top + 1)^2 cells and lives as long as the function returned.  It
-    checks neither the degree nor the range of the a and b it is given.
-    """
-    cells = range(top + 1)
-    rows_of = _cells(cells, cells, degree).__getitem__
-    stored = _ROWS.__getitem__
-
-    def rows(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[tuple[Cell, ...], ...]:
-        return tuple(map(stored, map(itemgetter(*b), map(rows_of, a))))
-
-    return rows
+    return kind_signature(degree_matrix(p))
 
 
 def is_reducible_type(m: DegreeMatrix) -> bool:

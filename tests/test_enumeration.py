@@ -2,7 +2,6 @@ import functools
 import importlib
 import itertools
 import json
-import operator
 import pkgutil
 import tracemalloc
 from math import comb
@@ -22,11 +21,9 @@ from acmcurves import (
 import acmcurves
 from acmcurves import cli, enumeration
 from acmcurves.catalog import kind_families
-from acmcurves.enumeration import KindCatalog, KindEntry
+from acmcurves.enumeration import KindCatalog, KindEntry, signature_table
 from acmcurves.liaison import CiProfile
-from acmcurves.pairs import (
-    DegreeMatrix, PairError, WeakAdmissiblePair, degree_matrix, kind_signature, signature_table,
-)
+from acmcurves.pairs import DegreeMatrix, PairError, WeakAdmissiblePair, degree_matrix, kind_signature
 from acmcurves.picard import PicardLattice
 from acmcurves.resolutions import BettiTable, CurveInvariants, InvalidTableError
 
@@ -74,14 +71,12 @@ def count_pairs(degree: int, b_cap: int) -> int:
 def reference_kinds(cfg: EnumerationConfig) -> dict:
     """Signature -> (least pair, pair count), grouped one pair at a time
     by the reference kind_signature(degree_matrix(p)), which shares no
-    code with the one-pass pair_signature; every pair also checks that
-    pair_signature agrees with it.  The least pair of each kind is also
-    componentwise least in a, so its b_t is the least of the kind."""
+    code with the catalog's signature_table.  The least pair of each kind
+    is also componentwise least in a, so its b_t is the least of the kind."""
     kinds = {}
     lows = {}
     for p in enumerate_pairs(cfg):
         sig = kind_signature(degree_matrix(p))
-        assert pair_signature(p) == sig, p
         least, count = kinds.get(sig, (p, 0))
         kinds[sig] = (min(least, p, key=lambda q: q.sort_key), count + 1)
         lows[sig] = tuple(map(min, lows.get(sig, p.a), p.a))
@@ -255,21 +250,16 @@ class TestKindCatalog:
         entries = enumerate_kinds(EnumerationConfig(degree)).entries
         rows = [row for e in entries for row in e.signature.cells]
         assert len({id(row) for row in rows}) == len(set(rows))
-        # the catalog's table and pair_signature keep one copy of a row
-        for e in entries:
-            cells = pair_signature(e.representative).cells
-            assert all(map(operator.is_, e.signature.cells, cells))
 
     @pytest.mark.parametrize("degree,cap", [(2, 6), (3, 9), (4, 14), (5, 12)])
     def test_signature_table_agrees_with_pair_signature(self, degree, cap):
-        # every pair under the cap, not only the least pair of each kind
-        # and the rows it gives are the very objects pair_signature keeps
+        # every pair under the cap, not only the least pair of each kind,
+        # against the reference; the rows it gives are the stored copies
         rows = signature_table(degree, cap)
         for p in enumerate_pairs(EnumerationConfig(degree, cap)):
-            cells = pair_signature(p).cells
             got = rows(p.a, p.b)
-            assert got == cells
-            assert all(map(operator.is_, got, cells))
+            assert got == kind_signature(degree_matrix(p)).cells
+            assert all(enumeration._ROWS.get(row) is row for row in got)
 
     def test_every_representative_is_validated(self, monkeypatch):
         pairs = set()

@@ -1,4 +1,7 @@
+import gc
 import json
+import random
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -17,6 +20,7 @@ from acmcurves import (
     normalize,
     pair_signature,
 )
+from acmcurves.enumeration import signature_table
 from conftest import weak_pairs
 
 
@@ -121,6 +125,13 @@ class TestDegreeMatrix:
         assert degree_matrix(p).trace == p.degree
 
     @given(weak_pairs())
+    def test_entries_are_clamped_differences(self, p):
+        m = degree_matrix(p)
+        assert m.entries == tuple(tuple(max(bj - ai, 0) for bj in p.b) for ai in p.a)
+        # row i depends on a_i alone, so equal a_i share one row object
+        assert len({id(row) for row in m.entries}) == len(set(p.a))
+
+    @given(weak_pairs())
     def test_lemma_big_entries_force_small_mirror(self, p):
         # m_ij > 0 implies m_ji < d
         m = degree_matrix(p)
@@ -179,14 +190,49 @@ class TestKindSignature:
         assert sig.cells == ((2, 3, BIG), (0, 1, BIG), (0, 0, 1))
 
     @given(weak_pairs())
-    def test_one_pass_matches_matrix_reference(self, p):
-        # weak_pairs draws unnormalized, shifted pairs up to degree 8
-        assert pair_signature(p) == kind_signature(degree_matrix(p))
+    def test_catalog_table_matches_matrix_reference(self, p):
+        # weak_pairs draws unnormalized, shifted pairs up to degree 8; the
+        # catalog's table reads normalized pairs with entries in 0..top
+        q = normalize(p)
+        rows = signature_table(p.degree, max(q.b))
+        assert rows(q.a, q.b) == kind_signature(degree_matrix(p)).cells
+
+    def test_largest_accepted_pair_has_two_distinct_rows(self):
+        # the CLI accepts 1000 entries: a of 500 zeros then 500 ones, b of
+        # 500 ones then 500 twos has d = 1000 and no BIG cell, so its kind
+        # is its matrix, two distinct rows of 1000 cells and not 10^6 cells
+        p = make_pair((0,) * 500 + (1,) * 500, (1,) * 500 + (2,) * 500)
+        cells = pair_signature(p).cells
+        assert cells == ((1,) * 500 + (2,) * 500,) * 500 + ((0,) * 500 + (1,) * 500,) * 500
+        assert len({id(row) for row in cells}) == 2
+
+    def test_one_off_signatures_keep_nothing(self):
+        # 2 000 normalized pairs of degree 30 and length 8: gaps b_i - a_i
+        # summing to 30, and a grown so that b stays nondecreasing
+        rng = random.Random(1)
+        pairs = []
+        for _ in range(2000):
+            cuts = sorted(rng.sample(range(1, 30), 7))
+            gaps = [y - x for x, y in zip([0, *cuts], [*cuts, 30])]
+            a = [0]
+            for g0, g1 in zip(gaps, gaps[1:]):
+                a.append(a[-1] + max(g0 - g1, 0) + rng.randrange(8))
+            pairs.append(make_pair(a, [x + g for x, g in zip(a, gaps)]))
+        gc.collect()
+        tracemalloc.start()
+        try:
+            for p in pairs:
+                pair_signature(p)
+            gc.collect()
+            retained = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert retained < 16 * 2**10
 
     @pytest.mark.parametrize("a,b", [((0, 2), (1, 1)), ((0, 3), (2, 1)), ((1, 1, 5), (2, 4, 3))])
     def test_wrong_trace_raises_alike(self, a, b):
         # built without validation: some b_i <= a_i, so trace != degree;
-        # the matrix refuses it, while pair_signature trusts the constructor
+        # the matrix refuses it
         p = tuple.__new__(WeakAdmissiblePair, (a, b))
         with pytest.raises(ValueError, match="^trace "):
             kind_signature(degree_matrix(p))

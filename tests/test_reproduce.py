@@ -13,7 +13,7 @@ import re
 
 import pytest
 
-from acmcurves import catalog, pairs, reproduce
+from acmcurves import catalog, enumeration, reproduce
 from acmcurves.classifier import COMPLETE_INTERSECTION, FAMILY_II, RESIDUAL, RIGID
 from acmcurves.cli import run
 from acmcurves.labels import DIVISOR_LABELS
@@ -74,6 +74,12 @@ CASES = [
     ("degree3-kinds", lambda doc: _family(doc, 3, "M6")["dual_map"].update(n="n+n-2"),
      {"duality M6^a = M7":
       "1 parameter choices; at {'n': 3} the anti-transposed matrix is not M7's at {'n': 4}"}),
+    # no parameter choice within the scan: the row checks nothing, so it fails
+    ("degree3-kinds", lambda doc: _family(doc, 3, "M3")["constraints"].append("n>=100"),
+     {"all 13 catalog kinds generated by the 8 families": "unexplained: ['2,B / 0,1']",
+      "duality M3^a = M4": "0 parameter choices",
+      "duality M4^a = M3":
+      "0 parameter choices; at {'n': 2} the mapped {'n': 3} breaks M3's constraints"}),
     ("F4", lambda doc: doc["quartic_propositions"]["F4"]["families"][1].update(degree=[4, 2]),
      {"family ((1, 3), (4, 4)) classes and invariants for k in [3,6]": F4_MISMATCH}),
     ("low-degree-corollaries",
@@ -91,13 +97,44 @@ CASES = [
 
 
 @pytest.mark.parametrize("target,edit,failing", CASES, ids=[
-    "constraint-at-once", "constraint-later", "matrix-at-once", "matrix-later",
+    "constraint-at-once", "constraint-later", "matrix-at-once", "matrix-later", "no-choice",
     "family-degree", "low-degree-gens", "low-degree-case-renamed", "liaison-residual",
 ])
 def test_wrong_expected_value_fails_its_row(serve_catalog, capsys, target, edit, failing):
     serve_catalog(edit)
     assert _failing(target) == failing
     _assert_cli_fails(capsys, target, failing)
+
+
+# each duality row counts the parameter choices in 0..d+3 that meet its
+# family's constraints: one for a family with no parameter, d + 4 less
+# those ruled out for one parameter, and C(6, 2) = 15 for M8 at degree 3,
+# whose 1 <= m < n <= 6
+DUALITY_CHOICES = {
+    "degree2-kinds": {"M1^a = M1": 1, "M2^a = M2": 5},
+    "degree3-kinds": {
+        "M1^a = M2": 1, "M2^a = M1": 1, "M3^a = M4": 4, "M4^a = M3": 5, "M5^a = M5": 1,
+        "M6^a = M7": 5, "M7^a = M6": 5, "M8^a = M8": 15,
+    },
+    "degree4-kinds": {
+        "M1^a = M2": 1, "M2^a = M1": 1, "M3^a = M3": 1, "M4^a = M4": 1, "M5^a = M5": 8,
+        "M6^a = M7": 8, "M7^a = M6": 8, "M8^a = M9": 1, "M9^a = M8": 1, "M10^a = M15": 8,
+        "M11^a = M14": 8, "M12^a = M16": 8, "M13^a = M17": 28, "M14^a = M11": 8,
+        "M15^a = M10": 8, "M16^a = M12": 8, "M17^a = M13": 28, "M18^a = M18": 1,
+        "M19^a = M20": 8, "M20^a = M19": 8, "M21^a = M21": 36, "M22^a = M22": 1,
+        "M23^a = M24": 8, "M24^a = M23": 8, "M25^a = M25": 8, "M26^a = M27": 36,
+        "M27^a = M26": 36, "M28^a = M28": 120, "M29^a = M29": 36,
+    },
+}
+
+
+@pytest.mark.parametrize("target", DUALITY_CHOICES)
+def test_duality_rows_count_their_parameter_choices(target):
+    rows = {r.label: r for r in reproduce.run_target(target) if r.label.startswith("duality ")}
+    assert {label: (r.ok, r.detail) for label, r in rows.items()} == {
+        f"duality {pair}": (True, f"{n} parameter choices")
+        for pair, n in DUALITY_CHOICES[target].items()
+    }
 
 
 def early_clamp(a, xs, d):
@@ -107,10 +144,10 @@ def early_clamp(a, xs, d):
 
 @pytest.mark.parametrize("degree", [2, 3, 4])
 def test_wrong_clamp_rule_fails_the_catalog_row(monkeypatch, degree):
-    # the catalog's signature rows (and `pair_signature`) read `pairs._cells`;
-    # the families' expected kinds come from `kind_signature`, which does
-    # not, so a wrong clamp rule cannot agree with itself
-    monkeypatch.setattr(pairs, "_cells", early_clamp)
+    # the catalog's signature rows read `enumeration._cells`; the families'
+    # expected kinds come from `pair_signature`, which does not, so a wrong
+    # clamp rule cannot agree with itself
+    monkeypatch.setattr(enumeration, "_cells", early_clamp)
     assert any(re.fullmatch(r"all \d+ catalog kinds generated by the \d+ families", label)
                for label in _failing(f"degree{degree}-kinds"))
 
