@@ -66,7 +66,8 @@ signature rows from the table, not cell by cell.  A kind then costs
 tuple of t rows.  The rows themselves are shared, because a degree has
 far fewer distinct rows than kinds (4 074 for 222 605 kinds at degree
 7), so equal rows are one object across the catalogs of a process
-(``_ROWS``, which keeps them for the life of the process).  The table and the store serve the catalog alone: a one-off kind is
+(``_ROWS``, which keeps them for the life of the process).  The table
+and the store serve the catalog alone: a one-off kind is
 ``pairs.pair_signature``, the reference
 ``kind_signature(degree_matrix(p))``, and the tests check the catalog's
 table against it pair by pair over full ranges of degree and bound.

@@ -186,11 +186,7 @@ def kind_signature(m: DegreeMatrix) -> KindSignature:
     """The kind of a validated degree matrix: each entry of at least the
     degree becomes BIG, every other entry is kept."""
     d = m.degree
-    # a row with no entry at or above d is its own kind row, and ``max``
-    # finds that out in C, without a comparison per cell in Python
-    cells = tuple([
-        row if max(row) < d else tuple([v if v < d else BIG for v in row]) for row in m.entries
-    ])
+    cells = tuple([tuple([v if v < d else BIG for v in row]) for row in m.entries])
     return KindSignature(d, cells)
 
 

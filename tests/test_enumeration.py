@@ -23,7 +23,9 @@ from acmcurves import cli, enumeration
 from acmcurves.catalog import kind_families
 from acmcurves.enumeration import KindCatalog, KindEntry, signature_table
 from acmcurves.liaison import CiProfile
-from acmcurves.pairs import DegreeMatrix, PairError, WeakAdmissiblePair, degree_matrix, kind_signature
+from acmcurves.pairs import (
+    DegreeMatrix, PairError, WeakAdmissiblePair, degree_matrix, kind_signature,
+)
 from acmcurves.picard import PicardLattice
 from acmcurves.resolutions import BettiTable, CurveInvariants, InvalidTableError
 
