@@ -75,6 +75,7 @@ table against it pair by pair over full ranges of degree and bound.
 
 from __future__ import annotations
 
+import gc
 from collections import namedtuple
 from collections.abc import Callable, Iterable, Iterator, Sequence
 from math import comb
@@ -257,14 +258,20 @@ def enumerate_kinds(cfg: EnumerationConfig) -> KindCatalog:
     d, cap = cfg.degree, cfg.b_cap
     # every entry of a least pair is at most b_t <= stable_cap (module docstring)
     rows = signature_table(d, min(cap, stable_cap(d)))
-    return KindCatalog(d, cap, tuple([
-        tuple.__new__(KindEntry, (
-            tuple.__new__(KindSignature, (d, rows(a, b))),
-            WeakAdmissiblePair(a, b),
-            comb(m + cap - b[-1], m),
-        ))
-        for a, b, m in _walk(cfg, True)
-    ]))
+    was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        return KindCatalog(d, cap, tuple([
+            tuple.__new__(KindEntry, (
+                tuple.__new__(KindSignature, (d, rows(a, b))),
+                WeakAdmissiblePair(a, b),
+                comb(m + cap - b[-1], m),
+            ))
+            for a, b, m in _walk(cfg, True)
+        ]))
+    finally:
+        if was_enabled:
+            gc.enable()
 
 
 def match_families(
