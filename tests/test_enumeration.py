@@ -1,9 +1,11 @@
 import functools
+import gc
 import importlib
 import itertools
 import json
 import pkgutil
 import tracemalloc
+from contextlib import contextmanager
 from math import comb
 
 import pytest
@@ -522,3 +524,62 @@ def test_enumeration_is_deterministic():
     cfg = EnumerationConfig(4, 8)
     assert enumerate_pairs(cfg) == enumerate_pairs(cfg)
     assert enumerate_kinds(cfg) == enumerate_kinds(cfg)
+
+
+@contextmanager
+def collector(enabled: bool):
+    """Run the body with the cyclic collector on or off, and set it back
+    to its state before, also when the body fails."""
+    was = gc.isenabled()
+    (gc.enable if enabled else gc.disable)()
+    try:
+        yield
+    finally:
+        (gc.enable if was else gc.disable)()
+
+
+class TestCollectorPause:
+    # enumerate_kinds builds with the cyclic collector off and hands the
+    # caller's state back: on stays on, off stays off, also after a failure
+
+    @pytest.mark.parametrize("enabled", [True, False])
+    def test_the_callers_state_is_kept(self, enabled):
+        with collector(enabled):
+            kinds = enumerate_kinds(EnumerationConfig(4))
+            assert gc.isenabled() is enabled
+        assert len(kinds) == 104
+
+    @pytest.mark.parametrize("enabled", [True, False])
+    def test_the_callers_state_is_kept_when_the_walk_fails(self, enabled, monkeypatch):
+        def walk(cfg, least):
+            yield (0, 0), (1, 1), 0
+            raise RuntimeError("walk failed")
+        monkeypatch.setattr(enumeration, "_walk", walk)
+        with collector(enabled):
+            with pytest.raises(RuntimeError, match="walk failed"):
+                enumerate_kinds(EnumerationConfig(2))
+            assert gc.isenabled() is enabled
+
+    def test_the_collector_is_off_while_the_catalog_is_built(self, monkeypatch):
+        seen = []
+
+        def walk(cfg, least):
+            for leaf in [((0, 0), (1, 1), 0), ((0, 1), (1, 2), 0)]:
+                seen.append(gc.isenabled())
+                yield leaf
+        monkeypatch.setattr(enumeration, "_walk", walk)
+        with collector(True):
+            kinds = enumerate_kinds(EnumerationConfig(2))
+            assert gc.isenabled()
+        assert (len(kinds), seen) == (2, [False, False])
+
+    def test_the_catalog_makes_no_reference_cycle(self):
+        # the premise of the pause: a catalog, once dropped, is freed by
+        # reference counting alone, so a full collection finds nothing.
+        # The collector stays off throughout, so no automatic collection
+        # can free a cycle before the last one counts it
+        with collector(False):
+            gc.collect()
+            for degree in range(2, 7):
+                enumerate_kinds(EnumerationConfig(degree))
+            assert gc.collect() == 0

@@ -251,6 +251,64 @@ def test_an_unlisted_build_is_found():
                                       ("", "S", 15)]
 
 
+def collector_uses(node: ast.AST, scope: tuple[str, ...] = (),
+                   names: frozenset[str] = frozenset({"gc"})) -> list[tuple[str, int]]:
+    """(function, line) of each place that touches the `gc` module: an
+    `import gc` (under any name), a `from gc import ...` and each
+    attribute read of a name an import bound to `gc`.  `function` is the
+    dotted name of the enclosing definitions, "" at module level."""
+    if isinstance(node, ast.Module):
+        names = names | {alias.asname for child in ast.walk(node)
+                         if isinstance(child, ast.Import)
+                         for alias in child.names if alias.name == "gc" and alias.asname}
+    found = []
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            found += collector_uses(child, scope + (child.name,), names)
+            continue
+        if (isinstance(child, ast.Import) and any(a.name == "gc" for a in child.names)
+                or isinstance(child, ast.ImportFrom) and child.module == "gc"
+                or isinstance(child, ast.Attribute) and isinstance(child.value, ast.Name)
+                and child.value.id in names):
+            found.append((".".join(scope), child.lineno))
+        found += collector_uses(child, scope, names)
+    return found
+
+
+# the one site of the library and its scripts that touches the cyclic
+# garbage collector: `enumerate_kinds`, which builds a catalog with the
+# collector paused, and the import of its module
+COLLECTOR_SITE = {("enumeration", ""), ("enumeration", "enumerate_kinds")}
+
+
+def test_one_site_touches_the_collector():
+    # the collector is process state: a second site could undo the
+    # catalog's pause, or leave the collector off for the caller
+    found = {
+        (path.stem, function)
+        for path in LIBRARY
+        for function, _ in collector_uses(ast.parse(path.read_text(), filename=str(path)))
+    }
+    assert found == COLLECTOR_SITE
+
+
+def test_a_second_collector_site_is_found():
+    tree = ast.parse(
+        "import gc\n"
+        "import gc as collector\n"
+        "def build():\n"
+        "    gc.disable()\n"
+        "class Owner:\n"
+        "    def main(self):\n"
+        "        from gc import freeze\n"
+        "        collector.freeze()\n"
+        "def unrelated(gc_count):\n"
+        "    return gc_count.disable\n"
+    )
+    assert collector_uses(tree) == [("", 1), ("", 2), ("build", 4), ("Owner.main", 7),
+                                    ("Owner.main", 8)]
+
+
 def method(tree: ast.Module, cls: str, name: str) -> ast.FunctionDef:
     [node] = [node for c in tree.body if isinstance(c, ast.ClassDef) and c.name == cls
               for node in c.body if isinstance(node, ast.FunctionDef) and node.name == name]
