@@ -83,7 +83,6 @@ so every twist is still validated, and every entry is cross-checked.
 from __future__ import annotations
 
 from collections import namedtuple
-from functools import lru_cache
 
 from .labels import DIVISOR_LABELS, LOW_DEGREE_TYPES, TYPE_LABELS
 from .pairs import WeakAdmissiblePair, dual_pair, make_pair
@@ -281,7 +280,6 @@ def _irreducible_pairs(degree: int) -> list[WeakAdmissiblePair]:
     return sorted(leaves, key=lambda p: p.sort_key)
 
 
-@lru_cache(maxsize=None)
 def _surface_types(degree: int) -> dict[str, tuple[WeakAdmissiblePair, ...]]:
     """The labelled duality orbits of the irreducible kinds of a degree,
     each pair shifted by +1.  A kind whose pair has a twist in both a and
@@ -310,7 +308,6 @@ def _pivot_tables(pairs: tuple[WeakAdmissiblePair, ...]):
             yield pair, j0, pivot_syzygy_table(pair, j0)
 
 
-@lru_cache(maxsize=None)
 def divisor(label: str) -> QuarticDivisor:
     if label not in DIVISOR_LABELS:
         raise ValueError(f"unknown divisor {label!r}; expected one of {DIVISOR_LABELS}")

@@ -211,7 +211,10 @@ class _RowStore(dict):
 # signature from a ``signature_table`` keeps its rows here, and the
 # catalogs of one process share them.  Each row of a degree-d pair is a
 # row of the degree-d kind catalog, so this holds at most 72, 281, 1 072
-# and 4 074 rows for degrees 4 to 7.
+# and 4 074 rows for degrees 4 to 7.  Kept for the process, not per call:
+# with a store per call, eleven degree-5 catalogs (the kind-census round)
+# took 44.6 ms against 42.5 ms, medians of 7 alternating fresh processes
+# on 2 vCPUs.
 _ROWS = _RowStore()
 
 

@@ -519,7 +519,7 @@ def test_a_repeated_pivot_table_adds_no_rigid_row(monkeypatch, label):
     # each pivot table again under a new pivot number: the first copy
     # still resolves every rigid class, and only once.  FAMILY_III rows
     # may double, so only the RIGID rows are compared
-    div = divisor(label)  # cached, so built before the patch
+    div = divisor(label)  # built before the patch
     want = by_provenance(classify_quartic(div, k_max=6), RIGID)
     real = classifier._pivot_tables
 
@@ -892,7 +892,7 @@ def test_a_wrong_shift_table_is_refused(monkeypatch, shift, message, offset):
 # wrong table is refused on its row
 @pytest.mark.parametrize("offset", [1, 2, 6])
 def test_a_wrong_table_is_read_only_where_it_has_rows(monkeypatch, offset):
-    f1, f4 = divisor("F1"), divisor("F4")  # cached, so built before the patch
+    f1, f4 = divisor("F1"), divisor("F4")  # built before the patch
     clean = classify_quartic(f1, 6)
     wrong = one_twist_off(classifier.surface_generator_table, 0, offset)
     monkeypatch.setattr(classifier, "surface_generator_table", wrong)
@@ -911,7 +911,7 @@ def test_a_wrong_table_is_read_only_where_it_has_rows(monkeypatch, offset):
 ], ids=["1", "2", "6"])
 @pytest.mark.parametrize("label", ["F1", "F2", "F3", "F4", "F5"])
 def test_a_wrong_pivot_table_is_refused(monkeypatch, label, offset, refusal):
-    div = divisor(label)  # cached, so built before the patch
+    div = divisor(label)  # built before the patch
     wrong = one_twist_off(classifier.pivot_syzygy_table, 1, offset)
     monkeypatch.setattr(classifier, "pivot_syzygy_table", wrong)
     with pytest.raises(ClassificationError, match=f"^{label}: {refusal} at pivot 1"):
@@ -976,7 +976,7 @@ def _pivot_1_six_off_on(pair):
      + "$"),
 ])
 def test_each_refusal_names_its_check(monkeypatch, patch, message):
-    div = divisor("F2")  # cached, so built before the patch
+    div = divisor("F2")  # built before the patch
     patch(monkeypatch)
     with pytest.raises(ClassificationError, match=f"^{message}"):
         classify_quartic(div, k_max=6)

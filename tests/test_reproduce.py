@@ -5,14 +5,23 @@ Each case edits a deep copy of the packaged catalog and serves it in
 place of `catalog.raw`, so the real catalog and the other tests are
 untouched.  The other cases patch a computing function that `reproduce`
 calls, so a computed value is wrong against the real catalog.
+
+The whole report of `scripts/reproduce_all.py` is pinned as well, in
+`reproduce_all.txt`: a regression pin of its text, while
+data/catalog.json stays the oracle of its values.
 """
 
 import copy
 import json
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import acmcurves
 from acmcurves import catalog, enumeration, reproduce
 from acmcurves.classifier import COMPLETE_INTERSECTION, FAMILY_II, RESIDUAL, RIGID
 from acmcurves.cli import run
@@ -20,6 +29,12 @@ from acmcurves.labels import DIVISOR_LABELS
 from acmcurves.pairs import BIG, make_pair, pair_signature
 from acmcurves.picard import DivisorClass
 from acmcurves.resolutions import CurveInvariants, ci_table
+
+
+ROOT = Path(__file__).resolve().parents[1]
+# `scripts/reproduce_all.py`'s stdout: 134 lines, the 132 rows of every
+# target, a blank line and the summary
+REPORT = ROOT / "tests" / "reproduce_all.txt"
 
 
 @pytest.fixture
@@ -377,3 +392,31 @@ def test_extra_computed_case_fails_the_rows_of_its_type(monkeypatch, capsys):
     failing = {TYPE_2X2_ROW.format(case): "computed cases ['A', 'B', 'C']" for case in "AB"}
     assert _failing("low-degree-corollaries") == failing
     _assert_cli_fails(capsys, "low-degree-corollaries", failing)
+
+
+def test_reproduce_all_report_is_pinned():
+    src = str(Path(acmcurves.__file__).resolve().parents[1])
+    out = subprocess.run([sys.executable, str(ROOT / "scripts" / "reproduce_all.py")],
+                         capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=src),
+                         timeout=120)
+    assert (out.returncode, out.stderr) == (0, "")
+    want = REPORT.read_text()
+    got_lines, want_lines = out.stdout.splitlines(), want.splitlines()
+    for number, (got, pinned) in enumerate(zip(got_lines, want_lines), 1):
+        assert got == pinned, f"line {number} of the report moved"
+    assert len(got_lines) == len(want_lines) == 134
+    assert out.stdout == want
+
+
+@pytest.mark.parametrize("target,edit", [
+    ("liaison-table", lambda doc: doc["liaison_table"].clear()),
+    ("F4", lambda doc: doc["quartic_propositions"]["F4"]["residuals"].clear()),
+], ids=["liaison-table", "F4-residuals"])
+def test_each_caller_gets_its_own_expected_catalog(target, edit):
+    # an edit to one caller's document must not reach the one `reproduce`
+    # checks against: with one shared document, clearing the liaison table
+    # left 1 row of 9 that passed, and clearing F4's residuals 5 of 10
+    edit(catalog.raw())
+    pinned = [line for line in REPORT.read_text().splitlines() if f"[{target}] " in line]
+    assert [row.line for row in reproduce.run_target(target)] == pinned
+    assert catalog.raw() is not catalog.raw()

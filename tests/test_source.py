@@ -251,6 +251,85 @@ def test_an_unlisted_build_is_found():
                                       ("", "S", 15)]
 
 
+# the caching decorators of `functools`
+CACHING = frozenset({"lru_cache", "cache", "cached_property"})
+
+
+def caches(node: ast.AST, scope: tuple[str, ...] = (), names: frozenset[str] = CACHING,
+           modules: frozenset[str] = frozenset({"functools"})) -> list[tuple[str, int]]:
+    """(function, line) of each decorator that is a `functools` cache:
+    `lru_cache`, `cache` or `cached_property`, called or not, bare or as an
+    attribute of `functools`, under any name an import bound it to.
+    `function` is the dotted name of the decorated definition."""
+    if isinstance(node, ast.Module):
+        for child in ast.walk(node):
+            if isinstance(child, ast.ImportFrom) and child.module == "functools":
+                names |= {a.asname for a in child.names if a.name in CACHING and a.asname}
+            elif isinstance(child, ast.Import):
+                modules |= {a.asname for a in child.names if a.name == "functools" and a.asname}
+    found = []
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            for decorator in child.decorator_list:
+                expr = decorator.func if isinstance(decorator, ast.Call) else decorator
+                if (isinstance(expr, ast.Name) and expr.id in names
+                        or isinstance(expr, ast.Attribute) and expr.attr in CACHING
+                        and isinstance(expr.value, ast.Name) and expr.value.id in modules):
+                    found.append((".".join(scope + (child.name,)), decorator.lineno))
+            found += caches(child, scope + (child.name,), names, modules)
+        else:
+            found += caches(child, scope, names, modules)
+    return found
+
+
+# (module, function) -> the measured traffic that pays for a `functools`
+# cache there.  Empty: the caches that pay (the signature row store of
+# `enumeration`, the row texts of `cli._catalog_json` and the distinct
+# rows of `pairs.degree_matrix`) are plain dicts, each with its measured
+# reason beside it
+CACHES: dict[tuple[str, str], str] = {}
+
+
+def test_every_cache_is_listed():
+    # a cache is process state and code to keep: one that no traffic pays
+    # for, or one that hands its callers a shared mutable value, is a cost
+    found = {
+        (path.stem, function)
+        for path in LIBRARY
+        for function, _ in caches(ast.parse(path.read_text(), filename=str(path)))
+    }
+    assert found == set(CACHES)
+
+
+def test_an_unlisted_cache_is_found():
+    tree = ast.parse(
+        "import functools\n"
+        "import functools as ft\n"
+        "from functools import lru_cache, cache as memo, cached_property, partial\n"
+        "@lru_cache(maxsize=1)\n"
+        "def raw(): pass\n"
+        "@functools.cache\n"
+        "def kinds(): pass\n"
+        "class Lattice:\n"
+        "    @cached_property\n"
+        "    def det(self): pass\n"
+        "    @staticmethod\n"
+        "    @ft.lru_cache(maxsize=None)\n"
+        "    def solve(): pass\n"
+        "if True:\n"
+        "    @memo\n"
+        "    def table(): pass\n"
+        "@partial(print)\n"
+        "def plain(): pass\n"
+        "def outer():\n"
+        "    @functools.lru_cache\n"
+        "    def inner(): pass\n"
+        "    return inner, tuple.cache, lru_cache\n"
+    )
+    assert caches(tree) == [("raw", 4), ("kinds", 6), ("Lattice.det", 9),
+                            ("Lattice.solve", 12), ("table", 15), ("outer.inner", 20)]
+
+
 def collector_uses(node: ast.AST, scope: tuple[str, ...] = (),
                    names: frozenset[str] = frozenset({"gc"})) -> list[tuple[str, int]]:
     """(function, line) of each place that touches the `gc` module: an
