@@ -26,11 +26,19 @@ sort_keys=True)`.  The two big documents stream, byte for byte that
 same text, from the row templates below: `pairs enumerate` writes its
 catalog through `_catalog_json` and `classify quartic` its entries
 through `_entries_json`, one piece per row through `_json_list`, so
-neither builds the document or its whole text.  A table view is
-likewise one piece per line.  `run` alone decides how much text goes to
-stdout at once: it joins the pieces 1 000 at a time, so a row is not a
-write of its own.  Each handler builds its rows and finishes every
-check that can fail before the first byte is written.
+neither builds the document or its whole text.  A table view is a lazy
+iterable of its lines, with no line breaks in them: `run` writes one
+between each pair of lines and the final newline.  `run` alone decides
+how much text goes to stdout at once: it joins the pieces 1 000 at a
+time, so a row is not a write of its own.  Each handler builds its rows
+and finishes every check that can fail before the first byte is
+written.
+
+The genus of `picard invariants` (`D^2/2 + 1`) and the plane curves of
+`picard plane` (`D^2 = e^2 - 3e` at degree e) are the quartic's
+formulas, from adjunction with K = 0, and they are applied unchanged to
+a `--gram` of any H2.  So `picard invariants --gram 2,1,0 --class 0,1`
+gives genus 1 to a line on a quadric, where `K = (H2 - 4)H` gives 0.
 
 Start-up: building the parser needs only `labels`, which imports
 nothing.  The handlers read library names as `acm.X`, and the package
@@ -110,26 +118,22 @@ def _int_range(text: str) -> tuple[int, int]:
         raise argparse.ArgumentTypeError(f"expected MIN..MAX, got {text!r}")
 
 
-def _table(columns: tuple[str, ...], rows):
-    """A table renderer: `rows` (consumed when it is called) aligned under
-    `columns`, one piece per line.  It holds every cell, as each column is
-    as wide as its widest cell, but never the whole text."""
-    def render():
-        cells = [list(columns)] + [[str(v) for v in row] for row in rows]
-        widths = [max(len(row[i]) for row in cells) for i in range(len(columns))]
-        sep = ""
-        for row in cells:
-            yield sep + "  ".join(v.ljust(w) for v, w in zip(row, widths))
-            sep = "\n"
-    return render
+def _table(columns: tuple[str, ...], rows) -> Iterator[str]:
+    """The lines of `rows` aligned under `columns`; `rows` is consumed at
+    the first line.  It holds every cell, as each column is as wide as its
+    widest cell, but never the whole text."""
+    cells = [list(columns)] + [[str(v) for v in row] for row in rows]
+    widths = [max(len(row[i]) for row in cells) for i in range(len(columns))]
+    for row in cells:
+        yield "  ".join(v.ljust(w) for v, w in zip(row, widths))
 
 
 def _json_list(texts: Iterable[str], indent: str, end: str = "") -> Iterator[str]:
     """The pieces of a JSON list of the given item texts, as
     json.dumps(indent=2) writes a list whose closing "]" is at `indent`:
     one piece per item, the first with the opening "[", and a last piece
-    that closes the list and appends `end`.  No piece is empty, and no
-    items give the one piece "[]" + `end`."""
+    that closes the list and appends `end`.  No items give the one piece
+    "[]" + `end`."""
     sep = "[\n"
     for text in texts:
         yield sep + text
@@ -240,13 +244,13 @@ def _lattice(gram: list[int]):
 
 
 # -- handlers: args -> (JSON document or an iterator of its text pieces,
-#    table renderer, which returns its text pieces, or None[, exit code]).
-#    A handler finishes every check that can fail before it returns, so a
-#    refusal writes nothing to stdout
+#    table view, a lazy iterable of its lines without their line breaks, or
+#    None[, exit code]).  A handler finishes every check that can fail
+#    before it returns, so a refusal writes nothing to stdout
 
 def _pairs_matrix(args):
     m = acm.degree_matrix(acm.make_pair(args.a, args.b))
-    return m.to_json(), lambda: ("\n".join(" ".join(map(str, r)) for r in m.entries),)
+    return m.to_json(), (" ".join(map(str, r)) for r in m.entries)
 
 
 def _pairs_normalize(args):
@@ -259,7 +263,7 @@ def _pairs_dual(args):
 
 def _pairs_signature(args):
     sig = acm.pair_signature(acm.make_pair(args.a, args.b))
-    return sig.to_json(), lambda: (sig.render(),)
+    return sig.to_json(), (s.render() for s in (sig,))
 
 
 def _pairs_reducible(args):
@@ -281,12 +285,11 @@ def _pairs_enumerate(args):
             f"kind catalog is complete at cap {complete}; a larger cap only grows the counts"
         )
     kinds = acm.enumerate_kinds(cfg)
-    rows = _table(
+    head = f"degree {kinds.degree}, b_cap {kinds.b_cap}: {len(kinds)} kinds"
+    return _catalog_json(kinds), chain((head,), _table(
         ("signature", "representative", "count"),
         ((e.signature.render(), repr(e.representative), e.count) for e in kinds.entries),
-    )
-    head = f"degree {kinds.degree}, b_cap {kinds.b_cap}: {len(kinds)} kinds\n"
-    return _catalog_json(kinds), lambda: chain((head,), rows())
+    ))
 
 
 # the twist flags of `res build` that each case does not read
@@ -340,12 +343,11 @@ def _picard_watanabe(args):
     else:
         lattice = _lattice(args.gram)
     cases = [case.to_json() for case in acm.watanabe_candidates(lattice)]
-    render = _table(
+    return {"lattice": lattice.to_json(), "cases": cases}, _table(
         ("case", "classes", "side_condition"),
         ((c["label"], " ".join(map(str, c["classes"])) or "(none)", c.get("side_condition", ""))
          for c in cases),
     )
-    return {"lattice": lattice.to_json(), "cases": cases}, render
 
 
 def _picard_plane(args):
@@ -385,12 +387,11 @@ def _check_kmax(args) -> None:
 def _classify_quartic(args):
     _check_kmax(args)
     entries = acm.classify_quartic(acm.divisor(args.divisor), k_max=args.kmax)
-    render = _table(
+    return _entries_json(entries), _table(
         ("class", "degree", "genus", "provenance", "description"),
         ((e.cls, e.invariants.degree, e.invariants.genus, e.provenance, e.description)
          for e in entries),
     )
-    return _entries_json(entries), render
 
 
 def _classify_low(args):
@@ -408,12 +409,11 @@ def _classify_low(args):
         fam.to_json() | {"tables": [t.to_json() | {"k": k} for k, t in shifts]}
         for fam, shifts in zip(fams, tables)
     ]
-    render = _table(
+    return doc, _table(
         ("case", "k", "gens", "syz"),
         ((fam.case_label, k, ",".join(map(str, t.gens)), ",".join(map(str, t.syz)))
          for fam, shifts in zip(fams, tables) for k, t in shifts),
     )
-    return doc, render
 
 
 def _reproduce(args):
@@ -424,8 +424,8 @@ def _reproduce(args):
 
     rows = run_target(args.target)
     n_ok = sum(r.ok for r in rows)
-    report = "\n".join([r.line for r in rows] + [f"{n_ok}/{len(rows)} rows pass"])
-    return [r.to_json() for r in rows], lambda: (report,), 0 if n_ok == len(rows) else 1
+    report = chain((r.line for r in rows), (f"{n_ok}/{len(rows)} rows pass",))
+    return [r.to_json() for r in rows], report, 0 if n_ok == len(rows) else 1
 
 
 @contextmanager
@@ -523,20 +523,22 @@ def run(argv: list[str] | None = None) -> int:
         print(f"error: {err}", file=sys.stderr)
         return 2
     try:
-        doc, render, *code = args.handler(args)
-        if args.format == "table" and render is not None:
-            pieces = iter(render())
+        doc, view, *code = args.handler(args)
+        if args.format == "table" and view is not None:
+            pieces, sep = iter(view), "\n"  # lines, so `run` writes their line breaks
         elif iter(doc) is doc:  # an iterator of text pieces, written as they come
-            pieces = doc
+            pieces, sep = doc, ""
         else:
-            pieces = iter((json.dumps(doc, indent=2, sort_keys=True),))
+            pieces, sep = iter((json.dumps(doc, indent=2, sort_keys=True),)), ""
         # looked up here, not at import, so a redirected stdout gets the text
         write = sys.stdout.write
         # 1 000 pieces per write: one write per row would be one small
-        # write into the pipe per row.  No piece is empty, so a batch is
-        # empty only once the pieces run out
-        for chunk in iter(lambda: "".join(islice(pieces, 1000)), ""):
-            write(chunk)
+        # write into the pipe per row.  A batch is empty only once the
+        # pieces run out
+        lead = ""
+        for batch in iter(lambda: list(islice(pieces, 1000)), []):
+            write(lead + sep.join(batch))
+            lead = sep
         write("\n")
         return code[0] if code else 0
     except ValueError as err:

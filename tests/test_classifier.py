@@ -1,3 +1,4 @@
+import itertools
 import json
 import re
 from collections import Counter
@@ -992,3 +993,101 @@ def test_f4_exclusion_is_the_plane_cubic():
     for tag in (RESIDUAL, FAMILY_III):
         assert [(e.invariants.degree, e.invariants.genus)
                 for e in by_provenance(entries, tag) if e.cls == excluded] == [(3, 1)]
+
+
+# -- the paper's hypothesis that each quartic is very general, computed.
+#
+# Hypotheses, stated once for the tests below; the tests claim nothing
+# beyond the lattices and entries they check.
+# - Lattice side (Saint-Donat; Morrison's embedding theorem gives the K3
+#   surface): an even lattice (4, hc, c2) of signature (1, 1) is the
+#   Picard lattice of a smooth quartic on which H is very ample when it
+#   has no class R with R^2 = -2 and R.H = 0, and no class E with
+#   E^2 = 0 and E.H equal to 1 or 2.
+# - Table side (Ellingsrud): the ACM curves with gens a and syz b form a
+#   smooth, irreducible open part of the Hilbert scheme, of dimension
+#   N = 1 + sum C3(b_j - a_i) + sum C3(a_i - b_j) - sum C3(a_i - a_i')
+#   - sum C3(b_j - b_j'), over all ordered index pairs, with
+#   C3(x) = C(x + 3, 3) for x >= 0 and 0 below.  On one quartic the
+#   curves of class D with that table are an open part of |D|, of
+#   dimension g, which assumes h^1(O_S(D)) = 0.  The quartics through one
+#   such curve C form a family of dimension h^0(I_C(4)) - 1.  So the
+#   quartics containing such a curve form a family of dimension
+#   N + h^0(I_C(4)) - 1 - g.  When D is no multiple of H that family lies
+#   in a Noether-Lefschetz locus, of dimension at most 33 in P^34, and
+#   equality means that the class lies on the very general member:
+#   N + h^0(I_C(4)) - g reads 34.  A multiple kH lies on every quartic,
+#   so a complete intersection reads 35.
+
+def saint_donat_classes(lattice: PicardLattice) -> set[DivisorClass]:
+    """The classes that keep `lattice` from a smooth quartic with H very
+    ample: R^2 = -2 with R.H = 0, and E^2 = 0 with E.H in {1, 2}."""
+    return solve_classes(lattice, -2, 0, 0) | solve_classes(lattice, 0, 1, 2)
+
+
+def c3(x: int) -> int:
+    """C(x + 3, 3), the dimension of the forms of degree x on P^3; 0 below 0."""
+    return (x + 1) * (x + 2) * (x + 3) // 6 if x >= 0 else 0
+
+
+def ellingsrud_dimension(gens, syz) -> int:
+    """N, the dimension of the ACM curves with this table in the Hilbert scheme."""
+    return (1 + sum(c3(b - a) for a in gens for b in syz) + sum(c3(a - b) for a in gens for b in syz)
+            - sum(c3(a - a2) for a in gens for a2 in gens)
+            - sum(c3(b - b2) for b in syz for b2 in syz))
+
+
+def quartics_through(gens, syz) -> int:
+    """h^0(I_C(4)), read off the resolution: the quartics through C."""
+    return sum(c3(4 - a) for a in gens) - sum(c3(4 - b) for b in syz)
+
+
+class TestVeryGeneralQuartic:
+    @pytest.mark.parametrize("label, gram", [
+        ("F1", (4, 6, 4)), ("F2", (4, 3, -2)), ("F3", (4, 4, 0)), ("F4", (4, 1, -2)),
+        ("F5", (4, 2, -2)),
+    ])
+    def test_each_divisor_lattice_is_a_smooth_quartic(self, label, gram):
+        lattice = divisor(label).lattice
+        assert tuple(lattice) == gram
+        assert saint_donat_classes(lattice) == set()
+
+    @pytest.mark.parametrize("gram, found", [
+        ((4, 0, -2), {(0, 1), (0, -1)}),
+        ((4, 1, 0), {(0, 1), (0, 2), (1, -2)}),
+        ((4, 2, 0), {(0, 1), (1, -1)}),
+    ], ids=["4,0,-2", "4,1,0", "4,2,0"])
+    def test_planted_lattices_fail_the_predicate(self, gram, found):
+        assert saint_donat_classes(PicardLattice(*gram)) == {cls(a, b) for a, b in found}
+
+    @pytest.mark.parametrize("gens, syz, n", [
+        ((1, 1), (2,), 4), ((1, 2), (3,), 8), ((2, 2, 2), (3, 3), 12),
+    ], ids=["line", "conic", "twisted cubic"])
+    def test_dimension_of_the_first_curves(self, gens, syz, n):
+        assert ellingsrud_dimension(gens, syz) == n
+
+    def test_a_twist_on_both_sides_leaves_the_dimension(self):
+        # the box: t + 1 gens in 1..7 and t syz in 2..9 for t = 1..3, with
+        # equal sums and no shared twist, and an extra twist in 1..9
+        cases = 0
+        for t in range(1, 4):
+            for gens in itertools.combinations_with_replacement(range(1, 8), t + 1):
+                for syz in itertools.combinations_with_replacement(range(2, 10), t):
+                    if sum(gens) != sum(syz) or set(gens) & set(syz):
+                        continue
+                    n = ellingsrud_dimension(gens, syz)
+                    for extra in range(1, 10):
+                        cases += 1
+                        assert ellingsrud_dimension((*gens, extra), (*syz, extra)) == n
+        assert cases == 5436
+
+    def test_each_table_fills_the_noether_lefschetz_locus(self):
+        counts = Counter()
+        for label in LABELS:
+            for e in classify_quartic(divisor(label), k_max=40):
+                gens, syz = e.resolution.gens, e.resolution.syz
+                multiple_of_h = e.cls.b == 0
+                assert multiple_of_h == (e.provenance == COMPLETE_INTERSECTION)
+                count = ellingsrud_dimension(gens, syz) + quartics_through(gens, syz)
+                counts[multiple_of_h, count - e.invariants.genus] += 1
+        assert counts == {(False, 34): 407, (True, 35): 195}

@@ -1,8 +1,10 @@
 import ast
 import contextlib
 import importlib
+import inspect
 import io
 import json
+import operator
 import os
 import pkgutil
 import re
@@ -688,6 +690,20 @@ class TestAdditionalPaths:
         if code == 1:
             assert err == error + "\n"
 
+    @pytest.mark.parametrize("argv,error", [
+        ("picard watanabe --gram 4,1", "error: --gram expects three integers H2,HC,C2"),
+        ("picard solve --gram 4,1,-2 --self-int=0 --dh=5..1", "error: empty degree range"),
+        ("picard plane --gram 4,1,-2 --dh-max 0", "error: dh_max must be at least 1"),
+        ("res build --case iii --a 0,5 --b 1,6 --j0 2",
+         "error: nonpositive twist: pivot 2 shifts below 1"),
+        ("picard solve --gram 4,1,1 --self-int=0 --dh=1..2",
+         "error: h2 and c2 must be even (even lattice)"),
+        ("pairs enumerate --degree 1", "error: degree must be at least 2"),
+    ], ids=["watanabe-gram", "solve-range", "plane-dh-max", "pivot-twist", "odd-lattice",
+            "enumerate-degree"])
+    def test_library_refusal_is_one_line(self, capsys, argv, error):
+        assert invoke(capsys, *argv.split()) == (1, "", error + "\n")
+
     @pytest.mark.parametrize("argv", [
         ["classify", "low", "--degree", "3", "--type", "4x4"],
         ["classify", "quartic", "--divisor", "F6"],
@@ -1030,6 +1046,26 @@ class TestTableViews:
         assert (code, err) == (0, "")
         assert out == reference_table(argv) + "\n"
 
+    def test_table_reads_its_rows_at_the_first_line(self):
+        assert inspect.isgeneratorfunction(cli._table)
+        rows = iter([("x", 10)])
+        lines = cli._table(("col", "n"), rows)
+        assert operator.length_hint(rows) == 1
+        assert next(lines) == "col  n "
+        assert operator.length_hint(rows) == 0
+        assert list(lines) == ["x    10"]
+
+    @pytest.mark.parametrize("name", sorted(TABLE_VIEWS))
+    def test_view_is_a_stream_of_lines(self, name):
+        # each view holds its lines without their line breaks, which `run` writes
+        argv = LEAF_COMMANDS[name]
+        args = cli._build_parser().parse_args([*argv, "--format", "table"])
+        view = args.handler(args)[1]
+        assert not callable(view)
+        lines = list(view)
+        assert not any("\n" in line for line in lines)
+        assert lines == reference_table(argv).split("\n")
+
     def test_degree_2_catalog_written_by_hand(self, capsys):
         # b_cap = stable_cap(2) = 4.  A pair of degree 2 is ((0, a2), (1, a2 + 1)),
         # with b_2 = a2 + 1 <= 4.  Its cells b_j - a_i, with d = 2 shown as B:
@@ -1060,6 +1096,16 @@ class TestTableViews:
         # 1 082 kinds: two batches, then the newline
         assert len(writes) == -(-pieces // 1000) + 1 == 3
         assert writes[-1] == "\n"
+
+    @pytest.mark.parametrize("fmt", ["json", "table"])
+    def test_empty_pieces_do_not_end_the_output(self, fmt, capsys, monkeypatch):
+        # a batch of 1 000 empty pieces is no end of the output: a JSON
+        # piece may be empty, and a line of a view may be blank
+        pieces = ["head", *[""] * 2500, "tail"]
+        monkeypatch.setattr(cli, "_pairs_reducible", lambda args: (iter(pieces), pieces))
+        code, out, err = invoke(capsys, *LEAF_COMMANDS["pairs reducible"], "--format", fmt)
+        assert (code, err) == (0, "")
+        assert out == ("\n" if fmt == "table" else "").join(pieces) + "\n"
 
 
 # the two documents that stream from their row templates; every other
